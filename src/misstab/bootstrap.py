@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import ComputationError
 from .fitting import FitResult, fit_model
+from .models import observation_map, observed_counts
 from .odds import CLASS_MAR, assess
 from .tables import IncompleteTable, Stratum
 
@@ -24,17 +25,14 @@ _MODES = (MODE_MULTINOMIAL, MODE_POISSON)
 
 
 def _stratum_expectations(fit: FitResult, table: IncompleteTable):
-    """Fitted expectations per stratum, refusing degenerate generators."""
-    expectations = []
-    for st in table.strata:
-        pat = table.pattern_of(st)
-        exp = np.asarray(fit.fitted_strata()[tuple(pat)], dtype=float)
-        if np.any((exp < 1e-12) & (st.counts > 0)):
-            raise ComputationError(
-                f"model {fit.model_id} gives zero expectation to an"
-                " observed nonempty cell; cannot generate replicates"
-            )
-        expectations.append(np.ravel(exp))
+    """Fitted expectations of the observed cells, flat in pattern order,
+    refusing degenerate generators."""
+    expectations = observation_map(table.schema).collapse(fit.mu_hat)
+    if np.any((expectations < 1e-12) & (observed_counts(table) > 0)):
+        raise ComputationError(
+            f"model {fit.model_id} gives zero expectation to an"
+            " observed nonempty cell; cannot generate replicates"
+        )
     return expectations
 
 
@@ -49,23 +47,17 @@ def resample(
         raise ComputationError(f"unknown resampling mode {mode}")
     expectations = _stratum_expectations(fit, table)
     if mode == MODE_MULTINOMIAL:
-        flat = np.concatenate(expectations)
-        total = flat.sum()
+        total = expectations.sum()
         if total <= 0:
             raise ComputationError("fitted expectations sum to zero")
-        draw = rng.multinomial(table.N, flat / total)
-        pieces = []
-        pos = 0
-        for exp in expectations:
-            pieces.append(draw[pos : pos + exp.size])
-            pos += exp.size
+        draw = rng.multinomial(table.N, expectations / total)
     else:
-        pieces = [rng.poisson(exp) for exp in expectations]
-    strata = []
-    for st, counts in zip(table.strata, pieces):
-        shaped = np.asarray(counts, dtype=np.int64).reshape(st.counts.shape)
-        strata.append(Stratum(st.observed, shaped))
-    return IncompleteTable(table.schema, tuple(strata))
+        draw = rng.poisson(expectations)
+    pieces = observation_map(table.schema).split(draw)
+    strata = tuple(
+        Stratum(st.observed, part) for st, part in zip(table.strata, pieces)
+    )
+    return IncompleteTable(table.schema, strata)
 
 
 @dataclass(frozen=True)

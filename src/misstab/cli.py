@@ -263,12 +263,20 @@ def _cmd_fit(args, out):
 def _cmd_bootstrap(args, out):
     table, source = _load_source(args.source)
     tol, from_env = _resolve_tol(args)
+    fit = fit_model(
+        args.model,
+        table,
+        tol=tol,
+        max_iter=args.max_iter,
+        df_convention=args.df_convention,
+    )
     summary = bootstrap_assess(
         table,
         args.model,
         n_replicates=args.replicates,
         seed=args.seed,
         mode=args.mode,
+        fit=fit,
     )
     if args.format == "json":
         payload = {

@@ -7,7 +7,9 @@ distributes each supplemental count over the cells it collapses, then
 rescales the working table to the model's sufficient margins by iterative
 proportional fitting.  Fit quality is the deviance of the observed strata
 against the collapsed fitted expectations, with tail probabilities from the
-chi-square survival function.
+chi-square survival function.  The E step, the deviance and the fitted
+strata all collapse the cross through the schema's one observation map
+(models.observation_map).
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .models import (
     DF_POISSON_CELLS,
     MECH_MAR,
     NonresponseModel,
+    _effects_coding,
     build_design,
     degrees_of_freedom,
     enumerate_models,
@@ -35,9 +38,12 @@ from .models import (
     indicator_factor,
     is_perfect_fit,
     factor_axes,
+    observation_map,
+    observed_counts,
     parameter_count,
 )
-from .tables import IncompleteTable, TableSchema
+from .odds import list_queries
+from .tables import IncompleteTable, TableSchema, pattern_label
 
 BOUNDARY_PROB = 1e-8  # fitted cell probability below this flags a boundary
 
@@ -45,59 +51,48 @@ METHOD_CLOSED = "closed-form"
 METHOD_EM = "em"
 
 
-def _indicator_index(schema: TableSchema, pattern) -> tuple:
-    pat = set(pattern)
-    return tuple(1 if m in pat else 0 for m in schema.missing)
-
-
 def collapse_cross(mu: np.ndarray, schema: TableSchema, pattern):
     """Fitted expectations for one stratum: fix the indicator levels and
     sum out the unrecorded substantive axes."""
-    n_sub = len(schema.names)
-    idx = (slice(None),) * n_sub + _indicator_index(schema, pattern)
-    sl = mu[idx]
-    axes = tuple(
-        schema.index(v) for v in schema.names if v in set(pattern)
-    )
-    if axes:
-        sl = sl.sum(axis=axes)
-    return sl
+    unobs = set(pattern)
+    if not unobs <= set(schema.missing):
+        label = pattern_label(sorted(unobs))
+        raise TableError(f"no stratum for pattern {label}")
+    omap = observation_map(schema)
+    pat = tuple(m for m in schema.missing if m in unobs)
+    return omap.split(omap.collapse(mu))[omap.patterns.index(pat)]
+
+
+def _positive_cells(mu, table):
+    """Nonzero observed counts with their collapsed fit, or None when the
+    fit gives one of those cells zero expectation."""
+    y = observed_counts(table)
+    c = observation_map(table.schema).collapse(mu)
+    mask = y > 0
+    if not np.all(c[mask] > 0):
+        return None
+    return y[mask], c[mask]
 
 
 def _loglik(mu: np.ndarray, table: IncompleteTable) -> float:
-    ll = -float(mu.sum())
-    for st in table.strata:
-        pat = table.pattern_of(st)
-        c = np.asarray(collapse_cross(mu, table.schema, pat), dtype=float)
-        y = st.counts
-        mask = y > 0
-        if not np.all(c[mask] > 0):
-            return float("-inf")
-        ll += float((y[mask] * np.log(c[mask])).sum())
-    return ll
+    cells = _positive_cells(mu, table)
+    if cells is None:
+        return float("-inf")
+    y, c = cells
+    return -float(mu.sum()) + float((y * np.log(c)).sum())
 
 
 def _e_step(mu, table):
-    schema = table.schema
-    z = np.zeros_like(mu)
-    n_sub = len(schema.names)
-    for st in table.strata:
-        pat = tuple(table.pattern_of(st))
-        idx = (slice(None),) * n_sub + _indicator_index(schema, pat)
-        if not pat:
-            z[idx] = st.counts
-            continue
-        sl = mu[idx]
-        axes = tuple(schema.index(v) for v in pat)
-        size = 1
-        for v in pat:
-            size *= schema.levels(v)
-        denom = sl.sum(axis=axes, keepdims=True)
-        safe = np.where(denom > 0, denom, 1.0)
-        frac = np.where(denom > 0, sl / safe, 1.0 / size)
-        y = np.expand_dims(st.counts, axes)
-        z[idx] = y * frac
-    return z
+    omap = observation_map(table.schema)
+    idx = omap.obs_index
+    c = omap.collapse(mu)[idx]
+    # a count whose collapsed fit is zero is spread evenly over its cells
+    share = np.where(
+        c > 0,
+        np.ravel(mu) / np.where(c > 0, c, 1.0),
+        1.0 / omap.cells_per_obs[idx],
+    )
+    return (observed_counts(table)[idx] * share).reshape(mu.shape)
 
 
 def _margin_axes(schema: TableSchema, terms) -> tuple:
@@ -161,12 +156,8 @@ class FitResult:
 
     def fitted_strata(self) -> dict:
         """Collapsed fitted expectations keyed by missingness pattern."""
-        return {
-            pat: np.asarray(
-                collapse_cross(self.mu_hat, self.schema, pat), dtype=float
-            )
-            for pat in self.schema.patterns()
-        }
+        omap = observation_map(self.schema)
+        return dict(zip(omap.patterns, omap.split(omap.collapse(self.mu_hat))))
 
 
 def g_squared(fit: FitResult, table: IncompleteTable) -> float:
@@ -175,18 +166,11 @@ def g_squared(fit: FitResult, table: IncompleteTable) -> float:
 
 
 def _g2_from_mu(mu, table) -> float:
-    total = 0.0
-    for st in table.strata:
-        pat = table.pattern_of(st)
-        c = np.asarray(collapse_cross(mu, table.schema, pat), dtype=float)
-        y = st.counts
-        mask = y > 0
-        if not np.all(c[mask] > 0):
-            return float("inf")
-        total += 2.0 * float(
-            (y[mask] * np.log(y[mask] / c[mask])).sum()
-        )
-    return max(total, 0.0)
+    cells = _positive_cells(mu, table)
+    if cells is None:
+        return float("inf")
+    y, c = cells
+    return max(2.0 * float((y * np.log(y / c)).sum()), 0.0)
 
 
 def chi_square_sf(x: float, df: int) -> float:
@@ -225,8 +209,6 @@ def _recover_lambda(model, schema, mu):
     for term in model.terms:
         if not term:
             continue
-        from .models import _effects_coding  # local to avoid API noise
-
         codes = {f: _effects_coding(lv[f]) for f in term}
         shape = tuple(lv[f] for f in term)
         arr = np.zeros(shape)
@@ -409,18 +391,8 @@ def _tilt_solve(weight, target):
     return s
 
 
-def _mshape_arrays(table):
-    v1, v2 = table.schema.missing
-    y11 = table.full.counts.astype(float)
-    y21 = table.stratum({v1}).counts.astype(float)
-    y12 = table.stratum({v2}).counts.astype(float)
-    y22 = float(table.stratum({v1, v2}).counts)
-    return y11, y21, y12, y22
-
-
-def _assemble_mshape(table, mu11, mu21, mu12, mu22):
-    dims = full_cross_dims(table.schema)
-    mu = np.zeros(dims)
+def _assemble_mshape(mu11, mu21, mu12, mu22):
+    mu = np.zeros(mu11.shape + (2, 2))
     mu[:, :, 0, 0] = mu11
     mu[:, :, 1, 0] = mu21
     mu[:, :, 0, 1] = mu12
@@ -437,8 +409,11 @@ def _both_missing_block(weights, total):
     return total * weights / wsum
 
 
-def _closed_m5(table):
-    y11, y21, y12, y22 = _mshape_arrays(table)
+# The two-variable closed forms take the count blocks of the strata in
+# pattern order: y11 (both recorded), y21 (first missing), y12 (second
+# missing) and y22 (both missing).
+
+def _closed_m5(y11, y21, y12, y22):
     rows = y11.sum(axis=1)
     cols = y11.sum(axis=0)
     if not (_positive(rows) and _positive(cols)):
@@ -449,11 +424,10 @@ def _closed_m5(table):
     mu22 = _both_missing_block(w, y22)
     if mu22 is None:
         return None
-    return _assemble_mshape(table, y11, mu21, mu12, mu22)
+    return _assemble_mshape(y11, mu21, mu12, mu22)
 
 
-def _closed_m3(table):
-    y11, y21, y12, y22 = _mshape_arrays(table)
+def _closed_m3(y11, y21, y12, y22):
     s = _tilt_solve(y11, y21)
     u = _tilt_solve(y11.T, y12)
     if s is None or u is None:
@@ -463,11 +437,10 @@ def _closed_m3(table):
     mu22 = _both_missing_block(y11 * s[:, None] * u[None, :], y22)
     if mu22 is None:
         return None
-    return _assemble_mshape(table, y11, mu21, mu12, mu22)
+    return _assemble_mshape(y11, mu21, mu12, mu22)
 
 
-def _closed_m2(table):
-    y11, y21, y12, y22 = _mshape_arrays(table)
+def _closed_m2(y11, y21, y12, y22):
     rows = y11.sum(axis=1)
     if not _positive(rows):
         return None
@@ -479,11 +452,10 @@ def _closed_m2(table):
     mu22 = _both_missing_block(y11 * s[:, None] * (y12 / rows)[:, None], y22)
     if mu22 is None:
         return None
-    return _assemble_mshape(table, y11, mu21, mu12, mu22)
+    return _assemble_mshape(y11, mu21, mu12, mu22)
 
 
-def _closed_m1(table):
-    y11, y21, y12, y22 = _mshape_arrays(table)
+def _closed_m1(y11, y21, y12, y22):
     rows11 = y11.sum(axis=1)
     tot11 = y11.sum()
     rows1p = rows11 + y12
@@ -499,36 +471,27 @@ def _closed_m1(table):
     mu22 = _both_missing_block(mu21.copy(), y22)
     if mu22 is None:
         return None
-    return _assemble_mshape(table, mu11, mu21, mu12, mu22)
+    return _assemble_mshape(mu11, mu21, mu12, mu22)
 
 
-def _mirror_table(table):
-    """Swap the two variables (and their strata) of a two-variable table."""
-    schema = table.schema
-    v1, v2 = schema.names
-    from .tables import IncompleteTable as _IT, Stratum as _St, TableSchema as _TS
+def _swapped(base):
+    """The closed form base with the two variables' roles swapped."""
 
-    mirrored = _TS((schema.variables[1], schema.variables[0]), (v2, v1))
-    strata = []
-    for pat in mirrored.patterns():
-        src = table.stratum(set(pat))
-        counts = src.counts
-        if counts.ndim == 2:
-            counts = counts.T
-        strata.append(_St(mirrored.observed_for(pat), counts))
-    return _IT(mirrored, tuple(strata))
+    def closed(y11, y21, y12, y22):
+        mu = base(y11.T, y12, y21, y22)
+        return None if mu is None else mu.transpose(1, 0, 3, 2)
+
+    return closed
 
 
-def _unmirror_mu(mu):
-    return np.transpose(mu, (1, 0, 3, 2))
-
-
-def _closed_mirrored(table, base):
-    mirrored = _mirror_table(table)
-    mu = base(mirrored)
-    if mu is None:
-        return None
-    return _unmirror_mu(mu)
+_TWO_VARIABLE_CLOSED = {
+    "M1": _closed_m1,
+    "M2": _closed_m2,
+    "M3": _closed_m3,
+    "M5": _closed_m5,
+    "M6": _swapped(_closed_m2),
+    "M8": _swapped(_closed_m1),
+}
 
 
 def _closed_c4(table):
@@ -572,19 +535,13 @@ def fit_closed_form(
     model = _resolve_model(model, schema)
     if df_convention not in DF_CONVENTIONS:
         raise TableError(f"unknown df convention {df_convention}")
-    builders = {
-        "M1": lambda t: _closed_m1(t),
-        "M2": lambda t: _closed_m2(t),
-        "M3": lambda t: _closed_m3(t),
-        "M5": lambda t: _closed_m5(t),
-        "M6": lambda t: _closed_mirrored(t, _closed_m2),
-        "M8": lambda t: _closed_mirrored(t, _closed_m1),
-        "C4": lambda t: _closed_c4(t),
-    }
-    builder = builders.get(model.id)
-    if builder is None:
+    if model.id == "C4":
+        mu = _closed_c4(table)
+    elif model.id in _TWO_VARIABLE_CLOSED:
+        blocks = (st.counts.astype(float) for st in table.strata)
+        mu = _TWO_VARIABLE_CLOSED[model.id](*blocks)
+    else:
         return None
-    mu = builder(table)
     if mu is None:
         return None
     return _finalize(
@@ -657,54 +614,36 @@ def best_non_perfect(fits) -> FitResult | None:
 # ---------------------------------------------------------------------------
 # Model-based odds diagnostics.
 
+def _stratum_odds(counts, names, target, pair, levels):
+    """counts at target level a over counts at target level b, the other
+    named axes held at the given 1-based levels; NaN on a zero divisor."""
+    num, den = (
+        float(counts[tuple(
+            (p if n == target else levels[n]) - 1 for n in names
+        )])
+        for p in pair
+    )
+    return num / den if den > 0 else float("nan")
+
+
 def _fitted_response_values(fit: FitResult, assessed, target, pair, cond):
     """Fitted fully-classified odds over the target pair, one value per
     level of the assessed variable."""
     schema = fit.schema
-    n_sub = len(schema.names)
-    full = fit.mu_hat[(slice(None),) * n_sub + (0,) * len(schema.missing)]
-    fixed = dict(cond)
-    a, b = pair
-    out = []
-    for lvl in range(schema.levels(assessed)):
-        idx_num = []
-        idx_den = []
-        for name in schema.names:
-            if name == assessed:
-                idx_num.append(lvl)
-                idx_den.append(lvl)
-            elif name == target:
-                idx_num.append(a - 1)
-                idx_den.append(b - 1)
-            else:
-                idx_num.append(fixed[name] - 1)
-                idx_den.append(fixed[name] - 1)
-        num = float(full[tuple(idx_num)])
-        den = float(full[tuple(idx_den)])
-        out.append(num / den if den > 0 else float("nan"))
-    return out
+    full = collapse_cross(fit.mu_hat, schema, ())
+    return [
+        _stratum_odds(
+            full, schema.names, target, pair, {**dict(cond), assessed: lvl}
+        )
+        for lvl in range(1, schema.levels(assessed) + 1)
+    ]
 
 
 def _fitted_nonresponse_value(fit: FitResult, assessed, target, pair, cond):
     schema = fit.schema
-    coll = np.asarray(
-        collapse_cross(fit.mu_hat, schema, (assessed,)), dtype=float
-    )
-    observed = [n for n in schema.names if n != assessed]
-    fixed = dict(cond)
-    a, b = pair
-    idx_num = []
-    idx_den = []
-    for name in observed:
-        if name == target:
-            idx_num.append(a - 1)
-            idx_den.append(b - 1)
-        else:
-            idx_num.append(fixed[name] - 1)
-            idx_den.append(fixed[name] - 1)
-    num = float(coll[tuple(idx_num)])
-    den = float(coll[tuple(idx_den)])
-    return num / den if den > 0 else float("nan")
+    coll = collapse_cross(fit.mu_hat, schema, (assessed,))
+    observed = schema.observed_for((assessed,))
+    return _stratum_odds(coll, observed, target, pair, dict(cond))
 
 
 def fitted_containment(fit: FitResult) -> tuple:
@@ -714,8 +653,6 @@ def fitted_containment(fit: FitResult) -> tuple:
     Returns (assessed, target, pair, conditioning, value, low, high)
     tuples; entries are NaN when a fitted zero makes them undefined.
     """
-    from .odds import list_queries
-
     out = []
     for q in list_queries(fit.schema):
         values = _fitted_response_values(

@@ -17,7 +17,9 @@ Y1, Y2, Y3 in ids and summaries refer to variables in declared order.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,6 +105,68 @@ def factor_axes(schema: TableSchema) -> dict:
     for k, m in enumerate(schema.missing):
         axes[indicator_factor(m)] = base + k
     return axes
+
+
+@dataclass(frozen=True, eq=False)
+class ObservationMap:
+    """The linear map from the complete cross to the observed cells.
+
+    The observed cells are every stratum's counts raveled in C order and
+    concatenated in schema.patterns() order; offsets[k]:offsets[k + 1]
+    holds pattern k, whose counts have extents shapes[k].  obs_index gives,
+    for each cell of the complete cross (raveled in C order), the observed
+    cell it is summed into, and cells_per_obs counts those cells.
+    """
+
+    patterns: tuple
+    offsets: tuple
+    shapes: tuple
+    obs_index: np.ndarray
+    cells_per_obs: np.ndarray
+
+    def collapse(self, mu) -> np.ndarray:
+        """Expectations of the observed cells, flat."""
+        return np.bincount(
+            self.obs_index, np.ravel(mu), minlength=self.offsets[-1]
+        )
+
+    def split(self, flat) -> tuple:
+        """One array per pattern from a flat observed-cell vector."""
+        return tuple(
+            flat[a:b].reshape(shape)
+            for a, b, shape in zip(self.offsets, self.offsets[1:], self.shapes)
+        )
+
+
+@functools.lru_cache(maxsize=None)
+def observation_map(schema: TableSchema) -> ObservationMap:
+    """The observation map of a schema, built once and shared."""
+    obs_index = np.empty(full_cross_dims(schema), dtype=np.intp)
+    offsets = [0]
+    shapes = []
+    for pat in schema.patterns():
+        # numbered in C order over the recorded axes, repeated along the
+        # unrecorded ones
+        keep = [1 if v in pat else l for v, l in schema.variables]
+        cells = np.arange(offsets[-1], offsets[-1] + math.prod(keep))
+        ind = tuple(1 if m in pat else 0 for m in schema.missing)
+        obs_index[(Ellipsis,) + ind] = cells.reshape(keep)
+        offsets.append(offsets[-1] + cells.size)
+        observed = schema.observed_for(pat)
+        shapes.append(tuple(schema.levels(v) for v in observed))
+    obs_index = obs_index.ravel()
+    cells_per_obs = np.bincount(obs_index, minlength=offsets[-1])
+    for arr in (obs_index, cells_per_obs):
+        arr.flags.writeable = False
+    return ObservationMap(
+        schema.patterns(), tuple(offsets), tuple(shapes), obs_index,
+        cells_per_obs,
+    )
+
+
+def observed_counts(table) -> np.ndarray:
+    """A table's counts in the observed-cell order of its observation map."""
+    return np.concatenate([np.ravel(st.counts) for st in table.strata])
 
 
 def factor_levels(schema: TableSchema) -> dict:
@@ -261,13 +325,7 @@ def parameter_count(model: NonresponseModel, schema: TableSchema) -> int:
 
 def observed_statistic_count(schema: TableSchema) -> int:
     """Number of observed cell counts across all strata."""
-    total = 0
-    for pat in schema.patterns():
-        size = 1
-        for v in schema.observed_for(pat):
-            size *= schema.levels(v)
-        total += size
-    return total
+    return observation_map(schema).offsets[-1]
 
 
 def degrees_of_freedom(

@@ -403,7 +403,7 @@ def assess(table: IncompleteTable) -> AssessmentVerdict:
             records.append(
                 QueryRecord(
                     query,
-                    value if value.defined else value,
+                    value,
                     interval,
                     status,
                     "; ".join(notes),

@@ -149,6 +149,22 @@ class TestBootstrap:
             assert fam["counted"] + fam["excluded"] == 30
         assert doc["overall"]["counted"] + doc["overall"]["excluded"] == 30
 
+    def test_fit_options_reach_the_generating_fit(self, capsys):
+        # bone-density M2 is a boundary EM fit, so where it stops moves the
+        # generator and with it the tallies
+        argv = [
+            "bootstrap", "bone-density", "--model", "M2",
+            "--replicates", "200", "--seed", "1", "--format", "json",
+        ]
+        mar = {}
+        for extra in (["--tol", "1e-4"], ["--tol", "1e-12"], ["--max-iter", "1"]):
+            assert main(argv + extra) == 0
+            doc = json.loads(capsys.readouterr().out)
+            mar[extra[1]] = doc["families"][0]["mar"]
+        assert mar["1e-4"] == 106
+        assert mar["1e-12"] == 158
+        assert mar["1"] != mar["1e-12"]
+
 
 class TestDatasetsAndCatalog:
     def test_datasets_text(self, capsys):

@@ -14,6 +14,7 @@ from misstab import (
     aic_bic,
     builtin_dataset,
     chi_square_sf,
+    collapse_cross,
     fit_all,
     fit_closed_form,
     fit_em,
@@ -179,6 +180,16 @@ class TestClosedForms:
         np.testing.assert_allclose(strata[("a",)], [25, 55], atol=1e-9)
         np.testing.assert_allclose(strata[("b",)], [20, 20], atol=1e-9)
         np.testing.assert_allclose(strata[("a", "b")], 10, atol=1e-9)
+        for pat in feasible_table.schema.patterns():
+            np.testing.assert_array_equal(
+                collapse_cross(fit.mu_hat, fit.schema, set(pat)), strata[pat]
+            )
+
+    def test_collapse_rejects_a_pattern_the_table_lacks(self, opinion_one_table):
+        fit = fit_model("C4", opinion_one_table)
+        for pattern in (("attendance",), ("nosuch",)):
+            with pytest.raises(TableError):
+                collapse_cross(fit.mu_hat, fit.schema, pattern)
 
     def test_feasibility_by_model(self, smoking_table, bone_table, opinion_one_table):
         # interior explicit solution exists only for some model/table pairs

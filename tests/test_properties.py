@@ -4,6 +4,7 @@ model-based containment, checked across the catalog and random tables."""
 import itertools
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,18 +24,20 @@ from misstab import (
     assess,
     bootstrap_assess,
     builtin_dataset,
+    collapse_cross,
     dump_table,
     enumerate_models,
     fit_closed_form,
     fit_em,
     fitted_containment,
+    g_squared,
     generating_class,
     indicator_factor,
     is_perfect_fit,
     load_table,
     scale_counts,
 )
-from misstab.fitting import _e_step, _ipf, _margin_axes
+from misstab.fitting import FitResult, _e_step, _ipf, _loglik, _margin_axes
 from misstab.models import full_cross_dims
 
 DATASET_NAMES = ("smoking-birthweight", "bone-density", "spo-y1", "spo-y1y2")
@@ -241,6 +244,114 @@ class TestClosedFormAgreement:
             mu = _ipf(mu, _e_step(mu, table), axes)
         rel = np.abs(mu - closed.mu_hat) / np.maximum(closed.mu_hat, 1e-12)
         assert rel.max() <= 1e-6, (name, model_id, rel.max())
+
+
+# Slice-and-sum reference for the observation map: each stratum is the
+# complete cross at that pattern's indicator levels, summed over the
+# unrecorded substantive axes.
+
+def _oracle_slice(schema, pattern):
+    ind = tuple(1 if m in set(pattern) else 0 for m in schema.missing)
+    return (slice(None),) * len(schema.names) + ind
+
+
+def _oracle_collapse(mu, schema, pattern):
+    axes = tuple(schema.index(v) for v in pattern)
+    return np.asarray(mu[_oracle_slice(schema, pattern)].sum(axis=axes))
+
+
+def _oracle_e_step(mu, table):
+    schema = table.schema
+    z = np.zeros_like(mu)
+    for st_ in table.strata:
+        pat = table.pattern_of(st_)
+        idx = _oracle_slice(schema, pat)
+        axes = tuple(schema.index(v) for v in pat)
+        size = math.prod(schema.levels(v) for v in pat)
+        sl = mu[idx]
+        denom = sl.sum(axis=axes, keepdims=True)
+        safe = np.where(denom > 0, denom, 1.0)
+        frac = np.where(denom > 0, sl / safe, 1.0 / size)
+        z[idx] = np.expand_dims(st_.counts, axes) * frac
+    return z
+
+
+def _oracle_loglik_and_g2(mu, table):
+    ll = -float(mu.sum())
+    g2 = 0.0
+    for st_ in table.strata:
+        c = _oracle_collapse(mu, table.schema, table.pattern_of(st_))
+        y = st_.counts
+        mask = y > 0
+        if not np.all(c[mask] > 0):
+            return float("-inf"), float("inf")
+        ll += float((y[mask] * np.log(c[mask])).sum())
+        g2 += 2.0 * float((y[mask] * np.log(y[mask] / c[mask])).sum())
+    return ll, max(g2, 0.0)
+
+
+@st.composite
+def analysis_tables_and_cross(draw):
+    """A random table of one of the three analysis shapes, plus a fitted
+    cross that may carry an all-zero block behind a positive count."""
+    n_vars = draw(st.sampled_from([2, 3]))
+    names = ("a", "b", "c")[:n_vars]
+    levels = [draw(st.integers(2, 3)) for _ in names]
+    n_missing = 2 if n_vars == 2 else draw(st.integers(1, 2))
+    missing = draw(st.permutations(names))[:n_missing]
+    schema = TableSchema(tuple(zip(names, levels)), missing)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    counts = {
+        pat: rng.integers(0, 30, size=[schema.levels(v) for v in
+                                       schema.observed_for(pat)])
+        for pat in schema.patterns()
+    }
+    mu = rng.uniform(0.05, 20.0, size=full_cross_dims(schema))
+    if draw(st.booleans()):
+        pat = draw(st.sampled_from(schema.patterns()[1:]))
+        cell = tuple(
+            draw(st.integers(0, schema.levels(v) - 1))
+            for v in schema.observed_for(pat)
+        )
+        counts[pat][cell] += 1
+        block = list(_oracle_slice(schema, pat))
+        for v, lvl in zip(schema.observed_for(pat), cell):
+            block[schema.index(v)] = lvl
+        mu[tuple(block)] = 0.0
+    table = IncompleteTable(
+        schema,
+        tuple(
+            Stratum(schema.observed_for(p), c) for p, c in counts.items()
+        ),
+    )
+    return table, mu
+
+
+class TestObservationMapOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(analysis_tables_and_cross())
+    def test_collapses_match_slice_and_sum(self, case):
+        table, mu = case
+        schema = table.schema
+        fit = SimpleNamespace(mu_hat=mu, schema=schema)
+        strata = FitResult.fitted_strata(fit)
+        for pat in schema.patterns():
+            want = _oracle_collapse(mu, schema, pat)
+            got = collapse_cross(mu, schema, pat)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(
+                strata[pat], want, rtol=1e-12, atol=1e-12
+            )
+        np.testing.assert_allclose(
+            _e_step(mu, table), _oracle_e_step(mu, table),
+            rtol=1e-12, atol=1e-12,
+        )
+        ll, g2 = _oracle_loglik_and_g2(mu, table)
+        for got, want in ((_loglik(mu, table), ll), (g_squared(fit, table), g2)):
+            if math.isinf(want):
+                assert got == want
+            else:
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def _hand_parameter_count(model, schema):
