@@ -4,19 +4,21 @@ Replicate tables are drawn from the fitted expectations of a chosen model
 (one multinomial of size N across every observed cell, or independent
 Poisson draws behind a flag), each replicate is re-assessed, and the share
 of replicates whose suggested class is MAR is reported per missing
-variable and overall.
+variable and overall.  Replicates are drawn as flat observed-cell vectors
+and screened a block at a time on the schema's screening plan.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ComputationError
 from .fitting import FitResult, fit_model
 from .models import observation_map, observed_counts
-from .odds import CLASS_MAR, assess
+from .odds import screening_plan
 from .tables import IncompleteTable, Stratum
 
 MODE_MULTINOMIAL = "multinomial"
@@ -24,16 +26,24 @@ MODE_POISSON = "poisson"
 _MODES = (MODE_MULTINOMIAL, MODE_POISSON)
 
 
-def _stratum_expectations(fit: FitResult, table: IncompleteTable):
-    """Fitted expectations of the observed cells, flat in pattern order,
-    refusing degenerate generators."""
+def _sampler(fit: FitResult, table: IncompleteTable, mode: str):
+    """A function drawing one replicate's observed counts (flat, in
+    pattern order) from a generator, refusing degenerate models."""
+    if mode not in _MODES:
+        raise ComputationError(f"unknown resampling mode {mode}")
     expectations = observation_map(table.schema).collapse(fit.mu_hat)
     if np.any((expectations < 1e-12) & (observed_counts(table) > 0)):
         raise ComputationError(
             f"model {fit.model_id} gives zero expectation to an"
             " observed nonempty cell; cannot generate replicates"
         )
-    return expectations
+    if mode == MODE_POISSON:
+        return lambda rng: rng.poisson(expectations)
+    total = expectations.sum()
+    if total <= 0:
+        raise ComputationError("fitted expectations sum to zero")
+    n, p = table.N, expectations / total
+    return lambda rng: rng.multinomial(n, p)
 
 
 def resample(
@@ -43,16 +53,7 @@ def resample(
     mode: str = MODE_MULTINOMIAL,
 ) -> IncompleteTable:
     """One replicate table drawn from the fitted observed-cell expectations."""
-    if mode not in _MODES:
-        raise ComputationError(f"unknown resampling mode {mode}")
-    expectations = _stratum_expectations(fit, table)
-    if mode == MODE_MULTINOMIAL:
-        total = expectations.sum()
-        if total <= 0:
-            raise ComputationError("fitted expectations sum to zero")
-        draw = rng.multinomial(table.N, expectations / total)
-    else:
-        draw = rng.poisson(expectations)
+    draw = _sampler(fit, table, mode)(rng)
     pieces = observation_map(table.schema).split(draw)
     strata = tuple(
         Stratum(st.observed, part) for st, part in zip(table.strata, pieces)
@@ -62,10 +63,16 @@ def resample(
 
 @dataclass(frozen=True)
 class FamilyBootstrap:
+    """Replicate tallies of one missing variable.  An excluded replicate
+    has an undefined non-response odds (n_undefined_value), a check with
+    no defined response odds (n_undefined_interval), or both."""
+
     variable: str
     n_counted: int
     n_excluded: int
     n_mar: int
+    n_undefined_value: int
+    n_undefined_interval: int
 
     @property
     def percent_mar(self) -> float:
@@ -80,11 +87,17 @@ class FamilyBootstrap:
             "excluded": self.n_excluded,
             "mar": self.n_mar,
             "percent_mar": self.percent_mar,
+            "excluded_undefined_value": self.n_undefined_value,
+            "excluded_undefined_interval": self.n_undefined_interval,
         }
 
 
 @dataclass(frozen=True)
 class BootstrapSummary:
+    """Replicate tallies per missing variable and overall.  draw_s and
+    screen_s are the seconds spent drawing and screening replicates; they
+    vary from run to run, so they stay out of equality and as_dict()."""
+
     model_id: str
     n_replicates: int
     mode: str
@@ -93,6 +106,8 @@ class BootstrapSummary:
     overall_counted: int
     overall_excluded: int
     overall_mar: int
+    draw_s: float = field(compare=False)
+    screen_s: float = field(compare=False)
 
     @property
     def percent_mar(self) -> float:
@@ -142,41 +157,45 @@ def bootstrap_assess(
         raise ComputationError("n_replicates must be >= 1")
     if fit is None:
         fit = fit_model(model, table)
-    children = np.random.SeedSequence(seed).spawn(n_replicates)
+    draw = _sampler(fit, table, mode)
+    plan = screening_plan(table.schema)
     missing = table.schema.missing
-    counted = {v: 0 for v in missing}
-    excluded = {v: 0 for v in missing}
-    mar = {v: 0 for v in missing}
-    overall_counted = 0
-    overall_excluded = 0
-    overall_mar = 0
-    for child in children:
-        rng = np.random.default_rng(child)
-        rep = resample(fit, table, rng, mode=mode)
-        verdict = assess(rep)
-        all_defined = True
-        any_mar = False
-        for fam in verdict.families:
-            v = fam.variable
-            defined = all(
-                r.membership != "undefined" for r in fam.records
+    # spawning a block at a time yields the same children as spawning all
+    # n_replicates at once, without holding them all
+    root = np.random.SeedSequence(seed)
+    # per family: counted, MAR, undefined value, undefined interval
+    tally = np.zeros((len(missing), 4), dtype=np.int64)
+    overall_counted = overall_mar = 0
+    draw_s = screen_s = 0.0
+    for start in range(0, n_replicates, plan.block_rows):
+        began = time.perf_counter()
+        children = root.spawn(min(plan.block_rows, n_replicates - start))
+        block = np.stack(
+            [draw(np.random.default_rng(child)) for child in children]
+        )
+        drawn = time.perf_counter()
+        result = plan.screen(block)
+        defined = result.defined
+        for k in range(len(missing)):
+            cols = plan.family == k
+            counted = defined[:, cols].all(axis=1)
+            tally[k] += (
+                counted.sum(),
+                (counted & result.outside[:, cols].any(axis=1)).sum(),
+                (~result.value_defined[:, cols]).any(axis=1).sum(),
+                (~result.interval_defined[:, cols]).any(axis=1).sum(),
             )
-            if not defined:
-                excluded[v] += 1
-                all_defined = False
-                continue
-            counted[v] += 1
-            if fam.suggested_class == CLASS_MAR:
-                mar[v] += 1
-                any_mar = True
-        if all_defined:
-            overall_counted += 1
-            if any_mar:
-                overall_mar += 1
-        else:
-            overall_excluded += 1
+        counted = defined.all(axis=1)
+        overall_counted += int(counted.sum())
+        overall_mar += int((counted & result.outside.any(axis=1)).sum())
+        draw_s += drawn - began
+        screen_s += time.perf_counter() - drawn
     families = tuple(
-        FamilyBootstrap(v, counted[v], excluded[v], mar[v]) for v in missing
+        FamilyBootstrap(
+            v, int(n), n_replicates - int(n), int(mar), int(value),
+            int(interval),
+        )
+        for v, (n, mar, value, interval) in zip(missing, tally)
     )
     return BootstrapSummary(
         model_id=fit.model_id,
@@ -185,6 +204,8 @@ def bootstrap_assess(
         seed=seed,
         families=families,
         overall_counted=overall_counted,
-        overall_excluded=overall_excluded,
+        overall_excluded=n_replicates - overall_counted,
         overall_mar=overall_mar,
+        draw_s=draw_s,
+        screen_s=screen_s,
     )

@@ -8,16 +8,26 @@ falling strictly inside the open interval spanned by the response odds is
 compatible with missingness that ignores the observed variables; a value on
 or outside the interval ends points to missingness driven by an observed
 variable (class MAR).  All arithmetic on the verdict path is exact integer
-rational arithmetic; no floats enter any comparison.
+arithmetic; no floats enter any comparison.
+
+Every count a check reads sits at a fixed position of the table's flat
+observed-cell vector, so a ScreeningPlan (one per schema) holds every check
+as index arrays into it and screens a whole matrix of replicate tables at
+once by cross-multiplication.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import ComputationError, TableError
+from .models import observation_map, observed_counts
 from .tables import IncompleteTable, TableSchema
 
 MEMBERSHIP_INSIDE = "inside"
@@ -98,7 +108,7 @@ class OddsInterval:
     @property
     def degenerate(self) -> bool:
         return (
-            self.defined and self.minimum.fraction == self.maximum.fraction
+            self.defined and _cross_compare(self.minimum, self.maximum) == 0
         )
 
     def __str__(self):
@@ -107,12 +117,19 @@ class OddsInterval:
         return f"({self.minimum}, {self.maximum})"
 
 
+def _cross_compare(x: CountRatio, y: CountRatio) -> int:
+    return x.numerator * y.denominator - y.numerator * x.denominator
+
+
+_BY_VALUE = functools.cmp_to_key(_cross_compare)
+
+
 def _build_interval(values) -> OddsInterval:
-    defined = [(lvl, r) for lvl, r in values if r.defined]
+    defined = [r for _, r in values if r.defined]
     if not defined:
         return OddsInterval(tuple(values), None, None)
-    lo = min(defined, key=lambda p: p[1].fraction)[1]
-    hi = max(defined, key=lambda p: p[1].fraction)[1]
+    lo = min(defined, key=_BY_VALUE)
+    hi = max(defined, key=_BY_VALUE)
     return OddsInterval(tuple(values), lo, hi)
 
 
@@ -260,6 +277,118 @@ def list_queries(schema: TableSchema) -> tuple:
     return tuple(queries)
 
 
+# Replicate x check x level cells one screening step holds at most, so the
+# memory of a bootstrap does not grow with its replicate count.
+_BLOCK_CELLS = 1 << 18
+
+
+class Screening(NamedTuple):
+    """Memberships of every check (columns, in list_queries order) in every
+    screened table (rows)."""
+
+    value_defined: np.ndarray  # no zero in the non-response odds
+    interval_defined: np.ndarray  # some response odds without a zero
+    outside: np.ndarray  # defined, and on or outside the open interval
+
+    @property
+    def defined(self) -> np.ndarray:
+        return self.value_defined & self.interval_defined
+
+
+@dataclass(frozen=True, eq=False)
+class ScreeningPlan:
+    """Every containment check of a schema as positions in the flat
+    observed-cell vector (the order of models.observed_counts).
+
+    Check q reads its non-response odds as c[value_num[q]] /
+    c[value_den[q]] and its response odds at level l + 1 of the assessed
+    variable as c[odds_num[q, l]] / c[odds_den[q, l]]; rows are padded to
+    the largest level count and odds_valid marks the real entries.
+    family[q] is the position of the assessed variable in schema.missing.
+    """
+
+    queries: tuple
+    family: np.ndarray
+    value_num: np.ndarray
+    value_den: np.ndarray
+    odds_num: np.ndarray
+    odds_den: np.ndarray
+    odds_valid: np.ndarray
+
+    @property
+    def block_rows(self) -> int:
+        """Tables screened per step."""
+        return max(1, _BLOCK_CELLS // self.odds_num.size)
+
+    def screen(self, counts) -> Screening:
+        """Memberships of every check in each row of a tables x
+        observed-cells count matrix.
+
+        Exact: a defined response odds a/b lies below the non-response
+        odds n/d iff a*d < n*b, so a check is inside iff some defined
+        response odds lies below and some above (a degenerate interval is
+        therefore outside).  Every product is at most the largest count
+        squared; while that stays below 2**63 the products are int64,
+        otherwise the same expressions run on Python ints.
+        """
+        counts = np.asarray(counts)
+        if counts.size and int(counts.max()) ** 2 >= 2**63:
+            counts = counts.astype(object)
+        n = counts[:, self.value_num]
+        d = counts[:, self.value_den]
+        a = counts[:, self.odds_num]
+        b = counts[:, self.odds_den]
+        usable = self.odds_valid & (a > 0) & (b > 0)
+        ad = a * d[..., np.newaxis]
+        nb = n[..., np.newaxis] * b
+        below = (usable & (ad < nb)).any(axis=-1)
+        above = (usable & (ad > nb)).any(axis=-1)
+        value_defined = (n > 0) & (d > 0)
+        interval_defined = usable.any(axis=-1)
+        outside = value_defined & interval_defined & ~(below & above)
+        return Screening(value_defined, interval_defined, outside)
+
+
+@functools.lru_cache(maxsize=None)
+def screening_plan(schema: TableSchema) -> ScreeningPlan:
+    """The screening plan of a schema, built once and shared."""
+    queries = list_queries(schema)
+    omap = observation_map(schema)
+
+    def positions(pattern):
+        k = omap.patterns.index(pattern)
+        cells = np.arange(omap.offsets[k], omap.offsets[k + 1])
+        return cells.reshape(omap.shapes[k])
+
+    full = positions(())
+    margins = {v: positions((v,)) for v in schema.missing}
+    width = max(schema.levels(v) for v in schema.missing)
+    value = np.zeros((2, len(queries)), dtype=np.intp)
+    odds = np.zeros((2, len(queries), width), dtype=np.intp)
+    valid = np.zeros((len(queries), width), dtype=bool)
+    family = np.empty(len(queries), dtype=np.intp)
+    for q, query in enumerate(queries):
+        v = query.missing_var
+        for side, level in enumerate(query.pair):
+            at = dict(query.conditioning)
+            at[query.target] = level
+            value[side, q] = margins[v][
+                tuple(at[n] - 1 for n in schema.observed_for((v,)))
+            ]
+            row = full[
+                tuple(at[n] - 1 if n in at else slice(None)
+                      for n in schema.names)
+            ]
+            odds[side, q, : row.size] = row
+        valid[q, : schema.levels(v)] = True
+        family[q] = schema.missing.index(v)
+    for arr in (value, odds, valid, family):
+        arr.flags.writeable = False
+    return ScreeningPlan(
+        queries, family, value[0], value[1], odds[0], odds[1], valid
+    )
+
+
 @dataclass(frozen=True)
 class QueryRecord:
     query: OddsQuery
@@ -378,40 +507,47 @@ def assess(table: IncompleteTable) -> AssessmentVerdict:
     in play; a family with no defined check at all is inconclusive.
     """
     schema = table.schema
-    if not schema.is_analysis_shape:
-        raise TableError(
-            f"shape {schema.shape} does not support odds assessment"
+    plan = screening_plan(schema)
+    flat = observed_counts(table)
+    result = plan.screen(flat[np.newaxis])
+    value_num = flat[plan.value_num].tolist()
+    value_den = flat[plan.value_den].tolist()
+    odds_num = flat[plan.odds_num].tolist()
+    odds_den = flat[plan.odds_den].tolist()
+    defined = result.defined[0].tolist()
+    outside = result.outside[0].tolist()
+    records = {v: [] for v in schema.missing}
+    for q, query in enumerate(plan.queries):
+        value = CountRatio(value_num[q], value_den[q])
+        levels = range(1, schema.levels(query.missing_var) + 1)
+        interval = _build_interval(
+            [
+                (lvl, CountRatio(num, den))
+                for lvl, num, den in zip(levels, odds_num[q], odds_den[q])
+            ]
         )
-    families = []
-    for v in schema.missing:
-        records = []
-        for query in list_queries(schema):
-            if query.missing_var != v:
-                continue
-            value = nonresponse_odds(table, query)
-            interval = _response_interval(table, query)
-            status = membership(value, interval)
-            notes = []
-            if not value.defined:
-                notes.append("non-response odds undefined (zero count)")
-            if not interval.defined:
-                notes.append("no defined response odds")
-            elif interval.partial:
-                notes.append("interval omits undefined entries")
-            if interval.defined and interval.degenerate:
-                notes.append("degenerate interval (all response odds equal)")
-            records.append(
-                QueryRecord(
-                    query,
-                    value,
-                    interval,
-                    status,
-                    "; ".join(notes),
-                )
-            )
-        families.append(
-            FamilyAssessment(v, tuple(records), _classify(records))
+        if not defined[q]:
+            status = MEMBERSHIP_UNDEFINED
+        elif outside[q]:
+            status = MEMBERSHIP_OUTSIDE
+        else:
+            status = MEMBERSHIP_INSIDE
+        notes = []
+        if not value.defined:
+            notes.append("non-response odds undefined (zero count)")
+        if not interval.defined:
+            notes.append("no defined response odds")
+        elif interval.partial:
+            notes.append("interval omits undefined entries")
+        if interval.defined and interval.degenerate:
+            notes.append("degenerate interval (all response odds equal)")
+        records[query.missing_var].append(
+            QueryRecord(query, value, interval, status, "; ".join(notes))
         )
+    families = [
+        FamilyAssessment(v, tuple(recs), _classify(recs))
+        for v, recs in records.items()
+    ]
     overall_records = [r for f in families for r in f.records]
     overall = _classify(overall_records)
     n_out = sum(

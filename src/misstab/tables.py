@@ -34,6 +34,9 @@ SHAPE_COMPLETE = "complete"
 # Layouts the assessment and fitting front ends accept.
 ANALYSIS_SHAPES = (SHAPE_TWO_BOTH, SHAPE_THREE_ONE, SHAPE_THREE_TWO)
 
+# Largest table total: counts are int64 and so are replicate draws of N.
+INT64_MAX = int(np.iinfo(np.int64).max)
+
 
 def _as_count_array(raw, where):
     try:
@@ -41,15 +44,17 @@ def _as_count_array(raw, where):
     except Exception as exc:
         raise TableError(f"{where}: cannot read counts ({exc})")
     if arr.dtype == object:
+        if arr.size and all(type(x) is int for x in arr.flat):
+            raise TableError(f"{where}: count outside the int64 range")
         raise TableError(f"{where}: ragged or non-numeric counts")
     if np.issubdtype(arr.dtype, np.floating):
         if not np.all(np.isfinite(arr)) or np.any(arr != np.floor(arr)):
             raise TableError(f"{where}: counts must be integers")
-        arr = arr.astype(np.int64)
-    elif np.issubdtype(arr.dtype, np.integer) or arr.dtype == bool:
-        arr = arr.astype(np.int64)
-    else:
+    elif not (np.issubdtype(arr.dtype, np.integer) or arr.dtype == bool):
         raise TableError(f"{where}: counts must be integers")
+    if arr.size and int(arr.max()) > INT64_MAX:
+        raise TableError(f"{where}: count outside the int64 range")
+    arr = arr.astype(np.int64)
     if np.any(arr < 0):
         flat = int(np.argmin(arr.reshape(-1)))
         idx = np.unravel_index(flat, arr.shape) if arr.ndim else ()
@@ -173,7 +178,8 @@ class Stratum:
 
     @property
     def total(self) -> int:
-        return int(self.counts.sum())
+        # Python ints: an int64 sum would wrap silently
+        return sum(self.counts.ravel().tolist())
 
     def __eq__(self, other):
         if not isinstance(other, Stratum):
@@ -244,10 +250,15 @@ class IncompleteTable:
                 f"unexpected stratum for pattern {pattern_label(extra)}"
             )
         object.__setattr__(self, "strata", tuple(ordered))
+        total = self.N
+        if total > INT64_MAX:
+            raise TableError(
+                f"total count {total} overflows int64 (max {INT64_MAX})"
+            )
 
     @property
     def N(self) -> int:
-        return int(sum(st.counts.sum() for st in self.strata))
+        return sum(st.total for st in self.strata)
 
     def pattern_of(self, stratum: Stratum) -> tuple:
         return tuple(
@@ -407,6 +418,8 @@ def load_table_csv(text: str) -> IncompleteTable:
             raise TableError(f"CSV row {r}: bad count {row[count_col]!r}")
         if cnt < 0:
             raise TableError(f"CSV row {r}: negative count")
+        if cnt > INT64_MAX:
+            raise TableError(f"CSV row {r}: count outside the int64 range")
         parsed.append((tuple(key), cnt))
     for n in var_names:
         if levels[n] < 2:
@@ -489,6 +502,13 @@ def scale_counts(table: IncompleteTable, c: int) -> IncompleteTable:
     """Multiply every count by a positive integer."""
     if not isinstance(c, (int, np.integer)) or isinstance(c, bool) or c < 1:
         raise TableError("scale factor must be an integer >= 1")
+    # no count exceeds the total, so no scaled count can wrap either
+    total = table.N * int(c)
+    if total > INT64_MAX:
+        raise TableError(
+            f"scaling by {c} gives total count {total}, which overflows"
+            f" int64 (max {INT64_MAX})"
+        )
     strata = tuple(
         Stratum(st.observed, st.counts * int(c)) for st in table.strata
     )

@@ -11,6 +11,7 @@ from misstab import (
     fit_model,
     resample,
 )
+from misstab import odds
 from misstab.bootstrap import MODE_MULTINOMIAL, MODE_POISSON
 
 
@@ -105,6 +106,36 @@ class TestBootstrapAssess:
         )
         via_name = bootstrap_assess(smoking_table, "M4", n_replicates=25, seed=5)
         assert via_fit.as_dict() == via_name.as_dict()
+
+    def test_exclusion_reasons_cover_every_exclusion(self, opinion_two_table):
+        summary = bootstrap_assess(
+            opinion_two_table, "D6:Y1=NMAR,Y2=MAR(Y3)", n_replicates=200,
+            seed=0,
+        )
+        for fam in summary.families:
+            value, interval = fam.n_undefined_value, fam.n_undefined_interval
+            assert max(value, interval) <= fam.n_excluded <= value + interval
+            doc = fam.as_dict()
+            assert doc["excluded_undefined_value"] == value
+            assert doc["excluded_undefined_interval"] == interval
+        assert summary.family("secession").n_undefined_value > 0
+
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_blocks_do_not_change_tallies(self, opinion_two_table, monkeypatch, rows):
+        model = "D6:Y1=NMAR,Y2=MAR(Y3)"
+        whole = bootstrap_assess(opinion_two_table, model, n_replicates=50, seed=3)
+        plan = odds.screening_plan(opinion_two_table.schema)
+        monkeypatch.setattr(odds, "_BLOCK_CELLS", rows * plan.odds_num.size)
+        assert plan.block_rows == rows
+        split = bootstrap_assess(opinion_two_table, model, n_replicates=50, seed=3)
+        assert split == whole
+
+    def test_timings_stay_out_of_equality(self, smoking_table):
+        a = bootstrap_assess(smoking_table, "M4", n_replicates=30, seed=8)
+        b = bootstrap_assess(smoking_table, "M4", n_replicates=30, seed=8)
+        assert a.draw_s > 0 and a.screen_s > 0
+        assert a == b
+        assert "draw_s" not in a.as_dict() and "screen_s" not in a.as_dict()
 
     def test_errors(self, smoking_table):
         with pytest.raises(ComputationError):

@@ -149,6 +149,25 @@ class TestBootstrap:
             assert fam["counted"] + fam["excluded"] == 30
         assert doc["overall"]["counted"] + doc["overall"]["excluded"] == 30
 
+    def test_json_exclusion_reasons(self, capsys):
+        argv = [
+            "bootstrap", "spo-y1y2", "--model", "D6:Y1=NMAR,Y2=MAR(Y3)",
+            "--replicates", "500", "--seed", "0", "--format", "json",
+        ]
+        assert main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        got = [
+            (f["excluded"], f["excluded_undefined_value"],
+             f["excluded_undefined_interval"])
+            for f in doc["families"]
+        ]
+        assert got == [(311, 311, 0), (5, 5, 0)]
+        assert "draw_s" not in json.dumps(doc)
+        assert main(argv[:-2]) == 0
+        text = capsys.readouterr().out
+        assert "variable secession: 91.01% MAR  (counted 189, excluded 311)" in text
+        assert "undefined" not in text
+
     def test_fit_options_reach_the_generating_fit(self, capsys):
         # bone-density M2 is a boundary EM fit, so where it stops moves the
         # generator and with it the tallies
@@ -238,6 +257,17 @@ class TestSourcesAndExitCodes:
 
     def test_directory_source(self, capsys, tmp_path):
         assert main(["assess", str(tmp_path)]) == 2
+
+    def test_total_beyond_int64_is_a_data_error(self, capsys, tmp_path):
+        path = tmp_path / "huge.csv"
+        big = 2**62
+        path.write_text(CSV_TEXT.replace("1,1,3\n", f"1,1,{big}\n").replace(
+            "1,2,5\n", f"1,2,{big}\n"))
+        assert main(["assess", str(path)]) == 2
+        assert "overflows int64" in capsys.readouterr().err
+        path.write_text(CSV_TEXT.replace("1,1,3\n", f"1,1,{2**64}\n"))
+        assert main(["assess", str(path)]) == 2
+        assert "count outside the int64 range" in capsys.readouterr().err
 
     def test_malformed_file(self, capsys, tmp_path):
         path = tmp_path / "broken.json"

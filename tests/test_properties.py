@@ -34,11 +34,15 @@ from misstab import (
     generating_class,
     indicator_factor,
     is_perfect_fit,
+    list_queries,
     load_table,
+    nonresponse_odds,
+    resample,
     scale_counts,
 )
 from misstab.fitting import FitResult, _e_step, _ipf, _loglik, _margin_axes
-from misstab.models import full_cross_dims
+from misstab.models import full_cross_dims, observed_counts
+from misstab.odds import _response_interval, screening_plan
 
 DATASET_NAMES = ("smoking-birthweight", "bone-density", "spo-y1", "spo-y1y2")
 ALL_CASES = [
@@ -377,6 +381,176 @@ def _hand_statistic_count(schema):
         for size in range(len(schema.missing) + 1)
         for pat in itertools.combinations(schema.missing, size)
     )
+
+
+# Per-query Fraction reference for the screening plan: the assess loop as
+# it stood before batch screening, one query at a time through the
+# per-query helpers, with every comparison on stdlib Fractions.
+
+def _oracle_assess(table):
+    """(membership, value, response odds, Fractions of the defined
+    response odds) per query, in list_queries order."""
+    out = []
+    for query in list_queries(table.schema):
+        value = nonresponse_odds(table, query)
+        interval = _response_interval(table, query)
+        odds = [Fraction(r.numerator, r.denominator)
+                for _, r in interval.values if r.defined]
+        if not value.defined or not odds:
+            status = "undefined"
+        elif min(odds) < Fraction(value.numerator, value.denominator) < max(odds):
+            status = "inside"
+        else:
+            status = "outside"  # an endpoint hit or a degenerate interval
+        out.append((status, value, interval, odds))
+    return out
+
+
+def _oracle_tallies(tables, missing):
+    """Per family [counted, MAR, undefined value, undefined interval] and
+    overall [counted, MAR] over replicate tables."""
+    fam = {v: [0, 0, 0, 0] for v in missing}
+    overall = [0, 0]
+    for table in tables:
+        rows = list(zip(list_queries(table.schema), _oracle_assess(table)))
+        every_defined = True
+        any_mar = False
+        for v in missing:
+            mine = [r for q, r in rows if q.missing_var == v]
+            no_value = any(not value.defined for _, value, _, _ in mine)
+            no_interval = any(not odds for *_, odds in mine)
+            fam[v][2] += no_value
+            fam[v][3] += no_interval
+            if no_value or no_interval:
+                every_defined = False
+                continue
+            fam[v][0] += 1
+            if any(status == "outside" for status, *_ in mine):
+                fam[v][1] += 1
+                any_mar = True
+        if every_defined:
+            overall[0] += 1
+            overall[1] += any_mar
+    return fam, overall
+
+
+@st.composite
+def screened_tables(draw):
+    """A random table of one of the three analysis shapes with small counts
+    (zero cells and ties are common), sometimes a full stratum whose
+    response odds are equal at every level of the first missing variable
+    (a degenerate interval), scaled by a factor that may push the largest
+    cross-product past int64."""
+    n_vars = draw(st.sampled_from([2, 3]))
+    names = ("a", "b", "c")[:n_vars]
+    levels = [draw(st.integers(2, 3)) for _ in names]
+    n_missing = 2 if n_vars == 2 else draw(st.integers(1, 2))
+    missing = draw(st.permutations(names))[:n_missing]
+    schema = TableSchema(tuple(zip(names, levels)), missing)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    high = draw(st.sampled_from([2, 4, 30]))
+    counts = {
+        pat: rng.integers(0, high, size=[schema.levels(v) for v in
+                                         schema.observed_for(pat)])
+        for pat in schema.patterns()
+    }
+    if draw(st.booleans()):
+        axis = schema.index(schema.missing[0])
+        weights = rng.integers(1, 4, size=schema.levels(schema.missing[0]))
+        shape = [1] * n_vars
+        shape[axis] = weights.size
+        base = rng.integers(0, high, size=levels)
+        base = np.take(base, [0], axis=axis)
+        counts[()] = base * weights.reshape(shape)
+    table = IncompleteTable(
+        schema,
+        tuple(
+            Stratum(schema.observed_for(p), c) for p, c in counts.items()
+        ),
+    )
+    return scale_counts(table, draw(st.sampled_from([1, 3, 10**9])))
+
+
+class TestBatchScreeningOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(screened_tables())
+    def test_memberships_match_fractions(self, table):
+        want = _oracle_assess(table)
+        verdict = assess(table)
+        assert len(verdict.records) == len(want)
+        for rec, (status, value, interval, odds) in zip(verdict.records, want):
+            assert rec.membership == status
+            assert rec.value == value
+            assert rec.interval.values == interval.values
+            if odds:
+                assert rec.interval.minimum.fraction == min(odds)
+                assert rec.interval.maximum.fraction == max(odds)
+            else:
+                assert not rec.interval.defined
+        plan = screening_plan(table.schema)
+        block = np.stack([observed_counts(table)] * 2)
+        result = plan.screen(block)
+        for row in range(2):
+            got = np.where(
+                result.defined[row],
+                np.where(result.outside[row], "outside", "inside"),
+                "undefined",
+            )
+            assert got.tolist() == [w[0] for w in want]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        screened_tables(),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["multinomial", "poisson"]),
+    )
+    def test_bootstrap_tallies_match_fractions(self, table, seed, mode):
+        rng = np.random.default_rng(seed)
+        mu = rng.uniform(0.05, 3.0, size=full_cross_dims(table.schema))
+        mu *= max(table.N, 1) / mu.sum()
+        fit = SimpleNamespace(mu_hat=mu, model_id="random")
+        n = 12
+        summary = bootstrap_assess(
+            table, None, n_replicates=n, seed=seed, mode=mode, fit=fit
+        )
+        replicates = [
+            resample(fit, table, np.random.default_rng(child), mode=mode)
+            for child in np.random.SeedSequence(seed).spawn(n)
+        ]
+        fam, overall = _oracle_tallies(replicates, table.schema.missing)
+        for f in summary.families:
+            assert [
+                f.n_counted, f.n_mar, f.n_undefined_value,
+                f.n_undefined_interval,
+            ] == fam[f.variable]
+            assert f.n_excluded == n - f.n_counted
+        assert [summary.overall_counted, summary.overall_mar] == overall
+        assert summary.overall_excluded == n - overall[0]
+
+    def test_int64_overflow_goes_through_python_ints(self):
+        # Non-response odds 3.1e9/3.1e9 = 1 lies strictly between the
+        # response odds 2.9e9/3.0e9 and 2/1.  In int64 the product
+        # 3.1e9 * 3.0e9 wraps negative, so 2.9e9/3.0e9 no longer compares
+        # below 1 (it compares above), and the check would be outside.
+        g = 10**8
+        schema = TableSchema((("a", 2), ("b", 2)), ("a", "b"))
+        table = IncompleteTable(
+            schema,
+            (
+                Stratum(("a", "b"), [[29 * g, 30 * g], [2, 1]]),
+                Stratum(("b",), [31 * g, 31 * g]),
+                Stratum(("a",), [5, 7]),
+                Stratum((), 3),
+            ),
+        )
+        a, b, n, d = (np.int64(x * g) for x in (29, 30, 31, 31))
+        with np.errstate(over="ignore"):
+            assert a * d > n * b  # the wrapped int64 comparison
+        want = [w[0] for w in _oracle_assess(table)]
+        assert want[0] == "inside"
+        assert [r.membership for r in assess(table).records] == want
+        result = screening_plan(schema).screen(observed_counts(table)[None])
+        assert result.defined[0, 0] and not result.outside[0, 0]
 
 
 class TestPerfectFitPrediction:

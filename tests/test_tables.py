@@ -20,6 +20,7 @@ from misstab import (
 )
 from misstab.tables import (
     ANALYSIS_SHAPES,
+    INT64_MAX,
     SHAPE_COMPLETE,
     SHAPE_THREE_ALL,
     SHAPE_THREE_ONE,
@@ -101,6 +102,16 @@ class TestStratum:
         with pytest.raises(TableError):
             Stratum(("a",), ["x", "y"])
 
+    def test_total_is_exact_past_int64(self):
+        st = Stratum(("a",), [2**62, 2**62])
+        assert st.total == 2**63  # an int64 sum wraps to -2**63
+
+    def test_rejects_counts_outside_int64(self):
+        for raw in ([2**63], [2**64], [1.0e19], [2.0**63]):
+            with pytest.raises(TableError, match="int64"):
+                Stratum(("a",), raw)
+        assert Stratum(("a",), [INT64_MAX]).total == INT64_MAX
+
     def test_equality(self):
         assert Stratum(("a",), [1, 2]) == Stratum(("a",), [1, 2])
         assert Stratum(("a",), [1, 2]) != Stratum(("a",), [2, 1])
@@ -140,6 +151,18 @@ class TestTableValidation:
         st[("a",)] = Stratum(("b",), [5, 6, 7])
         with pytest.raises(TableError, match="extents"):
             IncompleteTable(self._schema(), tuple(st.values()))
+
+    def test_total_beyond_int64(self):
+        schema = TableSchema((("a", 2), ("b", 2)), ("a", "b"))
+        big = 2**61
+        strata = (
+            Stratum(("a", "b"), [[big, big], [big, big]]),
+            Stratum(("b",), [0, 0]),
+            Stratum(("a",), [0, 0]),
+            Stratum((), 0),
+        )
+        with pytest.raises(TableError, match=f"total count {2**63} overflows"):
+            IncompleteTable(schema, strata)
 
     def test_stratum_lookup_error(self):
         t = IncompleteTable(self._schema(), tuple(self._strata().values()))
@@ -230,6 +253,20 @@ class TestScaleCounts:
         for c in (0, -2, 1.5, True):
             with pytest.raises(TableError):
                 scale_counts(smoking_table, c)
+
+    def test_overflow_names_the_exact_total(self, smoking_table):
+        # int64 products wrapped: 10**15 reported N = 1720767778871345152
+        # and 3 * 10**15 failed with "negative count"
+        for c in (10**15, 3 * 10**15):
+            with pytest.raises(TableError, match="overflows int64") as err:
+                scale_counts(smoking_table, c)
+            assert str(57061 * c) in str(err.value)
+
+    def test_largest_factor_keeps_the_exact_total(self, smoking_table):
+        c = INT64_MAX // 57061
+        t = scale_counts(smoking_table, c)
+        assert t.N == 57061 * c
+        assert t.full.counts[1, 1] == 24132 * c
 
 
 class TestSerialization:
