@@ -65,7 +65,8 @@ def resample(
 class FamilyBootstrap:
     """Replicate tallies of one missing variable.  An excluded replicate
     has an undefined non-response odds (n_undefined_value), a check with
-    no defined response odds (n_undefined_interval), or both."""
+    no defined response odds (n_undefined_interval), or both.  With no
+    replicate counted, percent_mar is NaN and as_dict() gives None."""
 
     variable: str
     n_counted: int
@@ -86,7 +87,7 @@ class FamilyBootstrap:
             "counted": self.n_counted,
             "excluded": self.n_excluded,
             "mar": self.n_mar,
-            "percent_mar": self.percent_mar,
+            "percent_mar": self.percent_mar if self.n_counted else None,
             "excluded_undefined_value": self.n_undefined_value,
             "excluded_undefined_interval": self.n_undefined_interval,
         }
@@ -96,7 +97,8 @@ class FamilyBootstrap:
 class BootstrapSummary:
     """Replicate tallies per missing variable and overall.  draw_s and
     screen_s are the seconds spent drawing and screening replicates; they
-    vary from run to run, so they stay out of equality and as_dict()."""
+    vary from run to run, so they stay out of equality and as_dict().
+    percent_mar is NaN, and None in as_dict(), when nothing is counted."""
 
     model_id: str
     n_replicates: int
@@ -131,7 +133,9 @@ class BootstrapSummary:
                 "counted": self.overall_counted,
                 "excluded": self.overall_excluded,
                 "mar": self.overall_mar,
-                "percent_mar": self.percent_mar,
+                "percent_mar": (
+                    self.percent_mar if self.overall_counted else None
+                ),
             },
         }
 

@@ -14,7 +14,6 @@ strata all collapse the cross through the schema's one observation map
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -27,11 +26,8 @@ from .models import (
     DF_POISSON_CELLS,
     MECH_MAR,
     NonresponseModel,
-    _effects_coding,
-    build_design,
     degrees_of_freedom,
     enumerate_models,
-    factor_levels,
     full_cross_dims,
     generating_class,
     get_model,
@@ -42,7 +38,7 @@ from .models import (
     observed_counts,
     parameter_count,
 )
-from .odds import list_queries
+from .odds import screening_plan
 from .tables import IncompleteTable, TableSchema, pattern_label
 
 BOUNDARY_PROB = 1e-8  # fitted cell probability below this flags a boundary
@@ -197,29 +193,30 @@ def aic_bic(fit: FitResult, table: IncompleteTable) -> tuple:
 
 
 def _recover_lambda(model, schema, mu):
+    """Sum-to-zero effects of log mu, one per model term, and the largest
+    cell residual of their sum.
+
+    On the complete cross the sum-to-zero effects are orthogonal ANOVA
+    components: a term's effect is the mean of log mu over the axes
+    outside it less the effects of its proper subterms, which is that mean
+    centred along each of the term's own axes.
+    """
     if np.any(mu <= 0):
         return None, None
-    design = build_design(model, schema)
-    logmu = np.log(mu.reshape(-1))
-    beta, *_ = np.linalg.lstsq(design.columns, logmu, rcond=None)
-    resid = float(np.max(np.abs(design.columns @ beta - logmu)))
-    lv = factor_levels(schema)
-    lam = {(): np.asarray(beta[0])}
-    pos = 1
+    logmu = np.log(mu)
+    axes = factor_axes(schema)
+    lam = {}
+    fitted = 0.0
     for term in model.terms:
-        if not term:
-            continue
-        codes = {f: _effects_coding(lv[f]) for f in term}
-        shape = tuple(lv[f] for f in term)
-        arr = np.zeros(shape)
-        for combo in itertools.product(*(range(lv[f] - 1) for f in term)):
-            basis = np.array(1.0)
-            for f, m in zip(term, combo):
-                basis = np.multiply.outer(basis, codes[f][:, m])
-            arr += beta[pos] * basis
-            pos += 1
-        lam[term] = arr
-    return lam, resid
+        inside = [axes[f] for f in term]
+        outside = [a for a in range(logmu.ndim) if a not in inside]
+        effect = logmu.mean(axis=tuple(outside), keepdims=True)
+        for a in inside:
+            effect = effect - effect.mean(axis=a, keepdims=True)
+        fitted = fitted + effect
+        shape = [logmu.shape[a] for a in inside]
+        lam[term] = effect.transpose(inside + outside).reshape(shape)
+    return lam, float(np.max(np.abs(logmu - fitted)))
 
 
 def _finalize(
@@ -324,10 +321,11 @@ def fit_em(
         # the jitter must stay inside the model's log-linear span, or the
         # multiplicative updates would carry the extra interactions forever
         rng = np.random.default_rng(seed)
-        design = build_design(model, schema)
-        loadings = 0.05 * rng.standard_normal(design.columns.shape[1] - 1)
-        field = design.columns[:, 1:] @ loadings
-        mu = mu * np.exp(field.reshape(dims))
+        axes = factor_axes(schema)
+        for term in model.terms:
+            inside = {axes[f] for f in term}
+            shape = [d if a in inside else 1 for a, d in enumerate(dims)]
+            mu = mu * np.exp(0.05 * rng.standard_normal(shape))
         mu *= n / mu.sum()
     elif init != "uniform":
         raise ComputationError(f"unknown init mode {init}")
@@ -614,36 +612,26 @@ def best_non_perfect(fits) -> FitResult | None:
 # ---------------------------------------------------------------------------
 # Model-based odds diagnostics.
 
-def _stratum_odds(counts, names, target, pair, levels):
-    """counts at target level a over counts at target level b, the other
-    named axes held at the given 1-based levels; NaN on a zero divisor."""
-    num, den = (
-        float(counts[tuple(
-            (p if n == target else levels[n]) - 1 for n in names
-        )])
-        for p in pair
+def _fitted_odds(fit: FitResult):
+    """The schema's screening plan with the fitted odds of its checks.
+
+    The odds read the collapsed fit at the plan's positions: one
+    non-response odds per check, and one response odds per check and
+    level of the assessed variable (padded like the plan).  An odds is NaN
+    where its divisor is 0 or the plan pads the row.
+    """
+    plan = screening_plan(fit.schema)
+    c = observation_map(fit.schema).collapse(fit.mu_hat)
+
+    def odds(num, den, valid=True):
+        with np.errstate(all="ignore"):
+            return np.where(valid & (c[den] > 0), c[num] / c[den], np.nan)
+
+    return (
+        plan,
+        odds(plan.value_num, plan.value_den),
+        odds(plan.odds_num, plan.odds_den, plan.odds_valid),
     )
-    return num / den if den > 0 else float("nan")
-
-
-def _fitted_response_values(fit: FitResult, assessed, target, pair, cond):
-    """Fitted fully-classified odds over the target pair, one value per
-    level of the assessed variable."""
-    schema = fit.schema
-    full = collapse_cross(fit.mu_hat, schema, ())
-    return [
-        _stratum_odds(
-            full, schema.names, target, pair, {**dict(cond), assessed: lvl}
-        )
-        for lvl in range(1, schema.levels(assessed) + 1)
-    ]
-
-
-def _fitted_nonresponse_value(fit: FitResult, assessed, target, pair, cond):
-    schema = fit.schema
-    coll = collapse_cross(fit.mu_hat, schema, (assessed,))
-    observed = schema.observed_for((assessed,))
-    return _stratum_odds(coll, observed, target, pair, dict(cond))
 
 
 def fitted_containment(fit: FitResult) -> tuple:
@@ -653,21 +641,16 @@ def fitted_containment(fit: FitResult) -> tuple:
     Returns (assessed, target, pair, conditioning, value, low, high)
     tuples; entries are NaN when a fitted zero makes them undefined.
     """
-    out = []
-    for q in list_queries(fit.schema):
-        values = _fitted_response_values(
-            fit, q.missing_var, q.target, q.pair, q.conditioning
-        )
-        finite = [v for v in values if math.isfinite(v)]
-        lo = min(finite) if finite else float("nan")
-        hi = max(finite) if finite else float("nan")
-        val = _fitted_nonresponse_value(
-            fit, q.missing_var, q.target, q.pair, q.conditioning
-        )
-        out.append(
-            (q.missing_var, q.target, q.pair, q.conditioning, val, lo, hi)
-        )
-    return tuple(out)
+    plan, value, response = _fitted_odds(fit)
+    # a tiny positive divisor can overflow an odds to inf; the span leaves
+    # it out, as it does an undefined one
+    response[~np.isfinite(response)] = np.nan
+    low = np.fmin.reduce(response, axis=1).tolist()
+    high = np.fmax.reduce(response, axis=1).tolist()
+    return tuple(
+        (q.missing_var, q.target, q.pair, q.conditioning, val, lo, hi)
+        for q, val, lo, hi in zip(plan.queries, value.tolist(), low, high)
+    )
 
 
 @dataclass(frozen=True)
@@ -711,13 +694,14 @@ def mar_bounds(fit: FitResult) -> MarBoundReport:
     bracket is reported as strong-MAR, otherwise weak-MAR; models with no
     MAR mechanism (or a boundary fit) are not applicable.
     """
-    schema = fit.schema
     mar_vars = [
         (v, m) for v, m in fit.model.mechanisms if m.kind == MECH_MAR
     ]
     if not mar_vars or fit.lambda_hat is None:
         return MarBoundReport(fit.model_id, False, ())
-    axes = factor_axes(schema)
+    axes = factor_axes(fit.schema)
+    plan, value, response = _fitted_odds(fit)
+    value, response = value.tolist(), response.tolist()
     records = []
     for v, mech in mar_vars:
         donor = mech.donor
@@ -726,41 +710,34 @@ def mar_bounds(fit: FitResult) -> MarBoundReport:
         lam = fit.lambda_hat.get(term)
         if lam is None:
             continue
-        rest = [n for n in schema.names if n not in (v, donor)]
-        conds = (
-            [((rest[0], lvl),) for lvl in range(1, schema.levels(rest[0]) + 1)]
-            if rest
-            else [()]
-        )
-        pairs = itertools.combinations(range(1, schema.levels(donor) + 1), 2)
-        for pair in pairs:
-            a, b = pair
+        for q, query in enumerate(plan.queries):
+            if (query.missing_var, query.target) != (v, donor):
+                continue
+            a, b = query.pair
             delta = float(lam[b - 1, 1] - lam[a - 1, 1])
-            for cond in conds:
-                values = _fitted_response_values(fit, v, donor, pair, cond)
-                omega = _fitted_nonresponse_value(fit, v, donor, pair, cond)
-                finite = [x for x in values if math.isfinite(x) and x > 0]
-                if not finite or not math.isfinite(omega) or omega <= 0:
-                    continue
-                r_max = max(finite)
-                r_min = min(finite)
-                q_max = (r_max / omega) * math.exp(-2.0 * delta)
-                q_min = (r_min / omega) * math.exp(-2.0 * delta)
-                lower = -0.5 * math.log(q_max)
-                upper = -0.5 * math.log(q_min)
-                strong = lower < delta < upper
-                records.append(
-                    MarBoundRecord(
-                        variable=v,
-                        donor=donor,
-                        pair=pair,
-                        conditioning=cond,
-                        quantity_max=q_max,
-                        quantity_min=q_min,
-                        lower=lower,
-                        upper=upper,
-                        lambda_difference=delta,
-                        classification="strong-MAR" if strong else "weak-MAR",
-                    )
+            omega = value[q]
+            finite = [x for x in response[q] if math.isfinite(x) and x > 0]
+            if not finite or not math.isfinite(omega) or omega <= 0:
+                continue
+            r_max = max(finite)
+            r_min = min(finite)
+            q_max = (r_max / omega) * math.exp(-2.0 * delta)
+            q_min = (r_min / omega) * math.exp(-2.0 * delta)
+            lower = -0.5 * math.log(q_max)
+            upper = -0.5 * math.log(q_min)
+            strong = lower < delta < upper
+            records.append(
+                MarBoundRecord(
+                    variable=v,
+                    donor=donor,
+                    pair=query.pair,
+                    conditioning=query.conditioning,
+                    quantity_max=q_max,
+                    quantity_min=q_min,
+                    lower=lower,
+                    upper=upper,
+                    lambda_difference=delta,
+                    classification="strong-MAR" if strong else "weak-MAR",
                 )
+            )
     return MarBoundReport(fit.model_id, True, tuple(records))

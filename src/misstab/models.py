@@ -342,10 +342,7 @@ def degrees_of_freedom(
     if convention not in DF_CONVENTIONS:
         raise TableError(f"unknown df convention {convention}")
     stats = observed_statistic_count(schema)
-    params = parameter_count(model, schema)
-    if convention == DF_POISSON_CELLS:
-        return max(stats - params, 0)
-    return max((stats - 1) - (params - 1), 0)
+    return max(stats - parameter_count(model, schema), 0)
 
 
 def is_perfect_fit(model: NonresponseModel, schema: TableSchema) -> bool:

@@ -168,6 +168,29 @@ class TestBootstrap:
         assert "variable secession: 91.01% MAR  (counted 189, excluded 311)" in text
         assert "undefined" not in text
 
+    def test_json_is_strict_when_nothing_is_counted(self, capsys):
+        # the one replicate has an undefined secession check, so neither
+        # secession nor the overall tally counts anything
+        argv = [
+            "bootstrap", "spo-y1y2", "--model", "D6:Y1=NMAR,Y2=MAR(Y3)",
+            "--replicates", "1", "--seed", "3",
+        ]
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        assert main(argv + ["--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+        secession = doc["families"][0]
+        assert (secession["counted"], secession["percent_mar"]) == (0, None)
+        assert (doc["overall"]["counted"], doc["overall"]["percent_mar"]) == (
+            0, None,
+        )
+        assert main(argv) == 0
+        assert "overall: nan% MAR  (counted 0, excluded 1)" in (
+            capsys.readouterr().out
+        )
+
     def test_fit_options_reach_the_generating_fit(self, capsys):
         # bone-density M2 is a boundary EM fit, so where it stops moves the
         # generator and with it the tallies

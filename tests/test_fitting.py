@@ -1,6 +1,7 @@
 """Model fitting: closed forms, EM, fit statistics, and diagnostics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,12 @@ from misstab import (
     get_model,
     mar_bounds,
 )
-from misstab.fitting import METHOD_CLOSED, METHOD_EM, best_non_perfect
+from misstab.fitting import (
+    METHOD_CLOSED,
+    METHOD_EM,
+    _recover_lambda,
+    best_non_perfect,
+)
 
 
 def by_id(fits):
@@ -310,6 +316,33 @@ class TestLambdaRecovery:
             )
             lam = fit.lambda_hat[("smoking", "birthweight")]
             assert abs(lam[0, 0] - expected) <= 1e-8
+
+    @pytest.mark.parametrize("model_id", [
+        "D1:Y1=MCAR,Y2=MCAR", "D5:Y1=MAR(Y3),Y2=MCAR",
+    ])
+    def test_large_table_needs_no_design_matrix(self, model_id):
+        # 20 x 20 x 20 x 2 x 2 = 32000 cells; a coded design over them
+        # would hold at least 32000 x 8003 floats (2.0 GB)
+        rng = np.random.default_rng(20)
+        schema = TableSchema(
+            (("y1", 20), ("y2", 20), ("y3", 20)), ("y1", "y2")
+        )
+        table = IncompleteTable(schema, tuple(
+            Stratum(schema.observed_for(p), rng.poisson(50, size=[
+                20 for _ in schema.observed_for(p)
+            ]))
+            for p in schema.patterns()
+        ))
+        fit = fit_model(model_id, table)
+        assert fit.converged and not fit.boundary
+        assert fit.lambda_residual <= 1e-10
+        tracemalloc.start()
+        try:
+            _recover_lambda(fit.model, schema, fit.mu_hat)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestEm:

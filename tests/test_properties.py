@@ -29,6 +29,7 @@ from misstab import (
     enumerate_models,
     fit_closed_form,
     fit_em,
+    fit_model,
     fitted_containment,
     g_squared,
     generating_class,
@@ -36,12 +37,20 @@ from misstab import (
     is_perfect_fit,
     list_queries,
     load_table,
+    mar_bounds,
     nonresponse_odds,
     resample,
     scale_counts,
 )
 from misstab.fitting import FitResult, _e_step, _ipf, _loglik, _margin_axes
-from misstab.models import full_cross_dims, observed_counts
+from misstab.models import (
+    _effects_coding,
+    build_design,
+    factor_axes,
+    factor_levels,
+    full_cross_dims,
+    observed_counts,
+)
 from misstab.odds import _response_interval, screening_plan
 
 DATASET_NAMES = ("smoking-birthweight", "bone-density", "spo-y1", "spo-y1y2")
@@ -356,6 +365,199 @@ class TestObservationMapOracle:
                 assert got == want
             else:
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+# Design-matrix reference for the fit diagnostics: lambda recovered by least
+# squares on the sum-to-zero coded design, with each term's array
+# reassembled from its coefficients, and the fitted odds read one query at
+# a time from the collapsed strata.
+
+def _oracle_lambda(model, schema, mu):
+    if np.any(mu <= 0):
+        return None, None
+    design = build_design(model, schema)
+    logmu = np.log(mu.reshape(-1))
+    beta, *_ = np.linalg.lstsq(design.columns, logmu, rcond=None)
+    resid = float(np.max(np.abs(design.columns @ beta - logmu)))
+    lv = factor_levels(schema)
+    lam = {(): np.asarray(beta[0])}
+    pos = 1
+    for term in model.terms:
+        if not term:
+            continue
+        codes = {f: _effects_coding(lv[f]) for f in term}
+        arr = np.zeros(tuple(lv[f] for f in term))
+        for combo in itertools.product(*(range(lv[f] - 1) for f in term)):
+            basis = np.array(1.0)
+            for f, m in zip(term, combo):
+                basis = np.multiply.outer(basis, codes[f][:, m])
+            arr += beta[pos] * basis
+            pos += 1
+        lam[term] = arr
+    return lam, resid
+
+
+def _oracle_stratum_odds(counts, names, target, pair, levels):
+    num, den = (
+        float(counts[tuple(
+            (p if n == target else levels[n]) - 1 for n in names
+        )])
+        for p in pair
+    )
+    return num / den if den > 0 else float("nan")
+
+
+def _oracle_fitted_odds(fit, assessed, target, pair, cond):
+    """(fitted response odds at each level of the assessed variable,
+    fitted non-response odds) of one check."""
+    schema = fit.schema
+    full = collapse_cross(fit.mu_hat, schema, ())
+    values = [
+        _oracle_stratum_odds(
+            full, schema.names, target, pair, {**dict(cond), assessed: lvl}
+        )
+        for lvl in range(1, schema.levels(assessed) + 1)
+    ]
+    coll = collapse_cross(fit.mu_hat, schema, (assessed,))
+    value = _oracle_stratum_odds(
+        coll, schema.observed_for((assessed,)), target, pair, dict(cond)
+    )
+    return values, value
+
+
+def _oracle_containment(fit):
+    out = []
+    for q in list_queries(fit.schema):
+        values, val = _oracle_fitted_odds(
+            fit, q.missing_var, q.target, q.pair, q.conditioning
+        )
+        finite = [v for v in values if math.isfinite(v)]
+        lo = min(finite) if finite else float("nan")
+        hi = max(finite) if finite else float("nan")
+        out.append(
+            (q.missing_var, q.target, q.pair, q.conditioning, val, lo, hi)
+        )
+    return out
+
+
+def _oracle_mar_bounds(fit, lam):
+    """(variable, donor, pair, conditioning, classification, q_max, q_min,
+    lower, upper, lambda difference) per bracket, in the report's order;
+    None when the report is not applicable."""
+    schema = fit.schema
+    mar = [(v, m.donor) for v, m in fit.model.mechanisms if m.kind == MECH_MAR]
+    if not mar or lam is None:
+        return None
+    axes = factor_axes(schema)
+    out = []
+    for v, donor in mar:
+        term = tuple(sorted((donor, indicator_factor(v)), key=axes.get))
+        rest = [n for n in schema.names if n not in (v, donor)]
+        conds = (
+            [((rest[0], lvl),) for lvl in range(1, schema.levels(rest[0]) + 1)]
+            if rest
+            else [()]
+        )
+        pairs = itertools.combinations(range(1, schema.levels(donor) + 1), 2)
+        for a, b in pairs:
+            delta = float(lam[term][b - 1, 1] - lam[term][a - 1, 1])
+            for cond in conds:
+                values, omega = _oracle_fitted_odds(fit, v, donor, (a, b), cond)
+                finite = [x for x in values if math.isfinite(x) and x > 0]
+                if not finite or not math.isfinite(omega) or omega <= 0:
+                    continue
+                q_max = (max(finite) / omega) * math.exp(-2.0 * delta)
+                q_min = (min(finite) / omega) * math.exp(-2.0 * delta)
+                lower = -0.5 * math.log(q_max)
+                upper = -0.5 * math.log(q_min)
+                cls = "strong-MAR" if lower < delta < upper else "weak-MAR"
+                out.append(
+                    (v, donor, (a, b), cond, cls, q_max, q_min, lower, upper,
+                     delta)
+                )
+    return out
+
+
+def _same_float(x, y):
+    return x == y or (math.isnan(x) and math.isnan(y))
+
+
+def _check_diagnostics(fit):
+    lam, resid = _oracle_lambda(fit.model, fit.schema, fit.mu_hat)
+    if lam is None:
+        assert fit.lambda_hat is None and fit.lambda_residual is None
+    else:
+        assert list(fit.lambda_hat) == list(lam)
+        for term, want in lam.items():
+            assert fit.lambda_hat[term].shape == want.shape, term
+            np.testing.assert_allclose(
+                fit.lambda_hat[term], want, rtol=0, atol=1e-10
+            )
+        assert fit.lambda_residual == pytest.approx(resid, abs=1e-10)
+    got = fitted_containment(fit)
+    want = _oracle_containment(fit)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g[:4] == w[:4]
+        assert all(_same_float(x, y) for x, y in zip(g[4:], w[4:])), (g[4:], w[4:])
+    report = mar_bounds(fit)
+    want = _oracle_mar_bounds(fit, lam)
+    if want is None:
+        assert not report.applicable and report.records == ()
+        return
+    assert report.applicable
+    assert len(report.records) == len(want)
+    for rec, w in zip(report.records, want):
+        assert (
+            rec.variable, rec.donor, rec.pair, rec.conditioning,
+            rec.classification,
+        ) == w[:5]
+        floats = (
+            rec.quantity_max, rec.quantity_min, rec.lower, rec.upper,
+            rec.lambda_difference,
+        )
+        assert floats == pytest.approx(w[5:], rel=1e-10, abs=1e-10)
+
+
+@st.composite
+def fitted_tables(draw):
+    """A catalog fit of a random table of one of the three analysis shapes.
+    Zero counts are common, so some fits sit on the boundary and some have
+    zero cells (no lambda at all)."""
+    n_vars = draw(st.sampled_from([2, 3]))
+    names = ("a", "b", "c")[:n_vars]
+    levels = [draw(st.integers(2, 3)) for _ in names]
+    n_missing = 2 if n_vars == 2 else draw(st.integers(1, 2))
+    missing = draw(st.permutations(names))[:n_missing]
+    schema = TableSchema(tuple(zip(names, levels)), missing)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    high = draw(st.sampled_from([3, 40]))
+    table = IncompleteTable(
+        schema,
+        tuple(
+            Stratum(
+                schema.observed_for(p),
+                rng.integers(0, high, size=[
+                    schema.levels(v) for v in schema.observed_for(p)
+                ]),
+            )
+            for p in schema.patterns()
+        ),
+    )
+    model = draw(st.sampled_from(enumerate_models(schema)))
+    return fit_model(model, table, max_iter=300)
+
+
+class TestFitDiagnosticsOracle:
+    @settings(max_examples=120, deadline=None)
+    @given(fitted_tables())
+    def test_random_fits_match_the_design_matrix(self, fit):
+        _check_diagnostics(fit)
+
+    @pytest.mark.parametrize("name", DATASET_NAMES)
+    def test_catalog_fits_match_the_design_matrix(self, request, name):
+        for fit in request.getfixturevalue(FIT_FIXTURE[name]):
+            _check_diagnostics(fit)
 
 
 def _hand_parameter_count(model, schema):
