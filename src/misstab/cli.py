@@ -144,7 +144,7 @@ def _cmd_assess(args, out):
 
 
 def _fit_row(fit) -> dict:
-    row = model_summary(fit.model, fit.schema, fit.df_convention)
+    row = model_summary(fit.model, fit.schema)
     row.update(
         {
             "G2": fit.G2,
@@ -225,24 +225,9 @@ def _cmd_fit(args, out):
     table, source = _load_source(args.source)
     tol, from_env = _resolve_tol(args)
     if args.model is not None:
-        fits = [
-            fit_model(
-                args.model,
-                table,
-                tol=tol,
-                max_iter=args.max_iter,
-                df_convention=args.df_convention,
-            )
-        ]
+        fits = [fit_model(args.model, table, tol=tol, max_iter=args.max_iter)]
     else:
-        fits = list(
-            fit_all(
-                table,
-                tol=tol,
-                max_iter=args.max_iter,
-                df_convention=args.df_convention,
-            )
-        )
+        fits = list(fit_all(table, tol=tol, max_iter=args.max_iter))
     if args.format == "json":
         payload = {
             "command": "fit",
@@ -263,13 +248,7 @@ def _cmd_fit(args, out):
 def _cmd_bootstrap(args, out):
     table, source = _load_source(args.source)
     tol, from_env = _resolve_tol(args)
-    fit = fit_model(
-        args.model,
-        table,
-        tol=tol,
-        max_iter=args.max_iter,
-        df_convention=args.df_convention,
-    )
+    fit = fit_model(args.model, table, tol=tol, max_iter=args.max_iter)
     summary = bootstrap_assess(
         table,
         args.model,
@@ -345,9 +324,7 @@ def _cmd_catalog(args, out):
     table, source = _load_source(args.source)
     schema = table.schema
     models = enumerate_models(schema)
-    summaries = [
-        model_summary(m, schema, args.df_convention) for m in models
-    ]
+    summaries = [model_summary(m, schema) for m in models]
     if args.format == "json":
         payload = {
             "command": "catalog",
@@ -402,14 +379,20 @@ def _add_format(p):
     )
 
 
-def _add_fit_options(p):
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--max-iter", type=int, default=10000)
+def _add_df_convention(p):
+    # every convention gives the same df (models.degrees_of_freedom), so
+    # the choice is checked here and only echoed in the JSON output
     p.add_argument(
         "--df-convention",
         choices=DF_CONVENTIONS,
         default=DF_POISSON_CELLS,
     )
+
+
+def _add_fit_options(p):
+    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--max-iter", type=int, default=10000)
+    _add_df_convention(p)
 
 
 def build_parser() -> _Parser:
@@ -462,11 +445,7 @@ def build_parser() -> _Parser:
         "catalog", help="list the model catalog for a table's shape"
     )
     p.add_argument("source")
-    p.add_argument(
-        "--df-convention",
-        choices=DF_CONVENTIONS,
-        default=DF_POISSON_CELLS,
-    )
+    _add_df_convention(p)
     _add_format(p)
     p.set_defaults(func=_cmd_catalog)
 

@@ -22,7 +22,6 @@ from scipy.special import gammaincc
 
 from .errors import ComputationError, TableError
 from .models import (
-    DF_CONVENTIONS,
     DF_POISSON_CELLS,
     MECH_MAR,
     NonresponseModel,
@@ -139,7 +138,6 @@ class FitResult:
     lambda_residual: float | None
     G2: float
     df: int
-    df_convention: str
     p_value: float
     aic: float
     bic: float
@@ -150,15 +148,16 @@ class FitResult:
     perfect_fit: bool
     loglik_trace: tuple
 
+    @property
+    def df_convention(self) -> str:
+        """The convention behind df; the multinomial one gives the same
+        number."""
+        return DF_POISSON_CELLS
+
     def fitted_strata(self) -> dict:
         """Collapsed fitted expectations keyed by missingness pattern."""
         omap = observation_map(self.schema)
         return dict(zip(omap.patterns, omap.split(omap.collapse(self.mu_hat))))
-
-
-def g_squared(fit: FitResult, table: IncompleteTable) -> float:
-    """Deviance of the observed strata against the collapsed fit."""
-    return _g2_from_mu(fit.mu_hat, table)
 
 
 def _g2_from_mu(mu, table) -> float:
@@ -181,15 +180,6 @@ def chi_square_sf(x: float, df: int) -> float:
     if math.isinf(x):
         return 0.0
     return float(gammaincc(df / 2.0, x / 2.0))
-
-
-def aic_bic(fit: FitResult, table: IncompleteTable) -> tuple:
-    """Deviance-based information criteria (G2 penalized by parameters)."""
-    n = table.N
-    return (
-        fit.G2 + 2.0 * fit.n_params,
-        fit.G2 + math.log(n) * fit.n_params,
-    )
 
 
 def _recover_lambda(model, schema, mu):
@@ -228,14 +218,13 @@ def _finalize(
     converged,
     iterations,
     trace,
-    df_convention,
     force_boundary=False,
 ):
     n = table.N
     mu = np.asarray(mu, dtype=float)
     g2 = _g2_from_mu(mu, table)
     params = parameter_count(model, schema)
-    df = degrees_of_freedom(model, schema, df_convention)
+    df = degrees_of_freedom(model, schema)
     if df == 0:
         p = 1.0
     elif math.isinf(g2):
@@ -267,7 +256,6 @@ def _finalize(
         lambda_residual=resid,
         G2=g2,
         df=df,
-        df_convention=df_convention,
         p_value=p,
         aic=g2 + 2.0 * params,
         bic=g2 + math.log(n) * params,
@@ -286,12 +274,16 @@ def _resolve_model(model, schema):
     return get_model(schema, str(model))
 
 
+def _check_stopping(tol, max_iter):
+    if tol <= 0 or max_iter < 1:
+        raise ComputationError("tol must be positive and max_iter >= 1")
+
+
 def fit_em(
     model,
     table: IncompleteTable,
     tol: float = 1e-10,
     max_iter: int = 10000,
-    df_convention: str = DF_POISSON_CELLS,
     init: str = "uniform",
     seed=None,
 ) -> FitResult:
@@ -308,10 +300,7 @@ def fit_em(
     if not schema.is_analysis_shape:
         raise TableError(f"shape {schema.shape} cannot be fitted")
     model = _resolve_model(model, schema)
-    if df_convention not in DF_CONVENTIONS:
-        raise TableError(f"unknown df convention {df_convention}")
-    if tol <= 0 or max_iter < 1:
-        raise ComputationError("tol must be positive and max_iter >= 1")
+    _check_stopping(tol, max_iter)
     dims = full_cross_dims(schema)
     n = table.N
     if n == 0:
@@ -359,7 +348,6 @@ def fit_em(
         converged,
         iterations,
         trace,
-        df_convention,
         force_boundary=drifting,
     )
 
@@ -514,11 +502,7 @@ def _closed_c4(table):
     return mu
 
 
-def fit_closed_form(
-    model,
-    table: IncompleteTable,
-    df_convention: str = DF_POISSON_CELLS,
-) -> FitResult | None:
+def fit_closed_form(model, table: IncompleteTable) -> FitResult | None:
     """Explicit maximum likelihood fit, or None when no interior explicit
     solution applies (the caller should then fall back to fit_em).
 
@@ -531,8 +515,6 @@ def fit_closed_form(
     """
     schema = table.schema
     model = _resolve_model(model, schema)
-    if df_convention not in DF_CONVENTIONS:
-        raise TableError(f"unknown df convention {df_convention}")
     if model.id == "C4":
         mu = _closed_c4(table)
     elif model.id in _TWO_VARIABLE_CLOSED:
@@ -542,17 +524,7 @@ def fit_closed_form(
         return None
     if mu is None:
         return None
-    return _finalize(
-        model,
-        schema,
-        table,
-        mu,
-        METHOD_CLOSED,
-        True,
-        0,
-        (),
-        df_convention,
-    )
+    return _finalize(model, schema, table, mu, METHOD_CLOSED, True, 0, ())
 
 
 def fit_model(
@@ -560,42 +532,23 @@ def fit_model(
     table: IncompleteTable,
     tol: float = 1e-10,
     max_iter: int = 10000,
-    df_convention: str = DF_POISSON_CELLS,
-    prefer_closed: bool = True,
 ) -> FitResult:
-    """Fit one model, using the explicit solution when it applies."""
-    schema = table.schema
-    model = _resolve_model(model, schema)
-    if prefer_closed:
-        closed = fit_closed_form(model, table, df_convention)
-        if closed is not None:
-            return closed
-    return fit_em(
-        model,
-        table,
-        tol=tol,
-        max_iter=max_iter,
-        df_convention=df_convention,
-    )
+    """Fit one model, using the explicit solution when it applies (fit_em
+    forces EM).  A bad tol or max_iter is rejected either way."""
+    model = _resolve_model(model, table.schema)
+    _check_stopping(tol, max_iter)
+    closed = fit_closed_form(model, table)
+    if closed is not None:
+        return closed
+    return fit_em(model, table, tol=tol, max_iter=max_iter)
 
 
 def fit_all(
-    table: IncompleteTable,
-    tol: float = 1e-10,
-    max_iter: int = 10000,
-    df_convention: str = DF_POISSON_CELLS,
-    prefer_closed: bool = True,
+    table: IncompleteTable, tol: float = 1e-10, max_iter: int = 10000
 ) -> tuple:
     """Fit the full catalog, ranked by G2 (ties: fewer parameters, id)."""
     fits = [
-        fit_model(
-            m,
-            table,
-            tol=tol,
-            max_iter=max_iter,
-            df_convention=df_convention,
-            prefer_closed=prefer_closed,
-        )
+        fit_model(m, table, tol=tol, max_iter=max_iter)
         for m in enumerate_models(table.schema)
     ]
     fits.sort(key=lambda f: (f.G2, f.n_params, f.model_id))

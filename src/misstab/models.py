@@ -328,19 +328,14 @@ def observed_statistic_count(schema: TableSchema) -> int:
     return observation_map(schema).offsets[-1]
 
 
-def degrees_of_freedom(
-    model: NonresponseModel,
-    schema: TableSchema,
-    convention: str = DF_POISSON_CELLS,
-) -> int:
-    """Residual degrees of freedom, floored at zero.
+def degrees_of_freedom(model: NonresponseModel, schema: TableSchema) -> int:
+    """Residual degrees of freedom, floored at zero: observed statistics
+    less free parameters (the poisson-cells convention).
 
-    Both conventions yield the same number: the cell-count view compares
-    observed statistics with free parameters directly, while the
-    multinomial view removes the fixed total from each side first.
+    The multinomial convention removes the fixed total from each side
+    first, which gives the same number, so DF_CONVENTIONS only names the
+    accepted spellings.
     """
-    if convention not in DF_CONVENTIONS:
-        raise TableError(f"unknown df convention {convention}")
     stats = observed_statistic_count(schema)
     return max(stats - parameter_count(model, schema), 0)
 
@@ -432,15 +427,11 @@ def build_design(
     )
 
 
-def model_summary(
-    model: NonresponseModel,
-    schema: TableSchema,
-    convention: str = DF_POISSON_CELLS,
-) -> dict:
+def model_summary(model: NonresponseModel, schema: TableSchema) -> dict:
     return {
         "id": model.id,
         "mechanisms": model.mechanism_display(schema),
         "parameters": parameter_count(model, schema),
-        "df": degrees_of_freedom(model, schema, convention),
+        "df": degrees_of_freedom(model, schema),
         "perfect_fit": is_perfect_fit(model, schema),
     }

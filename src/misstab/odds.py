@@ -133,118 +133,6 @@ def _build_interval(values) -> OddsInterval:
     return OddsInterval(tuple(values), lo, hi)
 
 
-def _validate_query(schema: TableSchema, query: OddsQuery):
-    if not schema.is_analysis_shape:
-        raise TableError(
-            f"shape {schema.shape} does not support odds assessment"
-        )
-    if query.missing_var not in schema.missing:
-        raise TableError(
-            f"{query.missing_var} is not subject to missingness"
-        )
-    if query.target == query.missing_var:
-        raise TableError("target must differ from the assessed variable")
-    lt = schema.levels(query.target)
-    a, b = query.pair
-    if not (1 <= a <= lt and 1 <= b <= lt) or a == b:
-        raise TableError(f"bad level pair {query.pair} for {query.target}")
-    rest = [
-        n
-        for n in schema.names
-        if n not in (query.missing_var, query.target)
-    ]
-    got = [n for n, _ in query.conditioning]
-    if got != rest:
-        raise TableError(
-            f"conditioning must fix exactly {rest}, got {got}"
-        )
-    for n, l in query.conditioning:
-        if not 1 <= l <= schema.levels(n):
-            raise TableError(f"bad conditioning level {n}={l}")
-
-
-def response_odds(table: IncompleteTable, query: OddsQuery) -> OddsInterval:
-    """Interval of fully classified odds across the assessed variable.
-
-    Raises when every entry is undefined (a zero count in each ratio).
-    """
-    interval = _response_interval(table, query)
-    if not interval.defined:
-        raise ComputationError("no defined response odds")
-    return interval
-
-
-def _response_interval(table, query) -> OddsInterval:
-    schema = table.schema
-    _validate_query(schema, query)
-    counts = table.full.counts
-    fixed = dict(query.conditioning)
-    a, b = query.pair
-    values = []
-    for lvl in range(1, schema.levels(query.missing_var) + 1):
-        idx_num = []
-        idx_den = []
-        for name in schema.names:
-            if name == query.missing_var:
-                idx_num.append(lvl - 1)
-                idx_den.append(lvl - 1)
-            elif name == query.target:
-                idx_num.append(a - 1)
-                idx_den.append(b - 1)
-            else:
-                idx_num.append(fixed[name] - 1)
-                idx_den.append(fixed[name] - 1)
-        num = int(counts[tuple(idx_num)])
-        den = int(counts[tuple(idx_den)])
-        values.append((lvl, CountRatio(num, den)))
-    return _build_interval(values)
-
-
-def nonresponse_odds(table: IncompleteTable, query: OddsQuery) -> CountRatio:
-    """Odds over the target pair in the assessed variable's supplemental
-    stratum.  A zero count on either side makes the value undefined."""
-    schema = table.schema
-    _validate_query(schema, query)
-    st = table.stratum({query.missing_var})
-    fixed = dict(query.conditioning)
-    a, b = query.pair
-    idx_num = []
-    idx_den = []
-    for name in st.observed:
-        if name == query.target:
-            idx_num.append(a - 1)
-            idx_den.append(b - 1)
-        else:
-            idx_num.append(fixed[name] - 1)
-            idx_den.append(fixed[name] - 1)
-    num = int(st.counts[tuple(idx_num)])
-    den = int(st.counts[tuple(idx_den)])
-    return CountRatio(num, den)
-
-
-def membership(value, interval) -> str:
-    """Strict open-interval membership with exact rational comparison.
-
-    Undefined inputs propagate; an endpoint hit or a degenerate interval
-    counts as outside.
-    """
-    if value is None or interval is None:
-        return MEMBERSHIP_UNDEFINED
-    if isinstance(value, CountRatio):
-        if not value.defined:
-            return MEMBERSHIP_UNDEFINED
-        v = value.fraction
-    else:
-        v = Fraction(value)
-    if not interval.defined:
-        return MEMBERSHIP_UNDEFINED
-    lo = interval.minimum.fraction
-    hi = interval.maximum.fraction
-    if lo == hi:
-        return MEMBERSHIP_OUTSIDE
-    return MEMBERSHIP_INSIDE if lo < v < hi else MEMBERSHIP_OUTSIDE
-
-
 def list_queries(schema: TableSchema) -> tuple:
     """Every containment check for the schema, in deterministic order.
 

@@ -115,6 +115,23 @@ class TestFit:
         assert main(["fit", "smoking-birthweight", "--tol", "-1"]) == 3
         err = capsys.readouterr().err
         assert "computation error: tol must be positive and max_iter >= 1" in err
+        # M5 has a closed form on smoking-birthweight, M4 does not; a bad
+        # stopping rule fails either way
+        for cmd, *opts in (
+            ("fit", "--model", "M5", "--tol", "-1"),
+            ("fit", "--model", "M4", "--tol", "-1"),
+            ("fit", "--model", "M5", "--max-iter", "0"),
+            ("fit", "--model", "M4", "--max-iter", "0"),
+            ("bootstrap", "--model", "M5", "--tol", "-1"),
+            ("bootstrap", "--model", "M5", "--max-iter", "0"),
+        ):
+            assert main([cmd, "smoking-birthweight", *opts]) == 3, opts
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert (
+                "computation error: tol must be positive and max_iter >= 1"
+                in captured.err
+            )
 
     def test_unknown_model(self, capsys):
         assert main(["fit", "bone-density", "--model", "M77"]) == 2
@@ -244,6 +261,39 @@ class TestDatasetsAndCatalog:
         doc = json.loads(capsys.readouterr().out)
         assert len(doc["models"]) == 16
         assert doc["models"][0]["id"] == "D1:Y1=MCAR,Y2=MCAR"
+
+
+# a short EM keeps the fits quick; both conventions run with it
+DF_COMMANDS = (
+    ["fit", "bone-density", "--max-iter", "50"],
+    ["fit", "bone-density", "--model", "M4"],
+    ["catalog", "bone-density"],
+    ["bootstrap", "bone-density", "--model", "M5", "--seed", "1",
+     "--replicates", "300"],
+)
+
+
+@pytest.mark.parametrize("argv", DF_COMMANDS, ids=" ".join)
+class TestDfConvention:
+    @staticmethod
+    def _out(capsys, argv):
+        assert main(argv) == 0, argv
+        return capsys.readouterr().out
+
+    def test_multinomial_changes_only_the_echo(self, capsys, argv):
+        multinomial = ["--df-convention", "multinomial"]
+        assert self._out(capsys, argv + multinomial) == self._out(capsys, argv)
+        argv = argv + ["--format", "json"]
+        default = json.loads(self._out(capsys, argv))
+        other = json.loads(self._out(capsys, argv + multinomial))
+        if "df_convention" in default:
+            assert default.pop("df_convention") == "poisson-cells"
+            assert other.pop("df_convention") == "multinomial"
+        assert other == default
+
+    def test_unknown_convention_is_usage_error(self, capsys, argv):
+        assert main(argv + ["--df-convention", "other"]) == 1
+        assert "usage error" in capsys.readouterr().err
 
 
 class TestSourcesAndExitCodes:

@@ -4,9 +4,6 @@ import numpy as np
 import pytest
 
 from misstab import (
-    DF_CONVENTIONS,
-    DF_MULTINOMIAL,
-    DF_POISSON_CELLS,
     MECH_MAR,
     MECH_MCAR,
     MECH_NMAR,
@@ -136,18 +133,6 @@ class TestCounting:
         for m in enumerate_models(s2):
             group = int(m.id[1])
             assert parameter_count(m, s2) == by_group[group], m.id
-
-    def test_df_conventions_agree(self, bone_table, opinion_two_table):
-        for table in (bone_table, opinion_two_table):
-            for m in enumerate_models(table.schema):
-                a = degrees_of_freedom(m, table.schema, DF_POISSON_CELLS)
-                b = degrees_of_freedom(m, table.schema, DF_MULTINOMIAL)
-                assert a == b
-        assert DF_CONVENTIONS == (DF_POISSON_CELLS, DF_MULTINOMIAL)
-        with pytest.raises(TableError):
-            degrees_of_freedom(
-                get_model(bone_table.schema, "M5"), bone_table.schema, "other"
-            )
 
     def test_df_values(self, bone_table, opinion_one_table, opinion_two_table):
         s = bone_table.schema

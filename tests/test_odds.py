@@ -20,9 +20,6 @@ from misstab import (
     TableSchema,
     assess,
     list_queries,
-    membership,
-    nonresponse_odds,
-    response_odds,
 )
 
 
@@ -90,37 +87,6 @@ class TestListQueries:
     def test_label(self):
         q = OddsQuery("a", "b", (1, 3), (("c", 2),))
         assert q.label() == "b(1,3) | c=2"
-
-
-class TestQueryValidation:
-    def test_target_must_differ(self, smoking_table):
-        q = OddsQuery("smoking", "smoking", (1, 2))
-        with pytest.raises(TableError):
-            nonresponse_odds(smoking_table, q)
-
-    def test_bad_pair(self, smoking_table):
-        with pytest.raises(TableError):
-            nonresponse_odds(smoking_table, OddsQuery("smoking", "birthweight", (1, 1)))
-        with pytest.raises(TableError):
-            nonresponse_odds(smoking_table, OddsQuery("smoking", "birthweight", (0, 2)))
-
-    def test_bad_conditioning(self, opinion_one_table):
-        with pytest.raises(TableError):
-            nonresponse_odds(
-                opinion_one_table, OddsQuery("secession", "attendance", (1, 2))
-            )
-        with pytest.raises(TableError):
-            nonresponse_odds(
-                opinion_one_table,
-                OddsQuery("secession", "attendance", (1, 2), (("independence", 9),)),
-            )
-
-    def test_not_missing_variable(self, opinion_one_table):
-        with pytest.raises(TableError):
-            nonresponse_odds(
-                opinion_one_table,
-                OddsQuery("attendance", "secession", (1, 2), (("independence", 1),)),
-            )
 
 
 class TestSmokingScreening:
@@ -287,22 +253,9 @@ class TestDegenerateAndUndefined:
 
     def test_no_defined_response_odds(self):
         t = make_two_var([[0, 3], [0, 5]], [2, 2], [1, 1], 0)
-        q = OddsQuery("a", "b", (1, 2))
-        with pytest.raises(ComputationError):
-            response_odds(t, q)
         (rec,) = assess(t).family("a").records
         assert rec.membership == MEMBERSHIP_UNDEFINED
         assert "no defined response odds" in rec.note
-
-    def test_membership_helper(self):
-        t = make_two_var([[2, 3], [4, 5]], [1, 1], [1, 1], 0)
-        q = OddsQuery("a", "b", (1, 2))
-        interval = response_odds(t, q)
-        assert membership(CountRatio(7, 10), interval) == MEMBERSHIP_INSIDE
-        assert membership(CountRatio(2, 3), interval) == MEMBERSHIP_OUTSIDE
-        assert membership(CountRatio(0, 3), interval) == MEMBERSHIP_UNDEFINED
-        assert membership(None, interval) == MEMBERSHIP_UNDEFINED
-        assert membership(Fraction(7, 10), interval) == MEMBERSHIP_INSIDE
 
     def test_assess_rejects_container_shape(self):
         from misstab import builtin_dataset

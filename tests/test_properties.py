@@ -14,6 +14,7 @@ from misstab import (
     CLASS_INCONCLUSIVE,
     CLASS_MAR,
     CLASS_MCAR_OR_NMAR,
+    CountRatio,
     IncompleteTable,
     MECH_MAR,
     MECH_MCAR,
@@ -31,18 +32,23 @@ from misstab import (
     fit_em,
     fit_model,
     fitted_containment,
-    g_squared,
     generating_class,
     indicator_factor,
     is_perfect_fit,
     list_queries,
     load_table,
     mar_bounds,
-    nonresponse_odds,
     resample,
     scale_counts,
 )
-from misstab.fitting import FitResult, _e_step, _ipf, _loglik, _margin_axes
+from misstab.fitting import (
+    FitResult,
+    _e_step,
+    _g2_from_mu,
+    _ipf,
+    _loglik,
+    _margin_axes,
+)
 from misstab.models import (
     _effects_coding,
     build_design,
@@ -51,7 +57,7 @@ from misstab.models import (
     full_cross_dims,
     observed_counts,
 )
-from misstab.odds import _response_interval, screening_plan
+from misstab.odds import screening_plan
 
 DATASET_NAMES = ("smoking-birthweight", "bone-density", "spo-y1", "spo-y1y2")
 ALL_CASES = [
@@ -360,7 +366,7 @@ class TestObservationMapOracle:
             rtol=1e-12, atol=1e-12,
         )
         ll, g2 = _oracle_loglik_and_g2(mu, table)
-        for got, want in ((_loglik(mu, table), ll), (g_squared(fit, table), g2)):
+        for got, want in ((_loglik(mu, table), ll), (_g2_from_mu(mu, table), g2)):
             if math.isinf(want):
                 assert got == want
             else:
@@ -397,12 +403,18 @@ def _oracle_lambda(model, schema, mu):
     return lam, resid
 
 
-def _oracle_stratum_odds(counts, names, target, pair, levels):
-    num, den = (
-        float(counts[tuple(
-            (p if n == target else levels[n]) - 1 for n in names
-        )])
+def _oracle_pair_counts(counts, names, target, pair, levels):
+    """The counts at levels pair of target in one stratum over the
+    variables names, every other variable held at levels."""
+    return tuple(
+        counts[tuple((p if n == target else levels[n]) - 1 for n in names)]
         for p in pair
+    )
+
+
+def _oracle_stratum_odds(counts, names, target, pair, levels):
+    num, den = map(
+        float, _oracle_pair_counts(counts, names, target, pair, levels)
     )
     return num / den if den > 0 else float("nan")
 
@@ -586,25 +598,54 @@ def _hand_statistic_count(schema):
 
 
 # Per-query Fraction reference for the screening plan: the assess loop as
-# it stood before batch screening, one query at a time through the
-# per-query helpers, with every comparison on stdlib Fractions.
+# it stood before batch screening, one query at a time, reading each count
+# by its level indices in its stratum, with every comparison on stdlib
+# Fractions.
+
+def _oracle_ratio(counts, names, target, pair, levels):
+    return CountRatio(
+        *map(int, _oracle_pair_counts(counts, names, target, pair, levels))
+    )
+
+
+def _oracle_nonresponse_odds(table, query):
+    v = query.missing_var
+    return _oracle_ratio(
+        table.stratum({v}).counts, table.schema.observed_for((v,)),
+        query.target, query.pair, dict(query.conditioning),
+    )
+
+
+def _oracle_response_values(table, query):
+    """(level, odds) of the fully classified stratum at every level of
+    the assessed variable."""
+    schema = table.schema
+    v = query.missing_var
+    return tuple(
+        (lvl, _oracle_ratio(
+            table.full.counts, schema.names, query.target, query.pair,
+            {**dict(query.conditioning), v: lvl},
+        ))
+        for lvl in range(1, schema.levels(v) + 1)
+    )
+
 
 def _oracle_assess(table):
-    """(membership, value, response odds, Fractions of the defined
-    response odds) per query, in list_queries order."""
+    """(membership, value, response odds by level, Fractions of the
+    defined response odds) per query, in list_queries order."""
     out = []
     for query in list_queries(table.schema):
-        value = nonresponse_odds(table, query)
-        interval = _response_interval(table, query)
+        value = _oracle_nonresponse_odds(table, query)
+        values = _oracle_response_values(table, query)
         odds = [Fraction(r.numerator, r.denominator)
-                for _, r in interval.values if r.defined]
+                for _, r in values if r.defined]
         if not value.defined or not odds:
             status = "undefined"
         elif min(odds) < Fraction(value.numerator, value.denominator) < max(odds):
             status = "inside"
         else:
             status = "outside"  # an endpoint hit or a degenerate interval
-        out.append((status, value, interval, odds))
+        out.append((status, value, values, odds))
     return out
 
 
@@ -680,10 +721,10 @@ class TestBatchScreeningOracle:
         want = _oracle_assess(table)
         verdict = assess(table)
         assert len(verdict.records) == len(want)
-        for rec, (status, value, interval, odds) in zip(verdict.records, want):
+        for rec, (status, value, values, odds) in zip(verdict.records, want):
             assert rec.membership == status
             assert rec.value == value
-            assert rec.interval.values == interval.values
+            assert rec.interval.values == values
             if odds:
                 assert rec.interval.minimum.fraction == min(odds)
                 assert rec.interval.maximum.fraction == max(odds)
