@@ -159,6 +159,10 @@ def bootstrap_assess(
     """
     if n_replicates < 1:
         raise ComputationError("n_replicates must be >= 1")
+    try:
+        root = np.random.SeedSequence(seed)
+    except (TypeError, ValueError) as exc:
+        raise ComputationError(f"bad seed {seed!r}: {exc}") from None
     if fit is None:
         fit = fit_model(model, table)
     draw = _sampler(fit, table, mode)
@@ -166,7 +170,6 @@ def bootstrap_assess(
     missing = table.schema.missing
     # spawning a block at a time yields the same children as spawning all
     # n_replicates at once, without holding them all
-    root = np.random.SeedSequence(seed)
     # per family: counted, MAR, undefined value, undefined interval
     tally = np.zeros((len(missing), 4), dtype=np.int64)
     overall_counted = overall_mar = 0

@@ -155,6 +155,9 @@ def _fit_row(fit) -> dict:
             "converged": fit.converged,
             "boundary": fit.boundary,
             "iterations": fit.iterations,
+            "evaluations": fit.evaluations,
+            "face_cells": fit.face_cells,
+            "boundary_rule": fit.boundary_rule,
         }
     )
     return row
@@ -246,6 +249,8 @@ def _cmd_fit(args, out):
 
 
 def _cmd_bootstrap(args, out):
+    if args.seed is not None and args.seed < 0:
+        raise _UsageError(f"argument --seed: must be >= 0, got {args.seed}")
     table, source = _load_source(args.source)
     tol, from_env = _resolve_tol(args)
     fit = fit_model(args.model, table, tol=tol, max_iter=args.max_iter)

@@ -5,10 +5,13 @@ recording indicators.  Where an explicit solution exists and stays strictly
 positive it is used directly; otherwise an expectation-maximization loop
 distributes each supplemental count over the cells it collapses, then
 rescales the working table to the model's sufficient margins by iterative
-proportional fitting.  Fit quality is the deviance of the observed strata
-against the collapsed fitted expectations, with tail probabilities from the
-chi-square survival function.  The E step, the deviance and the fitted
-strata all collapse the cross through the schema's one observation map
+proportional fitting.  When the maximum lies on the boundary, the cells
+that keep decaying are fixed at zero and the fit is finished on that face
+of the model by accelerated ECM (fit_em, _solve_face).  Fit quality is
+the deviance of the observed strata against the collapsed fitted
+expectations, with tail probabilities from the chi-square survival
+function.  The E step, the deviance and the fitted strata all collapse
+the cross through the schema's one observation map
 (models.observation_map).
 """
 
@@ -41,6 +44,7 @@ from .odds import screening_plan
 from .tables import IncompleteTable, TableSchema, pattern_label
 
 BOUNDARY_PROB = 1e-8  # fitted cell probability below this flags a boundary
+RANK_DECIMALS = 6  # fit_all ranks G2 rounded to this many decimals
 
 METHOD_CLOSED = "closed-form"
 METHOD_EM = "em"
@@ -126,6 +130,11 @@ class FitResult:
     axes); pi_hat is mu_hat / N.  lambda_hat maps each term to its
     sum-to-zero effect array and is None when a fitted cell sits on the
     zero boundary.  G2 compares observed strata with the collapsed fit.
+    iterations counts the accepted EM iterations (one per loglik_trace
+    entry) and evaluations the EM map evaluations behind them; face_cells
+    counts the cells fixed at zero on a certified face, and boundary_rule
+    names the rule that flagged a boundary fit ("face",
+    "perfect-fit-misfit" or "small-cell"; None for an interior fit).
     """
 
     model_id: str
@@ -147,6 +156,9 @@ class FitResult:
     method: str
     perfect_fit: bool
     loglik_trace: tuple
+    evaluations: int
+    face_cells: int
+    boundary_rule: str | None
 
     @property
     def df_convention(self) -> str:
@@ -218,7 +230,8 @@ def _finalize(
     converged,
     iterations,
     trace,
-    force_boundary=False,
+    evaluations=0,
+    face_cells=0,
 ):
     n = table.N
     mu = np.asarray(mu, dtype=float)
@@ -231,15 +244,17 @@ def _finalize(
         p = 0.0
     else:
         p = chi_square_sf(g2, df)
+    if face_cells:
+        rule = BOUNDARY_FACE
     # a model with as many parameters as observed statistics fits them
     # exactly at any interior maximum, so a visibly imperfect fit means
     # the maximum sits on the boundary of the parameter space
-    saturated_miss = is_perfect_fit(model, schema) and g2 > 1e-6
-    boundary = bool(
-        force_boundary
-        or saturated_miss
-        or np.any(mu / n < BOUNDARY_PROB)
-    )
+    elif is_perfect_fit(model, schema) and g2 > 1e-6:
+        rule = BOUNDARY_PERFECT_MISFIT
+    elif np.any(mu / n < BOUNDARY_PROB):
+        rule = BOUNDARY_SMALL_CELL
+    else:
+        rule = None
     lam, resid = _recover_lambda(model, schema, mu)
     pi = mu / n
     pi.flags.writeable = False
@@ -260,11 +275,14 @@ def _finalize(
         aic=g2 + 2.0 * params,
         bic=g2 + math.log(n) * params,
         converged=converged,
-        boundary=boundary,
+        boundary=rule is not None,
         iterations=iterations,
         method=method,
         perfect_fit=is_perfect_fit(model, schema),
         loglik_trace=tuple(trace),
+        evaluations=evaluations,
+        face_cells=face_cells,
+        boundary_rule=rule,
     )
 
 
@@ -277,6 +295,190 @@ def _resolve_model(model, schema):
 def _check_stopping(tol, max_iter):
     if tol <= 0 or max_iter < 1:
         raise ComputationError("tol must be positive and max_iter >= 1")
+
+
+# Face detection.  A cell decays when it holds less than DECAY_CELL of N
+# and its log-rate stays below DECAY_RATE over both halves of a window of
+# DECAY_WINDOW iterations; the face solve ends when the sufficient margins
+# match to FACE_RESIDUAL.
+DECAY_WINDOW = 50
+DECAY_HALF = DECAY_WINDOW // 2
+DECAY_RATE = -1e-3
+DECAY_CELL = 1e-3
+FACE_RESIDUAL = 1e-9
+FACE_ATTEMPTS = 3  # per fit; a refused face leaves the fit as it was
+FACE_MAX_EVALUATIONS = 2000  # map evaluations per face attempt
+SQUAREM_STEP_FACTOR = 4.0
+REOPEN_SHARE = 1e-6  # of its value before zeroing, to reopen a zero cell
+
+BOUNDARY_FACE = "face"
+BOUNDARY_PERFECT_MISFIT = "perfect-fit-misfit"
+BOUNDARY_SMALL_CELL = "small-cell"
+
+
+def _ecm_step(mu, table, sum_axes_list):
+    """One E step and one IPF sweep: the ECM map (Meng & Rubin 1993)."""
+    return _ipf(mu, _e_step(mu, table), sum_axes_list, max_sweeps=1)
+
+
+def _margin_residual(mu, table, sum_axes_list) -> float:
+    """Largest relative gap between the sufficient margins of mu and those
+    of its E step; zero at a fixed point of EM."""
+    z = _e_step(mu, table)
+    worst = 0.0
+    for axes in sum_axes_list:
+        target = z.sum(axis=axes)
+        gap = np.abs(target - mu.sum(axis=axes)) / np.maximum(target, 1e-300)
+        worst = max(worst, float(gap.max()))
+    return worst
+
+
+def _checkpoint(marks, mu):
+    """The last three log-fits, taken DECAY_HALF iterations apart."""
+    with np.errstate(divide="ignore"):
+        return (marks + [np.log(mu)])[-3:]
+
+
+def _decaying(marks, mu, n):
+    """Live cells under DECAY_CELL * n whose log-rate stayed below
+    DECAY_RATE over both halves of the window the checkpoints span."""
+    if len(marks) < 3:
+        return np.zeros(mu.shape, dtype=bool)
+    a, b, c = marks
+    drop = DECAY_RATE * DECAY_HALF
+    with np.errstate(invalid="ignore"):
+        falling = (b - a < drop) & (c - b < drop)
+    return falling & (mu > 0) & (mu < DECAY_CELL * n)
+
+
+def _squarem_step(mu, ll, step_max, table, sum_axes_list):
+    """One SQUAREM cycle (Varadhan & Roland 2008, step SqS3) of the ECM map,
+    extrapolated in log space over the live cells.
+
+    Returns the next iterate, its log-likelihood, the next step bound and
+    the map evaluations spent.  The step length is capped at step_max; the
+    cap grows by SQUAREM_STEP_FACTOR when a capped step is kept and shrinks
+    by it when a step is refused.  The extrapolated point, after one more
+    ECM step, is kept only if its log-likelihood is at least ll, that of
+    the last accepted iterate; otherwise the plain double step is kept,
+    which ECM never makes worse.
+    """
+    mu1 = _ecm_step(mu, table, sum_axes_list)
+    mu2 = _ecm_step(mu1, table, sum_axes_list)
+    live = mu2 > 0
+    x0, x1, x2 = (np.log(m[live]) for m in (mu, mu1, mu2))
+    r = x1 - x0
+    v = x2 - x1 - r
+    v_norm = float(np.linalg.norm(v))
+    if v_norm == 0:
+        return mu2, _loglik(mu2, table), step_max, 2
+    alpha = max(min(-float(np.linalg.norm(r)) / v_norm, -1.0), -step_max)
+    jump = np.zeros_like(mu)
+    # a long extrapolation can overflow or underflow cells; such a jump
+    # fails the guard below
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        jump[live] = np.exp(x0 - 2.0 * alpha * r + alpha * alpha * v)
+        jump = _ecm_step(jump, table, sum_axes_list)
+        ll_jump = _loglik(jump, table)
+    if np.all(np.isfinite(jump)) and ll_jump >= ll:
+        if alpha == -step_max:
+            step_max *= SQUAREM_STEP_FACTOR
+        return jump, ll_jump, step_max, 3
+    step_max = max(step_max / SQUAREM_STEP_FACTOR, 1.0)
+    return mu2, _loglik(mu2, table), step_max, 3
+
+
+def _is_face(zero, sum_axes_list) -> bool:
+    """Whether the zero cells are exactly the union of the margin cells of
+    the generating class that they empty.
+
+    Minus the indicators of those margin cells is then a direction in the
+    model's span that is negative on every zero cell and zero on the live
+    ones, so a fit with these zeros is a limit of fits of the model: it
+    lies on a face (Fienberg & Rinaldo 2012).
+    """
+    covered = np.zeros_like(zero)
+    for axes in sum_axes_list:
+        covered |= np.all(zero, axis=axes, keepdims=True)
+    return bool(np.array_equal(covered, zero))
+
+
+def _zeros_stay_down(mu, before, table, sum_axes_list) -> bool:
+    """Whether the likelihood lets the zero cells of mu stay at zero.
+
+    Each zero cell is reopened at REOPEN_SHARE of its value in before, the
+    fit before any cell was zeroed, and DECAY_WINDOW ECM steps run: over
+    both halves of the window the difference of log iterates (a direction
+    in the model's span) must be negative on every reopened cell.
+    """
+    reopened = (mu == 0) & (before > 0)
+    probe = np.where(reopened, REOPEN_SHARE * before, mu)
+    marks = _checkpoint([], probe)
+    for step in range(1, DECAY_WINDOW + 1):
+        probe = _ecm_step(probe, table, sum_axes_list)
+        if step % DECAY_HALF == 0:
+            marks = _checkpoint(marks, probe)
+    a, b, c = (m[reopened] for m in marks)
+    return bool(np.all((b < a) & (c < b)))
+
+
+@dataclass(frozen=True)
+class _FaceSolve:
+    mu: np.ndarray
+    trace: tuple
+    evaluations: int
+    certified: bool
+
+
+def _solve_face(mu, decaying, floor, table, sum_axes_list, budget):
+    """Finish an EM fit on the face where the decaying cells are zero.
+
+    The decaying cells of mu are fixed at zero as structural zeros and
+    SQUAREM-accelerated ECM runs on the live cells.  Cells that in turn
+    pass the decay test are zeroed too.  The solve ends when the
+    sufficient margins match to FACE_RESIDUAL.  The result counts when its
+    log-likelihood is at least floor, that of the last iterate before
+    zeroing (so its G2 is no larger), its zeros form a face (_is_face) and
+    the likelihood keeps them down (_zeros_stay_down).  trace holds the
+    accepted log-likelihoods, at most budget of them: those of the cycles
+    that reach the last accepted one, starting from floor, so that it
+    extends the caller's trace monotonically.
+    """
+    before = mu
+    mu = np.where(decaying, 0.0, mu)
+    ll = _loglik(mu, table)
+    n = table.N
+    trace = []
+    evaluations = 0
+    cycles = 0
+    step_max = 1.0
+    marks = _checkpoint([], mu)
+    while (
+        math.isfinite(ll)
+        and len(trace) < budget
+        and evaluations < FACE_MAX_EVALUATIONS
+    ):
+        mu, ll, step_max, spent = _squarem_step(
+            mu, ll, step_max, table, sum_axes_list
+        )
+        evaluations += spent
+        cycles += 1
+        if ll >= (trace[-1] if trace else floor):
+            trace.append(ll)
+        if _margin_residual(mu, table, sum_axes_list) < FACE_RESIDUAL:
+            certified = ll >= floor and _is_face(mu == 0, sum_axes_list)
+            if certified:
+                evaluations += DECAY_WINDOW
+                certified = _zeros_stay_down(mu, before, table, sum_axes_list)
+            return _FaceSolve(mu, tuple(trace), evaluations, certified)
+        if cycles % DECAY_HALF == 0:
+            marks = _checkpoint(marks, mu)
+            decaying = _decaying(marks, mu, n)
+            if np.any(decaying):
+                mu = np.where(decaying, 0.0, mu)
+                ll = _loglik(mu, table)
+                marks = _checkpoint([], mu)
+    return _FaceSolve(mu, tuple(trace), evaluations, False)
 
 
 def fit_em(
@@ -293,8 +495,10 @@ def fit_em(
     in proportion to the current fit; the M step rescales to the model's
     sufficient margins by iterative proportional fitting.  Iteration stops
     when the relative change of the observed-data log-likelihood drops
-    below tol.  init="perturbed" (with a seed) jitters the start
-    multiplicatively to probe for multiple modes.
+    below tol.  Cells that keep decaying are fixed at zero and the fit is
+    finished on that face of the model (see _solve_face), which yields the
+    limit of the likelihood whatever tol is.  init="perturbed" (with a
+    seed) jitters the start multiplicatively to probe for multiple modes.
     """
     schema = table.schema
     if not schema.is_analysis_shape:
@@ -322,23 +526,40 @@ def fit_em(
     trace = []
     prev = None
     converged = False
-    iterations = 0
-    for it in range(1, max_iter + 1):
+    evaluations = 0
+    face_cells = 0
+    attempts = 0
+    marks = _checkpoint([], mu)
+    while len(trace) < max_iter:
         z = _e_step(mu, table)
         mu = _ipf(mu, z, sum_axes_list)
+        evaluations += 1
         ll = _loglik(mu, table)
         trace.append(ll)
-        iterations = it
         if prev is not None and math.isfinite(ll):
             if abs(ll - prev) <= tol * (abs(prev) + 1.0):
                 converged = True
                 break
         prev = ll
-    # the likelihood can flatten out while a cell still decays toward
-    # zero; one extra step exposes that drift so the boundary is flagged
-    probe = _ipf(mu, _e_step(mu, table), sum_axes_list)
-    small = mu / n < 1e-4
-    drifting = bool(np.any(small & (probe < 0.999 * mu)))
+        if len(trace) % DECAY_HALF or attempts == FACE_ATTEMPTS:
+            continue
+        marks = _checkpoint(marks, mu)
+        decaying = _decaying(marks, mu, n)
+        if not np.any(decaying):
+            continue
+        attempts += 1
+        face = _solve_face(
+            mu, decaying, ll, table, sum_axes_list, max_iter - len(trace)
+        )
+        evaluations += face.evaluations
+        if face.certified:
+            face_cells = int(np.count_nonzero((face.mu == 0) & (mu > 0)))
+            mu = face.mu
+            trace.extend(face.trace)
+            converged = True
+            break
+        # a refused face leaves no trace: EM goes on from where it was
+        marks = _checkpoint([], mu)
     return _finalize(
         model,
         schema,
@@ -346,9 +567,10 @@ def fit_em(
         mu,
         METHOD_EM,
         converged,
-        iterations,
+        len(trace),
         trace,
-        force_boundary=drifting,
+        evaluations=evaluations,
+        face_cells=face_cells,
     )
 
 
@@ -546,12 +768,20 @@ def fit_model(
 def fit_all(
     table: IncompleteTable, tol: float = 1e-10, max_iter: int = 10000
 ) -> tuple:
-    """Fit the full catalog, ranked by G2 (ties: fewer parameters, id)."""
+    """Fit the full catalog, ranked by G2 rounded to RANK_DECIMALS places
+    (ties: fewer parameters, then id).
+
+    The rounding keeps the order from hanging on differences that the
+    solver's stopping point decides, such as two fits that reach the same
+    boundary limit to within 1e-8.
+    """
     fits = [
         fit_model(m, table, tol=tol, max_iter=max_iter)
         for m in enumerate_models(table.schema)
     ]
-    fits.sort(key=lambda f: (f.G2, f.n_params, f.model_id))
+    fits.sort(
+        key=lambda f: (round(f.G2, RANK_DECIMALS), f.n_params, f.model_id)
+    )
     return tuple(fits)
 
 

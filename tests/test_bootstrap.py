@@ -145,6 +145,10 @@ class TestBootstrapAssess:
                 smoking_table, "M4", n_replicates=5, seed=1, mode="jackknife"
             )
 
+    def test_negative_seed(self, smoking_table):
+        with pytest.raises(ComputationError, match="bad seed -1"):
+            bootstrap_assess(smoking_table, "M5", n_replicates=5, seed=-1)
+
     def test_family_lookup(self, smoking_table):
         summary = bootstrap_assess(smoking_table, "M4", n_replicates=5, seed=1)
         assert summary.family("smoking").variable == "smoking"

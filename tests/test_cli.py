@@ -137,6 +137,23 @@ class TestFit:
         assert main(["fit", "bone-density", "--model", "M77"]) == 2
         assert "data error" in capsys.readouterr().err
 
+    def test_json_fit_diagnostics(self, capsys):
+        assert main(["fit", "smoking-birthweight", "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        rows = {r["id"]: r for r in doc["fits"]}
+        for mid in ("M1", "M2", "M3"):
+            row = rows[mid]
+            assert (row["boundary"], row["boundary_rule"]) == (True, "face")
+            assert row["face_cells"] == 4
+            assert row["evaluations"] > row["iterations"]
+        m4 = rows["M4"]
+        assert (m4["boundary_rule"], m4["face_cells"]) == (None, 0)
+        assert m4["evaluations"] == m4["iterations"]
+        m5 = rows["M5"]
+        assert (m5["method"], m5["evaluations"], m5["iterations"]) == (
+            "closed-form", 0, 0,
+        )
+
 
 class TestBootstrap:
     def test_text_lines_and_determinism(self, capsys):
@@ -207,6 +224,16 @@ class TestBootstrap:
         assert "overall: nan% MAR  (counted 0, excluded 1)" in (
             capsys.readouterr().out
         )
+
+    def test_negative_seed_is_usage_error(self, capsys):
+        argv = ["bootstrap", "smoking-birthweight", "--model", "M5"]
+        assert main(argv + ["--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "usage error: argument --seed: must be >= 0, got -1\n"
+        )
+        assert main(argv + ["--seed", "0", "--replicates", "5"]) == 0
 
     def test_fit_options_reach_the_generating_fit(self, capsys):
         # bone-density M2 is a boundary EM fit, so where it stops moves the

@@ -23,13 +23,18 @@ from misstab import (
     get_model,
     mar_bounds,
 )
+import misstab.fitting
 from misstab.fitting import (
+    BOUNDARY_FACE,
     METHOD_CLOSED,
     METHOD_EM,
     _g2_from_mu,
+    _is_face,
+    _margin_axes,
     _recover_lambda,
     best_non_perfect,
 )
+from misstab.models import generating_class
 
 
 def by_id(fits):
@@ -41,9 +46,9 @@ FROZEN = [
     ("smoking_fits", "M5", 0.0, 0, METHOD_CLOSED, False),
     ("smoking_fits", "M6", 0.0, 0, METHOD_CLOSED, False),
     ("smoking_fits", "M4", 0.005303, 1, METHOD_EM, False),
-    ("smoking_fits", "M2", 12.471349, 0, METHOD_EM, True),
-    ("smoking_fits", "M3", 12.471375, 0, METHOD_EM, True),
-    ("smoking_fits", "M1", 12.476587, 1, METHOD_EM, True),
+    ("smoking_fits", "M2", 12.457449, 0, METHOD_EM, True),
+    ("smoking_fits", "M3", 12.457449, 0, METHOD_EM, True),
+    ("smoking_fits", "M1", 12.462697, 1, METHOD_EM, True),
     ("smoking_fits", "M8", 30.114848, 1, METHOD_CLOSED, False),
     ("smoking_fits", "M7", 30.114850, 1, METHOD_EM, False),
     ("smoking_fits", "M9", 30.121530, 2, METHOD_EM, False),
@@ -77,6 +82,24 @@ FROZEN = [
     ("opinion_two_fits", "D4:Y1=NMAR,Y2=MCAR", 75.394009, 6, METHOD_EM, False),
     ("opinion_two_fits", "D1:Y1=MCAR,Y2=MCAR", 75.635642, 7, METHOD_EM, False),
 ]
+
+
+# the limit G2 of every boundary fit of the two two-variable tables, as
+# pinned in bench/reference.json (EM run until the log-likelihood stops
+# changing)
+LIMITS = [
+    ("bone-density", "M1", 26.680096336000904),
+    ("bone-density", "M2", 21.25635224708093),
+    ("bone-density", "M3", 24.212008268625365),
+    ("bone-density", "M6", 2.3544340621708373),
+    ("bone-density", "M8", 28.01296882083017),
+    ("smoking-birthweight", "M1", 12.462697319164125),
+    ("smoking-birthweight", "M2", 12.457448953409143),
+    ("smoking-birthweight", "M3", 12.45744895906486),
+]
+
+SMOKING_ORDER = ["M5", "M6", "M4", "M2", "M3", "M1", "M8", "M7", "M9"]
+BONE_ORDER = ["M5", "M6", "M4", "M2", "M3", "M7", "M1", "M8", "M9"]
 
 
 class TestChiSquareSf:
@@ -248,12 +271,27 @@ class TestFrozenDeviances:
 
 class TestFitAll:
     def test_rank_order_two_variable(self, smoking_fits, bone_fits):
-        assert [f.model_id for f in smoking_fits] == [
-            "M5", "M6", "M4", "M2", "M3", "M1", "M8", "M7", "M9",
-        ]
-        assert [f.model_id for f in bone_fits] == [
-            "M5", "M6", "M4", "M2", "M3", "M7", "M1", "M8", "M9",
-        ]
+        assert [f.model_id for f in smoking_fits] == SMOKING_ORDER
+        assert [f.model_id for f in bone_fits] == BONE_ORDER
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-12, 1e-14])
+    def test_rank_order_does_not_depend_on_tol(
+        self, smoking_table, bone_table, tol
+    ):
+        # smoking M2 and M3 reach limits 6e-9 apart; G2 is ranked rounded
+        # to six decimals, so their order falls to the tie rule at every
+        # tol.  Smoking M7 is an interior EM fit with the same limit as
+        # the closed-form M8 (30.114848); the relative stop leaves it
+        # 2.0e-6 above that at tol 1e-10 only, so from 1e-12 on the tie
+        # rule puts it first
+        smoking = list(SMOKING_ORDER)
+        if tol < 1e-10:
+            smoking[6:8] = ["M7", "M8"]
+        for table, order in (
+            (smoking_table, smoking), (bone_table, BONE_ORDER),
+        ):
+            fits = fit_all(table, tol=tol)
+            assert [f.model_id for f in fits] == order
 
     def test_rank_order_three_variable(self, opinion_one_fits, opinion_two_fits):
         assert [f.model_id for f in opinion_one_fits] == ["C1", "C3", "C2", "C4"]
@@ -385,6 +423,66 @@ class TestEm:
         )
         with pytest.raises(ComputationError):
             fit_em("M5", empty)
+
+
+class TestFaceSolver:
+    @pytest.mark.parametrize("tol", [1e-10, 1e-12, 1e-14])
+    @pytest.mark.parametrize(
+        "name,model_id,limit",
+        LIMITS,
+        ids=[f"{n.split('-')[0]}-{m}" for n, m, _ in LIMITS],
+    )
+    def test_boundary_fits_reach_the_limit(self, name, model_id, limit, tol):
+        fit = fit_model(model_id, builtin_dataset(name), tol=tol)
+        assert fit.G2 == pytest.approx(limit, abs=1e-6)
+        assert fit.boundary and fit.converged
+        assert fit.boundary_rule == BOUNDARY_FACE
+        assert fit.face_cells > 0
+        assert np.count_nonzero(fit.mu_hat == 0) == fit.face_cells
+        assert fit.lambda_hat is None and fit.lambda_residual is None
+
+    def test_trace_holds_accepted_iterations(self, bone_table):
+        fit = fit_em("M3", bone_table)
+        trace = np.asarray(fit.loglik_trace)
+        assert fit.iterations == trace.size
+        assert fit.evaluations > fit.iterations
+        assert np.all(np.diff(trace) >= 0.0)
+
+    def test_face_is_a_union_of_emptied_margins(self, smoking_table):
+        fit = fit_em("M2", smoking_table)
+        axes = _margin_axes(fit.schema, generating_class(fit.model))
+        zero = fit.mu_hat == 0
+        assert _is_face(zero, axes)
+        # one cell short of the face empties no margin cell
+        short = zero.copy()
+        short[np.unravel_index(np.flatnonzero(zero)[0], zero.shape)] = False
+        assert not _is_face(short, axes)
+
+    def test_interior_fit_has_no_face(self, smoking_table):
+        fit = fit_em("M4", smoking_table)
+        assert (fit.face_cells, fit.boundary_rule) == (0, None)
+        assert fit.evaluations == fit.iterations
+
+    def test_refused_face_leaves_the_fit_as_it_was(
+        self, opinion_two_table, monkeypatch
+    ):
+        # this interior fit still moves after 50 iterations, so small cells
+        # pass the decay test; the face they span is refused
+        model_id = "D2:Y1=NMAR,Y2=NMAR"
+        fit = fit_em(model_id, opinion_two_table)
+        assert fit.face_cells == 0 and not fit.boundary
+        assert fit.evaluations > fit.iterations
+        monkeypatch.setattr(misstab.fitting, "FACE_ATTEMPTS", 0)
+        plain = fit_em(model_id, opinion_two_table)
+        assert plain.evaluations == plain.iterations
+        assert plain.loglik_trace == fit.loglik_trace
+        assert plain.G2 == fit.G2
+
+    def test_perfect_fit_misfit_rule(self, smoking_table):
+        # stopped before any cell can show a decay, M2 keeps the old rule
+        fit = fit_em("M2", smoking_table, max_iter=20)
+        assert fit.boundary_rule == "perfect-fit-misfit" and fit.boundary
+        assert fit.face_cells == 0
 
 
 class TestMarBounds:

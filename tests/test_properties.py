@@ -378,6 +378,65 @@ class TestObservationMapOracle:
 # reassembled from its coefficients, and the fitted odds read one query at
 # a time from the collapsed strata.
 
+# A long plain ECM run from the uniform start, with the slice-and-sum E
+# step above.  On a boundary fit it creeps toward the limit G2 from above,
+# at times very slowly (0.03% a step for the smallest cells), so it is
+# read only once it has settled: its G2 moved less than 1e-9 over the last
+# PLAIN_ECM_BLOCK steps, which leaves it within about 1e-8 of the limit.
+PLAIN_ECM_BLOCK = 500
+PLAIN_ECM_STEPS = 20000
+
+
+def _settled_plain_ecm_g2(model, table):
+    dims = full_cross_dims(table.schema)
+    axes = _margin_axes(table.schema, generating_class(model))
+    mu = np.full(dims, table.N / float(np.prod(dims)))
+    last = math.inf
+    for step in range(1, PLAIN_ECM_STEPS + 1):
+        mu = _ipf(mu, _oracle_e_step(mu, table), axes, max_sweeps=1)
+        if step % PLAIN_ECM_BLOCK == 0:
+            g2 = _oracle_loglik_and_g2(mu, table)[1]
+            if last - g2 < 1e-9:
+                return g2
+            last = g2
+    return None
+
+
+@st.composite
+def sparse_two_variable_fits(draw):
+    """A catalog model and a random two-variable table whose counts are
+    zero about a third of the time; the count with both variables missing
+    stays positive so that the table is never empty."""
+    levels = (draw(st.integers(2, 3)), draw(st.integers(2, 3)))
+    schema = TableSchema(tuple(zip(("a", "b"), levels)), ("a", "b"))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    strata = []
+    for pattern in schema.patterns():
+        observed = schema.observed_for(pattern)
+        shape = [schema.levels(v) for v in observed]
+        counts = rng.integers(0, 30, size=shape) * (rng.random(shape) > 0.3)
+        strata.append(Stratum(observed, counts if observed else 1 + counts))
+    model = draw(st.sampled_from(enumerate_models(schema)))
+    return model, IncompleteTable(schema, tuple(strata))
+
+
+class TestFaceOracle:
+    @settings(max_examples=25, deadline=None)
+    @given(sparse_two_variable_fits())
+    def test_face_never_undercuts_plain_ecm(self, case):
+        # a face that is not a limit of fits of the model could reach a G2
+        # below every fit of the model; a run that has not settled after
+        # PLAIN_ECM_STEPS decides nothing
+        model, table = case
+        fit = fit_em(model, table, max_iter=400)
+        if not fit.face_cells:
+            return
+        assert fit.boundary_rule == "face"
+        plain = _settled_plain_ecm_g2(model, table)
+        if plain is not None:
+            assert fit.G2 >= plain - 1e-6
+
+
 def _oracle_lambda(model, schema, mu):
     if np.any(mu <= 0):
         return None, None
