@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ComputationError
 from .fitting import FitResult, fit_model
-from .models import observation_map, observed_counts
+from .models import full_cross_dims, observation_map, observed_counts
 from .odds import screening_plan
 from .tables import IncompleteTable, Stratum
 
@@ -61,6 +61,12 @@ def resample(
     return IncompleteTable(table.schema, strata)
 
 
+def _percent(mar: int, counted: int, empty=float("nan")):
+    """Percentage of counted replicates suggesting MAR; empty when none
+    is counted (NaN on the summaries, None in as_dict())."""
+    return 100.0 * mar / counted if counted else empty
+
+
 @dataclass(frozen=True)
 class FamilyBootstrap:
     """Replicate tallies of one missing variable.  An excluded replicate
@@ -77,9 +83,7 @@ class FamilyBootstrap:
 
     @property
     def percent_mar(self) -> float:
-        if self.n_counted == 0:
-            return float("nan")
-        return 100.0 * self.n_mar / self.n_counted
+        return _percent(self.n_mar, self.n_counted)
 
     def as_dict(self) -> dict:
         return {
@@ -87,7 +91,7 @@ class FamilyBootstrap:
             "counted": self.n_counted,
             "excluded": self.n_excluded,
             "mar": self.n_mar,
-            "percent_mar": self.percent_mar if self.n_counted else None,
+            "percent_mar": _percent(self.n_mar, self.n_counted, None),
             "excluded_undefined_value": self.n_undefined_value,
             "excluded_undefined_interval": self.n_undefined_interval,
         }
@@ -113,9 +117,7 @@ class BootstrapSummary:
 
     @property
     def percent_mar(self) -> float:
-        if self.overall_counted == 0:
-            return float("nan")
-        return 100.0 * self.overall_mar / self.overall_counted
+        return _percent(self.overall_mar, self.overall_counted)
 
     def family(self, variable: str) -> FamilyBootstrap:
         for fam in self.families:
@@ -133,8 +135,8 @@ class BootstrapSummary:
                 "counted": self.overall_counted,
                 "excluded": self.overall_excluded,
                 "mar": self.overall_mar,
-                "percent_mar": (
-                    self.percent_mar if self.overall_counted else None
+                "percent_mar": _percent(
+                    self.overall_mar, self.overall_counted, None
                 ),
             },
         }
@@ -155,7 +157,9 @@ def bootstrap_assess(
     check (a zero count in an odds) are excluded and tallied.  The
     overall percentage applies the same rule across all variables.
     Seeding uses one spawned child stream per replicate, so results are
-    reproducible for a given (seed, n_replicates).
+    reproducible for a given (seed, n_replicates).  A given fit replaces
+    the fit of model; it must cover the table's complete cross and, unless
+    model is None, be of that model.
     """
     if n_replicates < 1:
         raise ComputationError("n_replicates must be >= 1")
@@ -165,6 +169,18 @@ def bootstrap_assess(
         raise ComputationError(f"bad seed {seed!r}: {exc}") from None
     if fit is None:
         fit = fit_model(model, table)
+    elif np.shape(fit.mu_hat) != full_cross_dims(table.schema):
+        raise ComputationError(
+            f"fit of model {fit.model_id} covers a complete cross of shape"
+            f" {np.shape(fit.mu_hat)}, not the table's"
+            f" {full_cross_dims(table.schema)}"
+        )
+    elif model is not None:
+        wanted = getattr(model, "id", model)  # a model or its id
+        if wanted != fit.model_id:
+            raise ComputationError(
+                f"fit is of model {fit.model_id}, not {wanted}"
+            )
     draw = _sampler(fit, table, mode)
     plan = screening_plan(table.schema)
     missing = table.schema.missing

@@ -80,25 +80,50 @@ def _resolve_tol(args):
     return 1e-10, False
 
 
-def _header_lines(table, source, tol=None, from_env=False):
-    lines = [
-        f"source: {source}",
-        f"shape: {table.schema.shape}",
-        f"N: {table.N}",
-    ]
+def _print_header(table, source, tol, from_env, out):
+    print(f"source: {source}", file=out)
+    print(f"shape: {table.schema.shape}", file=out)
+    print(f"N: {table.N}", file=out)
     if tol is not None:
         suffix = f" ({TOL_ENV})" if from_env else ""
-        lines.append(f"tolerance: {tol:g}{suffix}")
-    return lines
+        print(f"tolerance: {tol:g}{suffix}", file=out)
 
 
 def _fmt(x: float) -> str:
     return f"{x:.4g}"
 
 
+def _print_columns(head, rows, out):
+    """Left-aligned columns two spaces apart, trailing blanks trimmed."""
+    widths = [max(map(len, col)) for col in zip(head, *rows)]
+    for row in (head, *rows):
+        print(
+            "  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip(),
+            file=out,
+        )
+
+
+def _json_head(command, table, source, tol, **rest) -> dict:
+    """The opening keys of a report on one table, then rest in order; the
+    tolerance is left out when none applies."""
+    head = {
+        "command": command,
+        "source": source,
+        "shape": table.schema.shape,
+        "N": table.N,
+    }
+    if tol is not None:
+        head["tolerance"] = tol
+    head.update(rest)
+    return head
+
+
+def _print_json(payload, out):
+    print(json.dumps(payload, indent=2), file=out)
+
+
 def _print_assess_text(table, source, verdict, tol, from_env, out):
-    for line in _header_lines(table, source, tol, from_env):
-        print(line, file=out)
+    _print_header(table, source, tol, from_env, out)
     print(file=out)
     for fam in verdict.families:
         print(f"variable {fam.variable}:", file=out)
@@ -123,23 +148,12 @@ def _print_assess_text(table, source, verdict, tol, from_env, out):
 def _cmd_assess(args, out):
     table, source = _load_source(args.source)
     verdict = assess(table)
-    tol, from_env = (None, False)
-    env = _env_tol()
-    if env is not None:
-        tol, from_env = env, True
+    tol = _env_tol()
     if args.format == "json":
-        payload = {
-            "command": "assess",
-            "source": source,
-            "shape": table.schema.shape,
-            "N": table.N,
-        }
-        if tol is not None:
-            payload["tolerance"] = tol
-        payload.update(verdict.as_dict())
-        print(json.dumps(payload, indent=2), file=out)
+        _print_json(_json_head("assess", table, source, tol,
+                               **verdict.as_dict()), out)
     else:
-        _print_assess_text(table, source, verdict, tol, from_env, out)
+        _print_assess_text(table, source, verdict, tol, tol is not None, out)
     return EXIT_OK
 
 
@@ -163,65 +177,40 @@ def _fit_row(fit) -> dict:
     return row
 
 
-def _fit_notes(fit) -> str:
+def _fit_notes(row) -> str:
     notes = []
-    if fit.perfect_fit:
+    if row["perfect_fit"]:
         notes.append("perfect")
-    if fit.boundary:
+    if row["boundary"]:
         notes.append("boundary")
-    if not fit.converged:
+    if not row["converged"]:
         notes.append("no-converge")
     return ",".join(notes)
 
 
-def _print_fit_text(table, source, fits, tol, from_env, out):
-    for line in _header_lines(table, source, tol, from_env):
-        print(line, file=out)
+_MODEL_HEAD = ("model", "mechanisms", "par", "df")
+
+
+def _model_cells(row, *cells) -> tuple:
+    """A fit or catalog table row: the model_summary columns, then cells."""
+    return (row["id"], row["mechanisms"], str(row["parameters"]),
+            str(row["df"]), *cells)
+
+
+def _print_fit_text(table, source, rows, tol, from_env, out):
+    _print_header(table, source, tol, from_env, out)
     print(
         f"observed statistics: {observed_statistic_count(table.schema)}",
         file=out,
     )
     print(file=out)
-    rows = [
-        (
-            f.model_id,
-            f.model.mechanism_display(f.schema),
-            str(f.n_params),
-            str(f.df),
-            _fmt(f.G2),
-            _fmt(f.p_value),
-            _fmt(f.aic),
-            _fmt(f.bic),
-            f.method,
-            _fit_notes(f),
-        )
-        for f in fits
+    head = _MODEL_HEAD + ("G2", "p", "AIC", "BIC", "method", "notes")
+    cells = [
+        _model_cells(r, *(_fmt(r[k]) for k in ("G2", "p_value", "aic", "bic")),
+                     r["method"], _fit_notes(r))
+        for r in rows
     ]
-    head = (
-        "model",
-        "mechanisms",
-        "par",
-        "df",
-        "G2",
-        "p",
-        "AIC",
-        "BIC",
-        "method",
-        "notes",
-    )
-    widths = [
-        max(len(head[i]), *(len(r[i]) for r in rows))
-        for i in range(len(head))
-    ]
-    print(
-        "  ".join(h.ljust(w) for h, w in zip(head, widths)).rstrip(),
-        file=out,
-    )
-    for r in rows:
-        print(
-            "  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip(),
-            file=out,
-        )
+    _print_columns(head, cells, out)
 
 
 def _cmd_fit(args, out):
@@ -230,21 +219,16 @@ def _cmd_fit(args, out):
     if args.model is not None:
         fits = [fit_model(args.model, table, tol=tol, max_iter=args.max_iter)]
     else:
-        fits = list(fit_all(table, tol=tol, max_iter=args.max_iter))
+        fits = fit_all(table, tol=tol, max_iter=args.max_iter)
+    rows = [_fit_row(f) for f in fits]
     if args.format == "json":
-        payload = {
-            "command": "fit",
-            "source": source,
-            "shape": table.schema.shape,
-            "N": table.N,
-            "tolerance": tol,
-            "df_convention": args.df_convention,
-            "observed_statistics": observed_statistic_count(table.schema),
-            "fits": [_fit_row(f) for f in fits],
-        }
-        print(json.dumps(payload, indent=2), file=out)
+        _print_json(_json_head(
+            "fit", table, source, tol, df_convention=args.df_convention,
+            observed_statistics=observed_statistic_count(table.schema),
+            fits=rows,
+        ), out)
     else:
-        _print_fit_text(table, source, fits, tol, from_env, out)
+        _print_fit_text(table, source, rows, tol, from_env, out)
     return EXIT_OK
 
 
@@ -263,65 +247,42 @@ def _cmd_bootstrap(args, out):
         fit=fit,
     )
     if args.format == "json":
-        payload = {
-            "command": "bootstrap",
-            "source": source,
-            "shape": table.schema.shape,
-            "N": table.N,
-            "tolerance": tol,
-            "seed": args.seed,
-        }
-        payload.update(summary.as_dict())
-        print(json.dumps(payload, indent=2), file=out)
-    else:
-        for line in _header_lines(table, source, tol, from_env):
-            print(line, file=out)
-        print(
-            f"model: {summary.model_id}  replicates: "
-            f"{summary.n_replicates}  mode: {summary.mode}  "
-            f"seed: {args.seed}",
-            file=out,
-        )
-        print(file=out)
-        for fam in summary.families:
-            print(
-                f"variable {fam.variable}: {fam.percent_mar:.2f}% MAR"
-                f"  (counted {fam.n_counted}, excluded {fam.n_excluded})",
-                file=out,
-            )
-        print(
-            f"overall: {summary.percent_mar:.2f}% MAR"
-            f"  (counted {summary.overall_counted},"
-            f" excluded {summary.overall_excluded})",
-            file=out,
-        )
+        _print_json(_json_head(
+            "bootstrap", table, source, tol, df_convention=args.df_convention,
+            seed=args.seed, **summary.as_dict(),
+        ), out)
+        return EXIT_OK
+    _print_header(table, source, tol, from_env, out)
+    print(
+        f"model: {summary.model_id}  replicates: {summary.n_replicates}"
+        f"  mode: {summary.mode}  seed: {args.seed}",
+        file=out,
+    )
+    print(file=out)
+    tallies = [
+        (f"variable {f.variable}", f.percent_mar, f.n_counted, f.n_excluded)
+        for f in summary.families
+    ]
+    tallies.append(("overall", summary.percent_mar, summary.overall_counted,
+                    summary.overall_excluded))
+    for label, percent, counted, excluded in tallies:
+        print(f"{label}: {percent:.2f}% MAR  (counted {counted},"
+              f" excluded {excluded})", file=out)
     return EXIT_OK
 
 
 def _cmd_datasets(args, out):
-    names = builtin_dataset_names()
+    rows = []
+    for name in builtin_dataset_names():
+        table = builtin_dataset(name)
+        rows.append({"name": name, "shape": table.schema.shape, "N": table.N,
+                     "description": builtin_dataset_description(name)})
     if args.format == "json":
-        payload = {
-            "command": "datasets",
-            "datasets": [
-                {
-                    "name": n,
-                    "shape": builtin_dataset(n).schema.shape,
-                    "N": builtin_dataset(n).N,
-                    "description": builtin_dataset_description(n),
-                }
-                for n in names
-            ],
-        }
-        print(json.dumps(payload, indent=2), file=out)
+        _print_json({"command": "datasets", "datasets": rows}, out)
     else:
-        for n in names:
-            t = builtin_dataset(n)
-            print(
-                f"{n}  [{t.schema.shape}, N={t.N}]"
-                f"  {builtin_dataset_description(n)}",
-                file=out,
-            )
+        for r in rows:
+            print(f"{r['name']}  [{r['shape']}, N={r['N']}]"
+                  f"  {r['description']}", file=out)
     return EXIT_OK
 
 
@@ -339,7 +300,7 @@ def _cmd_catalog(args, out):
             "df_convention": args.df_convention,
             "models": summaries,
         }
-        print(json.dumps(payload, indent=2), file=out)
+        _print_json(payload, out)
     else:
         print(f"source: {source}", file=out)
         print(f"shape: {schema.shape}", file=out)
@@ -349,29 +310,10 @@ def _cmd_catalog(args, out):
         )
         print(file=out)
         rows = [
-            (
-                s["id"],
-                s["mechanisms"],
-                str(s["parameters"]),
-                str(s["df"]),
-                "perfect" if s["perfect_fit"] else "",
-            )
+            _model_cells(s, "perfect" if s["perfect_fit"] else "")
             for s in summaries
         ]
-        head = ("model", "mechanisms", "par", "df", "notes")
-        widths = [
-            max(len(head[i]), *(len(r[i]) for r in rows))
-            for i in range(len(head))
-        ]
-        print(
-            "  ".join(h.ljust(w) for h, w in zip(head, widths)).rstrip(),
-            file=out,
-        )
-        for r in rows:
-            print(
-                "  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip(),
-                file=out,
-            )
+        _print_columns(_MODEL_HEAD + ("notes",), rows, out)
     return EXIT_OK
 
 

@@ -210,14 +210,10 @@ def _mechanism_terms(schema: TableSchema, mechanisms) -> list:
 
 
 def _make_model(schema, model_id, mechanisms) -> NonresponseModel:
+    # every mechanism term pairs a variable with a distinct indicator, and
+    # no base term does, so the terms are already distinct
     terms = _base_terms(schema) + _mechanism_terms(schema, mechanisms)
-    seen = set()
-    unique = []
-    for t in terms:
-        if t not in seen:
-            seen.add(t)
-            unique.append(t)
-    return NonresponseModel(model_id, tuple(mechanisms), tuple(unique))
+    return NonresponseModel(model_id, tuple(mechanisms), tuple(terms))
 
 
 _M_CATALOG = (
@@ -233,10 +229,6 @@ _M_CATALOG = (
 )
 
 
-def _mech(kind, donor=None) -> Mechanism:
-    return Mechanism(kind, donor)
-
-
 def enumerate_models(schema: TableSchema) -> tuple:
     """The complete model catalog for the schema's shape."""
     shape = schema.shape
@@ -244,31 +236,30 @@ def enumerate_models(schema: TableSchema) -> tuple:
         v1, v2 = schema.missing
         out = []
         for mid, k1, k2 in _M_CATALOG:
-            m1 = _mech(k1, v2 if k1 == MECH_MAR else None)
-            m2 = _mech(k2, v1 if k2 == MECH_MAR else None)
+            m1 = Mechanism(k1, v2 if k1 == MECH_MAR else None)
+            m2 = Mechanism(k2, v1 if k2 == MECH_MAR else None)
             out.append(_make_model(schema, mid, ((v1, m1), (v2, m2))))
         return tuple(out)
     if shape == SHAPE_THREE_ONE:
         v = schema.missing[0]
         donors = [n for n in schema.names if n != v]
         specs = [
-            ("C1", _mech(MECH_NMAR)),
-            ("C2", _mech(MECH_MAR, donors[0])),
-            ("C3", _mech(MECH_MAR, donors[1])),
-            ("C4", _mech(MECH_MCAR)),
+            ("C1", Mechanism(MECH_NMAR)),
+            ("C2", Mechanism(MECH_MAR, donors[0])),
+            ("C3", Mechanism(MECH_MAR, donors[1])),
+            ("C4", Mechanism(MECH_MCAR)),
         ]
         return tuple(
             _make_model(schema, mid, ((v, m),)) for mid, m in specs
         )
     if shape == SHAPE_THREE_TWO:
         v1, v2 = schema.missing
-        third = [n for n in schema.names if n not in (v1, v2)][0]
 
         def options(v):
             donors = [n for n in schema.names if n != v]
-            opts = [_mech(MECH_NMAR)]
-            opts.extend(_mech(MECH_MAR, d) for d in donors)
-            opts.append(_mech(MECH_MCAR))
+            opts = [Mechanism(MECH_NMAR)]
+            opts.extend(Mechanism(MECH_MAR, d) for d in donors)
+            opts.append(Mechanism(MECH_MCAR))
             return opts
 
         def group(m1, m2):
@@ -285,22 +276,15 @@ def enumerate_models(schema: TableSchema) -> tuple:
                 return 5
             return 6
 
-        combos = []
-        for m1 in options(v1):
-            for m2 in options(v2):
-                combos.append((group(m1, m2), m1, m2))
+        combos = itertools.product(options(v1), options(v2))
         out = []
-        for g in range(1, 7):
-            for gg, m1, m2 in combos:
-                if gg != g:
-                    continue
-                mid = (
-                    f"D{g}:{y_label(schema, v1)}={m1.display(schema)},"
-                    f"{y_label(schema, v2)}={m2.display(schema)}"
-                )
-                out.append(
-                    _make_model(schema, mid, ((v1, m1), (v2, m2)))
-                )
+        for m1, m2 in sorted(combos, key=lambda pair: group(*pair)):
+            g = group(m1, m2)
+            mid = (
+                f"D{g}:{y_label(schema, v1)}={m1.display(schema)},"
+                f"{y_label(schema, v2)}={m2.display(schema)}"
+            )
+            out.append(_make_model(schema, mid, ((v1, m1), (v2, m2))))
         return tuple(out)
     raise TableError(f"shape {shape} has no model catalog")
 

@@ -18,6 +18,7 @@ once by cross-multiplication.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 from dataclasses import dataclass
@@ -277,6 +278,13 @@ def screening_plan(schema: TableSchema) -> ScreeningPlan:
     )
 
 
+def _ratio_json(ratio: CountRatio | None):
+    """A count ratio as [numerator, denominator], or None."""
+    if ratio is None:
+        return None
+    return [ratio.numerator, ratio.denominator]
+
+
 @dataclass(frozen=True)
 class QueryRecord:
     query: OddsQuery
@@ -286,45 +294,36 @@ class QueryRecord:
     note: str = ""
 
     def as_dict(self) -> dict:
+        interval = self.interval
         return {
             "missing_var": self.query.missing_var,
             "target": self.query.target,
             "pair": list(self.query.pair),
             "conditioning": [list(c) for c in self.query.conditioning],
-            "value": (
-                [self.value.numerator, self.value.denominator]
-                if self.value is not None
-                else None
-            ),
+            "value": _ratio_json(self.value),
             "interval": (
                 {
                     "values": [
-                        [lvl, [r.numerator, r.denominator]]
-                        for lvl, r in self.interval.values
+                        [lvl, _ratio_json(r)] for lvl, r in interval.values
                     ],
-                    "min": (
-                        [
-                            self.interval.minimum.numerator,
-                            self.interval.minimum.denominator,
-                        ]
-                        if self.interval.defined
-                        else None
-                    ),
-                    "max": (
-                        [
-                            self.interval.maximum.numerator,
-                            self.interval.maximum.denominator,
-                        ]
-                        if self.interval.defined
-                        else None
-                    ),
+                    "min": _ratio_json(interval.minimum),
+                    "max": _ratio_json(interval.maximum),
                 }
-                if self.interval is not None
+                if interval is not None
                 else None
             ),
             "membership": self.membership,
             "note": self.note,
         }
+
+
+def _membership_counts(records) -> dict:
+    out = dict.fromkeys(
+        (MEMBERSHIP_INSIDE, MEMBERSHIP_OUTSIDE, MEMBERSHIP_UNDEFINED), 0
+    )
+    for r in records:
+        out[r.membership] += 1
+    return out
 
 
 @dataclass(frozen=True)
@@ -337,14 +336,7 @@ class FamilyAssessment:
     suggested_class: str
 
     def counts(self) -> dict:
-        out = {
-            MEMBERSHIP_INSIDE: 0,
-            MEMBERSHIP_OUTSIDE: 0,
-            MEMBERSHIP_UNDEFINED: 0,
-        }
-        for r in self.records:
-            out[r.membership] += 1
-        return out
+        return _membership_counts(self.records)
 
     def as_dict(self) -> dict:
         return {
@@ -378,13 +370,12 @@ class AssessmentVerdict:
         }
 
 
-def _classify(records) -> str:
-    memberships = [r.membership for r in records]
-    if any(m == MEMBERSHIP_OUTSIDE for m in memberships):
+def _classify(counts) -> str:
+    if counts[MEMBERSHIP_OUTSIDE]:
         return CLASS_MAR
-    if all(m == MEMBERSHIP_UNDEFINED for m in memberships):
-        return CLASS_INCONCLUSIVE
-    return CLASS_MCAR_OR_NMAR
+    if counts[MEMBERSHIP_INSIDE]:
+        return CLASS_MCAR_OR_NMAR
+    return CLASS_INCONCLUSIVE
 
 
 def assess(table: IncompleteTable) -> AssessmentVerdict:
@@ -433,17 +424,15 @@ def assess(table: IncompleteTable) -> AssessmentVerdict:
             QueryRecord(query, value, interval, status, "; ".join(notes))
         )
     families = [
-        FamilyAssessment(v, tuple(recs), _classify(recs))
+        FamilyAssessment(v, tuple(recs), _classify(_membership_counts(recs)))
         for v, recs in records.items()
     ]
-    overall_records = [r for f in families for r in f.records]
-    overall = _classify(overall_records)
-    n_out = sum(
-        1 for r in overall_records if r.membership == MEMBERSHIP_OUTSIDE
-    )
-    n_def = sum(
-        1 for r in overall_records if r.membership != MEMBERSHIP_UNDEFINED
-    )
+    totals = collections.Counter()
+    for fam in families:
+        totals.update(fam.counts())
+    overall = _classify(totals)
+    n_out = totals[MEMBERSHIP_OUTSIDE]
+    n_def = n_out + totals[MEMBERSHIP_INSIDE]
     joint = " or ".join(schema.missing)
     if overall == CLASS_MAR:
         statement = (

@@ -107,6 +107,16 @@ class TestBootstrapAssess:
         via_name = bootstrap_assess(smoking_table, "M4", n_replicates=25, seed=5)
         assert via_fit.as_dict() == via_name.as_dict()
 
+    def test_prefit_of_another_model_is_refused(self, smoking_table):
+        prefit = fit_model("M5", smoking_table)
+        with pytest.raises(ComputationError, match="M5"):
+            bootstrap_assess(smoking_table, "M4", n_replicates=5, fit=prefit)
+
+    def test_prefit_of_another_table_is_refused(self, smoking_table, bone_table):
+        prefit = fit_model("M4", bone_table)
+        with pytest.raises(ComputationError, match="complete cross"):
+            bootstrap_assess(smoking_table, "M4", n_replicates=5, fit=prefit)
+
     def test_exclusion_reasons_cover_every_exclusion(self, opinion_two_table):
         summary = bootstrap_assess(
             opinion_two_table, "D6:Y1=NMAR,Y2=MAR(Y3)", n_replicates=200,

@@ -1,10 +1,11 @@
 """Command-line interface: text output, JSON output, and exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
-from misstab import dump_table
+from misstab import builtin_dataset_names, dump_table
 from misstab.cli import main
 
 ASSESS_T6 = """\
@@ -35,6 +36,15 @@ CSV_TEXT = (
 @pytest.fixture(autouse=True)
 def clean_env(monkeypatch):
     monkeypatch.delenv("MISSTAB_TOL", raising=False)
+
+
+def strict_json(text):
+    """Parse JSON, refusing the NaN and Infinity tokens."""
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 class TestAssess:
@@ -209,12 +219,8 @@ class TestBootstrap:
             "bootstrap", "spo-y1y2", "--model", "D6:Y1=NMAR,Y2=MAR(Y3)",
             "--replicates", "1", "--seed", "3",
         ]
-
-        def reject(token):
-            raise ValueError(f"non-standard JSON constant {token}")
-
         assert main(argv + ["--format", "json"]) == 0
-        doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+        doc = strict_json(capsys.readouterr().out)
         secession = doc["families"][0]
         assert (secession["counted"], secession["percent_mar"]) == (0, None)
         assert (doc["overall"]["counted"], doc["overall"]["percent_mar"]) == (
@@ -321,6 +327,60 @@ class TestDfConvention:
     def test_unknown_convention_is_usage_error(self, capsys, argv):
         assert main(argv + ["--df-convention", "other"]) == 1
         assert "usage error" in capsys.readouterr().err
+
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+# full stdout of one run per report shape, pinned byte for byte
+GOLDEN = {
+    "catalog-smoking-birthweight.txt": ["catalog", "smoking-birthweight"],
+    "fit-spo-y1.txt": ["fit", "spo-y1"],
+    "datasets.txt": ["datasets"],
+    "datasets.json": ["datasets", "--format", "json"],
+    "assess-bone-density.json": ["assess", "bone-density", "--format", "json"],
+    "bootstrap-spo-y1-C3.txt": [
+        "bootstrap", "spo-y1", "--model", "C3", "--seed", "2",
+        "--replicates", "30",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_golden_stdout(capsys, name):
+    assert main(GOLDEN[name]) == 0
+    expected = (GOLDEN_DIR / name).read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected
+
+
+# the criterion-6 generating model of each dataset; spo-full is a
+# container with no catalog, so any id gives the data error
+BOOTSTRAP_MODELS = {
+    "smoking-birthweight": "M4",
+    "bone-density": "M5",
+    "spo-full": "M4",
+    "spo-y1": "C3",
+    "spo-y1y2": "D6:Y1=NMAR,Y2=MAR(Y3)",
+}
+JSON_SWEEP = [["datasets"]] + [
+    [cmd, name] for cmd in ("assess", "fit", "catalog")
+    for name in builtin_dataset_names()
+] + [
+    ["bootstrap", name, "--model", BOOTSTRAP_MODELS[name],
+     "--replicates", "20", "--seed", "0"]
+    for name in builtin_dataset_names()
+]
+
+
+@pytest.mark.parametrize("argv", JSON_SWEEP, ids=" ".join)
+def test_json_output_is_strict(capsys, argv):
+    code = main(argv + ["--format", "json"])
+    captured = capsys.readouterr()
+    if "spo-full" in argv:
+        assert code == 2
+        assert (captured.out, captured.err[:11]) == ("", "data error:")
+    else:
+        assert code == 0
+        assert strict_json(captured.out)["command"] == argv[0]
 
 
 class TestSourcesAndExitCodes:
