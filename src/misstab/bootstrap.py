@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ComputationError
 from .fitting import FitResult, fit_model
-from .models import full_cross_dims, observation_map, observed_counts
+from .models import observation_map, observed_counts
 from .odds import screening_plan
 from .tables import IncompleteTable, Stratum
 
@@ -28,9 +28,15 @@ _MODES = (MODE_MULTINOMIAL, MODE_POISSON)
 
 def _sampler(fit: FitResult, table: IncompleteTable, mode: str):
     """A function drawing one replicate's observed counts (flat, in
-    pattern order) from a generator, refusing degenerate models."""
+    pattern order) from a generator, refusing degenerate models and a fit
+    of another table."""
     if mode not in _MODES:
         raise ComputationError(f"unknown resampling mode {mode}")
+    if fit.table != table:
+        raise ComputationError(
+            f"fit of model {fit.model_id} is of another table; its complete"
+            " cross does not hold this table's expectations"
+        )
     expectations = observation_map(table.schema).collapse(fit.mu_hat)
     if np.any((expectations < 1e-12) & (observed_counts(table) > 0)):
         raise ComputationError(
@@ -158,8 +164,8 @@ def bootstrap_assess(
     overall percentage applies the same rule across all variables.
     Seeding uses one spawned child stream per replicate, so results are
     reproducible for a given (seed, n_replicates).  A given fit replaces
-    the fit of model; it must cover the table's complete cross and, unless
-    model is None, be of that model.
+    the fit of model; it must be a fit of this table and, unless model is
+    None, of that model.
     """
     if n_replicates < 1:
         raise ComputationError("n_replicates must be >= 1")
@@ -169,12 +175,6 @@ def bootstrap_assess(
         raise ComputationError(f"bad seed {seed!r}: {exc}") from None
     if fit is None:
         fit = fit_model(model, table)
-    elif np.shape(fit.mu_hat) != full_cross_dims(table.schema):
-        raise ComputationError(
-            f"fit of model {fit.model_id} covers a complete cross of shape"
-            f" {np.shape(fit.mu_hat)}, not the table's"
-            f" {full_cross_dims(table.schema)}"
-        )
     elif model is not None:
         wanted = getattr(model, "id", model)  # a model or its id
         if wanted != fit.model_id:

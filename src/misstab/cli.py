@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -66,8 +67,10 @@ def _env_tol():
         value = float(raw)
     except ValueError:
         raise _UsageError(f"{TOL_ENV} must be a number, got {raw!r}")
-    if value <= 0:
-        raise _UsageError(f"{TOL_ENV} must be positive, got {raw!r}")
+    if not 0 < value < math.inf:
+        raise _UsageError(
+            f"{TOL_ENV} must be positive and finite, got {raw!r}"
+        )
     return value
 
 

@@ -4,8 +4,9 @@ Every model is fitted to the full cross of substantive variables by
 recording indicators.  Where an explicit solution exists and stays strictly
 positive it is used directly; otherwise an expectation-maximization loop
 distributes each supplemental count over the cells it collapses, then
-rescales the working table to the model's sufficient margins by iterative
-proportional fitting.  When the maximum lies on the boundary, the cells
+rescales the working table to the model's sufficient margins by one sweep
+of iterative proportional fitting: every iteration is one application of
+the ECM map (_ecm_step).  When the maximum lies on the boundary, the cells
 that keep decaying are fixed at zero and the fit is finished on that face
 of the model by accelerated ECM (fit_em, _solve_face).  Fit quality is
 the deviance of the observed strata against the collapsed fitted
@@ -104,21 +105,15 @@ def _margin_axes(schema: TableSchema, terms) -> tuple:
     return tuple(out)
 
 
-def _ipf(mu, z, sum_axes_list, rtol=1e-9, max_sweeps=30):
-    for _ in range(max_sweeps):
-        worst = 0.0
-        for sum_axes in sum_axes_list:
-            target = z.sum(axis=sum_axes, keepdims=True)
-            cur = mu.sum(axis=sum_axes, keepdims=True)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                ratio = np.where(cur > 0, target / np.where(cur > 0, cur, 1.0), 0.0)
-            diff = np.max(
-                np.abs(target - cur) / np.maximum(target, 1e-300)
-            )
-            worst = max(worst, float(diff))
-            mu = mu * ratio
-        if worst < rtol:
-            break
+def _ipf(mu, z, sum_axes_list):
+    """One proportional-fitting sweep: rescale mu to each sufficient margin
+    of z in turn."""
+    for sum_axes in sum_axes_list:
+        target = z.sum(axis=sum_axes, keepdims=True)
+        cur = mu.sum(axis=sum_axes, keepdims=True)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            ratio = np.where(cur > 0, target / np.where(cur > 0, cur, 1.0), 0.0)
+        mu = mu * ratio
     return mu
 
 
@@ -126,20 +121,22 @@ def _ipf(mu, z, sum_axes_list, rtol=1e-9, max_sweeps=30):
 class FitResult:
     """A fitted non-response model.
 
-    mu_hat covers the complete cross (substantive axes then indicator
-    axes); pi_hat is mu_hat / N.  lambda_hat maps each term to its
-    sum-to-zero effect array and is None when a fitted cell sits on the
-    zero boundary.  G2 compares observed strata with the collapsed fit.
-    iterations counts the accepted EM iterations (one per loglik_trace
-    entry) and evaluations the EM map evaluations behind them; face_cells
-    counts the cells fixed at zero on a certified face, and boundary_rule
-    names the rule that flagged a boundary fit ("face",
-    "perfect-fit-misfit" or "small-cell"; None for an interior fit).
+    table is the table fitted.  mu_hat covers the complete cross
+    (substantive axes then indicator axes); pi_hat is mu_hat / N.
+    lambda_hat maps each term to its sum-to-zero effect array and is None
+    when a fitted cell sits on the zero boundary.  G2 compares observed
+    strata with the collapsed fit.  iterations counts the accepted EM
+    iterations (one per loglik_trace entry) and evaluations the ECM map
+    applications behind them; face_cells counts the cells fixed at zero on
+    a certified face, and boundary_rule names the rule that flagged a
+    boundary fit ("face", "perfect-fit-misfit" or "small-cell"; None for
+    an interior fit).
     """
 
     model_id: str
     model: NonresponseModel
     schema: TableSchema
+    table: IncompleteTable
     n_params: int
     mu_hat: np.ndarray
     pi_hat: np.ndarray
@@ -264,6 +261,7 @@ def _finalize(
         model_id=model.id,
         model=model,
         schema=schema,
+        table=table,
         n_params=params,
         mu_hat=mu_ro,
         pi_hat=pi,
@@ -295,6 +293,8 @@ def _resolve_model(model, schema):
 def _check_stopping(tol, max_iter):
     if tol <= 0 or max_iter < 1:
         raise ComputationError("tol must be positive and max_iter >= 1")
+    if not math.isfinite(tol):
+        raise ComputationError(f"tol must be finite, got {tol}")
 
 
 # Face detection.  A cell decays when it holds less than DECAY_CELL of N
@@ -318,7 +318,7 @@ BOUNDARY_SMALL_CELL = "small-cell"
 
 def _ecm_step(mu, table, sum_axes_list):
     """One E step and one IPF sweep: the ECM map (Meng & Rubin 1993)."""
-    return _ipf(mu, _e_step(mu, table), sum_axes_list, max_sweeps=1)
+    return _ipf(mu, _e_step(mu, table), sum_axes_list)
 
 
 def _margin_residual(mu, table, sum_axes_list) -> float:
@@ -492,8 +492,9 @@ def fit_em(
     """Expectation-maximization fit from a deterministic uniform start.
 
     The E step spreads each supplemental count over the cells it collapses
-    in proportion to the current fit; the M step rescales to the model's
-    sufficient margins by iterative proportional fitting.  Iteration stops
+    in proportion to the current fit; the M step is one sweep of iterative
+    proportional fitting to the model's sufficient margins, so every
+    iteration applies the ECM map once (_ecm_step).  Iteration stops
     when the relative change of the observed-data log-likelihood drops
     below tol.  Cells that keep decaying are fixed at zero and the fit is
     finished on that face of the model (see _solve_face), which yields the
@@ -531,8 +532,7 @@ def fit_em(
     attempts = 0
     marks = _checkpoint([], mu)
     while len(trace) < max_iter:
-        z = _e_step(mu, table)
-        mu = _ipf(mu, z, sum_axes_list)
+        mu = _ecm_step(mu, table, sum_axes_list)
         evaluations += 1
         ll = _loglik(mu, table)
         trace.append(ll)

@@ -40,6 +40,10 @@ DF_POISSON_CELLS = "poisson-cells"
 DF_MULTINOMIAL = "multinomial"
 DF_CONVENTIONS = (DF_POISSON_CELLS, DF_MULTINOMIAL)
 
+# schemas whose observation map and screening plan stay cached; a process
+# that meets more schemas rebuilds the least recently used
+SCHEMA_CACHE_SIZE = 64
+
 
 def indicator_factor(var: str) -> str:
     """Name of the recording indicator factor for a variable."""
@@ -138,7 +142,7 @@ class ObservationMap:
         )
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=SCHEMA_CACHE_SIZE)
 def observation_map(schema: TableSchema) -> ObservationMap:
     """The observation map of a schema, built once and shared."""
     obs_index = np.empty(full_cross_dims(schema), dtype=np.intp)

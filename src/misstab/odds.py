@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ComputationError, TableError
-from .models import observation_map, observed_counts
+from .models import SCHEMA_CACHE_SIZE, observation_map, observed_counts
 from .tables import IncompleteTable, TableSchema
 
 MEMBERSHIP_INSIDE = "inside"
@@ -238,7 +238,7 @@ class ScreeningPlan:
         return Screening(value_defined, interval_defined, outside)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=SCHEMA_CACHE_SIZE)
 def screening_plan(schema: TableSchema) -> ScreeningPlan:
     """The screening plan of a schema, built once and shared."""
     queries = list_queries(schema)

@@ -7,6 +7,8 @@ import pytest
 
 from misstab import (
     ComputationError,
+    IncompleteTable,
+    Stratum,
     bootstrap_assess,
     fit_model,
     resample,
@@ -116,6 +118,18 @@ class TestBootstrapAssess:
         prefit = fit_model("M4", bone_table)
         with pytest.raises(ComputationError, match="complete cross"):
             bootstrap_assess(smoking_table, "M4", n_replicates=5, fit=prefit)
+
+    def test_prefit_of_another_table_of_the_same_cross_is_refused(
+        self, smoking_table
+    ):
+        strata = list(smoking_table.strata)
+        strata[0] = Stratum(strata[0].observed, strata[0].counts + 1)
+        other = IncompleteTable(smoking_table.schema, tuple(strata))
+        prefit = fit_model("M4", other)
+        with pytest.raises(ComputationError, match="another table"):
+            bootstrap_assess(smoking_table, "M4", n_replicates=5, fit=prefit)
+        with pytest.raises(ComputationError, match="another table"):
+            resample(prefit, smoking_table, np.random.default_rng(0))
 
     def test_exclusion_reasons_cover_every_exclusion(self, opinion_two_table):
         summary = bootstrap_assess(

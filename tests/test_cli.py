@@ -143,6 +143,28 @@ class TestFit:
                 in captured.err
             )
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tolerance_is_compute_error(self, capsys, tol):
+        for cmd in ("fit", "bootstrap"):
+            argv = [cmd, "bone-density", "--model", "M4", "--tol", tol,
+                    "--max-iter", "10", "--format", "json"]
+            assert main(argv) == 3, cmd
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "computation error: tol must be finite" in captured.err
+
+    @pytest.mark.parametrize("raw", ["nan", "inf"])
+    def test_non_finite_env_tolerance_is_usage_error(
+        self, capsys, monkeypatch, raw
+    ):
+        monkeypatch.setenv("MISSTAB_TOL", raw)
+        assert main(["fit", "bone-density", "--model", "M4"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage error: MISSTAB_TOL must be positive and finite" in (
+            captured.err
+        )
+
     def test_unknown_model(self, capsys):
         assert main(["fit", "bone-density", "--model", "M77"]) == 2
         assert "data error" in capsys.readouterr().err
@@ -253,7 +275,7 @@ class TestBootstrap:
             assert main(argv + extra) == 0
             doc = json.loads(capsys.readouterr().out)
             mar[extra[1]] = doc["families"][0]["mar"]
-        assert mar["1e-4"] == 106
+        assert mar["1e-4"] == 105
         assert mar["1e-12"] == 158
         assert mar["1"] != mar["1e-12"]
 
@@ -335,6 +357,9 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN = {
     "catalog-smoking-birthweight.txt": ["catalog", "smoking-birthweight"],
     "fit-spo-y1.txt": ["fit", "spo-y1"],
+    "fit-smoking-birthweight.txt": ["fit", "smoking-birthweight"],
+    "fit-bone-density.txt": ["fit", "bone-density"],
+    "fit-spo-y1y2.txt": ["fit", "spo-y1y2"],
     "datasets.txt": ["datasets"],
     "datasets.json": ["datasets", "--format", "json"],
     "assess-bone-density.json": ["assess", "bone-density", "--format", "json"],

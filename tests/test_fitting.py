@@ -28,13 +28,14 @@ from misstab.fitting import (
     BOUNDARY_FACE,
     METHOD_CLOSED,
     METHOD_EM,
+    _ecm_step,
     _g2_from_mu,
     _is_face,
     _margin_axes,
     _recover_lambda,
     best_non_perfect,
 )
-from misstab.models import generating_class
+from misstab.models import full_cross_dims, generating_class
 
 
 def by_id(fits):
@@ -409,6 +410,23 @@ class TestEm:
             fit_em("M5", smoking_table, max_iter=0)
         with pytest.raises(ComputationError):
             fit_em("M5", smoking_table, init="weird")
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_non_finite_tolerance(self, bone_table, tol):
+        # nan never stops the loop and inf stops it at the second iterate
+        for fit in (fit_em, fit_model):
+            with pytest.raises(ComputationError, match="tol must be finite"):
+                fit("M4", bone_table, tol=tol, max_iter=10)
+
+    def test_every_iteration_is_one_ecm_step(self, bone_table):
+        fit = fit_em("M4", bone_table)
+        assert fit.face_cells == 0 and fit.evaluations == fit.iterations
+        dims = full_cross_dims(bone_table.schema)
+        axes = _margin_axes(bone_table.schema, generating_class(fit.model))
+        mu = np.full(dims, bone_table.N / float(np.prod(dims)))
+        for _ in range(fit.iterations):
+            mu = _ecm_step(mu, bone_table, axes)
+        assert np.array_equal(mu, fit.mu_hat)
 
     def test_empty_table(self):
         schema = TableSchema((("a", 2), ("b", 2)), ("a", "b"))

@@ -22,7 +22,13 @@ from misstab import (
     observed_statistic_count,
     parameter_count,
 )
-from misstab.models import full_cross_dims, y_label
+from misstab.models import (
+    SCHEMA_CACHE_SIZE,
+    full_cross_dims,
+    observation_map,
+    y_label,
+)
+from misstab.odds import screening_plan
 
 D_IDS = (
     "D1:Y1=MCAR,Y2=MCAR",
@@ -221,3 +227,10 @@ class TestDesign:
             "df": 2,
             "perfect_fit": False,
         }
+
+
+@pytest.mark.parametrize("cached", [observation_map, screening_plan])
+def test_schema_caches_are_bounded(cached):
+    for k in range(SCHEMA_CACHE_SIZE + 5):
+        cached(TableSchema(((f"a{k}", 2), ("b", 2)), (f"a{k}", "b")))
+    assert cached.cache_info().currsize == SCHEMA_CACHE_SIZE

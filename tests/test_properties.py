@@ -393,7 +393,7 @@ def _settled_plain_ecm_g2(model, table):
     mu = np.full(dims, table.N / float(np.prod(dims)))
     last = math.inf
     for step in range(1, PLAIN_ECM_STEPS + 1):
-        mu = _ipf(mu, _oracle_e_step(mu, table), axes, max_sweeps=1)
+        mu = _ipf(mu, _oracle_e_step(mu, table), axes)
         if step % PLAIN_ECM_BLOCK == 0:
             g2 = _oracle_loglik_and_g2(mu, table)[1]
             if last - g2 < 1e-9:
@@ -810,7 +810,7 @@ class TestBatchScreeningOracle:
         rng = np.random.default_rng(seed)
         mu = rng.uniform(0.05, 3.0, size=full_cross_dims(table.schema))
         mu *= max(table.N, 1) / mu.sum()
-        fit = SimpleNamespace(mu_hat=mu, model_id="random")
+        fit = SimpleNamespace(mu_hat=mu, model_id="random", table=table)
         n = 12
         summary = bootstrap_assess(
             table, None, n_replicates=n, seed=seed, mode=mode, fit=fit
