@@ -28,6 +28,8 @@ from .errors import ComputationError, TableError
 from .models import (
     DF_POISSON_CELLS,
     MECH_MAR,
+    MECH_MCAR,
+    MECH_NMAR,
     NonresponseModel,
     degrees_of_freedom,
     enumerate_models,
@@ -42,7 +44,8 @@ from .models import (
     parameter_count,
 )
 from .odds import screening_plan
-from .tables import IncompleteTable, TableSchema, pattern_label
+from .tables import SHAPE_THREE_ONE, SHAPE_TWO_BOTH, IncompleteTable
+from .tables import TableSchema, pattern_label
 
 BOUNDARY_PROB = 1e-8  # fitted cell probability below this flags a boundary
 RANK_DECIMALS = 6  # fit_all ranks G2 rounded to this many decimals
@@ -575,152 +578,64 @@ def fit_em(
 
 
 # ---------------------------------------------------------------------------
-# Explicit solutions.
+# Explicit solutions (Baker, Rosenberger & DerSimonian 1992).
 
-def _positive(arr) -> bool:
-    return bool(np.all(np.asarray(arr) > 0))
+def _explicit_mu(model, table):
+    """The closed-form fit on the complete cross, or None when it leaves
+    the interior.
 
-
-def _tilt_solve(weight, target):
-    """Solve sum_i weight[i, j] * s[i] = target[j] for strictly positive s.
-
-    Returns None unless the system is square, solvable, and positive.
+    The full stratum is the base, and each mechanism contributes one
+    factor.  MCAR, taken first, rescales the base along its variable's
+    axis to the variable's stratum and contributes the constant ratio of
+    that stratum's total to the full total.  NMAR contributes the positive
+    tilt s along its variable's axis that solves the square system
+    sum(base * s) = stratum.  MAR contributes the stratum divided by the
+    base's margin along its axis.  Each indicator block is the base times
+    the factors of its missing variables; the block with both variables
+    missing is that product (less the constants, which cancel) scaled to
+    its stratum's total.
     """
-    weight = np.asarray(weight, dtype=float)
-    target = np.asarray(target, dtype=float)
-    if weight.shape[0] != weight.shape[1]:
-        return None
-    try:
-        s = np.linalg.solve(weight.T, target)
-    except np.linalg.LinAlgError:
-        return None
-    if not np.all(np.isfinite(s)) or not np.all(s > 0):
-        return None
-    return s
-
-
-def _assemble_mshape(mu11, mu21, mu12, mu22):
-    mu = np.zeros(mu11.shape + (2, 2))
-    mu[:, :, 0, 0] = mu11
-    mu[:, :, 1, 0] = mu21
-    mu[:, :, 0, 1] = mu12
-    mu[:, :, 1, 1] = mu22
-    return mu
-
-
-def _both_missing_block(weights, total):
-    wsum = weights.sum()
-    if total == 0:
-        return np.zeros_like(weights)
-    if wsum <= 0:
-        return None
-    return total * weights / wsum
-
-
-# The two-variable closed forms take the count blocks of the strata in
-# pattern order: y11 (both recorded), y21 (first missing), y12 (second
-# missing) and y22 (both missing).
-
-def _closed_m5(y11, y21, y12, y22):
-    rows = y11.sum(axis=1)
-    cols = y11.sum(axis=0)
-    if not (_positive(rows) and _positive(cols)):
-        return None
-    mu21 = y21[None, :] * y11 / cols[None, :]
-    mu12 = y12[:, None] * y11 / rows[:, None]
-    w = y11 * (y12 / rows)[:, None] * (y21 / cols)[None, :]
-    mu22 = _both_missing_block(w, y22)
-    if mu22 is None:
-        return None
-    return _assemble_mshape(y11, mu21, mu12, mu22)
-
-
-def _closed_m3(y11, y21, y12, y22):
-    s = _tilt_solve(y11, y21)
-    u = _tilt_solve(y11.T, y12)
-    if s is None or u is None:
-        return None
-    mu21 = y11 * s[:, None]
-    mu12 = y11 * u[None, :]
-    mu22 = _both_missing_block(y11 * s[:, None] * u[None, :], y22)
-    if mu22 is None:
-        return None
-    return _assemble_mshape(y11, mu21, mu12, mu22)
-
-
-def _closed_m2(y11, y21, y12, y22):
-    rows = y11.sum(axis=1)
-    if not _positive(rows):
-        return None
-    s = _tilt_solve(y11, y21)
-    if s is None:
-        return None
-    mu21 = y11 * s[:, None]
-    mu12 = y12[:, None] * y11 / rows[:, None]
-    mu22 = _both_missing_block(y11 * s[:, None] * (y12 / rows)[:, None], y22)
-    if mu22 is None:
-        return None
-    return _assemble_mshape(y11, mu21, mu12, mu22)
-
-
-def _closed_m1(y11, y21, y12, y22):
-    rows11 = y11.sum(axis=1)
-    tot11 = y11.sum()
-    rows1p = rows11 + y12
-    tot1p = tot11 + y12.sum()
-    if not (_positive(rows11) and tot11 > 0 and tot1p > 0):
-        return None
-    mu11 = y11 * (rows1p / rows11)[:, None] * (tot11 / tot1p)
-    s = _tilt_solve(mu11, y21)
-    if s is None:
-        return None
-    mu21 = mu11 * s[:, None]
-    mu12 = mu11 * (y12.sum() / tot11)
-    mu22 = _both_missing_block(mu21.copy(), y22)
-    if mu22 is None:
-        return None
-    return _assemble_mshape(mu11, mu21, mu12, mu22)
-
-
-def _swapped(base):
-    """The closed form base with the two variables' roles swapped."""
-
-    def closed(y11, y21, y12, y22):
-        mu = base(y11.T, y12, y21, y22)
-        return None if mu is None else mu.transpose(1, 0, 3, 2)
-
-    return closed
-
-
-_TWO_VARIABLE_CLOSED = {
-    "M1": _closed_m1,
-    "M2": _closed_m2,
-    "M3": _closed_m3,
-    "M5": _closed_m5,
-    "M6": _swapped(_closed_m2),
-    "M8": _swapped(_closed_m1),
-}
-
-
-def _closed_c4(table):
     schema = table.schema
-    v = schema.missing[0]
-    p = schema.index(v)
-    full = table.full.counts.astype(float)
-    margin = table.stratum({v}).counts.astype(float)
-    coll = full.sum(axis=p)
-    tot1 = full.sum()
-    tot2 = margin.sum()
-    grand = tot1 + tot2
-    if not _positive(coll) or tot1 <= 0:
-        return None
-    plus = coll + margin
-    factor = np.expand_dims(plus / coll, p)
-    mu1 = full * factor * (tot1 / grand)
-    dims = full_cross_dims(schema)
-    mu = np.zeros(dims)
-    mu[..., 0] = mu1
-    mu[..., 1] = mu1 * (tot2 / tot1)
+    counts = (st.counts.astype(float) for st in table.strata)
+    strata = dict(zip(schema.patterns(), counts))
+    base = strata[()]
+    factors = {}
+    for v, mech in sorted(
+        model.mechanisms, key=lambda vm: vm[1].kind != MECH_MCAR
+    ):
+        p = schema.index(v)
+        target = strata[(v,)]
+        coll = base.sum(axis=p)
+        if mech.kind == MECH_NMAR:
+            try:
+                s = np.linalg.solve(np.moveaxis(base, p, -1), target)
+            except np.linalg.LinAlgError:
+                return None
+            if not np.all(np.isfinite(s) & (s > 0)):
+                return None
+            # only two-variable tables get here, so the other axis is 1 - p
+            factors[v] = np.expand_dims(s, 1 - p)
+        elif not np.all(coll > 0):
+            return None
+        elif mech.kind == MECH_MAR:
+            factors[v] = np.expand_dims(target / coll, p)
+        else:
+            tot1 = base.sum()
+            tot2 = target.sum()
+            plus = np.expand_dims((coll + target) / coll, p)
+            base = base * plus * (tot1 / (tot1 + tot2))
+            factors[v] = tot2 / tot1
+    mu = np.zeros(full_cross_dims(schema))
+    for pat, y in strata.items():
+        block = base
+        for v in pat:
+            if len(pat) == 1 or model.mechanism(v).kind != MECH_MCAR:
+                block = block * factors[v]
+        if len(pat) == 2 and block.sum() > 0:
+            block = y * block / block.sum()
+        elif len(pat) == 2 and y > 0:
+            return None
+        mu[(Ellipsis,) + tuple(int(m in pat) for m in schema.missing)] = block
     return mu
 
 
@@ -728,22 +643,21 @@ def fit_closed_form(model, table: IncompleteTable) -> FitResult | None:
     """Explicit maximum likelihood fit, or None when no interior explicit
     solution applies (the caller should then fall back to fit_em).
 
-    Explicit solutions are available for the two-variable models M1, M2,
-    M3, M5, M6, M8 and for the single-missing three-variable model C4.
-    The tilted ones (all but M5 and C4) additionally require a square
-    substantive cross and a strictly positive tilt solution; a zero
-    denominator or a non-positive tilt means the likelihood peaks on the
-    boundary and None is returned.
+    Whether a closed form exists is decided by the table's shape and the
+    model's mechanism kinds: on two-variable tables any pair of NMAR and
+    MAR, or NMAR with MCAR; with one missing variable, MCAR.  In the
+    catalogs that is M1, M2, M3, M5, M6, M8 and C4.  A zero margin of the
+    base, a non-square tilt system or a tilt that is not strictly positive
+    means the likelihood peaks on the boundary, and None is returned.
     """
     schema = table.schema
     model = _resolve_model(model, schema)
-    if model.id == "C4":
-        mu = _closed_c4(table)
-    elif model.id in _TWO_VARIABLE_CLOSED:
-        blocks = (st.counts.astype(float) for st in table.strata)
-        mu = _TWO_VARIABLE_CLOSED[model.id](*blocks)
+    kinds = sorted(m.kind for _, m in model.mechanisms)
+    if schema.shape == SHAPE_TWO_BOTH:
+        explicit = MECH_MCAR not in kinds or kinds == [MECH_MCAR, MECH_NMAR]
     else:
-        return None
+        explicit = schema.shape == SHAPE_THREE_ONE and kinds == [MECH_MCAR]
+    mu = _explicit_mu(model, table) if explicit else None
     if mu is None:
         return None
     return _finalize(model, schema, table, mu, METHOD_CLOSED, True, 0, ())
@@ -875,7 +789,11 @@ def mar_bounds(fit: FitResult) -> MarBoundReport:
     the ratio of the extreme response odds to the non-response odds,
     deflated by the effect difference.  A difference strictly inside the
     bracket is reported as strong-MAR, otherwise weak-MAR; models with no
-    MAR mechanism (or a boundary fit) are not applicable.
+    MAR mechanism (or a boundary fit) are not applicable.  The difference
+    cancels from both sides, so the classification is read off the odds
+    themselves, the non-response odds strictly between the extreme
+    response odds: through exp and log an exact tie could round either
+    way.
     """
     mar_vars = [
         (v, m) for v, m in fit.model.mechanisms if m.kind == MECH_MAR
@@ -908,7 +826,7 @@ def mar_bounds(fit: FitResult) -> MarBoundReport:
             q_min = (r_min / omega) * math.exp(-2.0 * delta)
             lower = -0.5 * math.log(q_max)
             upper = -0.5 * math.log(q_min)
-            strong = lower < delta < upper
+            strong = r_min < omega < r_max
             records.append(
                 MarBoundRecord(
                     variable=v,

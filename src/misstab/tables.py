@@ -329,7 +329,12 @@ def load_table(text: str) -> IncompleteTable:
             or "levels" not in item
         ):
             raise TableError(f"variables[{i}]: needs name and levels")
-        variables.append((item["name"], item["levels"]))
+        levels = item["levels"]
+        if isinstance(levels, float) and levels.is_integer():
+            levels = int(levels)
+        if isinstance(levels, bool) or not isinstance(levels, int):
+            raise TableError(f"variables[{i}].levels: must be an integer")
+        variables.append((item["name"], levels))
     missing = doc["missing"]
     if not isinstance(missing, list):
         raise TableError("missing: must be a list")
@@ -345,6 +350,8 @@ def load_table(text: str) -> IncompleteTable:
             or "counts" not in item
         ):
             raise TableError(f"strata[{i}]: needs observed and counts")
+        if not isinstance(item["observed"], list):
+            raise TableError(f"strata[{i}].observed: must be a list")
         observed = tuple(item["observed"])
         counts = _as_count_array(item["counts"], f"strata[{i}].counts")
         strata.append(Stratum(observed, counts))
@@ -471,18 +478,20 @@ def subtable(table: IncompleteTable, keep_patterns) -> IncompleteTable:
     the result is itself a valid table whose missing variables are that
     union.  Applying subtable twice with the same patterns is a no-op.
     """
-    keep = {tuple(n for n in table.schema.names if n in set(p)) for p in keep_patterns}
-    for pat in keep:
+    names = table.schema.names
+    keep = set()
+    for pat in keep_patterns:
         for v in pat:
+            if v not in names:
+                raise TableError(f"pattern names unknown variable {v}")
             if v not in table.schema.missing:
                 raise TableError(
                     f"pattern names variable not subject to missingness: {v}"
                 )
+        keep.add(tuple(n for n in names if n in set(pat)))
     if () not in keep:
         raise TableError("subtable must keep the fully observed pattern")
-    union = tuple(
-        n for n in table.schema.names if any(n in p for p in keep)
-    )
+    union = tuple(n for n in names if any(n in p for p in keep))
     want = {
         combo
         for size in range(len(union) + 1)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from misstab import builtin_dataset_names, dump_table
+from misstab import builtin_dataset, builtin_dataset_names, dump_table
 from misstab.cli import main
 
 ASSESS_T6 = """\
@@ -367,6 +367,15 @@ GOLDEN = {
         "bootstrap", "spo-y1", "--model", "C3", "--seed", "2",
         "--replicates", "30",
     ],
+    # replicates drawn from a closed-form generating fit
+    "bootstrap-bone-density-M5.txt": [
+        "bootstrap", "bone-density", "--model", "M5", "--seed", "0",
+        "--replicates", "500",
+    ],
+    "bootstrap-smoking-birthweight-M6.txt": [
+        "bootstrap", "smoking-birthweight", "--model", "M6", "--seed", "0",
+        "--replicates", "500",
+    ],
 }
 
 
@@ -458,6 +467,27 @@ class TestSourcesAndExitCodes:
         path = tmp_path / "broken.json"
         path.write_text("{не json")
         assert main(["assess", str(path)]) == 2
+
+    @pytest.mark.parametrize(
+        "section,key,value,field",
+        [
+            ("variables", "levels", None, "variables[0].levels"),
+            ("variables", "levels", 2.5, "variables[0].levels"),
+            ("strata", "observed", 5, "strata[0].observed"),
+            ("strata", "observed", "smoking", "strata[0].observed"),
+        ],
+    )
+    def test_malformed_field_is_a_data_error(
+        self, capsys, tmp_path, section, key, value, field
+    ):
+        doc = json.loads(dump_table(builtin_dataset("smoking-birthweight")))
+        doc[section][0][key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["assess", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"data error: {field}:")
 
     def test_usage_errors(self, capsys):
         assert main([]) == 1

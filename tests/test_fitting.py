@@ -546,9 +546,23 @@ class TestMarBounds:
         assert rep.classification == "not-applicable"
 
     def test_bracket_matches_direct_containment(self, bone_fits):
-        # the bracket test and direct interval containment must agree
-        for mid in ("M4", "M5"):
-            fit = by_id(bone_fits)[mid]
+        # the bracket test and direct interval containment must agree; the
+        # one-missing table puts the non-response odds of (2, 3) | b=1
+        # exactly on the upper end of its span, a tie the bracket's exp
+        # and log would round to strong-MAR
+        schema = TableSchema((("a", 3), ("b", 2), ("c", 2)), ("c",))
+        tie = IncompleteTable(
+            schema,
+            (
+                Stratum(
+                    ("a", "b", "c"),
+                    [[[1, 2], [2, 0]], [[1, 1], [1, 2]], [[2, 1], [2, 0]]],
+                ),
+                Stratum(("a", "b"), [[2, 1], [1, 2], [0, 2]]),
+            ),
+        )
+        fits = [by_id(bone_fits)[mid] for mid in ("M4", "M5")]
+        for fit in fits + [fit_model("C2", tie)]:
             spans = {
                 (a, t, p, c): (v, lo, hi)
                 for a, t, p, c, v, lo, hi in fitted_containment(fit)

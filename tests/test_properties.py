@@ -265,6 +265,189 @@ class TestClosedFormAgreement:
         assert rel.max() <= 1e-6, (name, model_id, rel.max())
 
 
+# Per-model closed forms (Baker, Rosenberger & DerSimonian 1992), one hand
+# derivation per catalog id, as reference for the explicit solver, which
+# builds every one of them from one factor per mechanism.  The
+# two-variable forms take the count blocks in pattern order: y11 (both
+# recorded), y21 (first missing), y12 (second missing), y22 (both missing).
+
+def _oracle_tilt_solve(weight, target):
+    """Strictly positive s with sum_i weight[i, j] * s[i] = target[j], or
+    None unless the system is square, solvable and positive."""
+    if weight.shape[0] != weight.shape[1]:
+        return None
+    try:
+        s = np.linalg.solve(weight.T, target)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.isfinite(s)) or not np.all(s > 0):
+        return None
+    return s
+
+
+def _oracle_assemble(mu11, mu21, mu12, weights, y22):
+    if y22 == 0:
+        mu22 = np.zeros_like(weights)
+    elif weights.sum() <= 0:
+        return None
+    else:
+        mu22 = y22 * weights / weights.sum()
+    mu = np.zeros(mu11.shape + (2, 2))
+    for ind, block in zip(
+        ((0, 0), (1, 0), (0, 1), (1, 1)), (mu11, mu21, mu12, mu22)
+    ):
+        mu[(Ellipsis,) + ind] = block
+    return mu
+
+
+def _oracle_m5(y11, y21, y12, y22):
+    rows = y11.sum(axis=1)
+    cols = y11.sum(axis=0)
+    if not (np.all(rows > 0) and np.all(cols > 0)):
+        return None
+    mu21 = y21[None, :] * y11 / cols[None, :]
+    mu12 = y12[:, None] * y11 / rows[:, None]
+    w = y11 * (y12 / rows)[:, None] * (y21 / cols)[None, :]
+    return _oracle_assemble(y11, mu21, mu12, w, y22)
+
+
+def _oracle_m3(y11, y21, y12, y22):
+    s = _oracle_tilt_solve(y11, y21)
+    u = _oracle_tilt_solve(y11.T, y12)
+    if s is None or u is None:
+        return None
+    w = y11 * s[:, None] * u[None, :]
+    return _oracle_assemble(y11, y11 * s[:, None], y11 * u[None, :], w, y22)
+
+
+def _oracle_m2(y11, y21, y12, y22):
+    rows = y11.sum(axis=1)
+    s = _oracle_tilt_solve(y11, y21)
+    if not np.all(rows > 0) or s is None:
+        return None
+    mu12 = y12[:, None] * y11 / rows[:, None]
+    w = y11 * s[:, None] * (y12 / rows)[:, None]
+    return _oracle_assemble(y11, y11 * s[:, None], mu12, w, y22)
+
+
+def _oracle_m1(y11, y21, y12, y22):
+    rows11 = y11.sum(axis=1)
+    tot11 = y11.sum()
+    tot1p = tot11 + y12.sum()
+    if not (np.all(rows11 > 0) and tot11 > 0):
+        return None
+    mu11 = y11 * ((rows11 + y12) / rows11)[:, None] * (tot11 / tot1p)
+    s = _oracle_tilt_solve(mu11, y21)
+    if s is None:
+        return None
+    mu21 = mu11 * s[:, None]
+    mu12 = mu11 * (y12.sum() / tot11)
+    return _oracle_assemble(mu11, mu21, mu12, mu21, y22)
+
+
+def _oracle_swapped(closed):
+    """A two-variable closed form with the two variables' roles swapped."""
+
+    def swapped(y11, y21, y12, y22):
+        mu = closed(y11.T, y12, y21, y22)
+        return None if mu is None else mu.transpose(1, 0, 3, 2)
+
+    return swapped
+
+
+_ORACLE_TWO_VARIABLE = {
+    "M1": _oracle_m1,
+    "M2": _oracle_m2,
+    "M3": _oracle_m3,
+    "M5": _oracle_m5,
+    "M6": _oracle_swapped(_oracle_m2),
+    "M8": _oracle_swapped(_oracle_m1),
+}
+
+
+def _oracle_c4(table):
+    v = table.schema.missing[0]
+    p = table.schema.index(v)
+    full = table.full.counts.astype(float)
+    margin = table.stratum({v}).counts.astype(float)
+    coll = full.sum(axis=p)
+    tot1 = full.sum()
+    tot2 = margin.sum()
+    if not np.all(coll > 0) or tot1 <= 0:
+        return None
+    plus = coll + margin
+    mu1 = full * np.expand_dims(plus / coll, p) * (tot1 / (tot1 + tot2))
+    mu = np.zeros(full_cross_dims(table.schema))
+    mu[..., 0] = mu1
+    mu[..., 1] = mu1 * (tot2 / tot1)
+    return mu
+
+
+def _oracle_closed(model_id, table):
+    """The hand-derived closed-form mu of a catalog model, or None where
+    it has none or leaves the interior."""
+    if model_id == "C4":
+        return _oracle_c4(table)
+    if model_id not in _ORACLE_TWO_VARIABLE:
+        return None
+    blocks = (st_.counts.astype(float) for st_ in table.strata)
+    return _ORACLE_TWO_VARIABLE[model_id](*blocks)
+
+
+@st.composite
+def closed_form_tables(draw):
+    """A random two-variable table (square or not) or a random table with
+    one of three variables missing, with about a fifth of its counts
+    zero."""
+    if draw(st.booleans()):
+        names = ("a", "b")
+        levels = [draw(st.integers(2, 4)) for _ in names]
+        missing = names
+    else:
+        names = ("a", "b", "c")
+        levels = [draw(st.integers(2, 3)) for _ in names]
+        missing = (draw(st.sampled_from(names)),)
+    schema = TableSchema(tuple(zip(names, levels)), missing)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    strata = []
+    for pattern in schema.patterns():
+        observed = schema.observed_for(pattern)
+        shape = [schema.levels(v) for v in observed]
+        counts = rng.integers(1, 50, size=shape) * (rng.random(shape) > 0.2)
+        strata.append(Stratum(observed, counts))
+    return IncompleteTable(schema, tuple(strata))
+
+
+class TestExplicitSolverOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(closed_form_tables())
+    def test_one_rule_per_mechanism_matches_the_hand_forms(self, table):
+        for model in enumerate_models(table.schema):
+            want = _oracle_closed(model.id, table)
+            fit = fit_closed_form(model, table)
+            assert (fit is None) == (want is None), model.id
+            if want is None:
+                continue
+            if model.id == "C4":
+                np.testing.assert_array_equal(fit.mu_hat, want)
+            else:
+                np.testing.assert_allclose(
+                    fit.mu_hat, want, rtol=1e-12, atol=0, err_msg=model.id
+                )
+
+    @pytest.mark.parametrize("name", DATASET_NAMES)
+    def test_catalog_tables_match_the_hand_forms(self, request, name):
+        table = request.getfixturevalue(TABLE_FIXTURE[name])
+        for model in enumerate_models(table.schema):
+            want = _oracle_closed(model.id, table)
+            fit = fit_closed_form(model, table)
+            assert (fit is None) == (want is None), model.id
+            if want is not None:
+                assert fit.G2 == pytest.approx(
+                    _g2_from_mu(want, table), rel=1e-12, abs=1e-12
+                )
+
+
 # Slice-and-sum reference for the observation map: each stratum is the
 # complete cross at that pattern's indicator levels, summed over the
 # unrecorded substantive axes.
@@ -541,7 +724,8 @@ def _oracle_mar_bounds(fit, lam):
                 q_min = (min(finite) / omega) * math.exp(-2.0 * delta)
                 lower = -0.5 * math.log(q_max)
                 upper = -0.5 * math.log(q_min)
-                cls = "strong-MAR" if lower < delta < upper else "weak-MAR"
+                inside = min(finite) < omega < max(finite)
+                cls = "strong-MAR" if inside else "weak-MAR"
                 out.append(
                     (v, donor, (a, b), cond, cls, q_max, q_min, lower, upper,
                      delta)

@@ -1,5 +1,7 @@
 """Table containers, serialization, and the builtin datasets."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -238,6 +240,12 @@ class TestSubtable:
         with pytest.raises(TableError, match="not subject to missingness"):
             subtable(opinion_one_table, [(), ("attendance",)])
 
+    def test_rejects_unknown_variable(self, opinion_two_table):
+        # a misspelled or unknown name was dropped, leaving a complete table
+        for name in ("nosuch", "Secession"):
+            with pytest.raises(TableError, match=f"unknown variable {name}"):
+                subtable(opinion_two_table, [(), (name,)])
+
 
 class TestScaleCounts:
     def test_scales_every_stratum(self, smoking_table):
@@ -305,6 +313,24 @@ class TestSerialization:
             load_table('{"variables": []}')
         with pytest.raises(TableError, match="name and levels"):
             load_table('{"variables": [{"name": "a"}], "missing": [], "strata": []}')
+        # a level count that is not integral and an observed list that is
+        # not a list used to crash, truncate or split into letters
+        table = builtin_dataset("smoking-birthweight")
+        cases = [
+            ("variables", "levels", None, r"variables\[0\]\.levels"),
+            ("variables", "levels", 2.5, r"variables\[0\]\.levels"),
+            ("variables", "levels", "2", r"variables\[0\]\.levels"),
+            ("strata", "observed", 5, r"strata\[0\]\.observed"),
+            ("strata", "observed", "smoking", r"strata\[0\]\.observed"),
+        ]
+        for section, key, value, field in cases:
+            doc = json.loads(dump_table(table))
+            doc[section][0][key] = value
+            with pytest.raises(TableError, match=field):
+                load_table(json.dumps(doc))
+        doc = json.loads(dump_table(table))
+        doc["variables"][0]["levels"] = 2.0
+        assert load_table(json.dumps(doc)) == table
 
     def test_csv_errors(self):
         with pytest.raises(TableError, match="empty"):
