@@ -31,6 +31,7 @@ from .models import (
     MECH_MCAR,
     MECH_NMAR,
     NonresponseModel,
+    _make_model,
     degrees_of_freedom,
     enumerate_models,
     full_cross_dims,
@@ -580,9 +581,13 @@ def fit_em(
 # ---------------------------------------------------------------------------
 # Explicit solutions (Baker, Rosenberger & DerSimonian 1992).
 
-def _explicit_mu(model, table):
-    """The closed-form fit on the complete cross, or None when it leaves
-    the interior.
+def fit_closed_form(model, table: IncompleteTable) -> FitResult | None:
+    """Explicit maximum likelihood fit, or None when the model has none or
+    it leaves the interior (the caller should then fall back to fit_em).
+
+    A model has one when its kinds fit the table's shape: on two-variable
+    tables any pair of NMAR and MAR, or NMAR with MCAR; with one missing
+    variable, MCAR.  In the catalogs that is M1, M2, M3, M5, M6, M8 and C4.
 
     The full stratum is the base, and each mechanism contributes one
     factor.  MCAR, taken first, rescales the base along its variable's
@@ -592,20 +597,35 @@ def _explicit_mu(model, table):
     sum(base * s) = stratum.  MAR contributes the stratum divided by the
     base's margin along its axis.  Each indicator block is the base times
     the factors of its missing variables; the block with both variables
-    missing is that product (less the constants, which cancel) scaled to
-    its stratum's total.
+    missing is that product, less the constants, scaled to its stratum's
+    total.  A zero margin of the base, a non-square tilt system or a tilt
+    that is not strictly positive means the likelihood peaks on the
+    boundary.
     """
     schema = table.schema
+    model = _resolve_model(model, schema)
+    mechs = model.mechanisms
+    kinds = sorted(m.kind for _, m in mechs)
+    if schema.shape == SHAPE_TWO_BOTH:
+        explicit = MECH_MCAR not in kinds or kinds == [MECH_MCAR, MECH_NMAR]
+    else:
+        explicit = schema.shape == SHAPE_THREE_ONE and kinds == [MECH_MCAR]
+    # the kinds tell the whole model only when it has one mechanism per
+    # missing variable, each MAR donor the other one, and no other terms
+    if not explicit or tuple(v for v, _ in mechs) != schema.missing:
+        return None
+    others = reversed(schema.missing)
+    if any(m.donor not in (None, w) for (_, m), w in zip(mechs, others)):
+        return None
+    if model.terms != _make_model(schema, model.id, mechs).terms:
+        return None
     counts = (st.counts.astype(float) for st in table.strata)
     strata = dict(zip(schema.patterns(), counts))
     base = strata[()]
     factors = {}
-    for v, mech in sorted(
-        model.mechanisms, key=lambda vm: vm[1].kind != MECH_MCAR
-    ):
+    for v, mech in sorted(mechs, key=lambda vm: vm[1].kind != MECH_MCAR):
         p = schema.index(v)
         target = strata[(v,)]
-        coll = base.sum(axis=p)
         if mech.kind == MECH_NMAR:
             try:
                 s = np.linalg.solve(np.moveaxis(base, p, -1), target)
@@ -613,11 +633,14 @@ def _explicit_mu(model, table):
                 return None
             if not np.all(np.isfinite(s) & (s > 0)):
                 return None
-            # only two-variable tables get here, so the other axis is 1 - p
+            # NMAR is explicit on two-variable tables only: the other axis
+            # is 1 - p
             factors[v] = np.expand_dims(s, 1 - p)
-        elif not np.all(coll > 0):
+            continue
+        coll = base.sum(axis=p)
+        if not np.all(coll > 0):
             return None
-        elif mech.kind == MECH_MAR:
+        if mech.kind == MECH_MAR:
             factors[v] = np.expand_dims(target / coll, p)
         else:
             tot1 = base.sum()
@@ -629,6 +652,9 @@ def _explicit_mu(model, table):
     for pat, y in strata.items():
         block = base
         for v in pat:
+            # the MCAR constant stays out of the both-missing block: it is 0
+            # when its variable's stratum is empty, and the normalisation
+            # below could not absorb it
             if len(pat) == 1 or model.mechanism(v).kind != MECH_MCAR:
                 block = block * factors[v]
         if len(pat) == 2 and block.sum() > 0:
@@ -636,30 +662,6 @@ def _explicit_mu(model, table):
         elif len(pat) == 2 and y > 0:
             return None
         mu[(Ellipsis,) + tuple(int(m in pat) for m in schema.missing)] = block
-    return mu
-
-
-def fit_closed_form(model, table: IncompleteTable) -> FitResult | None:
-    """Explicit maximum likelihood fit, or None when no interior explicit
-    solution applies (the caller should then fall back to fit_em).
-
-    Whether a closed form exists is decided by the table's shape and the
-    model's mechanism kinds: on two-variable tables any pair of NMAR and
-    MAR, or NMAR with MCAR; with one missing variable, MCAR.  In the
-    catalogs that is M1, M2, M3, M5, M6, M8 and C4.  A zero margin of the
-    base, a non-square tilt system or a tilt that is not strictly positive
-    means the likelihood peaks on the boundary, and None is returned.
-    """
-    schema = table.schema
-    model = _resolve_model(model, schema)
-    kinds = sorted(m.kind for _, m in model.mechanisms)
-    if schema.shape == SHAPE_TWO_BOTH:
-        explicit = MECH_MCAR not in kinds or kinds == [MECH_MCAR, MECH_NMAR]
-    else:
-        explicit = schema.shape == SHAPE_THREE_ONE and kinds == [MECH_MCAR]
-    mu = _explicit_mu(model, table) if explicit else None
-    if mu is None:
-        return None
     return _finalize(model, schema, table, mu, METHOD_CLOSED, True, 0, ())
 
 

@@ -467,27 +467,15 @@ class TestSourcesAndExitCodes:
         path = tmp_path / "broken.json"
         path.write_text("{не json")
         assert main(["assess", str(path)]) == 2
-
-    @pytest.mark.parametrize(
-        "section,key,value,field",
-        [
-            ("variables", "levels", None, "variables[0].levels"),
-            ("variables", "levels", 2.5, "variables[0].levels"),
-            ("strata", "observed", 5, "strata[0].observed"),
-            ("strata", "observed", "smoking", "strata[0].observed"),
-        ],
-    )
-    def test_malformed_field_is_a_data_error(
-        self, capsys, tmp_path, section, key, value, field
-    ):
+        capsys.readouterr()
+        # a malformed field is a data error naming it, not a traceback
         doc = json.loads(dump_table(builtin_dataset("smoking-birthweight")))
-        doc[section][0][key] = value
-        path = tmp_path / "bad.json"
+        doc["variables"][0]["levels"] = None
         path.write_text(json.dumps(doc))
         assert main(["assess", str(path)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith(f"data error: {field}:")
+        assert capsys.readouterr().err.startswith(
+            "data error: variables[0].levels:"
+        )
 
     def test_usage_errors(self, capsys):
         assert main([]) == 1

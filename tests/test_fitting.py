@@ -1,5 +1,6 @@
 """Model fitting: closed forms, EM, fit statistics, and diagnostics."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -9,6 +10,7 @@ import pytest
 from misstab import (
     ComputationError,
     IncompleteTable,
+    NonresponseModel,
     Stratum,
     TableError,
     TableSchema,
@@ -35,7 +37,14 @@ from misstab.fitting import (
     _recover_lambda,
     best_non_perfect,
 )
-from misstab.models import full_cross_dims, generating_class
+from misstab.models import (
+    MECH_MAR,
+    Mechanism,
+    _make_model,
+    full_cross_dims,
+    generating_class,
+    indicator_factor,
+)
 
 
 def by_id(fits):
@@ -231,6 +240,49 @@ class TestClosedForms:
         assert fit_closed_form("M5", bone_table) is not None
         assert fit_closed_form("M6", bone_table) is None
         assert fit_closed_form("C4", opinion_one_table) is not None
+
+    def test_empty_mcar_stratum_keeps_the_both_missing_block(self):
+        # M1's MCAR constant is 0 when b's stratum is empty; the block with
+        # both variables missing must still carry its count
+        schema = TableSchema((("a", 2), ("b", 2)), ("a", "b"))
+        table = IncompleteTable(
+            schema,
+            (
+                Stratum(("a", "b"), [[30, 50], [20, 60]]),
+                Stratum(("b",), [25, 55]),
+                Stratum(("a",), [0, 0]),
+                Stratum((), 10),
+            ),
+        )
+        fit = fit_closed_form("M1", table)
+        assert fit is not None
+        np.testing.assert_allclose(
+            fit.mu_hat[:, :, 1, 1], [[1.875, 3.125], [1.25, 3.75]], rtol=1e-12
+        )
+
+    def test_models_off_the_explicit_rule_go_to_em(self, smoking_table):
+        # the rule reads the mechanism kinds, so a model without one
+        # mechanism per variable, with terms its mechanisms do not
+        # generate, or with a variable as its own MAR donor has no explicit
+        # solution
+        schema = smoking_table.schema
+        v1, v2 = schema.missing
+        m5 = get_model(schema, "M5")
+        extra_term = (v1, indicator_factor(v1))
+        m9 = get_model(schema, "M9")
+        models = (
+            NonresponseModel("saturated", (), m5.terms),
+            NonresponseModel("no-mechanism", (), m9.terms),
+            dataclasses.replace(m5, id="M5+", terms=m5.terms + (extra_term,)),
+            _make_model(
+                schema,
+                "self-donor",
+                ((v1, Mechanism(MECH_MAR, v1)), (v2, Mechanism(MECH_MAR, v1))),
+            ),
+        )
+        for model in models:
+            assert fit_closed_form(model, smoking_table) is None, model.id
+            assert fit_model(model, smoking_table).method == METHOD_EM
 
 
 class TestFrozenDeviances:
