@@ -11,7 +11,9 @@ that keep decaying are fixed at zero and the fit is finished on that face
 of the model by accelerated ECM (fit_em, _solve_face).  Fit quality is
 the deviance of the observed strata against the collapsed fitted
 expectations, with tail probabilities from the chi-square survival
-function.  The E step, the deviance and the fitted strata all collapse
+function in closed form for integer df: a finite Poisson sum for even df,
+erfc plus a finite sum for odd df (chi_square_sf, standard library only).
+The E step, the deviance and the fitted strata all collapse
 the cross through the schema's one observation map
 (models.observation_map).
 """
@@ -22,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc
 
 from .errors import ComputationError, TableError
 from .models import (
@@ -182,17 +183,38 @@ def _g2_from_mu(mu, table) -> float:
 
 
 def chi_square_sf(x: float, df: int) -> float:
-    """Chi-square survival function P(X > x) for integer df >= 1."""
+    """Chi-square survival function P(X > x) for integer df >= 1.
+
+    With h = x/2 the tail is a finite sum (Abramowitz & Stegun 26.4.4-5):
+    exp(-h) * sum_{j<m} h^j / j! for df = 2m, and erfc(sqrt(h)) plus
+    sum_{j<m} h^(j+1/2) exp(-h) / Gamma(j+3/2) for df = 2m+1.  Every term
+    is positive and is formed in log space, and fsum adds them exactly, so
+    a large df neither overflows nor cancels.
+    """
     if not isinstance(df, (int, np.integer)) or isinstance(df, bool):
         raise ComputationError("df must be a positive integer")
     if df < 1:
         raise ComputationError("df must be a positive integer")
+    if isinstance(x, (bool, np.bool_)):
+        raise ComputationError("x must be a nonnegative number")
     x = float(x)
     if math.isnan(x) or x < 0:
         raise ComputationError("x must be nonnegative")
-    if math.isinf(x):
+    h = x / 2.0
+    if h == 0.0:
+        return 1.0
+    if math.isinf(h):
         return 0.0
-    return float(gammaincc(df / 2.0, x / 2.0))
+    m, odd = divmod(int(df), 2)
+    shift = 0.5 * odd
+    log_h = math.log(h)
+    terms = [
+        math.exp((j + shift) * log_h - h - math.lgamma(j + shift + 1.0))
+        for j in range(m)
+    ]
+    if odd:
+        terms.append(math.erfc(math.sqrt(h)))
+    return min(math.fsum(terms), 1.0)
 
 
 def _recover_lambda(model, schema, mu):
@@ -289,9 +311,20 @@ def _finalize(
 
 
 def _resolve_model(model, schema):
-    if isinstance(model, NonresponseModel):
-        return model
-    return get_model(schema, str(model))
+    if not isinstance(model, NonresponseModel):
+        return get_model(schema, str(model))
+    # a model built for another schema would fail deep inside the fit
+    axes = factor_axes(schema)
+    for var, mech in model.mechanisms:
+        if var not in schema.missing:
+            raise TableError(f"model {model.id}: {var} is not missing")
+        if mech.donor is not None and mech.donor not in schema.names:
+            raise TableError(f"model {model.id}: unknown donor {mech.donor}")
+    for term in model.terms:
+        for factor in term:
+            if factor not in axes:
+                raise TableError(f"model {model.id}: unknown factor {factor}")
+    return model
 
 
 def _check_stopping(tol, max_iter):

@@ -160,16 +160,35 @@ class TestChiSquareSf:
                     sf_by_quadrature(x, df), abs=1e-8
                 )
 
+    def test_matches_scipy_gammaincc(self):
+        # scipy (the dev extra) is only an oracle here; the grid covers
+        # every df up to 40 and a stride to 1500, x from 0 to 3*df + 30
+        special = pytest.importorskip("scipy.special")
+        dfs = [*range(1, 41), *range(41, 1500, 29), 1499, 1500]
+        for df in dfs:
+            for x in np.linspace(0.0, 3.0 * df + 30.0, 31):
+                ref = float(special.gammaincc(df / 2.0, x / 2.0))
+                got = chi_square_sf(float(x), df)
+                assert got == pytest.approx(ref, rel=1e-11, abs=0.0), (df, x)
+
     def test_edges(self):
-        assert chi_square_sf(0.0, 3) == 1.0
-        assert chi_square_sf(float("inf"), 3) == 0.0
-        for bad_df in (0, -1, 1.5, True):
+        for df in (1, 2, 3, 1500):
+            assert chi_square_sf(0.0, df) == 1.0
+            assert chi_square_sf(float("inf"), df) == 0.0
+            assert chi_square_sf(1e308, df) == 0.0
+            assert chi_square_sf(1e308, df + 1) == 0.0
+        assert chi_square_sf(3.0, np.int64(3)) == chi_square_sf(3.0, 3)
+        for bad_df in (0, -1, 1.5, True, np.bool_(True)):
             with pytest.raises(ComputationError):
                 chi_square_sf(1.0, bad_df)
-        with pytest.raises(ComputationError):
-            chi_square_sf(-1.0, 2)
-        with pytest.raises(ComputationError):
-            chi_square_sf(float("nan"), 2)
+        for bad_x in (-1.0, float("nan"), True, np.bool_(False)):
+            with pytest.raises(ComputationError):
+                chi_square_sf(bad_x, 2)
+
+    def test_result_is_a_probability(self):
+        for df in (1, 2, 7, 8, 301, 1000):
+            for x in (1e-300, 1e-9, 0.5, df / 3.0, df, 10.0 * df, 1e6):
+                assert 0.0 <= chi_square_sf(x, df) <= 1.0, (df, x)
 
 
 class TestClosedForms:
@@ -450,6 +469,15 @@ class TestEm:
         assert len(trace) == fit.iterations
         diffs = np.diff(np.asarray(trace))
         assert diffs.min() >= -1e-9 * (abs(trace[-1]) + 1.0)
+
+    @pytest.mark.parametrize("model_id", ["M1", "M4", "M5", "M7"])
+    def test_model_of_another_schema_is_a_data_error(
+        self, smoking_table, bone_table, model_id
+    ):
+        model = get_model(bone_table.schema, model_id)
+        for fit in (fit_model, fit_em, fit_closed_form):
+            with pytest.raises(TableError, match="density"):
+                fit(model, smoking_table)
 
     def test_errors(self, smoking_table):
         with pytest.raises(TableError):
