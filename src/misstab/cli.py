@@ -8,6 +8,7 @@ model, unreadable or invalid table), 3 when a computation cannot finish.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -345,7 +346,10 @@ def _add_fit_options(p):
     _add_df_convention(p)
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser; parsing leaves it unchanged, so it is
+    built once per process."""
     parser = _Parser(
         prog="misstab",
         description=(

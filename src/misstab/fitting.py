@@ -6,7 +6,7 @@ positive it is used directly; otherwise an expectation-maximization loop
 distributes each supplemental count over the cells it collapses, then
 rescales the working table to the model's sufficient margins by one sweep
 of iterative proportional fitting: every iteration is one application of
-the ECM map (_ecm_step).  When the maximum lies on the boundary, the cells
+the ECM map (_EcmMap).  When the maximum lies on the boundary, the cells
 that keep decaying are fixed at zero and the fit is finished on that face
 of the model by accelerated ECM (fit_em, _solve_face).  Fit quality is
 the deviance of the observed strata against the collapsed fitted
@@ -79,27 +79,6 @@ def _positive_cells(mu, table):
     return y[mask], c[mask]
 
 
-def _loglik(mu: np.ndarray, table: IncompleteTable) -> float:
-    cells = _positive_cells(mu, table)
-    if cells is None:
-        return float("-inf")
-    y, c = cells
-    return -float(mu.sum()) + float((y * np.log(c)).sum())
-
-
-def _e_step(mu, table):
-    omap = observation_map(table.schema)
-    idx = omap.obs_index
-    c = omap.collapse(mu)[idx]
-    # a count whose collapsed fit is zero is spread evenly over its cells
-    share = np.where(
-        c > 0,
-        np.ravel(mu) / np.where(c > 0, c, 1.0),
-        1.0 / omap.cells_per_obs[idx],
-    )
-    return (observed_counts(table)[idx] * share).reshape(mu.shape)
-
-
 def _margin_axes(schema: TableSchema, terms) -> tuple:
     axes = factor_axes(schema)
     ndim = len(full_cross_dims(schema))
@@ -110,16 +89,55 @@ def _margin_axes(schema: TableSchema, terms) -> tuple:
     return tuple(out)
 
 
-def _ipf(mu, z, sum_axes_list):
-    """One proportional-fitting sweep: rescale mu to each sufficient margin
-    of z in turn."""
-    for sum_axes in sum_axes_list:
-        target = z.sum(axis=sum_axes, keepdims=True)
-        cur = mu.sum(axis=sum_axes, keepdims=True)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            ratio = np.where(cur > 0, target / np.where(cur > 0, cur, 1.0), 0.0)
-        mu = mu * ratio
-    return mu
+class _EcmMap:
+    """The ECM map of one model on one table (Meng & Rubin 1993): an E step
+    that spreads each observed count over the cells it collapses in
+    proportion to the fit, then one proportional-fitting sweep that
+    rescales the fit to each sufficient margin (sum_axes_list) in turn.
+
+    It is built once per fit and holds what no iteration changes: the
+    observation index, the observed counts gathered onto the cross, the
+    even spread 1 / cells_per_obs of a count whose collapsed fit is zero,
+    and the positive counts with their mask.
+    """
+
+    def __init__(self, table: IncompleteTable, sum_axes_list):
+        omap = observation_map(table.schema)
+        y = observed_counts(table)
+        self.table = table
+        self.sum_axes_list = sum_axes_list
+        self._omap = omap
+        self._idx = omap.obs_index
+        self._y_cross = y[self._idx]
+        self._spread = 1.0 / omap.cells_per_obs[self._idx]
+        self._positive = y > 0
+        self._y_positive = y[self._positive]
+
+    def e_step(self, mu):
+        c = self._omap.collapse(mu)[self._idx]
+        # a count whose collapsed fit is zero is spread evenly over its cells
+        share = np.where(
+            c > 0, np.ravel(mu) / np.where(c > 0, c, 1.0), self._spread
+        )
+        return (self._y_cross * share).reshape(mu.shape)
+
+    def loglik(self, mu) -> float:
+        """Observed-data log-likelihood; -inf when the fit gives a positive
+        count zero expectation."""
+        c = self._omap.collapse(mu)[self._positive]
+        if not np.all(c > 0):
+            return float("-inf")
+        return -float(mu.sum()) + float((self._y_positive * np.log(c)).sum())
+
+    def __call__(self, mu):
+        z = self.e_step(mu)
+        for axes in self.sum_axes_list:
+            # a margin cell with no mass holds only zero cells, and they
+            # stay zero whatever ratio scales them
+            cur = np.add.reduce(mu, axes, keepdims=True)
+            target = np.add.reduce(z, axes, keepdims=True)
+            mu = mu * (target / np.where(cur > 0, cur, 1.0))
+        return mu
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,7 +213,8 @@ def chi_square_sf(x: float, df: int) -> float:
         raise ComputationError("df must be a positive integer")
     if df < 1:
         raise ComputationError("df must be a positive integer")
-    if isinstance(x, (bool, np.bool_)):
+    real = (int, float, np.integer, np.floating)
+    if not isinstance(x, real) or isinstance(x, bool):
         raise ComputationError("x must be a nonnegative number")
     x = float(x)
     if math.isnan(x) or x < 0:
@@ -353,17 +372,12 @@ BOUNDARY_PERFECT_MISFIT = "perfect-fit-misfit"
 BOUNDARY_SMALL_CELL = "small-cell"
 
 
-def _ecm_step(mu, table, sum_axes_list):
-    """One E step and one IPF sweep: the ECM map (Meng & Rubin 1993)."""
-    return _ipf(mu, _e_step(mu, table), sum_axes_list)
-
-
-def _margin_residual(mu, table, sum_axes_list) -> float:
+def _margin_residual(mu, ecm) -> float:
     """Largest relative gap between the sufficient margins of mu and those
     of its E step; zero at a fixed point of EM."""
-    z = _e_step(mu, table)
+    z = ecm.e_step(mu)
     worst = 0.0
-    for axes in sum_axes_list:
+    for axes in ecm.sum_axes_list:
         target = z.sum(axis=axes)
         gap = np.abs(target - mu.sum(axis=axes)) / np.maximum(target, 1e-300)
         worst = max(worst, float(gap.max()))
@@ -388,7 +402,7 @@ def _decaying(marks, mu, n):
     return falling & (mu > 0) & (mu < DECAY_CELL * n)
 
 
-def _squarem_step(mu, ll, step_max, table, sum_axes_list):
+def _squarem_step(mu, ll, step_max, ecm):
     """One SQUAREM cycle (Varadhan & Roland 2008, step SqS3) of the ECM map,
     extrapolated in log space over the live cells.
 
@@ -400,29 +414,29 @@ def _squarem_step(mu, ll, step_max, table, sum_axes_list):
     the last accepted iterate; otherwise the plain double step is kept,
     which ECM never makes worse.
     """
-    mu1 = _ecm_step(mu, table, sum_axes_list)
-    mu2 = _ecm_step(mu1, table, sum_axes_list)
+    mu1 = ecm(mu)
+    mu2 = ecm(mu1)
     live = mu2 > 0
     x0, x1, x2 = (np.log(m[live]) for m in (mu, mu1, mu2))
     r = x1 - x0
     v = x2 - x1 - r
     v_norm = float(np.linalg.norm(v))
     if v_norm == 0:
-        return mu2, _loglik(mu2, table), step_max, 2
+        return mu2, ecm.loglik(mu2), step_max, 2
     alpha = max(min(-float(np.linalg.norm(r)) / v_norm, -1.0), -step_max)
     jump = np.zeros_like(mu)
     # a long extrapolation can overflow or underflow cells; such a jump
     # fails the guard below
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         jump[live] = np.exp(x0 - 2.0 * alpha * r + alpha * alpha * v)
-        jump = _ecm_step(jump, table, sum_axes_list)
-        ll_jump = _loglik(jump, table)
+        jump = ecm(jump)
+        ll_jump = ecm.loglik(jump)
     if np.all(np.isfinite(jump)) and ll_jump >= ll:
         if alpha == -step_max:
             step_max *= SQUAREM_STEP_FACTOR
         return jump, ll_jump, step_max, 3
     step_max = max(step_max / SQUAREM_STEP_FACTOR, 1.0)
-    return mu2, _loglik(mu2, table), step_max, 3
+    return mu2, ecm.loglik(mu2), step_max, 3
 
 
 def _is_face(zero, sum_axes_list) -> bool:
@@ -440,7 +454,7 @@ def _is_face(zero, sum_axes_list) -> bool:
     return bool(np.array_equal(covered, zero))
 
 
-def _zeros_stay_down(mu, before, table, sum_axes_list) -> bool:
+def _zeros_stay_down(mu, before, ecm) -> bool:
     """Whether the likelihood lets the zero cells of mu stay at zero.
 
     Each zero cell is reopened at REOPEN_SHARE of its value in before, the
@@ -452,7 +466,7 @@ def _zeros_stay_down(mu, before, table, sum_axes_list) -> bool:
     probe = np.where(reopened, REOPEN_SHARE * before, mu)
     marks = _checkpoint([], probe)
     for step in range(1, DECAY_WINDOW + 1):
-        probe = _ecm_step(probe, table, sum_axes_list)
+        probe = ecm(probe)
         if step % DECAY_HALF == 0:
             marks = _checkpoint(marks, probe)
     a, b, c = (m[reopened] for m in marks)
@@ -467,7 +481,7 @@ class _FaceSolve:
     certified: bool
 
 
-def _solve_face(mu, decaying, floor, table, sum_axes_list, budget):
+def _solve_face(mu, decaying, floor, ecm, budget):
     """Finish an EM fit on the face where the decaying cells are zero.
 
     The decaying cells of mu are fixed at zero as structural zeros and
@@ -483,8 +497,8 @@ def _solve_face(mu, decaying, floor, table, sum_axes_list, budget):
     """
     before = mu
     mu = np.where(decaying, 0.0, mu)
-    ll = _loglik(mu, table)
-    n = table.N
+    ll = ecm.loglik(mu)
+    n = ecm.table.N
     trace = []
     evaluations = 0
     cycles = 0
@@ -495,25 +509,23 @@ def _solve_face(mu, decaying, floor, table, sum_axes_list, budget):
         and len(trace) < budget
         and evaluations < FACE_MAX_EVALUATIONS
     ):
-        mu, ll, step_max, spent = _squarem_step(
-            mu, ll, step_max, table, sum_axes_list
-        )
+        mu, ll, step_max, spent = _squarem_step(mu, ll, step_max, ecm)
         evaluations += spent
         cycles += 1
         if ll >= (trace[-1] if trace else floor):
             trace.append(ll)
-        if _margin_residual(mu, table, sum_axes_list) < FACE_RESIDUAL:
-            certified = ll >= floor and _is_face(mu == 0, sum_axes_list)
+        if _margin_residual(mu, ecm) < FACE_RESIDUAL:
+            certified = ll >= floor and _is_face(mu == 0, ecm.sum_axes_list)
             if certified:
                 evaluations += DECAY_WINDOW
-                certified = _zeros_stay_down(mu, before, table, sum_axes_list)
+                certified = _zeros_stay_down(mu, before, ecm)
             return _FaceSolve(mu, tuple(trace), evaluations, certified)
         if cycles % DECAY_HALF == 0:
             marks = _checkpoint(marks, mu)
             decaying = _decaying(marks, mu, n)
             if np.any(decaying):
                 mu = np.where(decaying, 0.0, mu)
-                ll = _loglik(mu, table)
+                ll = ecm.loglik(mu)
                 marks = _checkpoint([], mu)
     return _FaceSolve(mu, tuple(trace), evaluations, False)
 
@@ -531,7 +543,7 @@ def fit_em(
     The E step spreads each supplemental count over the cells it collapses
     in proportion to the current fit; the M step is one sweep of iterative
     proportional fitting to the model's sufficient margins, so every
-    iteration applies the ECM map once (_ecm_step).  Iteration stops
+    iteration applies the ECM map once (_EcmMap).  Iteration stops
     when the relative change of the observed-data log-likelihood drops
     below tol.  Cells that keep decaying are fixed at zero and the fit is
     finished on that face of the model (see _solve_face), which yields the
@@ -560,7 +572,7 @@ def fit_em(
         mu *= n / mu.sum()
     elif init != "uniform":
         raise ComputationError(f"unknown init mode {init}")
-    sum_axes_list = _margin_axes(schema, generating_class(model))
+    ecm = _EcmMap(table, _margin_axes(schema, generating_class(model)))
     trace = []
     prev = None
     converged = False
@@ -569,9 +581,9 @@ def fit_em(
     attempts = 0
     marks = _checkpoint([], mu)
     while len(trace) < max_iter:
-        mu = _ecm_step(mu, table, sum_axes_list)
+        mu = ecm(mu)
         evaluations += 1
-        ll = _loglik(mu, table)
+        ll = ecm.loglik(mu)
         trace.append(ll)
         if prev is not None and math.isfinite(ll):
             if abs(ll - prev) <= tol * (abs(prev) + 1.0):
@@ -585,9 +597,7 @@ def fit_em(
         if not np.any(decaying):
             continue
         attempts += 1
-        face = _solve_face(
-            mu, decaying, ll, table, sum_axes_list, max_iter - len(trace)
-        )
+        face = _solve_face(mu, decaying, ll, ecm, max_iter - len(trace))
         evaluations += face.evaluations
         if face.certified:
             face_cells = int(np.count_nonzero((face.mu == 0) & (mu > 0)))

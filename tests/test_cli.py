@@ -379,6 +379,23 @@ GOLDEN = {
 }
 
 
+def test_consecutive_calls_share_no_state(capsys):
+    # the parser is built once per process, so one call's options must not
+    # leak into the next
+    first = ["fit", "bone-density", "--model", "M4", "--tol", "1e-8"]
+    assert main(first) == 0
+    one = capsys.readouterr().out
+    assert main(["fit", "bone-density"]) == 0
+    golden = (GOLDEN_DIR / "fit-bone-density.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == golden
+    assert one != golden
+    assert main(["fit", "bone-density", "--format", "structured"]) == 0
+    doc = strict_json(capsys.readouterr().out)
+    assert doc["command"] == "fit" and len(doc["fits"]) == 9
+    assert main(first) == 0
+    assert capsys.readouterr().out == one
+
+
 @pytest.mark.parametrize("name", GOLDEN)
 def test_golden_stdout(capsys, name):
     assert main(GOLDEN[name]) == 0

@@ -30,7 +30,7 @@ from misstab.fitting import (
     BOUNDARY_FACE,
     METHOD_CLOSED,
     METHOD_EM,
-    _ecm_step,
+    _EcmMap,
     _g2_from_mu,
     _is_face,
     _margin_axes,
@@ -183,6 +183,14 @@ class TestChiSquareSf:
                 chi_square_sf(1.0, bad_df)
         for bad_x in (-1.0, float("nan"), True, np.bool_(False)):
             with pytest.raises(ComputationError):
+                chi_square_sf(bad_x, 2)
+
+    def test_x_must_be_a_real_number(self):
+        want = chi_square_sf(3.0, 2)
+        for x in (3, np.int64(3), np.float32(3.0), np.float64(3.0)):
+            assert chi_square_sf(x, 2) == want
+        for bad_x in ("3", b"3", None, 3 + 0j, np.array([3.0])):
+            with pytest.raises(ComputationError, match="nonnegative number"):
                 chi_square_sf(bad_x, 2)
 
     def test_result_is_a_probability(self):
@@ -503,10 +511,27 @@ class TestEm:
         assert fit.face_cells == 0 and fit.evaluations == fit.iterations
         dims = full_cross_dims(bone_table.schema)
         axes = _margin_axes(bone_table.schema, generating_class(fit.model))
+        ecm = _EcmMap(bone_table, axes)
         mu = np.full(dims, bone_table.N / float(np.prod(dims)))
         for _ in range(fit.iterations):
-            mu = _ecm_step(mu, bone_table, axes)
+            mu = ecm(mu)
         assert np.array_equal(mu, fit.mu_hat)
+
+    def test_map_is_built_once_per_fit(self, bone_table, monkeypatch):
+        # the observed counts and their observation map are gathered when
+        # the map is built and once more for the final G2, never per step
+        calls = {"observed_counts": 0, "observation_map": 0}
+        for name in calls:
+            original = getattr(misstab.fitting, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(misstab.fitting, name, counted)
+        fit = fit_em("M3", bone_table)
+        assert fit.evaluations == 403 and fit.face_cells > 0
+        assert calls == {"observed_counts": 2, "observation_map": 2}
 
     def test_empty_table(self):
         schema = TableSchema((("a", 2), ("b", 2)), ("a", "b"))

@@ -33,6 +33,7 @@ from misstab import (
     fit_model,
     fitted_containment,
     generating_class,
+    get_model,
     indicator_factor,
     is_perfect_fit,
     list_queries,
@@ -43,10 +44,8 @@ from misstab import (
 )
 from misstab.fitting import (
     FitResult,
-    _e_step,
+    _EcmMap,
     _g2_from_mu,
-    _ipf,
-    _loglik,
     _margin_axes,
 )
 from misstab.models import (
@@ -224,8 +223,9 @@ class TestStationarity:
             if fit.method == "em":
                 fit = fit_em(fit.model, table, tol=1e-15, max_iter=100000)
             mu = fit.mu_hat
-            z = _e_step(mu, table)
-            for axes in _margin_axes(table.schema, generating_class(fit.model)):
+            axes_list = _margin_axes(table.schema, generating_class(fit.model))
+            z = _EcmMap(table, axes_list).e_step(mu)
+            for axes in axes_list:
                 have = mu.sum(axis=axes)
                 want = z.sum(axis=axes)
                 rel = np.abs(have - want) / np.maximum(want, 1e-9)
@@ -257,10 +257,10 @@ class TestClosedFormAgreement:
         schema = table.schema
         model = closed.model
         dims = full_cross_dims(schema)
-        axes = _margin_axes(schema, generating_class(model))
+        ecm = _EcmMap(table, _margin_axes(schema, generating_class(model)))
         mu = np.full(dims, table.N / float(np.prod(dims)))
         for _ in range(depth):
-            mu = _ipf(mu, _e_step(mu, table), axes)
+            mu = ecm(mu)
         rel = np.abs(mu - closed.mu_hat) / np.maximum(closed.mu_hat, 1e-12)
         assert rel.max() <= 1e-6, (name, model_id, rel.max())
 
@@ -471,11 +471,30 @@ def _oracle_e_step(mu, table):
         axes = tuple(schema.index(v) for v in pat)
         size = math.prod(schema.levels(v) for v in pat)
         sl = mu[idx]
-        denom = sl.sum(axis=axes, keepdims=True)
+        # the unrecorded cells added one at a time in C order, as the
+        # observation map adds them, so that the sums agree to the bit
+        inner = sorted(axes)
+        blocks = np.moveaxis(sl, inner, range(len(inner)))
+        denom = 0.0
+        for block in blocks.reshape((size,) + blocks.shape[len(inner):]):
+            denom = denom + block
+        denom = np.expand_dims(denom, inner)
         safe = np.where(denom > 0, denom, 1.0)
         frac = np.where(denom > 0, sl / safe, 1.0 / size)
         z[idx] = np.expand_dims(st_.counts, axes) * frac
     return z
+
+
+def _oracle_ipf(mu, z, sum_axes_list):
+    """One proportional-fitting sweep of mu to the margins of z, with an
+    empty margin cell of mu scaled by 0."""
+    for axes in sum_axes_list:
+        target = z.sum(axis=axes, keepdims=True)
+        cur = mu.sum(axis=axes, keepdims=True)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            ratio = np.where(cur > 0, target / np.where(cur > 0, cur, 1.0), 0.0)
+        mu = mu * ratio
+    return mu
 
 
 def _oracle_loglik_and_g2(mu, table):
@@ -544,16 +563,58 @@ class TestObservationMapOracle:
             np.testing.assert_allclose(
                 strata[pat], want, rtol=1e-12, atol=1e-12
             )
+        ecm = _EcmMap(table, ())
         np.testing.assert_allclose(
-            _e_step(mu, table), _oracle_e_step(mu, table),
+            ecm.e_step(mu), _oracle_e_step(mu, table),
             rtol=1e-12, atol=1e-12,
         )
         ll, g2 = _oracle_loglik_and_g2(mu, table)
-        for got, want in ((_loglik(mu, table), ll), (_g2_from_mu(mu, table), g2)):
+        for got, want in ((ecm.loglik(mu), ll), (_g2_from_mu(mu, table), g2)):
             if math.isinf(want):
                 assert got == want
             else:
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+class TestEcmMapOracle:
+    # the EM stop, the face test and the benchmark pins read these bits, so
+    # the per-fit map must reproduce the plain E step and the guarded sweep
+    # exactly, not within a tolerance
+    @pytest.mark.parametrize(
+        "name,model_id", ALL_CASES, ids=[f"{n}-{m}" for n, m in ALL_CASES]
+    )
+    def test_map_is_bit_identical(self, request, name, model_id):
+        table = request.getfixturevalue(TABLE_FIXTURE[name])
+        fit = fit_em(model_id, table)
+        axes = _margin_axes(table.schema, generating_class(fit.model))
+        ecm = _EcmMap(table, axes)
+        dims = full_cross_dims(table.schema)
+        states = [np.full(dims, table.N / float(np.prod(dims)))]
+        for _ in range(50):
+            states.append(ecm(states[-1]))
+        states.append(fit.mu_hat)
+        for mu in states:
+            z = _oracle_e_step(mu, table)
+            assert np.array_equal(ecm.e_step(mu), z)
+            assert np.array_equal(ecm(mu), _oracle_ipf(mu, z, axes))
+
+    @pytest.mark.parametrize(
+        "name,model_id", ALL_CASES, ids=[f"{n}-{m}" for n, m in ALL_CASES]
+    )
+    def test_mass_on_an_empty_margin_cell(self, request, name, model_id):
+        # with the all-missing block zeroed, the E step spreads its count
+        # evenly there, onto margin cells where mu has no mass
+        table = request.getfixturevalue(TABLE_FIXTURE[name])
+        schema = table.schema
+        axes = _margin_axes(schema, generating_class(get_model(schema, model_id)))
+        dims = full_cross_dims(schema)
+        mu = np.full(dims, table.N / float(np.prod(dims)))
+        mu[_oracle_slice(schema, schema.patterns()[-1])] = 0.0
+        z = _oracle_e_step(mu, table)
+        assert any(
+            np.any((mu.sum(axis=a) == 0) & (z.sum(axis=a) > 0)) for a in axes
+        )
+        assert np.array_equal(_EcmMap(table, axes)(mu), _oracle_ipf(mu, z, axes))
 
 
 # Design-matrix reference for the fit diagnostics: lambda recovered by least
@@ -576,7 +637,7 @@ def _settled_plain_ecm_g2(model, table):
     mu = np.full(dims, table.N / float(np.prod(dims)))
     last = math.inf
     for step in range(1, PLAIN_ECM_STEPS + 1):
-        mu = _ipf(mu, _oracle_e_step(mu, table), axes)
+        mu = _oracle_ipf(mu, _oracle_e_step(mu, table), axes)
         if step % PLAIN_ECM_BLOCK == 0:
             g2 = _oracle_loglik_and_g2(mu, table)[1]
             if last - g2 < 1e-9:
