@@ -19,7 +19,7 @@ from .errors import ComputationError
 from .fitting import FitResult, fit_model
 from .models import observation_map, observed_counts
 from .odds import screening_plan
-from .tables import IncompleteTable, Stratum
+from .tables import IncompleteTable, Stratum, _is_int
 
 MODE_MULTINOMIAL = "multinomial"
 MODE_POISSON = "poisson"
@@ -167,6 +167,10 @@ def bootstrap_assess(
     the fit of model; it must be a fit of this table and, unless model is
     None, of that model.
     """
+    if not _is_int(n_replicates):
+        raise ComputationError(
+            f"n_replicates must be an integer, got {n_replicates!r}"
+        )
     if n_replicates < 1:
         raise ComputationError("n_replicates must be >= 1")
     try:

@@ -32,13 +32,11 @@ from .models import (
     MECH_MCAR,
     MECH_NMAR,
     NonresponseModel,
-    _make_model,
     degrees_of_freedom,
     enumerate_models,
     full_cross_dims,
     generating_class,
     get_model,
-    indicator_factor,
     is_perfect_fit,
     factor_axes,
     observation_map,
@@ -47,7 +45,8 @@ from .models import (
 )
 from .odds import screening_plan
 from .tables import SHAPE_THREE_ONE, SHAPE_TWO_BOTH, IncompleteTable
-from .tables import TableSchema, pattern_label
+from .tables import TableSchema, _is_int, _is_real, indicator_factor
+from .tables import pattern_label
 
 BOUNDARY_PROB = 1e-8  # fitted cell probability below this flags a boundary
 RANK_DECIMALS = 6  # fit_all ranks G2 rounded to this many decimals
@@ -209,12 +208,9 @@ def chi_square_sf(x: float, df: int) -> float:
     is positive and is formed in log space, and fsum adds them exactly, so
     a large df neither overflows nor cancels.
     """
-    if not isinstance(df, (int, np.integer)) or isinstance(df, bool):
+    if not _is_int(df) or df < 1:
         raise ComputationError("df must be a positive integer")
-    if df < 1:
-        raise ComputationError("df must be a positive integer")
-    real = (int, float, np.integer, np.floating)
-    if not isinstance(x, real) or isinstance(x, bool):
+    if not _is_real(x):
         raise ComputationError("x must be a nonnegative number")
     x = float(x)
     if math.isnan(x) or x < 0:
@@ -347,6 +343,12 @@ def _resolve_model(model, schema):
 
 
 def _check_stopping(tol, max_iter):
+    if not _is_real(tol):
+        raise ComputationError(f"tol must be a real number, got {tol!r}")
+    if not _is_int(max_iter):
+        raise ComputationError(
+            f"max_iter must be an integer, got {max_iter!r}"
+        )
     if tol <= 0 or max_iter < 1:
         raise ComputationError("tol must be positive and max_iter >= 1")
     if not math.isfinite(tol):
@@ -628,9 +630,10 @@ def fit_closed_form(model, table: IncompleteTable) -> FitResult | None:
     """Explicit maximum likelihood fit, or None when the model has none or
     it leaves the interior (the caller should then fall back to fit_em).
 
-    A model has one when its kinds fit the table's shape: on two-variable
-    tables any pair of NMAR and MAR, or NMAR with MCAR; with one missing
-    variable, MCAR.  In the catalogs that is M1, M2, M3, M5, M6, M8 and C4.
+    A model has one when it is a catalog member (the same mechanisms and
+    terms) whose kinds fit the table's shape: on two-variable tables any
+    pair of NMAR and MAR, or NMAR with MCAR; with one missing variable,
+    MCAR.  That is M1, M2, M3, M5, M6, M8 and C4.
 
     The full stratum is the base, and each mechanism contributes one
     factor.  MCAR, taken first, rescales the base along its variable's
@@ -653,14 +656,11 @@ def fit_closed_form(model, table: IncompleteTable) -> FitResult | None:
         explicit = MECH_MCAR not in kinds or kinds == [MECH_MCAR, MECH_NMAR]
     else:
         explicit = schema.shape == SHAPE_THREE_ONE and kinds == [MECH_MCAR]
-    # the kinds tell the whole model only when it has one mechanism per
-    # missing variable, each MAR donor the other one, and no other terms
-    if not explicit or tuple(v for v, _ in mechs) != schema.missing:
-        return None
-    others = reversed(schema.missing)
-    if any(m.donor not in (None, w) for (_, m), w in zip(mechs, others)):
-        return None
-    if model.terms != _make_model(schema, model.id, mechs).terms:
+    # the kinds tell the whole model only for a member of the catalog
+    if not explicit or not any(
+        (m.mechanisms, m.terms) == (mechs, model.terms)
+        for m in enumerate_models(schema)
+    ):
         return None
     counts = (st.counts.astype(float) for st in table.strata)
     strata = dict(zip(schema.patterns(), counts))

@@ -1,18 +1,22 @@
 """Catalogs of log-linear non-response models for incomplete tables.
 
-Each model pairs every variable subject to missingness with a mechanism:
-MCAR (its recording indicator depends on no variable), NMAR (the indicator
-depends on the variable itself), or MAR with a named donor (the indicator
-depends on another, recorded, variable).  The model's terms are the
-intercept, all main effects, the fully saturated association block among
-the substantive variables, the association among the indicators when there
-are two, and exactly one variable-by-indicator term per non-MCAR mechanism.
+One rule makes every catalog (Baker, Rosenberger & DerSimonian 1992).  Each
+variable subject to missingness takes one mechanism: NMAR (its recording
+indicator depends on the variable itself), MAR with each other variable in
+declared order as donor (the indicator depends on that variable), or MCAR
+(the indicator depends on no variable).  The catalog is the product of
+these choices over the missing variables.  Every model's terms are every
+subset of the substantive variables (the intercept first), every nonempty
+subset of the indicators, and exactly one variable-by-indicator term per
+non-MCAR mechanism.
 
-Model ids are stable strings.  Two-variable tables carry the nine-model
-family M1..M9, three-variable tables with one missing variable carry C1..C4,
-and three-variable tables with two missing variables carry sixteen models
-split into the six groups D1..D6 by mechanism type.  Positional labels
-Y1, Y2, Y3 in ids and summaries refer to variables in declared order.
+Only the ids depend on the shape, and they are stable strings.
+Two-variable tables carry M1..M9, named by their pair of kinds;
+three-variable tables with one missing variable carry C1..C4, numbered in
+product order; three-variable tables with two missing variables carry
+sixteen models, each named D<g>: plus its mechanisms, where the group
+D1..D6 is decided by the set of kinds.  Positional labels Y1, Y2, Y3 in
+ids and summaries refer to variables in declared order.
 """
 
 from __future__ import annotations
@@ -20,16 +24,16 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import TableError
 from .tables import (
     SHAPE_THREE_ONE,
-    SHAPE_THREE_TWO,
     SHAPE_TWO_BOTH,
     TableSchema,
+    indicator_factor,
 )
 
 MECH_MCAR = "MCAR"
@@ -40,14 +44,9 @@ DF_POISSON_CELLS = "poisson-cells"
 DF_MULTINOMIAL = "multinomial"
 DF_CONVENTIONS = (DF_POISSON_CELLS, DF_MULTINOMIAL)
 
-# schemas whose observation map and screening plan stay cached; a process
-# that meets more schemas rebuilds the least recently used
+# schemas whose model catalog, observation map and screening plan stay
+# cached; a process that meets more schemas rebuilds the least recently used
 SCHEMA_CACHE_SIZE = 64
-
-
-def indicator_factor(var: str) -> str:
-    """Name of the recording indicator factor for a variable."""
-    return f"R({var})"
 
 
 def y_label(schema: TableSchema, var: str) -> str:
@@ -180,117 +179,83 @@ def factor_levels(schema: TableSchema) -> dict:
     return lv
 
 
-def _sorted_term(schema: TableSchema, factors) -> tuple:
-    axes = factor_axes(schema)
-    return tuple(sorted(factors, key=lambda f: axes[f]))
-
-
 def _base_terms(schema: TableSchema) -> list:
-    names = schema.names
-    terms = [()]
-    for n in names:
-        terms.append((n,))
-    for pair in itertools.combinations(names, 2):
-        terms.append(pair)
-    if len(names) == 3:
-        terms.append(tuple(names))
+    """Every subset of the variables (the intercept first), then every
+    nonempty subset of the indicators."""
     inds = [indicator_factor(m) for m in schema.missing]
-    for r in inds:
-        terms.append((r,))
-    if len(inds) == 2:
-        terms.append(tuple(inds))
-    return terms
-
-
-def _mechanism_terms(schema: TableSchema, mechanisms) -> list:
-    terms = []
-    for v, mech in mechanisms:
-        r = indicator_factor(v)
-        if mech.kind == MECH_NMAR:
-            terms.append(_sorted_term(schema, (v, r)))
-        elif mech.kind == MECH_MAR:
-            terms.append(_sorted_term(schema, (mech.donor, r)))
-    return terms
+    return [
+        term
+        for factors, smallest in ((schema.names, 0), (inds, 1))
+        for size in range(smallest, len(factors) + 1)
+        for term in itertools.combinations(factors, size)
+    ]
 
 
 def _make_model(schema, model_id, mechanisms) -> NonresponseModel:
-    # every mechanism term pairs a variable with a distinct indicator, and
-    # no base term does, so the terms are already distinct
-    terms = _base_terms(schema) + _mechanism_terms(schema, mechanisms)
+    # one (variable, indicator) term per non-MCAR mechanism, already in
+    # axis order; each names a distinct indicator with one variable, and
+    # no base term does, so the terms are distinct
+    terms = _base_terms(schema) + [
+        (mech.donor or v, indicator_factor(v))
+        for v, mech in mechanisms
+        if mech.kind != MECH_MCAR
+    ]
     return NonresponseModel(model_id, tuple(mechanisms), tuple(terms))
 
 
-_M_CATALOG = (
-    ("M1", MECH_NMAR, MECH_MCAR),
-    ("M2", MECH_NMAR, MECH_MAR),
-    ("M3", MECH_NMAR, MECH_NMAR),
-    ("M4", MECH_MAR, MECH_MCAR),
-    ("M5", MECH_MAR, MECH_MAR),
-    ("M6", MECH_MAR, MECH_NMAR),
-    ("M7", MECH_MCAR, MECH_MAR),
-    ("M8", MECH_MCAR, MECH_NMAR),
-    ("M9", MECH_MCAR, MECH_MCAR),
+# the two-variable catalog M1..M9 by the kinds of (Y1, Y2)
+_M_KINDS = (
+    (MECH_NMAR, MECH_MCAR),
+    (MECH_NMAR, MECH_MAR),
+    (MECH_NMAR, MECH_NMAR),
+    (MECH_MAR, MECH_MCAR),
+    (MECH_MAR, MECH_MAR),
+    (MECH_MAR, MECH_NMAR),
+    (MECH_MCAR, MECH_MAR),
+    (MECH_MCAR, MECH_NMAR),
+    (MECH_MCAR, MECH_MCAR),
+)
+
+# the groups D1..D6 of the two-missing catalog by the set of kinds
+_D_GROUPS = (
+    {MECH_MCAR},
+    {MECH_NMAR},
+    {MECH_MAR},
+    {MECH_MCAR, MECH_NMAR},
+    {MECH_MCAR, MECH_MAR},
+    {MECH_NMAR, MECH_MAR},
 )
 
 
+def _options(schema: TableSchema, var: str) -> tuple:
+    donors = (Mechanism(MECH_MAR, d) for d in schema.names if d != var)
+    return (Mechanism(MECH_NMAR), *donors, Mechanism(MECH_MCAR))
+
+
+@functools.lru_cache(maxsize=SCHEMA_CACHE_SIZE)
 def enumerate_models(schema: TableSchema) -> tuple:
-    """The complete model catalog for the schema's shape."""
-    shape = schema.shape
-    if shape == SHAPE_TWO_BOTH:
-        v1, v2 = schema.missing
-        out = []
-        for mid, k1, k2 in _M_CATALOG:
-            m1 = Mechanism(k1, v2 if k1 == MECH_MAR else None)
-            m2 = Mechanism(k2, v1 if k2 == MECH_MAR else None)
-            out.append(_make_model(schema, mid, ((v1, m1), (v2, m2))))
-        return tuple(out)
-    if shape == SHAPE_THREE_ONE:
-        v = schema.missing[0]
-        donors = [n for n in schema.names if n != v]
-        specs = [
-            ("C1", Mechanism(MECH_NMAR)),
-            ("C2", Mechanism(MECH_MAR, donors[0])),
-            ("C3", Mechanism(MECH_MAR, donors[1])),
-            ("C4", Mechanism(MECH_MCAR)),
-        ]
-        return tuple(
-            _make_model(schema, mid, ((v, m),)) for mid, m in specs
-        )
-    if shape == SHAPE_THREE_TWO:
-        v1, v2 = schema.missing
-
-        def options(v):
-            donors = [n for n in schema.names if n != v]
-            opts = [Mechanism(MECH_NMAR)]
-            opts.extend(Mechanism(MECH_MAR, d) for d in donors)
-            opts.append(Mechanism(MECH_MCAR))
-            return opts
-
-        def group(m1, m2):
-            kinds = {m1.kind, m2.kind}
-            if kinds == {MECH_MCAR}:
-                return 1
-            if kinds == {MECH_NMAR}:
-                return 2
-            if kinds == {MECH_MAR}:
-                return 3
-            if kinds == {MECH_MCAR, MECH_NMAR}:
-                return 4
-            if kinds == {MECH_MCAR, MECH_MAR}:
-                return 5
-            return 6
-
-        combos = itertools.product(options(v1), options(v2))
-        out = []
-        for m1, m2 in sorted(combos, key=lambda pair: group(*pair)):
-            g = group(m1, m2)
-            mid = (
-                f"D{g}:{y_label(schema, v1)}={m1.display(schema)},"
-                f"{y_label(schema, v2)}={m2.display(schema)}"
-            )
-            out.append(_make_model(schema, mid, ((v1, m1), (v2, m2))))
-        return tuple(out)
-    raise TableError(f"shape {shape} has no model catalog")
+    """The complete model catalog for the schema's shape, built once per
+    schema and shared."""
+    if not schema.is_analysis_shape:
+        raise TableError(f"shape {schema.shape} has no model catalog")
+    combos = itertools.product(*(_options(schema, v) for v in schema.missing))
+    ranked = []
+    for pos, mechs in enumerate(combos):
+        model = _make_model(schema, "", tuple(zip(schema.missing, mechs)))
+        kinds = tuple(m.kind for m in mechs)
+        if schema.shape == SHAPE_TWO_BOTH:
+            rank = _M_KINDS.index(kinds)
+            mid = f"M{rank + 1}"
+        elif schema.shape == SHAPE_THREE_ONE:
+            rank = pos
+            mid = f"C{rank + 1}"
+        else:
+            rank = _D_GROUPS.index(set(kinds))
+            mid = f"D{rank + 1}:{model.mechanism_display(schema)}"
+        ranked.append((rank, replace(model, id=mid)))
+    # stable: equal ranks keep their order in the product
+    ranked.sort(key=lambda rm: rm[0])
+    return tuple(m for _, m in ranked)
 
 
 def get_model(schema: TableSchema, model_id: str) -> NonresponseModel:

@@ -138,8 +138,8 @@ def list_queries(schema: TableSchema) -> tuple:
     """Every containment check for the schema, in deterministic order.
 
     Ordered by assessed missing variable (declared order), then target
-    variable (declared order), then level pair (lexicographic), then
-    conditioning level (ascending).
+    variable (declared order), then level pair (lexicographic), then the
+    levels of the remaining variables (lexicographic).
     """
     if not schema.is_analysis_shape:
         raise TableError(
@@ -151,18 +151,14 @@ def list_queries(schema: TableSchema) -> tuple:
             if t == v:
                 continue
             rest = [n for n in schema.names if n not in (v, t)]
-            pairs = itertools.combinations(
-                range(1, schema.levels(t) + 1), 2
+            pairs = itertools.combinations(range(1, schema.levels(t) + 1), 2)
+            conditions = itertools.product(
+                *(range(1, schema.levels(c) + 1) for c in rest)
             )
-            for pair in pairs:
-                if rest:
-                    c = rest[0]
-                    for lvl in range(1, schema.levels(c) + 1):
-                        queries.append(
-                            OddsQuery(v, t, pair, ((c, lvl),))
-                        )
-                else:
-                    queries.append(OddsQuery(v, t, pair, ()))
+            queries.extend(
+                OddsQuery(v, t, pair, tuple(zip(rest, levels)))
+                for pair, levels in itertools.product(pairs, conditions)
+            )
     return tuple(queries)
 
 

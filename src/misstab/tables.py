@@ -64,6 +64,30 @@ def _as_count_array(raw, where):
     return arr
 
 
+def indicator_factor(var: str) -> str:
+    """Name of the recording indicator factor for a variable."""
+    return f"R({var})"
+
+
+def _is_int(x) -> bool:
+    """An integer that is not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    """A real number that is not a bool."""
+    real = (int, float, np.integer, np.floating)
+    return isinstance(x, real) and not isinstance(x, bool)
+
+
+def _levels(name, levels) -> int:
+    if isinstance(levels, (float, np.floating)) and float(levels).is_integer():
+        levels = int(levels)
+    if not _is_int(levels):
+        raise TableError(f"variable {name}: levels must be an integer")
+    return int(levels)
+
+
 def pattern_label(unobserved) -> str:
     """Human-readable label for a missingness pattern."""
     names = tuple(unobserved)
@@ -77,7 +101,9 @@ class TableSchema:
     """Variable layout of an incomplete table.
 
     variables: ordered (name, levels) pairs; the declared order fixes the
-    axis order of every count array.
+    axis order of every count array.  Names are distinct and nonempty, and
+    none spells the recording indicator of a missing variable (R(name));
+    levels are integers of at least 2.
     missing: names of the variables subject to missingness, kept in
     declared order.
     """
@@ -86,7 +112,7 @@ class TableSchema:
     missing: tuple
 
     def __post_init__(self):
-        variables = tuple((str(n), int(l)) for n, l in self.variables)
+        variables = tuple((str(n), _levels(n, l)) for n, l in self.variables)
         names = [n for n, _ in variables]
         if len(variables) not in (2, 3):
             raise TableError("a table needs 2 or 3 variables")
@@ -105,6 +131,12 @@ class TableSchema:
                 raise TableError(f"missing list names unknown variable {m}")
         # canonical order follows the declared variable order
         missing = tuple(n for n in names if n in missing)
+        for m in missing:
+            if indicator_factor(m) in names:
+                raise TableError(
+                    f"variable {indicator_factor(m)} is named like the"
+                    f" recording indicator of missing variable {m}"
+                )
         if len(variables) == 2 and len(missing) == 1:
             raise TableError(
                 "a 2-variable table must have both variables missing or none"
@@ -509,7 +541,7 @@ def subtable(table: IncompleteTable, keep_patterns) -> IncompleteTable:
 
 def scale_counts(table: IncompleteTable, c: int) -> IncompleteTable:
     """Multiply every count by a positive integer."""
-    if not isinstance(c, (int, np.integer)) or isinstance(c, bool) or c < 1:
+    if not _is_int(c) or c < 1:
         raise TableError("scale factor must be an integer >= 1")
     # no count exceeds the total, so no scaled count can wrap either
     total = table.N * int(c)

@@ -162,8 +162,10 @@ class TestBootstrapAssess:
         assert "draw_s" not in a.as_dict() and "screen_s" not in a.as_dict()
 
     def test_errors(self, smoking_table):
-        with pytest.raises(ComputationError):
-            bootstrap_assess(smoking_table, "M4", n_replicates=0, seed=1)
+        # 2.5 used to raise TypeError from range, True ran one replicate
+        for n in (0, -3, 2.5, True, "5", None):
+            with pytest.raises(ComputationError, match="n_replicates"):
+                bootstrap_assess(smoking_table, "M4", n_replicates=n, seed=1)
         with pytest.raises(ComputationError):
             bootstrap_assess(
                 smoking_table, "M4", n_replicates=5, seed=1, mode="jackknife"

@@ -356,6 +356,9 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 # full stdout of one run per report shape, pinned byte for byte
 GOLDEN = {
     "catalog-smoking-birthweight.txt": ["catalog", "smoking-birthweight"],
+    # the parameter and df columns of the C and D catalogs
+    "catalog-spo-y1.txt": ["catalog", "spo-y1"],
+    "catalog-spo-y1y2.txt": ["catalog", "spo-y1y2"],
     "fit-spo-y1.txt": ["fit", "spo-y1"],
     "fit-smoking-birthweight.txt": ["fit", "smoking-birthweight"],
     "fit-bone-density.txt": ["fit", "bone-density"],
@@ -461,6 +464,24 @@ class TestSourcesAndExitCodes:
         from_json.pop("source")
         from_csv.pop("source")
         assert from_json == from_csv
+
+    def test_variable_named_like_an_indicator(self, capsys, tmp_path):
+        # "R(smoking)" used to share the axis of smoking's indicator: the
+        # catalog printed wrong counts, fit died on a traceback and the
+        # bootstrap ran on the wrong model
+        text = dump_table(builtin_dataset("smoking-birthweight"))
+        path = tmp_path / "clash.json"
+        path.write_text(text.replace('"birthweight"', '"R(smoking)"'))
+        for argv in (
+            ["catalog", str(path)],
+            ["fit", str(path)],
+            ["fit", str(path), "--model", "M1"],
+            ["bootstrap", str(path), "--model", "M9", "--replicates", "5"],
+        ):
+            assert main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("data error: variable R(smoking)")
 
     def test_unknown_source(self, capsys):
         assert main(["assess", "no-such-thing"]) == 2

@@ -506,6 +506,24 @@ class TestEm:
             with pytest.raises(ComputationError, match="tol must be finite"):
                 fit("M4", bone_table, tol=tol, max_iter=10)
 
+    @pytest.mark.parametrize(
+        "stopping",
+        [
+            {"tol": "x"},
+            {"tol": None},
+            {"tol": True},
+            {"max_iter": 2.5},
+            {"max_iter": True},
+            {"max_iter": "10"},
+        ],
+    )
+    def test_stopping_arguments_of_another_type(self, smoking_table, stopping):
+        # tol is a real number and max_iter an integer, neither a bool:
+        # "x" and None used to raise TypeError, 2.5 and True were accepted
+        for fit, model_id in ((fit_em, "M4"), (fit_model, "M4"), (fit_model, "M5")):
+            with pytest.raises(ComputationError, match="must be a"):
+                fit(model_id, smoking_table, **stopping)
+
     def test_every_iteration_is_one_ecm_step(self, bone_table):
         fit = fit_em("M4", bone_table)
         assert fit.face_cells == 0 and fit.evaluations == fit.iterations

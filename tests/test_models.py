@@ -1,13 +1,18 @@
 """Model catalog enumeration, counting rules, and design matrices."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from misstab import (
     MECH_MAR,
     MECH_MCAR,
     MECH_NMAR,
     Mechanism,
+    NonresponseModel,
+    OddsQuery,
     TableError,
     TableSchema,
     build_design,
@@ -18,17 +23,20 @@ from misstab import (
     get_model,
     indicator_factor,
     is_perfect_fit,
+    list_queries,
     model_summary,
     observed_statistic_count,
     parameter_count,
 )
 from misstab.models import (
     SCHEMA_CACHE_SIZE,
+    factor_axes,
     full_cross_dims,
     observation_map,
     y_label,
 )
 from misstab.odds import screening_plan
+from misstab.tables import SHAPE_THREE_ONE, SHAPE_THREE_TWO, SHAPE_TWO_BOTH
 
 D_IDS = (
     "D1:Y1=MCAR,Y2=MCAR",
@@ -229,8 +237,177 @@ class TestDesign:
         }
 
 
-@pytest.mark.parametrize("cached", [observation_map, screening_plan])
+@pytest.mark.parametrize(
+    "cached", [enumerate_models, observation_map, screening_plan]
+)
 def test_schema_caches_are_bounded(cached):
     for k in range(SCHEMA_CACHE_SIZE + 5):
         cached(TableSchema(((f"a{k}", 2), ("b", 2)), (f"a{k}", "b")))
     assert cached.cache_info().currsize == SCHEMA_CACHE_SIZE
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the catalog and the check list written out shape by shape, as
+# they were before one rule over the missing variables generated both.
+
+_ORACLE_M_CATALOG = (
+    ("M1", MECH_NMAR, MECH_MCAR),
+    ("M2", MECH_NMAR, MECH_MAR),
+    ("M3", MECH_NMAR, MECH_NMAR),
+    ("M4", MECH_MAR, MECH_MCAR),
+    ("M5", MECH_MAR, MECH_MAR),
+    ("M6", MECH_MAR, MECH_NMAR),
+    ("M7", MECH_MCAR, MECH_MAR),
+    ("M8", MECH_MCAR, MECH_NMAR),
+    ("M9", MECH_MCAR, MECH_MCAR),
+)
+
+
+def _oracle_model(schema, model_id, mechanisms):
+    names = schema.names
+    terms = [()]
+    terms.extend((n,) for n in names)
+    terms.extend(itertools.combinations(names, 2))
+    if len(names) == 3:
+        terms.append(tuple(names))
+    inds = [indicator_factor(m) for m in schema.missing]
+    terms.extend((r,) for r in inds)
+    if len(inds) == 2:
+        terms.append(tuple(inds))
+    axes = factor_axes(schema)
+    for v, mech in mechanisms:
+        if mech.kind == MECH_MCAR:
+            continue
+        source = v if mech.kind == MECH_NMAR else mech.donor
+        pair = (source, indicator_factor(v))
+        terms.append(tuple(sorted(pair, key=axes.get)))
+    return NonresponseModel(model_id, tuple(mechanisms), tuple(terms))
+
+
+def _oracle_enumerate_models(schema):
+    shape = schema.shape
+    if shape == SHAPE_TWO_BOTH:
+        v1, v2 = schema.missing
+        out = []
+        for mid, k1, k2 in _ORACLE_M_CATALOG:
+            m1 = Mechanism(k1, v2 if k1 == MECH_MAR else None)
+            m2 = Mechanism(k2, v1 if k2 == MECH_MAR else None)
+            out.append(_oracle_model(schema, mid, ((v1, m1), (v2, m2))))
+        return tuple(out)
+    if shape == SHAPE_THREE_ONE:
+        v = schema.missing[0]
+        donors = [n for n in schema.names if n != v]
+        specs = [
+            ("C1", Mechanism(MECH_NMAR)),
+            ("C2", Mechanism(MECH_MAR, donors[0])),
+            ("C3", Mechanism(MECH_MAR, donors[1])),
+            ("C4", Mechanism(MECH_MCAR)),
+        ]
+        return tuple(
+            _oracle_model(schema, mid, ((v, m),)) for mid, m in specs
+        )
+    if shape == SHAPE_THREE_TWO:
+        v1, v2 = schema.missing
+
+        def options(v):
+            donors = [n for n in schema.names if n != v]
+            opts = [Mechanism(MECH_NMAR)]
+            opts.extend(Mechanism(MECH_MAR, d) for d in donors)
+            opts.append(Mechanism(MECH_MCAR))
+            return opts
+
+        def group(m1, m2):
+            kinds = {m1.kind, m2.kind}
+            if kinds == {MECH_MCAR}:
+                return 1
+            if kinds == {MECH_NMAR}:
+                return 2
+            if kinds == {MECH_MAR}:
+                return 3
+            if kinds == {MECH_MCAR, MECH_NMAR}:
+                return 4
+            if kinds == {MECH_MCAR, MECH_MAR}:
+                return 5
+            return 6
+
+        combos = itertools.product(options(v1), options(v2))
+        out = []
+        for m1, m2 in sorted(combos, key=lambda pair: group(*pair)):
+            g = group(m1, m2)
+            mid = (
+                f"D{g}:{y_label(schema, v1)}={m1.display(schema)},"
+                f"{y_label(schema, v2)}={m2.display(schema)}"
+            )
+            out.append(_oracle_model(schema, mid, ((v1, m1), (v2, m2))))
+        return tuple(out)
+    raise TableError(f"shape {shape} has no model catalog")
+
+
+def _oracle_list_queries(schema):
+    queries = []
+    for v in schema.missing:
+        for t in schema.names:
+            if t == v:
+                continue
+            rest = [n for n in schema.names if n not in (v, t)]
+            pairs = itertools.combinations(range(1, schema.levels(t) + 1), 2)
+            for pair in pairs:
+                if rest:
+                    c = rest[0]
+                    for lvl in range(1, schema.levels(c) + 1):
+                        queries.append(OddsQuery(v, t, pair, ((c, lvl),)))
+                else:
+                    queries.append(OddsQuery(v, t, pair, ()))
+    return tuple(queries)
+
+
+@st.composite
+def analysis_schemas(draw):
+    """Two or three variables of 2-5 levels under shuffled names, with
+    any analysable missing set, listed in any order."""
+    n = draw(st.sampled_from([2, 3]))
+    names = draw(st.permutations(["Y1", "Y2", "Y3", "b", "a"]))[:n]
+    levels = draw(st.lists(st.integers(2, 5), min_size=n, max_size=n))
+    if n == 2:
+        missing = names
+    else:
+        missing = draw(
+            st.sampled_from(
+                [c for r in (1, 2) for c in itertools.combinations(names, r)]
+            )
+        )
+    missing = draw(st.permutations(list(missing)))
+    return TableSchema(tuple(zip(names, levels)), tuple(missing))
+
+
+# missing variables that are not leading, which no built-in table has
+_TRAILING_MISSING = [
+    (("Y1", 3), ("Y2", 2), ("Y3", 4), ("Y1", "Y3")),
+    (("Y1", 2), ("Y2", 3), ("Y3", 2), ("Y2",)),
+    (("Y1", 2), ("Y2", 5), ("Y3", 3), ("Y3",)),
+    (("Y1", 4), ("Y2", 2), ("Y3", 3), ("Y2", "Y3")),
+]
+
+
+class TestOneRuleMatchesTheOracles:
+    @settings(max_examples=300, deadline=None)
+    @given(analysis_schemas())
+    def test_random_schemas(self, schema):
+        # ids, order, mechanisms and terms, then every check in order
+        assert enumerate_models(schema) == _oracle_enumerate_models(schema)
+        assert list_queries(schema) == _oracle_list_queries(schema)
+
+    @pytest.mark.parametrize("spec", _TRAILING_MISSING)
+    def test_trailing_missing_variables(self, spec):
+        *variables, missing = spec
+        schema = TableSchema(tuple(variables), missing)
+        models = enumerate_models(schema)
+        assert models == _oracle_enumerate_models(schema)
+        assert list_queries(schema) == _oracle_list_queries(schema)
+        assert len(models) == {1: 4, 2: 16}[len(missing)]
+
+    def test_builtin_tables(self):
+        for name in ("smoking-birthweight", "bone-density", "spo-y1", "spo-y1y2"):
+            schema = builtin_dataset(name).schema
+            assert enumerate_models(schema) == _oracle_enumerate_models(schema)
+            assert list_queries(schema) == _oracle_list_queries(schema)

@@ -1,6 +1,7 @@
 """Table containers, serialization, and the builtin datasets."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from misstab import (
     builtin_dataset_description,
     builtin_dataset_names,
     dump_table,
+    indicator_factor,
     load_table,
     load_table_csv,
     scale_counts,
@@ -77,6 +79,38 @@ class TestSchema:
             TableSchema((("a", 2), ("b", 2)), ("z",))
         with pytest.raises(TableError):
             TableSchema((("a", 2), ("b", 2)), ("a", "a"))
+
+    @pytest.mark.parametrize("levels", [2.7, "3", None, True, [2]])
+    def test_rejects_levels_that_are_not_integers(self, levels):
+        # 2.7 and "3" used to be truncated and parsed, None a TypeError
+        with pytest.raises(TableError, match="variable a: levels must be"):
+            TableSchema((("a", levels), ("b", 2)), ("a", "b"))
+
+    def test_integral_levels_of_any_type(self):
+        schema = TableSchema((("a", 2.0), ("b", np.int64(3))), ("a", "b"))
+        assert schema.variables == (("a", 2), ("b", 3))
+        assert all(type(l) is int for _, l in schema.variables)
+
+    def test_rejects_a_variable_named_like_an_indicator(self):
+        # the name would share the indicator's axis of the complete cross
+        name = indicator_factor("a")
+        clashes = (
+            ((("a", 2), (name, 2)), ("a", name)),
+            ((("a", 2), ("b", 2), (name, 3)), ("a",)),
+            ((("a", 2), ("b", 2), (name, 3)), ("a", "b")),
+        )
+        for variables, missing in clashes:
+            with pytest.raises(TableError, match=re.escape(name)):
+                TableSchema(variables, missing)
+        # the indicator of a variable that is never missing is no factor
+        schema = TableSchema((("a", 2), ("b", 2), (name, 2)), ("b",))
+        assert schema.names == ("a", "b", name)
+
+    def test_load_rejects_a_variable_named_like_an_indicator(self):
+        text = dump_table(builtin_dataset("smoking-birthweight"))
+        clash = text.replace('"birthweight"', '"R(smoking)"')
+        with pytest.raises(TableError, match=re.escape("R(smoking)")):
+            load_table(clash)
 
     def test_pattern_label(self):
         assert pattern_label(()) == "{fully observed}"
