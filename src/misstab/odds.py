@@ -18,10 +18,11 @@ once by cross-multiplication.
 
 from __future__ import annotations
 
-import collections
 import functools
+import gc
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -34,6 +35,10 @@ from .tables import IncompleteTable, TableSchema
 MEMBERSHIP_INSIDE = "inside"
 MEMBERSHIP_OUTSIDE = "outside"
 MEMBERSHIP_UNDEFINED = "undefined"
+
+# Membership codes: positions in _MEMBERSHIPS.
+_INSIDE, _OUTSIDE, _UNDEFINED = range(3)
+_MEMBERSHIPS = (MEMBERSHIP_INSIDE, MEMBERSHIP_OUTSIDE, MEMBERSHIP_UNDEFINED)
 
 CLASS_MAR = "MAR"
 CLASS_MCAR_OR_NMAR = "MCAR-or-NMAR"
@@ -120,18 +125,6 @@ class OddsInterval:
 
 def _cross_compare(x: CountRatio, y: CountRatio) -> int:
     return x.numerator * y.denominator - y.numerator * x.denominator
-
-
-_BY_VALUE = functools.cmp_to_key(_cross_compare)
-
-
-def _build_interval(values) -> OddsInterval:
-    defined = [r for _, r in values if r.defined]
-    if not defined:
-        return OddsInterval(tuple(values), None, None)
-    lo = min(defined, key=_BY_VALUE)
-    hi = max(defined, key=_BY_VALUE)
-    return OddsInterval(tuple(values), lo, hi)
 
 
 def list_queries(schema: TableSchema) -> tuple:
@@ -234,9 +227,40 @@ class ScreeningPlan:
         return Screening(value_defined, interval_defined, outside)
 
 
+# Plan entries (checks times the widest level count of a missing variable)
+# a schema may need.  The plan holds 17 bytes per entry, and assessing one
+# table peaks at about 35 bytes per entry on top, 16 of which the verdict
+# keeps; so the budget bounds an assessment near 210 MiB.  A 30x30x30 table
+# with two missing variables needs 1 566 000 entries.
+PLAN_ENTRY_BUDGET = 1 << 22
+
+
+def plan_entries(schema: TableSchema) -> int:
+    """Entries of the schema's screening plan, from its levels alone."""
+    cells = math.prod(l for _, l in schema.variables)
+    # one check per level pair of the target and levels of the rest
+    checks = sum(
+        cells // (schema.levels(v) * l) * math.comb(l, 2)
+        for v in schema.missing
+        for t, l in schema.variables
+        if t != v
+    )
+    return checks * max((schema.levels(v) for v in schema.missing), default=0)
+
+
 @functools.lru_cache(maxsize=SCHEMA_CACHE_SIZE)
 def screening_plan(schema: TableSchema) -> ScreeningPlan:
-    """The screening plan of a schema, built once and shared."""
+    """The screening plan of a schema, built once and shared.
+
+    A schema whose plan would exceed PLAN_ENTRY_BUDGET entries raises
+    TableError before any check is listed.
+    """
+    entries = plan_entries(schema)
+    if entries > PLAN_ENTRY_BUDGET:
+        raise TableError(
+            f"screening needs {entries} plan entries, over the budget of"
+            f" {PLAN_ENTRY_BUDGET}"
+        )
     queries = list_queries(schema)
     omap = observation_map(schema)
 
@@ -313,26 +337,109 @@ class QueryRecord:
         }
 
 
-def _membership_counts(records) -> dict:
-    out = dict.fromkeys(
-        (MEMBERSHIP_INSIDE, MEMBERSHIP_OUTSIDE, MEMBERSHIP_UNDEFINED), 0
+def _record(query, value, odds, membership) -> QueryRecord:
+    """One check's record from the counts it reads: value is the
+    non-response (numerator, denominator), odds the response numerators
+    and denominators at each level of the assessed variable."""
+    value = CountRatio(*value)
+    nums, dens = odds
+    # the interval ends are the first entries of least and of greatest
+    # value among the defined ones, compared by cross-multiplication
+    lo = hi = None
+    for i, (n, d) in enumerate(zip(nums, dens)):
+        if not (n > 0 and d > 0):
+            continue
+        if lo is None:
+            lo = hi = i
+        elif n * dens[lo] < nums[lo] * d:
+            lo = i
+        elif n * dens[hi] > nums[hi] * d:
+            hi = i
+    ratios = [CountRatio(n, d) for n, d in zip(nums, dens)]
+    interval = OddsInterval(
+        tuple(enumerate(ratios, 1)),
+        None if lo is None else ratios[lo],
+        None if hi is None else ratios[hi],
     )
-    for r in records:
-        out[r.membership] += 1
-    return out
+    notes = []
+    if not value.defined:
+        notes.append("non-response odds undefined (zero count)")
+    if not interval.defined:
+        notes.append("no defined response odds")
+    elif interval.partial:
+        notes.append("interval omits undefined entries")
+    if interval.defined and interval.degenerate:
+        notes.append("degenerate interval (all response odds equal)")
+    return QueryRecord(query, value, interval, membership, "; ".join(notes))
+
+
+@dataclass(frozen=True, eq=False)
+class _Checks:
+    """One family's checks on one table, column by column: the queries,
+    the counts each reads and each membership as an index into
+    _MEMBERSHIPS.
+
+    value[:, q] is check q's non-response (numerator, denominator);
+    odds[:, q, l] its response odds at level l + 1 of the assessed
+    variable.  Equal by value.
+    """
+
+    queries: tuple
+    value: np.ndarray
+    odds: np.ndarray
+    codes: np.ndarray
+
+    def __eq__(self, other):
+        if not isinstance(other, _Checks):
+            return NotImplemented
+        return self.queries == other.queries and all(
+            np.array_equal(getattr(self, f), getattr(other, f))
+            for f in ("value", "odds", "codes")
+        )
+
+    def __hash__(self):
+        return hash((len(self.queries), self.codes.tobytes()))
+
+    def records(self) -> tuple:
+        value = self.value.T.tolist()
+        odds = self.odds.transpose(1, 0, 2).tolist()
+        # The records hold no reference cycles, yet building them
+        # allocates tens of objects per check, enough to start the
+        # cyclic collector over and over on large tables; pause it.
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return tuple(
+                _record(query, value[q], odds[q], _MEMBERSHIPS[code])
+                for q, (query, code) in enumerate(
+                    zip(self.queries, self.codes.tolist())
+                )
+            )
+        finally:
+            if enabled:
+                gc.enable()
 
 
 @dataclass(frozen=True)
 class FamilyAssessment:
     """All checks whose non-response odds come from one variable's
-    supplemental stratum."""
+    supplemental stratum.
+
+    tally holds the (inside, outside, undefined) check counts; the
+    records are built from checks when first read.
+    """
 
     variable: str
-    records: tuple
     suggested_class: str
+    tally: tuple
+    checks: _Checks = field(repr=False)
+
+    @functools.cached_property
+    def records(self) -> tuple:
+        return self.checks.records()
 
     def counts(self) -> dict:
-        return _membership_counts(self.records)
+        return dict(zip(_MEMBERSHIPS, self.tally))
 
     def as_dict(self) -> dict:
         return {
@@ -354,7 +461,7 @@ class AssessmentVerdict:
                 return fam
         raise KeyError(variable)
 
-    @property
+    @functools.cached_property
     def records(self) -> tuple:
         return tuple(r for fam in self.families for r in fam.records)
 
@@ -366,10 +473,11 @@ class AssessmentVerdict:
         }
 
 
-def _classify(counts) -> str:
-    if counts[MEMBERSHIP_OUTSIDE]:
+def _classify(tally) -> str:
+    inside, outside, _ = tally
+    if outside:
         return CLASS_MAR
-    if counts[MEMBERSHIP_INSIDE]:
+    if inside:
         return CLASS_MCAR_OR_NMAR
     return CLASS_INCONCLUSIVE
 
@@ -379,56 +487,42 @@ def assess(table: IncompleteTable) -> AssessmentVerdict:
 
     Any defined non-response odds on or outside its response interval
     suggests MAR; all defined values strictly inside leave MCAR and NMAR
-    in play; a family with no defined check at all is inconclusive.
+    in play; a family with no defined check at all is inconclusive.  The
+    verdict comes from the plan's arrays alone; each family builds its
+    records when they are first read.
     """
     schema = table.schema
     plan = screening_plan(schema)
     flat = observed_counts(table)
     result = plan.screen(flat[np.newaxis])
-    value_num = flat[plan.value_num].tolist()
-    value_den = flat[plan.value_den].tolist()
-    odds_num = flat[plan.odds_num].tolist()
-    odds_den = flat[plan.odds_den].tolist()
-    defined = result.defined[0].tolist()
-    outside = result.outside[0].tolist()
-    records = {v: [] for v in schema.missing}
-    for q, query in enumerate(plan.queries):
-        value = CountRatio(value_num[q], value_den[q])
-        levels = range(1, schema.levels(query.missing_var) + 1)
-        interval = _build_interval(
-            [
-                (lvl, CountRatio(num, den))
-                for lvl, num, den in zip(levels, odds_num[q], odds_den[q])
-            ]
+    codes = np.where(
+        result.defined[0],
+        np.where(result.outside[0], _OUTSIDE, _INSIDE),
+        _UNDEFINED,
+    )
+    n_fam = len(schema.missing)
+    tallies = np.bincount(
+        plan.family * len(_MEMBERSHIPS) + codes,
+        minlength=n_fam * len(_MEMBERSHIPS),
+    ).reshape(n_fam, len(_MEMBERSHIPS))
+    value = flat[np.stack([plan.value_num, plan.value_den])]
+    odds = flat[np.stack([plan.odds_num, plan.odds_den])]
+    bounds = np.searchsorted(plan.family, np.arange(n_fam + 1)).tolist()
+    families = []
+    for k, v in enumerate(schema.missing):
+        rows = slice(bounds[k], bounds[k + 1])
+        checks = _Checks(
+            plan.queries[rows],
+            value[:, rows],
+            odds[:, rows, : schema.levels(v)],
+            codes[rows],
         )
-        if not defined[q]:
-            status = MEMBERSHIP_UNDEFINED
-        elif outside[q]:
-            status = MEMBERSHIP_OUTSIDE
-        else:
-            status = MEMBERSHIP_INSIDE
-        notes = []
-        if not value.defined:
-            notes.append("non-response odds undefined (zero count)")
-        if not interval.defined:
-            notes.append("no defined response odds")
-        elif interval.partial:
-            notes.append("interval omits undefined entries")
-        if interval.defined and interval.degenerate:
-            notes.append("degenerate interval (all response odds equal)")
-        records[query.missing_var].append(
-            QueryRecord(query, value, interval, status, "; ".join(notes))
-        )
-    families = [
-        FamilyAssessment(v, tuple(recs), _classify(_membership_counts(recs)))
-        for v, recs in records.items()
-    ]
-    totals = collections.Counter()
-    for fam in families:
-        totals.update(fam.counts())
+        tally = tuple(tallies[k].tolist())
+        families.append(FamilyAssessment(v, _classify(tally), tally, checks))
+    totals = tallies.sum(axis=0).tolist()
     overall = _classify(totals)
-    n_out = totals[MEMBERSHIP_OUTSIDE]
-    n_def = n_out + totals[MEMBERSHIP_INSIDE]
+    n_in, n_out, _ = totals
+    n_def = n_in + n_out
     joint = " or ".join(schema.missing)
     if overall == CLASS_MAR:
         statement = (

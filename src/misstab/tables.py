@@ -80,6 +80,33 @@ def _is_real(x) -> bool:
     return isinstance(x, real) and not isinstance(x, bool)
 
 
+def _name(where, name) -> str:
+    if not isinstance(name, str) or not name:
+        raise TableError(f"{where}: name must be a nonempty string")
+    return str(name)
+
+
+def _sequence(where, items) -> tuple:
+    """Items as a tuple; a bare string is not taken for a sequence."""
+    if isinstance(items, str):
+        raise TableError(f"{where}: must be a sequence, not one string")
+    try:
+        return tuple(items)
+    except TypeError:
+        raise TableError(f"{where}: must be a sequence") from None
+
+
+def _variable(i, entry) -> tuple:
+    try:
+        name, levels = entry
+    except (TypeError, ValueError):
+        raise TableError(
+            f"variables[{i}]: must be a (name, levels) pair"
+        ) from None
+    name = _name(f"variables[{i}]", name)
+    return name, _levels(name, levels)
+
+
 def _levels(name, levels) -> int:
     if isinstance(levels, (float, np.floating)) and float(levels).is_integer():
         levels = int(levels)
@@ -101,29 +128,33 @@ class TableSchema:
     """Variable layout of an incomplete table.
 
     variables: ordered (name, levels) pairs; the declared order fixes the
-    axis order of every count array.  Names are distinct and nonempty, and
-    none spells the recording indicator of a missing variable (R(name));
+    axis order of every count array.  Names are distinct nonempty strings,
+    and none spells the recording indicator of a missing variable (R(name));
     levels are integers of at least 2.
-    missing: names of the variables subject to missingness, kept in
-    declared order.
+    missing: a sequence of the names of the variables subject to
+    missingness, kept in declared order.
     """
 
     variables: tuple
     missing: tuple
 
     def __post_init__(self):
-        variables = tuple((str(n), _levels(n, l)) for n, l in self.variables)
+        variables = tuple(
+            _variable(i, v)
+            for i, v in enumerate(_sequence("variables", self.variables))
+        )
         names = [n for n, _ in variables]
         if len(variables) not in (2, 3):
             raise TableError("a table needs 2 or 3 variables")
         if len(set(names)) != len(names):
             raise TableError("duplicate variable name")
         for n, l in variables:
-            if not n:
-                raise TableError("empty variable name")
             if l < 2:
                 raise TableError(f"variable {n}: needs at least 2 levels")
-        missing = tuple(str(m) for m in self.missing)
+        missing = tuple(
+            _name(f"missing[{i}]", m)
+            for i, m in enumerate(_sequence("missing", self.missing))
+        )
         if len(set(missing)) != len(missing):
             raise TableError("duplicate name in missing list")
         for m in missing:

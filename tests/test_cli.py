@@ -5,7 +5,15 @@ from pathlib import Path
 
 import pytest
 
-from misstab import builtin_dataset, builtin_dataset_names, dump_table
+from misstab import (
+    IncompleteTable,
+    Stratum,
+    TableSchema,
+    builtin_dataset,
+    builtin_dataset_names,
+    dump_table,
+    odds,
+)
 from misstab.cli import main
 
 ASSESS_T6 = """\
@@ -482,6 +490,34 @@ class TestSourcesAndExitCodes:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.startswith("data error: variable R(smoking)")
+
+    def test_name_that_is_not_a_string(self, capsys, tmp_path):
+        # a number used to become the variable "3"
+        doc = json.loads(dump_table(builtin_dataset("smoking-birthweight")))
+        doc["variables"][1]["name"] = 3
+        path = tmp_path / "number.json"
+        path.write_text(json.dumps(doc))
+        assert main(["assess", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("data error: variables[1]: name")
+
+    def test_table_over_the_plan_budget(self, capsys, tmp_path, monkeypatch):
+        # a schema no other test screens, so its plan is not cached
+        schema = TableSchema((("budget", 2), ("b", 2)), ("budget", "b"))
+        table = IncompleteTable(schema, (
+            Stratum(("budget", "b"), [[5, 6], [7, 8]]),
+            Stratum(("b",), [3, 4]),
+            Stratum(("budget",), [2, 9]),
+            Stratum((), 4),
+        ))
+        path = tmp_path / "budget.json"
+        path.write_text(dump_table(table))
+        monkeypatch.setattr(odds, "PLAN_ENTRY_BUDGET", 3)
+        assert main(["assess", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("data error: screening needs 4 plan")
 
     def test_unknown_source(self, capsys):
         assert main(["assess", "no-such-thing"]) == 2

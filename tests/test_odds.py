@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from misstab import (
@@ -19,8 +20,13 @@ from misstab import (
     TableError,
     TableSchema,
     assess,
+    builtin_dataset,
+    builtin_dataset_names,
     list_queries,
+    odds,
+    scale_counts,
 )
+from misstab.odds import PLAN_ENTRY_BUDGET, plan_entries, screening_plan
 
 
 def make_two_var(full, margin_first, margin_second, both):
@@ -241,6 +247,8 @@ class TestDegenerateAndUndefined:
         verdict = assess(t)
         (rec,) = verdict.family("a").records
         assert rec.interval.degenerate
+        # the ends are the first entries of least and of greatest value
+        assert str(rec.interval) == "(2/4, 2/4)"
         assert rec.membership == MEMBERSHIP_OUTSIDE
         assert "degenerate" in rec.note
 
@@ -262,3 +270,132 @@ class TestDegenerateAndUndefined:
 
         with pytest.raises(TableError):
             assess(builtin_dataset("spo-full"))
+
+
+def cube_table(levels):
+    """A seeded levels^3 table with Y1 and Y2 missing, every observed cell
+    Poisson with mean 50."""
+    names = ("Y1", "Y2", "Y3")
+    schema = TableSchema(tuple((n, levels) for n in names), ("Y1", "Y2"))
+    rng = np.random.default_rng(0)
+    return IncompleteTable(
+        schema,
+        tuple(
+            Stratum(obs, rng.poisson(50, size=(levels,) * len(obs)))
+            for obs in map(schema.observed_for, schema.patterns())
+        ),
+    )
+
+
+class TestColumnarVerdict:
+    def test_verdict_builds_no_record(self, monkeypatch):
+        table = cube_table(20)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a record was built")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(odds, "CountRatio", refuse)
+            patch.setattr(odds, "QueryRecord", refuse)
+            verdict = assess(table)
+            read = (
+                verdict.suggested_class,
+                verdict.statement,
+                {v: verdict.family(v).counts() for v in ("Y1", "Y2")},
+            )
+        tallies = {}
+        for v in ("Y1", "Y2"):
+            tally = dict.fromkeys(
+                (MEMBERSHIP_INSIDE, MEMBERSHIP_OUTSIDE, MEMBERSHIP_UNDEFINED), 0
+            )
+            for rec in verdict.family(v).records:
+                tally[rec.membership] += 1
+            tallies[v] = tally
+        n_out = tallies["Y1"]["outside"] + tallies["Y2"]["outside"]
+        n_in = tallies["Y1"]["inside"] + tallies["Y2"]["inside"]
+        assert read == (
+            CLASS_MAR,
+            f"{n_out} of {n_out + n_in} defined non-response odds fall "
+            "outside their response odds intervals; suggested class for "
+            "Y1 or Y2: MAR",
+            tallies,
+        )
+        assert len(verdict.records) == 2 * 2 * 190 * 20
+
+    def test_records_are_built_once(self, opinion_two_table):
+        verdict = assess(opinion_two_table)
+        assert verdict.records is verdict.records
+        for fam in verdict.families:
+            assert fam.records is fam.records
+        assert verdict.records == tuple(
+            r for fam in verdict.families for r in fam.records
+        )
+        assert all(
+            a is b
+            for a, b in zip(
+                verdict.records,
+                (r for fam in verdict.families for r in fam.records),
+            )
+        )
+
+    def test_equal_by_value(self, bone_table, smoking_table):
+        first, second = assess(bone_table), assess(bone_table)
+        assert first == second and hash(first) == hash(second)
+        assert second.records  # built records take no part in equality
+        assert first == second
+        assert assess(bone_table) != assess(smoking_table)
+        # the same memberships from other counts are another verdict
+        assert assess(scale_counts(bone_table, 2)) != first
+
+    def test_counts_no_check_reads_do_not_matter(self):
+        # the stratum with both variables unobserved enters no odds
+        t1 = make_two_var([[2, 3], [4, 5]], [3, 7], [1, 2], 2)
+        t2 = make_two_var([[2, 3], [4, 5]], [3, 7], [1, 2], 9)
+        assert t1 != t2
+        assert assess(t1) == assess(t2)
+
+
+class TestPlanBudget:
+    SCHEMAS = [
+        TableSchema((("a", 2), ("b", 5)), ("a", "b")),
+        TableSchema((("a", 4), ("b", 2), ("c", 3)), ("b",)),
+        TableSchema((("a", 3), ("b", 5), ("c", 2)), ("a", "c")),
+        TableSchema((("a", 6), ("b", 2), ("c", 4)), ("b", "c")),
+    ]
+
+    @pytest.mark.parametrize("schema", SCHEMAS, ids=str)
+    def test_entries_from_levels_match_the_plan(self, schema):
+        assert plan_entries(schema) == screening_plan(schema).odds_num.size
+
+    @pytest.mark.parametrize("name", builtin_dataset_names())
+    def test_builtin_entries_match_the_plan(self, name):
+        schema = builtin_dataset(name).schema
+        if schema.is_analysis_shape:
+            assert plan_entries(schema) == screening_plan(schema).odds_num.size
+
+    def test_thirty_cubed_fits_the_budget(self):
+        big = TableSchema(
+            (("Y1", 30), ("Y2", 30), ("Y3", 30)), ("Y1", "Y2")
+        )
+        assert plan_entries(big) == 2 * 2 * 435 * 30 * 30
+        assert plan_entries(big) <= PLAN_ENTRY_BUDGET
+
+    def test_oversized_table_is_refused_before_listing(self, monkeypatch):
+        schema = TableSchema((("a", 400), ("b", 400), ("c", 2)), ("a", "b"))
+        table = IncompleteTable(
+            schema,
+            tuple(
+                Stratum(obs, np.ones([schema.levels(n) for n in obs], int))
+                for obs in map(schema.observed_for, schema.patterns())
+            ),
+        )
+
+        def refuse(schema):
+            raise AssertionError("list_queries ran")
+
+        monkeypatch.setattr(odds, "list_queries", refuse)
+        assert plan_entries(schema) > PLAN_ENTRY_BUDGET
+        with pytest.raises(TableError, match="plan entries, over the budget"):
+            screening_plan(schema)
+        with pytest.raises(TableError, match="plan entries, over the budget"):
+            assess(table)

@@ -79,6 +79,31 @@ class TestSchema:
             TableSchema((("a", 2), ("b", 2)), ("z",))
         with pytest.raises(TableError):
             TableSchema((("a", 2), ("b", 2)), ("a", "a"))
+        # names used to pass through str(): None and 3 became "None", "3"
+        for variables, missing, field in (
+            (((None, 2), (3, 2)), (None, 3), r"variables\[0\]: name"),
+            ((("a", 2), (3, 2)), ("a",), r"variables\[1\]: name"),
+            ((("a", 2), ("", 2)), ("a",), r"variables\[1\]: name"),
+            ((("a", 2), ("b", 2)), ("a", None), r"missing\[1\]: name"),
+            ((("a", 2), ("b", 2)), ("a", 2), r"missing\[1\]: name"),
+        ):
+            with pytest.raises(TableError, match=field):
+                TableSchema(variables, missing)
+
+    def test_rejects_a_bare_string_as_missing(self):
+        # "ab" used to be split into the letters a and b
+        with pytest.raises(TableError, match="missing: must be a sequence"):
+            TableSchema((("a", 2), ("b", 2)), "ab")
+        with pytest.raises(TableError, match="missing: must be a sequence"):
+            TableSchema((("a", 2), ("b", 2)), None)
+
+    @pytest.mark.parametrize(
+        "entry", [("b", 2, 1), ("b",), "b", None, 2, "bcd"]
+    )
+    def test_rejects_a_variable_that_is_not_a_pair(self, entry):
+        # ("b", 2, 1) used to raise a bare ValueError from unpacking
+        with pytest.raises(TableError, match=r"variables\[1\]: must be a"):
+            TableSchema((("a", 2), entry), ("a",))
 
     @pytest.mark.parametrize("levels", [2.7, "3", None, True, [2]])
     def test_rejects_levels_that_are_not_integers(self, levels):
@@ -361,6 +386,17 @@ class TestSerialization:
             doc = json.loads(dump_table(table))
             doc[section][0][key] = value
             with pytest.raises(TableError, match=field):
+                load_table(json.dumps(doc))
+        # names used to pass through str(): a number or null name was kept
+        # as "3" or "None"
+        for name in (3, None, "", ["smoking"]):
+            doc = json.loads(dump_table(table))
+            doc["variables"][0]["name"] = name
+            with pytest.raises(TableError, match=r"variables\[0\]: name"):
+                load_table(json.dumps(doc))
+            doc = json.loads(dump_table(table))
+            doc["missing"][1] = name
+            with pytest.raises(TableError, match=r"missing\[1\]: name"):
                 load_table(json.dumps(doc))
         doc = json.loads(dump_table(table))
         doc["variables"][0]["levels"] = 2.0
