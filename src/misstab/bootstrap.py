@@ -177,6 +177,8 @@ def bootstrap_assess(
         root = np.random.SeedSequence(seed)
     except (TypeError, ValueError) as exc:
         raise ComputationError(f"bad seed {seed!r}: {exc}") from None
+    # before the fit, so a table the plan refuses is not fitted first
+    plan = screening_plan(table.schema)
     if fit is None:
         fit = fit_model(model, table)
     elif model is not None:
@@ -186,7 +188,6 @@ def bootstrap_assess(
                 f"fit is of model {fit.model_id}, not {wanted}"
             )
     draw = _sampler(fit, table, mode)
-    plan = screening_plan(table.schema)
     missing = table.schema.missing
     # spawning a block at a time yields the same children as spawning all
     # n_replicates at once, without holding them all

@@ -24,7 +24,12 @@ from .models import (
     model_summary,
     observed_statistic_count,
 )
-from .odds import MEMBERSHIP_INSIDE, MEMBERSHIP_OUTSIDE, assess
+from .odds import (
+    MEMBERSHIP_INSIDE,
+    MEMBERSHIP_OUTSIDE,
+    assess,
+    screening_plan,
+)
 from .tables import (
     builtin_dataset,
     builtin_dataset_description,
@@ -241,6 +246,7 @@ def _cmd_bootstrap(args, out):
         raise _UsageError(f"argument --seed: must be >= 0, got {args.seed}")
     table, source = _load_source(args.source)
     tol, from_env = _resolve_tol(args)
+    screening_plan(table.schema)  # a table it refuses is not fitted first
     fit = fit_model(args.model, table, tol=tol, max_iter=args.max_iter)
     summary = bootstrap_assess(
         table,

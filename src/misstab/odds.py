@@ -19,10 +19,9 @@ once by cross-multiplication.
 from __future__ import annotations
 
 import functools
-import gc
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -173,6 +172,16 @@ class Screening(NamedTuple):
         return self.value_defined & self.interval_defined
 
 
+def _exact(counts) -> np.ndarray:
+    """counts as int64 while the largest count plus one, squared, stays
+    below 2**63, so every product of two counts is exact; else as Python
+    ints."""
+    counts = np.asarray(counts)
+    if counts.size and (int(counts.max()) + 1) ** 2 >= 2**63:
+        return counts.astype(object)
+    return counts
+
+
 @dataclass(frozen=True, eq=False)
 class ScreeningPlan:
     """Every containment check of a schema as positions in the flat
@@ -206,12 +215,9 @@ class ScreeningPlan:
         odds n/d iff a*d < n*b, so a check is inside iff some defined
         response odds lies below and some above (a degenerate interval is
         therefore outside).  Every product is at most the largest count
-        squared; while that stays below 2**63 the products are int64,
-        otherwise the same expressions run on Python ints.
+        squared, and exact (see _exact).
         """
-        counts = np.asarray(counts)
-        if counts.size and int(counts.max()) ** 2 >= 2**63:
-            counts = counts.astype(object)
+        counts = _exact(counts)
         n = counts[:, self.value_num]
         d = counts[:, self.value_den]
         a = counts[:, self.odds_num]
@@ -229,8 +235,8 @@ class ScreeningPlan:
 
 # Plan entries (checks times the widest level count of a missing variable)
 # a schema may need.  The plan holds 17 bytes per entry, and assessing one
-# table peaks at about 35 bytes per entry on top, 16 of which the verdict
-# keeps; so the budget bounds an assessment near 210 MiB.  A 30x30x30 table
+# table peaks at about 63 bytes per entry on top, 17 of which the verdict
+# keeps; so the budget bounds an assessment near 320 MiB.  A 30x30x30 table
 # with two missing variables needs 1 566 000 entries.
 PLAN_ENTRY_BUDGET = 1 << 22
 
@@ -337,109 +343,112 @@ class QueryRecord:
         }
 
 
-def _record(query, value, odds, membership) -> QueryRecord:
-    """One check's record from the counts it reads: value is the
-    non-response (numerator, denominator), odds the response numerators
-    and denominators at each level of the assessed variable."""
-    value = CountRatio(*value)
-    nums, dens = odds
-    # the interval ends are the first entries of least and of greatest
-    # value among the defined ones, compared by cross-multiplication
-    lo = hi = None
-    for i, (n, d) in enumerate(zip(nums, dens)):
-        if not (n > 0 and d > 0):
-            continue
-        if lo is None:
-            lo = hi = i
-        elif n * dens[lo] < nums[lo] * d:
-            lo = i
-        elif n * dens[hi] > nums[hi] * d:
-            hi = i
-    ratios = [CountRatio(n, d) for n, d in zip(nums, dens)]
-    interval = OddsInterval(
-        tuple(enumerate(ratios, 1)),
-        None if lo is None else ratios[lo],
-        None if hi is None else ratios[hi],
-    )
+def _note(value_undefined, interval_undefined, partial, degenerate) -> str:
     notes = []
-    if not value.defined:
+    if value_undefined:
         notes.append("non-response odds undefined (zero count)")
-    if not interval.defined:
+    if interval_undefined:
         notes.append("no defined response odds")
-    elif interval.partial:
+    elif partial:
         notes.append("interval omits undefined entries")
-    if interval.defined and interval.degenerate:
+    if degenerate:
         notes.append("degenerate interval (all response odds equal)")
-    return QueryRecord(query, value, interval, membership, "; ".join(notes))
+    return "; ".join(notes)
 
 
-@dataclass(frozen=True, eq=False)
-class _Checks:
-    """One family's checks on one table, column by column: the queries,
-    the counts each reads and each membership as an index into
-    _MEMBERSHIPS.
+# Every note, at 8 * (non-response odds undefined) + 4 * (no defined
+# response odds) + 2 * (some response odds undefined) + degenerate.
+_NOTES = tuple(
+    _note(*flags) for flags in itertools.product((False, True), repeat=4)
+)
 
-    value[:, q] is check q's non-response (numerator, denominator);
+
+def _family_records(queries, value, odds, codes) -> tuple:
+    """The records of one family's checks, from the counts they read.
+
+    value[:, q] is check q's non-response (numerator, denominator),
     odds[:, q, l] its response odds at level l + 1 of the assessed
-    variable.  Equal by value.
+    variable, and codes[q] its membership as a position in _MEMBERSHIPS.
+    Equal (numerator, denominator) pairs share one CountRatio.
     """
-
-    queries: tuple
-    value: np.ndarray
-    odds: np.ndarray
-    codes: np.ndarray
-
-    def __eq__(self, other):
-        if not isinstance(other, _Checks):
-            return NotImplemented
-        return self.queries == other.queries and all(
-            np.array_equal(getattr(self, f), getattr(other, f))
-            for f in ("value", "odds", "codes")
+    nums, dens = odds
+    n_checks, n_levels = nums.shape
+    rows = np.arange(n_checks)
+    usable = (nums > 0) & (dens > 0)
+    # the interval ends are the first entries of least and of greatest
+    # value among the usable ones, compared by cross-multiplication
+    lo = hi = usable.argmax(axis=1)
+    for l in range(1, n_levels):
+        n, d, ok = nums[:, l], dens[:, l], usable[:, l]
+        lo = np.where(ok & (n * dens[rows, lo] < nums[rows, lo] * d), l, lo)
+        hi = np.where(ok & (n * dens[rows, hi] > nums[rows, hi] * d), l, hi)
+    defined = usable.any(axis=1)
+    degenerate = defined & (
+        nums[rows, lo] * dens[rows, hi] == nums[rows, hi] * dens[rows, lo]
+    )
+    notes = (
+        8 * ((value[0] == 0) | (value[1] == 0))
+        + 4 * ~defined
+        + 2 * ~usable.all(axis=1)
+        + degenerate
+    )
+    num = np.concatenate([value[0], nums.ravel()])
+    den = np.concatenate([value[1], dens.ravel()])
+    # one CountRatio per distinct (numerator, denominator) and one tuple
+    # per distinct (level, ratio) entry; (M + 1)**2 < 2**63 for the
+    # largest count M (see _exact), so the keys are exact
+    base = int(den.max(initial=0)) + 1
+    keys, inverse = np.unique(num * base + den, return_inverse=True)
+    ratios = np.fromiter(
+        itertools.chain(
+            (CountRatio(k // base, k % base) for k in keys.tolist()), [None]
+        ),
+        dtype=object,
+        count=len(keys) + 1,
+    )  # the last one stands for an undefined interval end
+    at = inverse[n_checks:].reshape(n_checks, n_levels)
+    keys, entry = np.unique(
+        at * n_levels + np.arange(n_levels), return_inverse=True
+    )
+    entries = np.fromiter(
+        ((k % n_levels + 1, ratios[k // n_levels]) for k in keys.tolist()),
+        dtype=object,
+        count=len(keys),
+    )
+    return tuple(
+        QueryRecord(
+            query,
+            v,
+            OddsInterval(tuple(row), low, high),
+            _MEMBERSHIPS[code],
+            _NOTES[note],
         )
-
-    def __hash__(self):
-        return hash((len(self.queries), self.codes.tobytes()))
-
-    def records(self) -> tuple:
-        value = self.value.T.tolist()
-        odds = self.odds.transpose(1, 0, 2).tolist()
-        # The records hold no reference cycles, yet building them
-        # allocates tens of objects per check, enough to start the
-        # cyclic collector over and over on large tables; pause it.
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            return tuple(
-                _record(query, value[q], odds[q], _MEMBERSHIPS[code])
-                for q, (query, code) in enumerate(
-                    zip(self.queries, self.codes.tolist())
-                )
-            )
-        finally:
-            if enabled:
-                gc.enable()
+        for query, v, row, low, high, code, note in zip(
+            queries,
+            ratios[inverse[:n_checks]].tolist(),
+            entries[entry.reshape(n_checks, n_levels)].tolist(),
+            ratios[np.where(defined, at[rows, lo], -1)].tolist(),
+            ratios[np.where(defined, at[rows, hi], -1)].tolist(),
+            codes.tolist(),
+            notes.tolist(),
+        )
+    )
 
 
 @dataclass(frozen=True)
 class FamilyAssessment:
     """All checks whose non-response odds come from one variable's
-    supplemental stratum.
-
-    tally holds the (inside, outside, undefined) check counts; the
-    records are built from checks when first read.
-    """
+    supplemental stratum."""
 
     variable: str
+    records: tuple
     suggested_class: str
-    tally: tuple
-    checks: _Checks = field(repr=False)
-
-    @functools.cached_property
-    def records(self) -> tuple:
-        return self.checks.records()
 
     def counts(self) -> dict:
-        return dict(zip(_MEMBERSHIPS, self.tally))
+        counts = dict.fromkeys(_MEMBERSHIPS, 0)
+        for r in self.records:
+            counts[r.membership] += 1
+        return counts
 
     def as_dict(self) -> dict:
         return {
@@ -461,7 +470,7 @@ class AssessmentVerdict:
                 return fam
         raise KeyError(variable)
 
-    @functools.cached_property
+    @property
     def records(self) -> tuple:
         return tuple(r for fam in self.families for r in fam.records)
 
@@ -488,12 +497,12 @@ def assess(table: IncompleteTable) -> AssessmentVerdict:
     Any defined non-response odds on or outside its response interval
     suggests MAR; all defined values strictly inside leave MCAR and NMAR
     in play; a family with no defined check at all is inconclusive.  The
-    verdict comes from the plan's arrays alone; each family builds its
-    records when they are first read.
+    classes and the statement come from the plan's arrays; the records
+    are built from the counts each check reads, a family at a time.
     """
     schema = table.schema
     plan = screening_plan(schema)
-    flat = observed_counts(table)
+    flat = _exact(observed_counts(table))
     result = plan.screen(flat[np.newaxis])
     codes = np.where(
         result.defined[0],
@@ -511,14 +520,15 @@ def assess(table: IncompleteTable) -> AssessmentVerdict:
     families = []
     for k, v in enumerate(schema.missing):
         rows = slice(bounds[k], bounds[k + 1])
-        checks = _Checks(
+        records = _family_records(
             plan.queries[rows],
             value[:, rows],
             odds[:, rows, : schema.levels(v)],
             codes[rows],
         )
-        tally = tuple(tallies[k].tolist())
-        families.append(FamilyAssessment(v, _classify(tally), tally, checks))
+        families.append(
+            FamilyAssessment(v, records, _classify(tallies[k].tolist()))
+        )
     totals = tallies.sum(axis=0).tolist()
     overall = _classify(totals)
     n_in, n_out, _ = totals

@@ -9,11 +9,13 @@ from misstab import (
     ComputationError,
     IncompleteTable,
     Stratum,
+    TableError,
+    TableSchema,
     bootstrap_assess,
     fit_model,
     resample,
 )
-from misstab import odds
+from misstab import bootstrap, odds
 from misstab.bootstrap import MODE_MULTINOMIAL, MODE_POISSON
 
 
@@ -170,6 +172,24 @@ class TestBootstrapAssess:
             bootstrap_assess(
                 smoking_table, "M4", n_replicates=5, seed=1, mode="jackknife"
             )
+
+    def test_table_over_the_plan_budget_is_not_fitted(self, monkeypatch):
+        # a schema no other test screens, so its plan is not cached
+        schema = TableSchema((("boot", 2), ("strap", 2)), ("boot", "strap"))
+        table = IncompleteTable(schema, (
+            Stratum(("boot", "strap"), [[5, 6], [7, 8]]),
+            Stratum(("strap",), [3, 4]),
+            Stratum(("boot",), [2, 9]),
+            Stratum((), 4),
+        ))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the table was fitted")
+
+        monkeypatch.setattr(odds, "PLAN_ENTRY_BUDGET", 3)
+        monkeypatch.setattr(bootstrap, "fit_model", refuse)
+        with pytest.raises(TableError, match="over the budget"):
+            bootstrap_assess(table, "M1", n_replicates=5, seed=1)
 
     def test_negative_seed(self, smoking_table):
         with pytest.raises(ComputationError, match="bad seed -1"):

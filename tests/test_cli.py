@@ -14,6 +14,7 @@ from misstab import (
     dump_table,
     odds,
 )
+from misstab import cli
 from misstab.cli import main
 
 ASSESS_T6 = """\
@@ -502,7 +503,14 @@ class TestSourcesAndExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("data error: variables[1]: name")
 
-    def test_table_over_the_plan_budget(self, capsys, tmp_path, monkeypatch):
+    @pytest.mark.parametrize(
+        "command",
+        [["assess"], ["bootstrap", "--model", "M1"]],
+        ids=["assess", "bootstrap"],
+    )
+    def test_table_over_the_plan_budget(
+        self, command, capsys, tmp_path, monkeypatch
+    ):
         # a schema no other test screens, so its plan is not cached
         schema = TableSchema((("budget", 2), ("b", 2)), ("budget", "b"))
         table = IncompleteTable(schema, (
@@ -514,7 +522,12 @@ class TestSourcesAndExitCodes:
         path = tmp_path / "budget.json"
         path.write_text(dump_table(table))
         monkeypatch.setattr(odds, "PLAN_ENTRY_BUDGET", 3)
-        assert main(["assess", str(path)]) == 2
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the table was fitted")
+
+        monkeypatch.setattr(cli, "fit_model", refuse)
+        assert main([command[0], str(path), *command[1:]]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("data error: screening needs 4 plan")

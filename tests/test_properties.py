@@ -1,6 +1,7 @@
 """Invariant properties: exact screening algebra, EM behavior, and
 model-based containment, checked across the catalog and random tables."""
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -20,6 +21,8 @@ from misstab import (
     MECH_MCAR,
     MECH_NMAR,
     NonresponseModel,
+    OddsInterval,
+    QueryRecord,
     Stratum,
     TableSchema,
     assess,
@@ -953,6 +956,38 @@ def _oracle_assess(table):
     return out
 
 
+def _oracle_records(table):
+    """Every record built one check at a time: the interval ends are the
+    first entries of least and of greatest value among the defined ones,
+    as min and max pick them."""
+    by_value = functools.cmp_to_key(
+        lambda x, y: x.numerator * y.denominator - y.numerator * x.denominator
+    )
+    out = []
+    for query, (status, value, values, _) in zip(
+        list_queries(table.schema), _oracle_assess(table)
+    ):
+        defined = [r for _, r in values if r.defined]
+        interval = OddsInterval(
+            values,
+            min(defined, key=by_value) if defined else None,
+            max(defined, key=by_value) if defined else None,
+        )
+        notes = []
+        if not value.defined:
+            notes.append("non-response odds undefined (zero count)")
+        if not defined:
+            notes.append("no defined response odds")
+        elif len(defined) < len(values):
+            notes.append("interval omits undefined entries")
+        if defined and by_value(interval.minimum) == by_value(interval.maximum):
+            notes.append("degenerate interval (all response odds equal)")
+        out.append(
+            QueryRecord(query, value, interval, status, "; ".join(notes))
+        )
+    return out
+
+
 def _oracle_tallies(tables, missing):
     """Per family [counted, MAR, undefined value, undefined interval] and
     overall [counted, MAR] over replicate tables."""
@@ -1044,6 +1079,21 @@ class TestBatchScreeningOracle:
                 "undefined",
             )
             assert got.tolist() == [w[0] for w in want]
+
+    @settings(max_examples=200, deadline=None)
+    @given(screened_tables())
+    def test_records_match_a_per_check_build(self, table):
+        verdict = assess(table)
+        want = _oracle_records(table)
+        # ratios compare unreduced, so on a tie (1/2 and 2/4) the chosen
+        # entry matters
+        assert list(verdict.records) == want
+        for rec in verdict.records:
+            assert all(
+                type(x) is int
+                for lvl, r in rec.interval.values
+                for x in (lvl, r.numerator, r.denominator)
+            )
 
     @settings(max_examples=60, deadline=None)
     @given(
