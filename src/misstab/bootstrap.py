@@ -10,6 +10,7 @@ and screened a block at a time on the schema's screening plan.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 
@@ -25,13 +26,162 @@ MODE_MULTINOMIAL = "multinomial"
 MODE_POISSON = "poisson"
 _MODES = (MODE_MULTINOMIAL, MODE_POISSON)
 
+# numpy's SeedSequence hash (O'Neill's seed_seq, frozen by numpy's RNG
+# policy, NEP 19): a pool of four uint32 words filled by hashmix and mix
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_POOL = 4
+
+
+def _check_mode(mode) -> None:
+    if mode not in _MODES:
+        raise ComputationError(f"unknown resampling mode {mode}")
+
+
+def _is_seed_int(x) -> bool:
+    return _is_int(x) and x >= 0
+
+
+def _check_seed(seed) -> None:
+    """Refuse a seed other than None, a non-negative integer (not a bool)
+    or a flat list, tuple or range of them: the seeds whose words
+    _seed_words takes, and that BootstrapSummary can compare."""
+    if seed is None or _is_seed_int(seed):
+        return
+    if not (
+        isinstance(seed, (list, tuple, range))
+        and all(_is_seed_int(v) for v in seed)
+    ):
+        raise ComputationError(
+            f"bad seed {seed!r}: expected None, a non-negative integer or a"
+            " sequence of them"
+        )
+
+
+def _seed_words(value) -> list:
+    """The uint32 words SeedSequence takes from a non-negative integer
+    (least significant first, at least one) or a flat sequence of them."""
+    if not _is_int(value):
+        return [w for v in value for w in _seed_words(v)]
+    value, words = int(value), []
+    while value or not words:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+def _hash_chain(init: int, mult: int):
+    """The multiplier of one SeedSequence hash chain before and after each
+    step."""
+    while True:
+        after = init * mult & _MASK32
+        yield init, after
+        init = after
+
+
+# both take Python ints or uint32 arrays; the masks keep ints to 32 bits
+def _hashmix(value, chain):
+    before, after = next(chain)
+    value = (value ^ before) * after & _MASK32
+    return value ^ value >> _XSHIFT
+
+
+def _mix(x, y):
+    result = (x * _MIX_L - y * _MIX_R) & _MASK32
+    return result ^ result >> _XSHIFT
+
+
+def _child_seeds(entropy, spawn_key, start: int, count: int) -> np.ndarray:
+    """Row k is SeedSequence(entropy, spawn_key=spawn_key + (start + k,))
+    .generate_state(4, np.uint64), the PCG64 seed of that child, for count
+    children with indices below 2**64.
+
+    One pass of SeedSequence's mixing: the words before the child index
+    are the same for every child and are mixed once, on Python ints; the
+    index words are mixed on uint32 arrays, one entry per child, and an
+    index of 2**32 or more adds a second word.
+    """
+    words = _seed_words(entropy)
+    # with a spawn key the entropy is padded to the pool size first
+    words += [0] * (_POOL - len(words)) + _seed_words(spawn_key)
+    chain = _hash_chain(_INIT_A, _MULT_A)
+    pool = [_hashmix(w, chain) for w in words[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], chain))
+    for word in words[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = _mix(pool[dst], _hashmix(word, chain))
+    index = np.arange(start, start + count, dtype=np.uint64)
+    pool = [np.full(count, p, np.uint32) for p in pool]
+    low = (index & _MASK32).astype(np.uint32)
+    for dst in range(_POOL):
+        pool[dst] = _mix(pool[dst], _hashmix(low, chain))
+    high = (index >> 32).astype(np.uint32)
+    wide = high != 0
+    if wide.any():
+        for dst in range(_POOL):
+            mixed = _mix(pool[dst], _hashmix(high, chain))
+            pool[dst] = np.where(wide, mixed, pool[dst])
+    chain = _hash_chain(_INIT_B, _MULT_B)
+    state = [
+        _hashmix(pool[k % _POOL], chain).astype(np.uint64)
+        for k in range(2 * _POOL)
+    ]
+    # little-endian pairs of words, as generate_state views them
+    return np.stack(
+        [state[2 * k] | state[2 * k + 1] << 32 for k in range(_POOL)],
+        axis=1,
+    )
+
+
+@functools.cache
+def _seed_row():
+    """A SeedSequence stand-in that hands PCG64 one precomputed row of
+    _child_seeds.  Built on first use, so importing misstab does not load
+    numpy.random."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedRow(ISeedSequence):
+        def __init__(self, row):
+            self.row = row
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.row  # PCG64 asks for (4, np.uint64)
+
+    return SeedRow
+
+
+def _block_generators(root, start: int, count: int):
+    """The generators of replicates start ... start + count - 1, one at a
+    time: generator i draws what default_rng(root.spawn(n)[i]) draws.  The
+    first and last seeds are checked against SeedSequence itself before
+    any is yielded, so a derivation that differs raises instead of drawing
+    another stream."""
+    seeds = _child_seeds(root.entropy, root.spawn_key, start, count)
+    for k in {0, count - 1}:
+        child = np.random.SeedSequence(
+            root.entropy, spawn_key=root.spawn_key + (start + k,)
+        )
+        if not np.array_equal(seeds[k], child.generate_state(_POOL, np.uint64)):
+            raise ComputationError(
+                f"the derived seed of replicate {start + k} differs from"
+                " numpy's SeedSequence"
+            )
+    row, generator, pcg64 = _seed_row(), np.random.Generator, np.random.PCG64
+    for seed in seeds:
+        yield generator(pcg64(row(seed)))
+
 
 def _sampler(fit: FitResult, table: IncompleteTable, mode: str):
     """A function drawing one replicate's observed counts (flat, in
     pattern order) from a generator, refusing degenerate models and a fit
     of another table."""
-    if mode not in _MODES:
-        raise ComputationError(f"unknown resampling mode {mode}")
+    _check_mode(mode)
     if fit.table != table:
         raise ComputationError(
             f"fit of model {fit.model_id} is of another table; its complete"
@@ -162,8 +312,11 @@ def bootstrap_assess(
     check for that variable is defined; replicates with any undefined
     check (a zero count in an odds) are excluded and tallied.  The
     overall percentage applies the same rule across all variables.
-    Seeding uses one spawned child stream per replicate, so results are
-    reproducible for a given (seed, n_replicates).  A given fit replaces
+    Replicate i draws from default_rng(SeedSequence(seed).spawn(n)[i]),
+    so results are reproducible for a given (seed, n_replicates); seed is
+    None, a non-negative integer or a flat sequence of them, and anything
+    else raises ComputationError.  The seeds of a block of replicates are
+    derived in one pass (_child_seeds).  A given fit replaces
     the fit of model; it must be a fit of this table and, unless model is
     None, of that model.
     """
@@ -173,10 +326,8 @@ def bootstrap_assess(
         )
     if n_replicates < 1:
         raise ComputationError("n_replicates must be >= 1")
-    try:
-        root = np.random.SeedSequence(seed)
-    except (TypeError, ValueError) as exc:
-        raise ComputationError(f"bad seed {seed!r}: {exc}") from None
+    _check_mode(mode)
+    _check_seed(seed)
     # before the fit, so a table the plan refuses is not fitted first
     plan = screening_plan(table.schema)
     if fit is None:
@@ -188,18 +339,17 @@ def bootstrap_assess(
                 f"fit is of model {fit.model_id}, not {wanted}"
             )
     draw = _sampler(fit, table, mode)
+    root = np.random.SeedSequence(seed)
     missing = table.schema.missing
-    # spawning a block at a time yields the same children as spawning all
-    # n_replicates at once, without holding them all
     # per family: counted, MAR, undefined value, undefined interval
     tally = np.zeros((len(missing), 4), dtype=np.int64)
     overall_counted = overall_mar = 0
     draw_s = screen_s = 0.0
     for start in range(0, n_replicates, plan.block_rows):
         began = time.perf_counter()
-        children = root.spawn(min(plan.block_rows, n_replicates - start))
+        count = min(plan.block_rows, n_replicates - start)
         block = np.stack(
-            [draw(np.random.default_rng(child)) for child in children]
+            [draw(rng) for rng in _block_generators(root, start, count)]
         )
         drawn = time.perf_counter()
         result = plan.screen(block)

@@ -256,10 +256,14 @@ def _cmd_bootstrap(args, out):
         mode=args.mode,
         fit=fit,
     )
+    timing = (
+        {"draw_s": summary.draw_s, "screen_s": summary.screen_s}
+        if args.verbose else {}
+    )
     if args.format == "json":
         _print_json(_json_head(
             "bootstrap", table, source, tol, df_convention=args.df_convention,
-            seed=args.seed, **summary.as_dict(),
+            seed=args.seed, **summary.as_dict(), **timing,
         ), out)
         return EXIT_OK
     _print_header(table, source, tol, from_env, out)
@@ -278,6 +282,9 @@ def _cmd_bootstrap(args, out):
     for label, percent, counted, excluded in tallies:
         print(f"{label}: {percent:.2f}% MAR  (counted {counted},"
               f" excluded {excluded})", file=out)
+    if timing:
+        print(f"time: draw {summary.draw_s:.4f} s  screen"
+              f" {summary.screen_s:.4f} s", file=out)
     return EXIT_OK
 
 
@@ -392,6 +399,11 @@ def build_parser() -> _Parser:
         "--mode",
         choices=(MODE_MULTINOMIAL, MODE_POISSON),
         default=MODE_MULTINOMIAL,
+    )
+    p.add_argument(
+        "--verbose",
+        action="store_true",
+        help="also report the seconds spent drawing and screening",
     )
     _add_fit_options(p)
     _add_format(p)

@@ -17,6 +17,7 @@ from misstab import (
 )
 from misstab import bootstrap, odds
 from misstab.bootstrap import MODE_MULTINOMIAL, MODE_POISSON
+from misstab.models import observed_counts
 
 
 class TestResample:
@@ -173,6 +174,43 @@ class TestBootstrapAssess:
                 smoking_table, "M4", n_replicates=5, seed=1, mode="jackknife"
             )
 
+    @pytest.mark.parametrize(
+        "seed",
+        [True, "12", 1.5, -1, [1, -2], [[1, 2]], [True], ["3"], {1: 2},
+         np.array(5), np.array([3, 4]), np.array([1.0])],
+        ids=repr,
+    )
+    def test_bad_seed_is_refused_before_the_fit(
+        self, smoking_table, monkeypatch, seed
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the table was fitted")
+
+        monkeypatch.setattr(bootstrap, "fit_model", refuse)
+        with pytest.raises(ComputationError, match="bad seed"):
+            bootstrap_assess(smoking_table, "M4", n_replicates=5, seed=seed)
+
+    def test_bad_mode_is_refused_before_the_fit(self, smoking_table, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the table was fitted")
+
+        monkeypatch.setattr(bootstrap, "fit_model", refuse)
+        with pytest.raises(ComputationError, match="jackknife"):
+            bootstrap_assess(
+                smoking_table, "M4", n_replicates=5, seed=1, mode="jackknife"
+            )
+
+    @pytest.mark.parametrize(
+        "seed, same",
+        [(np.uint8(7), 7), (np.int64(7), 7), ((3, 2**40), [3, 2**40]),
+         (range(3), [0, 1, 2]), ([], [])],
+        ids=repr,
+    )
+    def test_accepted_seeds(self, smoking_table, seed, same):
+        a = bootstrap_assess(smoking_table, "M4", n_replicates=6, seed=seed)
+        b = bootstrap_assess(smoking_table, "M4", n_replicates=6, seed=same)
+        assert a == dataclasses.replace(b, seed=seed)
+
     def test_table_over_the_plan_budget_is_not_fitted(self, monkeypatch):
         # a schema no other test screens, so its plan is not cached
         schema = TableSchema((("boot", 2), ("strap", 2)), ("boot", "strap"))
@@ -200,3 +238,60 @@ class TestBootstrapAssess:
         assert summary.family("smoking").variable == "smoking"
         with pytest.raises(KeyError):
             summary.family("nope")
+
+
+class TestBlockSeeds:
+    """Replicate i of a bootstrap draws what resample draws from
+    default_rng(SeedSequence(seed).spawn(n)[i])."""
+
+    @staticmethod
+    def _recorded_draws(monkeypatch):
+        draws = []
+        sampler = bootstrap._sampler
+
+        def recording(*args):
+            draw = sampler(*args)
+            return lambda rng: draws.append(draw(rng)) or draws[-1]
+
+        monkeypatch.setattr(bootstrap, "_sampler", recording)
+        return draws
+
+    @pytest.mark.parametrize("mode", [MODE_MULTINOMIAL, MODE_POISSON])
+    @pytest.mark.parametrize("seed", [2**64 + 12345, [7, 2**40, 0]], ids=repr)
+    def test_blocks_draw_the_resample_streams(
+        self, opinion_two_table, monkeypatch, mode, seed
+    ):
+        model, n = "D6:Y1=NMAR,Y2=MAR(Y3)", 50
+        plan = odds.screening_plan(opinion_two_table.schema)
+        monkeypatch.setattr(odds, "_BLOCK_CELLS", 16 * plan.odds_num.size)
+        assert -(-n // plan.block_rows) >= 3
+        draws = self._recorded_draws(monkeypatch)
+        fit = fit_model(model, opinion_two_table)
+        bootstrap_assess(
+            opinion_two_table, model, n_replicates=n, seed=seed, mode=mode,
+            fit=fit,
+        )
+        children = np.random.SeedSequence(seed).spawn(n)
+        assert len(draws) == n
+        for draw, child in zip(draws, children):
+            rep = resample(
+                fit, opinion_two_table, np.random.default_rng(child), mode=mode
+            )
+            np.testing.assert_array_equal(draw, observed_counts(rep))
+
+    @pytest.mark.parametrize("row", [0, -1])
+    def test_a_wrong_derivation_is_refused(
+        self, smoking_table, monkeypatch, row
+    ):
+        derive = bootstrap._child_seeds
+
+        def corrupted(*args):
+            seeds = derive(*args)
+            seeds[row, 2] ^= np.uint64(1)
+            return seeds
+
+        monkeypatch.setattr(bootstrap, "_child_seeds", corrupted)
+        draws = self._recorded_draws(monkeypatch)
+        with pytest.raises(ComputationError, match="SeedSequence"):
+            bootstrap_assess(smoking_table, "M4", n_replicates=20, seed=4)
+        assert draws == []

@@ -1,6 +1,7 @@
 """Command-line interface: text output, JSON output, and exit codes."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -261,6 +262,34 @@ class TestBootstrap:
         assert "overall: nan% MAR  (counted 0, excluded 1)" in (
             capsys.readouterr().out
         )
+
+    def test_verbose_text_adds_one_time_line(self, capsys):
+        argv = [
+            "bootstrap", "bone-density", "--model", "M5",
+            "--replicates", "40", "--seed", "0",
+        ]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        assert main(argv + ["--verbose"]) == 0
+        verbose = capsys.readouterr().out
+        head, last = verbose.rstrip("\n").rsplit("\n", 1)
+        assert head + "\n" == plain
+        assert re.fullmatch(
+            r"time: draw \d+\.\d{4} s  screen \d+\.\d{4} s", last
+        )
+
+    def test_verbose_json_adds_the_timings(self, capsys):
+        argv = [
+            "bootstrap", "bone-density", "--model", "M5",
+            "--replicates", "40", "--seed", "0", "--format", "json",
+        ]
+        assert main(argv) == 0
+        plain = strict_json(capsys.readouterr().out)
+        assert main(argv + ["--verbose"]) == 0
+        verbose = strict_json(capsys.readouterr().out)
+        draw_s, screen_s = verbose.pop("draw_s"), verbose.pop("screen_s")
+        assert verbose == plain
+        assert draw_s > 0 and screen_s > 0
 
     def test_negative_seed_is_usage_error(self, capsys):
         argv = ["bootstrap", "smoking-birthweight", "--model", "M5"]

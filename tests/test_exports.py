@@ -26,13 +26,17 @@ def test_removed_names_are_not_exported():
         assert not hasattr(misstab, name)
 
 
-def test_import_loads_no_scipy():
-    # scipy is a test oracle only; importing it costs a third of a second
-    # and tens of MiB in every process that imports misstab
+def _modules_loaded_by_misstab(package: str) -> str:
+    """The modules of package that importing misstab and its CLI loads in
+    a fresh interpreter, beyond those importing numpy loads."""
     code = (
-        "import sys, misstab, misstab.cli; "
-        "print(sorted(m for m in sys.modules "
-        "if m == 'scipy' or m.startswith('scipy.')))"
+        "import sys, numpy; "
+        f"pkg = {package!r}; "
+        "mods = lambda: {m for m in sys.modules "
+        "if m == pkg or m.startswith(pkg + '.')}; "
+        "before = mods(); "
+        "import misstab, misstab.cli; "
+        "print(sorted(mods() - before))"
     )
     src = os.path.dirname(os.path.dirname(misstab.__file__))
     env = {**os.environ, "PYTHONPATH": src}
@@ -44,4 +48,17 @@ def test_import_loads_no_scipy():
         timeout=60,
         env=env,
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test oracle only; importing it costs a third of a second
+    # and tens of MiB in every process that imports misstab
+    assert _modules_loaded_by_misstab("scipy") == "[]"
+
+
+def test_import_loads_no_numpy_random():
+    # numpy.random costs about 40 ms to import and only a bootstrap needs
+    # it; numpy before 2.0 imports it with numpy itself, so only what
+    # misstab adds is counted
+    assert _modules_loaded_by_misstab("numpy.random") == "[]"

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from misstab import (
     CLASS_INCONCLUSIVE,
@@ -59,6 +59,7 @@ from misstab.models import (
     full_cross_dims,
     observed_counts,
 )
+from misstab.bootstrap import _child_seeds
 from misstab.odds import screening_plan
 
 DATASET_NAMES = ("smoking-birthweight", "bone-density", "spo-y1", "spo-y1y2")
@@ -1276,3 +1277,32 @@ class TestBootstrapDeterminism:
         a = bootstrap_assess(opinion_one_table, "C3", n_replicates=30, seed=11)
         b = bootstrap_assess(opinion_one_table, "C3", n_replicates=30, seed=11)
         assert a.as_dict() == b.as_dict()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.one_of(
+            st.none(),
+            st.integers(0, 2**256),
+            st.lists(st.integers(0, 2**70), max_size=6),
+        ),
+        st.lists(st.integers(0, 2**40), max_size=3),
+        st.one_of(st.integers(0, 300), st.integers(2**32 - 20, 2**33)),
+        st.integers(1, 40),
+    )
+    @example(None, [], 2**32 - 3, 6)  # a block across the second word
+    @example(2**256, [7], 2**32, 2)
+    @example([], [], 0, 1)
+    def test_child_seeds_match_seed_sequence(self, seed, prefix, start, count):
+        # the block derivation against numpy's own SeedSequence, child by
+        # child; starts near 2**32 put indices on both sides of the
+        # second index word without spawning that many children
+        root = np.random.SeedSequence(seed)
+        rows = _child_seeds(root.entropy, tuple(prefix), start, count)
+        want = [
+            np.random.SeedSequence(
+                root.entropy, spawn_key=(*prefix, start + k)
+            ).generate_state(4, np.uint64)
+            for k in range(count)
+        ]
+        assert rows.dtype == np.uint64 and rows.flags.c_contiguous
+        np.testing.assert_array_equal(rows, np.array(want))
