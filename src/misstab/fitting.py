@@ -356,11 +356,14 @@ def _check_stopping(tol, max_iter):
 
 
 # Face detection.  A cell decays when it holds less than DECAY_CELL of N
-# and its log-rate stays below DECAY_RATE over both halves of a window of
-# DECAY_WINDOW iterations; the face solve ends when the sufficient margins
-# match to FACE_RESIDUAL.
+# and its log-rate stays below DECAY_RATE per step over both halves of a
+# window: EM checks every DECAY_HALF iterations over DECAY_WINDOW of them,
+# the face solve every FACE_CHECK_CYCLES SQUAREM cycles (each two or three
+# map applications and an extrapolated step) over twice as many.  The face
+# solve ends when the sufficient margins match to FACE_RESIDUAL.
 DECAY_WINDOW = 50
 DECAY_HALF = DECAY_WINDOW // 2
+FACE_CHECK_CYCLES = 5
 DECAY_RATE = -1e-3
 DECAY_CELL = 1e-3
 FACE_RESIDUAL = 1e-9
@@ -387,18 +390,20 @@ def _margin_residual(mu, ecm) -> float:
 
 
 def _checkpoint(marks, mu):
-    """The last three log-fits, taken DECAY_HALF iterations apart."""
+    """The last three log-fits, taken half a decay window apart."""
     with np.errstate(divide="ignore"):
         return (marks + [np.log(mu)])[-3:]
 
 
-def _decaying(marks, mu, n):
+def _decaying(marks, mu, n, half):
     """Live cells under DECAY_CELL * n whose log-rate stayed below
-    DECAY_RATE over both halves of the window the checkpoints span."""
+    DECAY_RATE per step over both halves of the window the checkpoints
+    span, taken half steps apart: EM iterations, or SQUAREM cycles on a
+    face."""
     if len(marks) < 3:
         return np.zeros(mu.shape, dtype=bool)
     a, b, c = marks
-    drop = DECAY_RATE * DECAY_HALF
+    drop = DECAY_RATE * half
     with np.errstate(invalid="ignore"):
         falling = (b - a < drop) & (c - b < drop)
     return falling & (mu > 0) & (mu < DECAY_CELL * n)
@@ -488,7 +493,8 @@ def _solve_face(mu, decaying, floor, ecm, budget):
 
     The decaying cells of mu are fixed at zero as structural zeros and
     SQUAREM-accelerated ECM runs on the live cells.  Cells that in turn
-    pass the decay test are zeroed too.  The solve ends when the
+    pass the decay test, checked on a clock of its own every
+    FACE_CHECK_CYCLES cycles, are zeroed too.  The solve ends when the
     sufficient margins match to FACE_RESIDUAL.  The result counts when its
     log-likelihood is at least floor, that of the last iterate before
     zeroing (so its G2 is no larger), its zeros form a face (_is_face) and
@@ -522,9 +528,9 @@ def _solve_face(mu, decaying, floor, ecm, budget):
                 evaluations += DECAY_WINDOW
                 certified = _zeros_stay_down(mu, before, ecm)
             return _FaceSolve(mu, tuple(trace), evaluations, certified)
-        if cycles % DECAY_HALF == 0:
+        if cycles % FACE_CHECK_CYCLES == 0:
             marks = _checkpoint(marks, mu)
-            decaying = _decaying(marks, mu, n)
+            decaying = _decaying(marks, mu, n, FACE_CHECK_CYCLES)
             if np.any(decaying):
                 mu = np.where(decaying, 0.0, mu)
                 ll = ecm.loglik(mu)
@@ -595,7 +601,7 @@ def fit_em(
         if len(trace) % DECAY_HALF or attempts == FACE_ATTEMPTS:
             continue
         marks = _checkpoint(marks, mu)
-        decaying = _decaying(marks, mu, n)
+        decaying = _decaying(marks, mu, n, DECAY_HALF)
         if not np.any(decaying):
             continue
         attempts += 1
