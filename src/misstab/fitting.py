@@ -398,8 +398,8 @@ def _checkpoint(marks, mu):
 def _decaying(marks, mu, n, half):
     """Live cells under DECAY_CELL * n whose log-rate stayed below
     DECAY_RATE per step over both halves of the window the checkpoints
-    span, taken half steps apart: EM iterations, or SQUAREM cycles on a
-    face."""
+    span.  The checkpoints are half steps apart, where a step is an EM
+    iteration, or a SQUAREM cycle on a face."""
     if len(marks) < 3:
         return np.zeros(mu.shape, dtype=bool)
     a, b, c = marks
