@@ -88,6 +88,20 @@ def _margin_axes(schema: TableSchema, terms) -> tuple:
     return tuple(out)
 
 
+def _margin_groups(shape, sum_axes_list) -> tuple:
+    """For each sufficient margin, the margin cell of every cell of the
+    raveled cross (margin cells numbered in C order over the kept axes)
+    and the number of margin cells."""
+    groups = []
+    for axes in sum_axes_list:
+        kept = [1 if a in axes else d for a, d in enumerate(shape)]
+        cells = np.arange(math.prod(kept)).reshape(kept)
+        group = np.broadcast_to(cells, shape).ravel()
+        group.flags.writeable = False
+        groups.append((group, cells.size))
+    return tuple(groups)
+
+
 class _EcmMap:
     """The ECM map of one model on one table (Meng & Rubin 1993): an E step
     that spreads each observed count over the cells it collapses in
@@ -97,7 +111,10 @@ class _EcmMap:
     It is built once per fit and holds what no iteration changes: the
     observation index, the observed counts gathered onto the cross, the
     even spread 1 / cells_per_obs of a count whose collapsed fit is zero,
-    and the positive counts with their mask.
+    the positive counts with their mask, and one group index per
+    sufficient margin (_margin_groups).  A margin is summed by bincount
+    over its group index, which adds each margin cell's cells one at a
+    time in C order, as the observation map's collapse does.
     """
 
     def __init__(self, table: IncompleteTable, sum_axes_list):
@@ -111,14 +128,23 @@ class _EcmMap:
         self._spread = 1.0 / omap.cells_per_obs[self._idx]
         self._positive = y > 0
         self._y_positive = y[self._positive]
+        dims = full_cross_dims(table.schema)
+        self._groups = _margin_groups(dims, sum_axes_list)
 
-    def e_step(self, mu):
+    def _spread_counts(self, mu):
         c = self._omap.collapse(mu)[self._idx]
         # a count whose collapsed fit is zero is spread evenly over its cells
         share = np.where(
             c > 0, np.ravel(mu) / np.where(c > 0, c, 1.0), self._spread
         )
-        return (self._y_cross * share).reshape(mu.shape)
+        return self._y_cross * share
+
+    def e_step(self, mu):
+        return self._spread_counts(mu).reshape(mu.shape)
+
+    def margins(self, flat):
+        """The sufficient margins of a raveled cross, each flat."""
+        return [np.bincount(g, flat, size) for g, size in self._groups]
 
     def loglik(self, mu) -> float:
         """Observed-data log-likelihood; -inf when the fit gives a positive
@@ -129,14 +155,15 @@ class _EcmMap:
         return -float(mu.sum()) + float((self._y_positive * np.log(c)).sum())
 
     def __call__(self, mu):
-        z = self.e_step(mu)
-        for axes in self.sum_axes_list:
+        z = self._spread_counts(mu)
+        flat = np.ravel(mu)
+        for group, size in self._groups:
             # a margin cell with no mass holds only zero cells, and they
             # stay zero whatever ratio scales them
-            cur = np.add.reduce(mu, axes, keepdims=True)
-            target = np.add.reduce(z, axes, keepdims=True)
-            mu = mu * (target / np.where(cur > 0, cur, 1.0))
-        return mu
+            cur = np.bincount(group, flat, size)
+            target = np.bincount(group, z, size)
+            flat = flat * (target / np.where(cur > 0, cur, 1.0))[group]
+        return flat.reshape(mu.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -379,12 +406,12 @@ BOUNDARY_SMALL_CELL = "small-cell"
 
 def _margin_residual(mu, ecm) -> float:
     """Largest relative gap between the sufficient margins of mu and those
-    of its E step; zero at a fixed point of EM."""
-    z = ecm.e_step(mu)
+    of its E step, each summed over the map's group index; zero at a fixed
+    point of EM."""
     worst = 0.0
-    for axes in ecm.sum_axes_list:
-        target = z.sum(axis=axes)
-        gap = np.abs(target - mu.sum(axis=axes)) / np.maximum(target, 1e-300)
+    z = ecm.e_step(mu)
+    for target, cur in zip(ecm.margins(np.ravel(z)), ecm.margins(np.ravel(mu))):
+        gap = np.abs(target - cur) / np.maximum(target, 1e-300)
         worst = max(worst, float(gap.max()))
     return worst
 

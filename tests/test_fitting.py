@@ -107,6 +107,19 @@ LIMITS = [
     ("smoking-birthweight", "M2", 12.457448953409143, 4),
     ("smoking-birthweight", "M3", 12.45744895906486, 4),
 ]
+# (iterations, evaluations, face_cells) of each boundary fit at the
+# default tol: a change to the cost of one ECM map application must leave
+# the path of the fit as it is
+BOUNDARY_PATHS = {
+    ("bone-density", "M1"): (107, 221, 12),
+    ("bone-density", "M2"): (83, 199, 12),
+    ("bone-density", "M3"): (88, 226, 20),
+    ("bone-density", "M6"): (67, 169, 12),
+    ("bone-density", "M8"): (67, 169, 12),
+    ("smoking-birthweight", "M1"): (60, 136, 4),
+    ("smoking-birthweight", "M2"): (60, 136, 4),
+    ("smoking-birthweight", "M3"): (66, 154, 4),
+}
 # ECM map applications a boundary fit may spend: the face solve zeroes
 # the rest of a face a few SQUAREM cycles after its first cells, 136-226
 # applications on these fits
@@ -588,6 +601,17 @@ class TestFaceSolver:
         assert np.count_nonzero(fit.mu_hat == 0) == fit.face_cells
         assert fit.evaluations <= BOUNDARY_EVALUATIONS
         assert fit.lambda_hat is None and fit.lambda_residual is None
+
+    @pytest.mark.parametrize(
+        "name,model_id",
+        BOUNDARY_PATHS,
+        ids=[f"{n.split('-')[0]}-{m}" for n, m in BOUNDARY_PATHS],
+    )
+    def test_boundary_fits_keep_their_path(self, name, model_id):
+        fit = fit_model(model_id, builtin_dataset(name))
+        assert (fit.method, fit.converged) == (METHOD_EM, True)
+        got = (fit.iterations, fit.evaluations, fit.face_cells)
+        assert got == BOUNDARY_PATHS[name, model_id]
 
     def test_trace_holds_accepted_iterations(self, bone_table):
         fit = fit_em("M3", bone_table)

@@ -50,6 +50,7 @@ from misstab.fitting import (
     _EcmMap,
     _g2_from_mu,
     _margin_axes,
+    _margin_groups,
 )
 from misstab.models import (
     _effects_coding,
@@ -466,6 +467,18 @@ def _oracle_collapse(mu, schema, pattern):
     return np.asarray(mu[_oracle_slice(schema, pattern)].sum(axis=axes))
 
 
+def _oracle_margin(x, axes):
+    """x summed over axes, kept as length-1 axes.  The summed cells are
+    added one at a time in C order (a running sum), as the observation map
+    and the ECM map's group sums add them, so that the sums agree to the
+    bit."""
+    inner = sorted(axes)
+    blocks = np.moveaxis(x, inner, range(len(inner)))
+    size = math.prod(x.shape[a] for a in inner)
+    flat = blocks.reshape((size,) + blocks.shape[len(inner):])
+    return np.expand_dims(np.add.accumulate(flat, axis=0)[-1], inner)
+
+
 def _oracle_e_step(mu, table):
     schema = table.schema
     z = np.zeros_like(mu)
@@ -475,14 +488,7 @@ def _oracle_e_step(mu, table):
         axes = tuple(schema.index(v) for v in pat)
         size = math.prod(schema.levels(v) for v in pat)
         sl = mu[idx]
-        # the unrecorded cells added one at a time in C order, as the
-        # observation map adds them, so that the sums agree to the bit
-        inner = sorted(axes)
-        blocks = np.moveaxis(sl, inner, range(len(inner)))
-        denom = 0.0
-        for block in blocks.reshape((size,) + blocks.shape[len(inner):]):
-            denom = denom + block
-        denom = np.expand_dims(denom, inner)
+        denom = _oracle_margin(sl, axes)
         safe = np.where(denom > 0, denom, 1.0)
         frac = np.where(denom > 0, sl / safe, 1.0 / size)
         z[idx] = np.expand_dims(st_.counts, axes) * frac
@@ -493,8 +499,8 @@ def _oracle_ipf(mu, z, sum_axes_list):
     """One proportional-fitting sweep of mu to the margins of z, with an
     empty margin cell of mu scaled by 0."""
     for axes in sum_axes_list:
-        target = z.sum(axis=axes, keepdims=True)
-        cur = mu.sum(axis=axes, keepdims=True)
+        target = _oracle_margin(z, axes)
+        cur = _oracle_margin(mu, axes)
         with np.errstate(invalid="ignore", divide="ignore"):
             ratio = np.where(cur > 0, target / np.where(cur > 0, cur, 1.0), 0.0)
         mu = mu * ratio
@@ -582,8 +588,8 @@ class TestObservationMapOracle:
 
 class TestEcmMapOracle:
     # the EM stop, the face test and the benchmark pins read these bits, so
-    # the per-fit map must reproduce the plain E step and the guarded sweep
-    # exactly, not within a tolerance
+    # the per-fit map must reproduce the plain E step and the guarded sweep,
+    # each sum taken in C order, exactly, not within a tolerance
     @pytest.mark.parametrize(
         "name,model_id", ALL_CASES, ids=[f"{n}-{m}" for n, m in ALL_CASES]
     )
@@ -619,6 +625,49 @@ class TestEcmMapOracle:
             np.any((mu.sum(axis=a) == 0) & (z.sum(axis=a) > 0)) for a in axes
         )
         assert np.array_equal(_EcmMap(table, axes)(mu), _oracle_ipf(mu, z, axes))
+
+
+@st.composite
+def margins_and_cross(draw):
+    """The sufficient margins of a catalog model of one of the three
+    analysis shapes (2-5 levels a variable), and a cross with one margin
+    cell emptied."""
+    n_vars = draw(st.sampled_from([2, 3]))
+    names = ("a", "b", "c")[:n_vars]
+    levels = [draw(st.integers(2, 5)) for _ in names]
+    n_missing = 2 if n_vars == 2 else draw(st.integers(1, 2))
+    missing = draw(st.permutations(names))[:n_missing]
+    schema = TableSchema(tuple(zip(names, levels)), missing)
+    model = draw(st.sampled_from(enumerate_models(schema)))
+    axes_list = _margin_axes(schema, generating_class(model))
+    dims = full_cross_dims(schema)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mu = rng.uniform(0.05, 20.0, size=dims)
+    empty = draw(st.sampled_from(axes_list))
+    cell = [
+        slice(None) if a in empty else draw(st.integers(0, d - 1))
+        for a, d in enumerate(dims)
+    ]
+    mu[tuple(cell)] = 0.0
+    return axes_list, mu
+
+
+class TestMarginGroups:
+    @settings(max_examples=100, deadline=None)
+    @given(margins_and_cross())
+    def test_group_sums_are_the_margins(self, case):
+        # the index alone, whatever order the cells are added in
+        axes_list, mu = case
+        groups = _margin_groups(mu.shape, axes_list)
+        assert len(groups) == len(axes_list)
+        emptied = False
+        for axes, (group, size) in zip(axes_list, groups):
+            want = np.add.reduce(mu, axes).ravel()
+            got = np.bincount(group, mu.ravel(), size)
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+            emptied |= bool(np.any(got == 0))
+        assert emptied
 
 
 # Design-matrix reference for the fit diagnostics: lambda recovered by least
