@@ -6,9 +6,13 @@ positive it is used directly; otherwise an expectation-maximization loop
 distributes each supplemental count over the cells it collapses, then
 rescales the working table to the model's sufficient margins by one sweep
 of iterative proportional fitting: every iteration is one application of
-the ECM map (_EcmMap).  When the maximum lies on the boundary, the cells
-that keep decaying are fixed at zero and the fit is finished on that face
-of the model by accelerated ECM (fit_em, _solve_face).  Fit quality is
+the ECM map (_EcmMap).  The map is built once per fit and holds, besides
+the observation index, one group index per sufficient margin: each margin
+of the sweep is a bincount over its group index, which adds the cells in
+C order as the observation map's collapse does.  When the maximum lies on
+the boundary, the cells that keep decaying are fixed at zero and the fit
+is finished on that face of the model by accelerated ECM (fit_em,
+_solve_face).  Fit quality is
 the deviance of the observed strata against the collapsed fitted
 expectations, with tail probabilities from the chi-square survival
 function in closed form for integer df: a finite Poisson sum for even df,
@@ -408,9 +412,9 @@ def _margin_residual(mu, ecm) -> float:
     """Largest relative gap between the sufficient margins of mu and those
     of its E step, each summed over the map's group index; zero at a fixed
     point of EM."""
+    z = np.ravel(ecm.e_step(mu))
     worst = 0.0
-    z = ecm.e_step(mu)
-    for target, cur in zip(ecm.margins(np.ravel(z)), ecm.margins(np.ravel(mu))):
+    for target, cur in zip(ecm.margins(z), ecm.margins(np.ravel(mu))):
         gap = np.abs(target - cur) / np.maximum(target, 1e-300)
         worst = max(worst, float(gap.max()))
     return worst

@@ -95,7 +95,10 @@ def _order(seed: int) -> tuple:
 
 
 def _stats(values: list) -> dict:
-    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    if len(values) == 1:
+        q1 = q3 = values[0]
+    else:
+        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": statistics.median(values), "q1": q1, "q3": q3,
             "n": len(values)}
 
