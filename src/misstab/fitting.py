@@ -12,13 +12,12 @@ of the sweep is a bincount over its group index, which adds the cells in
 C order as the observation map's collapse does.  When the maximum lies on
 the boundary, the cells that keep decaying are fixed at zero and the fit
 is finished on that face of the model by accelerated ECM (fit_em,
-_solve_face).  Fit quality is
-the deviance of the observed strata against the collapsed fitted
-expectations, with tail probabilities from the chi-square survival
-function in closed form for integer df: a finite Poisson sum for even df,
-erfc plus a finite sum for odd df (chi_square_sf, standard library only).
-The E step, the deviance and the fitted strata all collapse
-the cross through the schema's one observation map
+_solve_face).  Fit quality is the deviance of the observed strata against
+the collapsed fitted expectations, with tail probabilities from the
+chi-square survival function in closed form for integer df: a finite
+Poisson sum for even df, erfc plus a finite sum for odd df (chi_square_sf,
+standard library only).  The E step, the deviance and the fitted strata
+all collapse the cross through the schema's one observation map
 (models.observation_map).
 """
 

@@ -129,6 +129,8 @@ def summarise(pairs: list, metrics: dict) -> dict:
 
 
 def claim(summary: dict, workload: str, metric: str, lower: bool) -> dict:
+    """Whether the change's gain on one metric counts; drop is the gain as
+    a share of the parent's median."""
     entry = summary[workload][metric]
     parent, change = entry["parent"], entry["change"]
     won, n = map(int, entry["change_better_pairs"].split("/"))
@@ -232,7 +234,7 @@ def main(argv=None) -> int:
         for side in SIDES + SIDES[::-1]:
             runs[side].append(_fit_all(checkouts[side], args.fit_all))
         first = {side: runs[side][0]["fits"] for side in SIDES}
-        doc["fit_all"] = {
+        doc[f"fit_all_{args.fit_all}cubed"] = {
             "table": f"bench/workloads.synthetic_table(3, {args.fit_all}), "
                      "fit_all at the default tol",
             "fit_all_s": {side: [r["fit_all_s"] for r in runs[side]]
