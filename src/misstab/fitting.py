@@ -145,10 +145,6 @@ class _EcmMap:
     def e_step(self, mu):
         return self._spread_counts(mu).reshape(mu.shape)
 
-    def margins(self, flat):
-        """The sufficient margins of a raveled cross, each flat."""
-        return [np.bincount(g, flat, size) for g, size in self._groups]
-
     def loglik(self, mu) -> float:
         """Observed-data log-likelihood; -inf when the fit gives a positive
         count zero expectation."""
@@ -411,9 +407,12 @@ def _margin_residual(mu, ecm) -> float:
     """Largest relative gap between the sufficient margins of mu and those
     of its E step, each summed over the map's group index; zero at a fixed
     point of EM."""
-    z = np.ravel(ecm.e_step(mu))
+    z = ecm._spread_counts(mu)
+    flat = np.ravel(mu)
     worst = 0.0
-    for target, cur in zip(ecm.margins(z), ecm.margins(np.ravel(mu))):
+    for group, size in ecm._groups:
+        target = np.bincount(group, z, size)
+        cur = np.bincount(group, flat, size)
         gap = np.abs(target - cur) / np.maximum(target, 1e-300)
         worst = max(worst, float(gap.max()))
     return worst

@@ -11,12 +11,13 @@ bench_pairs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_pairs)
 
 
-def _pairs(parent, change, metric="run_cal"):
-    def run(value):
-        return {"correct": True, "failed": 0,
+def _pairs(parent, change, metric="run_cal", failed=(0, 0)):
+    def run(value, failed):
+        return {"correct": failed == 0, "failed": failed,
                 "metrics": {metric: {"value": value, "unit": "kernels"}}}
 
-    return [{"seed": i, "parent": run(p), "change": run(c)}
+    return [{"seed": i, "parent": run(p, failed[0]),
+             "change": run(c, failed[1])}
             for i, (p, c) in enumerate(zip(parent, change))]
 
 
@@ -36,10 +37,33 @@ PARENT = [10.0, 10.2, 9.8, 10.1, 9.9, 10.3, 9.7, 10.0, 10.1, 9.9]
 def test_claim_needs_nine_in_ten_and_a_gap_beyond_the_iqr(change, won, met):
     summary = bench_pairs.summarise(_pairs(PARENT, change), {"run_cal": True})
     assert summary["run_cal"]["change_better_pairs"] == won
-    assert summary["all_correct"] and summary["failed"] == 0
+    assert summary["all_correct"]
+    assert summary["failed"] == {"parent": 0, "change": 0}
     got = bench_pairs.claim({"w": summary}, "w", "run_cal", lower=True)
     assert got["met"] is met
     assert got["parent_iqr"] == pytest.approx(0.2)
+
+
+@pytest.mark.parametrize("failed", [(0, 1), (1, 1), (2, 1)])
+def test_claim_needs_every_check_to_pass(failed):
+    summary = bench_pairs.summarise(
+        _pairs(PARENT, [8.0] * 10, failed=failed), {"run_cal": True}
+    )
+    assert summary["failed"] == {"parent": 10 * failed[0],
+                                 "change": 10 * failed[1]}
+    assert not summary["all_correct"]
+    got = bench_pairs.claim({"w": summary}, "w", "run_cal", lower=True)
+    assert got["met"] is False
+
+
+def test_claim_needs_no_more_failures_than_the_parent():
+    summary = bench_pairs.summarise(_pairs(PARENT, [8.0] * 10),
+                                    {"run_cal": True})
+    summary["failed"] = {"parent": 0, "change": 1}
+    got = bench_pairs.claim({"w": summary}, "w", "run_cal", lower=True)
+    assert got["met"] is False
+    summary["failed"] = {"parent": 0, "change": 0}
+    assert bench_pairs.claim({"w": summary}, "w", "run_cal", True)["met"]
 
 
 def test_higher_is_better_metrics_count_the_other_way():

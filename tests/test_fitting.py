@@ -96,30 +96,19 @@ FROZEN = [
 
 # the limit G2 of every boundary fit of the two two-variable tables, as
 # pinned in bench/reference.json (EM run until the log-likelihood stops
-# changing), and the zero cells of the face it is certified on
+# changing), the zero cells of the face it is certified on, and the
+# iterations and evaluations the fit takes at the default tol: a change
+# to the cost of one ECM map application must leave the path as it is
 LIMITS = [
-    ("bone-density", "M1", 26.680096336000904, 12),
-    ("bone-density", "M2", 21.25635224708093, 12),
-    ("bone-density", "M3", 24.212008268625365, 20),
-    ("bone-density", "M6", 2.3544340621708373, 12),
-    ("bone-density", "M8", 28.01296882083017, 12),
-    ("smoking-birthweight", "M1", 12.462697319164125, 4),
-    ("smoking-birthweight", "M2", 12.457448953409143, 4),
-    ("smoking-birthweight", "M3", 12.45744895906486, 4),
+    ("bone-density", "M1", 26.680096336000904, 12, 107, 221),
+    ("bone-density", "M2", 21.25635224708093, 12, 83, 199),
+    ("bone-density", "M3", 24.212008268625365, 20, 88, 226),
+    ("bone-density", "M6", 2.3544340621708373, 12, 67, 169),
+    ("bone-density", "M8", 28.01296882083017, 12, 67, 169),
+    ("smoking-birthweight", "M1", 12.462697319164125, 4, 60, 136),
+    ("smoking-birthweight", "M2", 12.457448953409143, 4, 60, 136),
+    ("smoking-birthweight", "M3", 12.45744895906486, 4, 66, 154),
 ]
-# (iterations, evaluations, face_cells) of each boundary fit at the
-# default tol: a change to the cost of one ECM map application must leave
-# the path of the fit as it is
-BOUNDARY_PATHS = {
-    ("bone-density", "M1"): (107, 221, 12),
-    ("bone-density", "M2"): (83, 199, 12),
-    ("bone-density", "M3"): (88, 226, 20),
-    ("bone-density", "M6"): (67, 169, 12),
-    ("bone-density", "M8"): (67, 169, 12),
-    ("smoking-birthweight", "M1"): (60, 136, 4),
-    ("smoking-birthweight", "M2"): (60, 136, 4),
-    ("smoking-birthweight", "M3"): (66, 154, 4),
-}
 # ECM map applications a boundary fit may spend: the face solve zeroes
 # the rest of a face a few SQUAREM cycles after its first cells, 136-226
 # applications on these fits
@@ -586,12 +575,12 @@ class TestEm:
 class TestFaceSolver:
     @pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12, 1e-14])
     @pytest.mark.parametrize(
-        "name,model_id,limit,face_cells",
+        "name,model_id,limit,face_cells,iterations,evaluations",
         LIMITS,
         ids=[f"{n.split('-')[0]}-{m}" for n, m, *_ in LIMITS],
     )
     def test_boundary_fits_reach_the_limit(
-        self, name, model_id, limit, face_cells, tol
+        self, name, model_id, limit, face_cells, iterations, evaluations, tol
     ):
         fit = fit_model(model_id, builtin_dataset(name), tol=tol)
         assert fit.G2 == pytest.approx(limit, abs=1e-6)
@@ -601,17 +590,9 @@ class TestFaceSolver:
         assert np.count_nonzero(fit.mu_hat == 0) == fit.face_cells
         assert fit.evaluations <= BOUNDARY_EVALUATIONS
         assert fit.lambda_hat is None and fit.lambda_residual is None
-
-    @pytest.mark.parametrize(
-        "name,model_id",
-        BOUNDARY_PATHS,
-        ids=[f"{n.split('-')[0]}-{m}" for n, m in BOUNDARY_PATHS],
-    )
-    def test_boundary_fits_keep_their_path(self, name, model_id):
-        fit = fit_model(model_id, builtin_dataset(name))
-        assert (fit.method, fit.converged) == (METHOD_EM, True)
-        got = (fit.iterations, fit.evaluations, fit.face_cells)
-        assert got == BOUNDARY_PATHS[name, model_id]
+        if tol == 1e-10:
+            got = (fit.iterations, fit.evaluations)
+            assert got == (iterations, evaluations)
 
     def test_trace_holds_accepted_iterations(self, bone_table):
         fit = fit_em("M3", bone_table)

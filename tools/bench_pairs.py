@@ -6,8 +6,10 @@ seeds run the parent first, odd seeds the change.  The record holds every
 run, and per workload and end-to-end metric the median and quartiles of
 each side and the number of pairs the change won.  A claim names one
 workload and metric; it is met when the change wins at least nine pairs in
-ten and its median beats the parent's by more than the parent's
-interquartile range.
+ten, its median beats the parent's by more than the parent's
+interquartile range, every check of every run passes and no more of the
+change's operations fail than the parent's.  Each run lasts as long as
+bench/run.py's own default, the same on both sides.
 
     python3 tools/bench_pairs.py --parent ../parent --change . \\
         --pairs fit-boundary=10 --pairs fit-large=10 \\
@@ -124,7 +126,7 @@ def summarise(pairs: list, metrics: dict) -> dict:
             "median_change": change["median"] / parent["median"] - 1.0,
         }
     out["all_correct"] = all(p[s]["correct"] for p in pairs for s in SIDES)
-    out["failed"] = sum(p[s]["failed"] for p in pairs for s in SIDES)
+    out["failed"] = {s: sum(p[s]["failed"] for p in pairs) for s in SIDES}
     return out
 
 
@@ -132,6 +134,7 @@ def claim(summary: dict, workload: str, metric: str, lower: bool) -> dict:
     """Whether the change's gain on one metric counts; drop is the gain as
     a share of the parent's median."""
     entry = summary[workload][metric]
+    failed = summary[workload]["failed"]
     parent, change = entry["parent"], entry["change"]
     won, n = map(int, entry["change_better_pairs"].split("/"))
     iqr = parent["q3"] - parent["q1"]
@@ -146,7 +149,9 @@ def claim(summary: dict, workload: str, metric: str, lower: bool) -> dict:
         "drop": gain / parent["median"],
         "parent_iqr": iqr,
         "change_better_pairs": entry["change_better_pairs"],
-        "met": won >= math.ceil(CLAIM_SHARE * n) and gain > iqr,
+        "met": (won >= math.ceil(CLAIM_SHARE * n) and gain > iqr
+                and summary[workload]["all_correct"]
+                and failed["change"] <= failed["parent"]),
     }
 
 
@@ -165,7 +170,6 @@ def main(argv=None) -> int:
     parser.add_argument("--traced", type=_counts, action="append",
                         default=[], metavar="WORKLOAD=N")
     parser.add_argument("--claim", metavar="WORKLOAD:METRIC")
-    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--smoke", action="store_true")
     parser.add_argument("--fit-all", type=int, metavar="LEVELS")
     parser.add_argument("--what", default="")
@@ -185,7 +189,7 @@ def main(argv=None) -> int:
                     "python": platform.python_version(),
                     "note": "runs one at a time; no machine setting changed"},
         "command": "python3 bench/run.py --workload <w> --seed <pair> "
-                   f"--trace <0|1> --seconds {args.seconds:g}",
+                   "--trace <0|1>",
         "runs": {},
     }
 
@@ -204,8 +208,7 @@ def main(argv=None) -> int:
             pair = {"seed": seed}
             for side in _order(seed):
                 lines = _bench(checkouts[side], "--workload", workload,
-                               "--seed", seed, "--seconds", args.seconds,
-                               "--trace", 0)
+                               "--seed", seed, "--trace", 0)
                 doc["machine"]["numpy"] = lines[0]["environment"]["numpy"]
                 pair[side] = lines[-1]
             pairs.append(pair)
@@ -222,8 +225,7 @@ def main(argv=None) -> int:
         for seed in range(first, first + n):
             for side in _order(seed):
                 lines = _bench(checkouts[side], "--workload", workload,
-                               "--seed", seed, "--seconds", args.seconds,
-                               "--trace", 1)
+                               "--seed", seed, "--trace", 1)
                 traced["runs"].append(
                     {"workload": workload, "seed": seed, "side": side,
                      **lines[-1]}
