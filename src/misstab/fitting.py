@@ -76,7 +76,7 @@ def _positive_cells(mu, table):
     y = observed_counts(table)
     c = observation_map(table.schema).collapse(mu)
     mask = y > 0
-    if not np.all(c[mask] > 0):
+    if not (c[mask] > 0).all():
         return None
     return y[mask], c[mask]
 
@@ -105,6 +105,45 @@ def _margin_groups(shape, sum_axes_list) -> tuple:
     return tuple(groups)
 
 
+def _stacked_groups(groups, cells: int) -> tuple:
+    """The group indices of all the margins laid end to end, each shifted
+    past the margin cells of those before it; the cell of the raveled
+    cross behind each entry; and each margin's slice of the stacked
+    margins.  One bincount over the stacked index, weighted by the cross
+    gathered at those cells, sums every margin at once and still adds each
+    margin cell's cells one at a time in C order."""
+    parts = [np.empty(0, dtype=np.intp)]
+    slices = []
+    start = 0
+    for group, size in groups:
+        parts.append(group + start)
+        slices.append(slice(start, start + size))
+        start += size
+    stack = np.concatenate(parts)
+    source = np.tile(np.arange(cells), len(groups))
+    for arr in (stack, source):
+        arr.flags.writeable = False
+    return stack, source, tuple(slices)
+
+
+class _Iterate:
+    """One point of the ECM path.  It carries the cross mu, made read-only
+    and raveled as flat, and what the map reads from mu, each computed
+    once, when it is first needed: c, the collapse onto the observed cells
+    (for the log-likelihood and the E step), and targets, the stacked
+    sufficient margins of the E step (for the sweep and the margin
+    residual).  Since mu cannot change, neither can go stale."""
+
+    __slots__ = ("mu", "flat", "c", "targets")
+
+    def __init__(self, mu):
+        mu.flags.writeable = False
+        self.mu = mu
+        self.flat = mu.reshape(-1)
+        self.c = None
+        self.targets = None
+
+
 class _EcmMap:
     """The ECM map of one model on one table (Meng & Rubin 1993): an E step
     that spreads each observed count over the cells it collapses in
@@ -114,10 +153,18 @@ class _EcmMap:
     It is built once per fit and holds what no iteration changes: the
     observation index, the observed counts gathered onto the cross, the
     even spread 1 / cells_per_obs of a count whose collapsed fit is zero,
-    the positive counts with their mask, and one group index per
-    sufficient margin (_margin_groups).  A margin is summed by bincount
-    over its group index, which adds each margin cell's cells one at a
-    time in C order, as the observation map's collapse does.
+    the positive counts with their mask, one group index per sufficient
+    margin (_margin_groups) and the stacked index of them all
+    (_stacked_groups).  A margin is summed by bincount over its group
+    index, which adds each margin cell's cells one at a time in C order,
+    as the observation map's collapse does; the E step's margins are
+    summed all at once over the stacked index.
+
+    It maps an _Iterate to the next one, and reads each iterate's collapse
+    and E-step margins from the iterate, computing them only the first
+    time, so an EM iteration collapses the cross once for both its
+    log-likelihood and the next map application.  A division whose
+    divisor has no zero (or NaN) cell skips the guard that a zero needs.
     """
 
     def __init__(self, table: IncompleteTable, sum_axes_list):
@@ -132,37 +179,65 @@ class _EcmMap:
         self._positive = y > 0
         self._y_positive = y[self._positive]
         dims = full_cross_dims(table.schema)
-        self._groups = _margin_groups(dims, sum_axes_list)
+        groups = _margin_groups(dims, sum_axes_list)
+        self._stack, self._source, slices = _stacked_groups(
+            groups, math.prod(dims)
+        )
+        self._margins = tuple(
+            (group, size, cells)
+            for (group, size), cells in zip(groups, slices)
+        )
 
-    def _spread_counts(self, mu):
-        c = self._omap.collapse(mu)[self._idx]
+    def _collapse(self, it):
+        if it.c is None:
+            it.c = self._omap.collapse(it.flat)
+        return it.c
+
+    def _spread_counts(self, it):
+        c = self._collapse(it)
+        cross = c[self._idx]
+        if (c > 0).all():
+            return self._y_cross * (it.flat / cross)
         # a count whose collapsed fit is zero is spread evenly over its cells
+        positive = cross > 0
         share = np.where(
-            c > 0, np.ravel(mu) / np.where(c > 0, c, 1.0), self._spread
+            positive, it.flat / np.where(positive, cross, 1.0), self._spread
         )
         return self._y_cross * share
 
-    def e_step(self, mu):
-        return self._spread_counts(mu).reshape(mu.shape)
+    def stacked_margins(self, flat):
+        """Every sufficient margin of a raveled cross, end to end."""
+        return np.bincount(self._stack, flat[self._source])
 
-    def loglik(self, mu) -> float:
+    def targets(self, it):
+        """The stacked sufficient margins of the E step of an iterate."""
+        if it.targets is None:
+            it.targets = self.stacked_margins(self._spread_counts(it))
+        return it.targets
+
+    def e_step(self, it):
+        return self._spread_counts(it).reshape(it.mu.shape)
+
+    def loglik(self, it) -> float:
         """Observed-data log-likelihood; -inf when the fit gives a positive
         count zero expectation."""
-        c = self._omap.collapse(mu)[self._positive]
-        if not np.all(c > 0):
+        c = self._collapse(it)[self._positive]
+        if not (c > 0).all():
             return float("-inf")
-        return -float(mu.sum()) + float((self._y_positive * np.log(c)).sum())
+        logs = float((self._y_positive * np.log(c)).sum())
+        return -float(it.mu.sum()) + logs
 
-    def __call__(self, mu):
-        z = self._spread_counts(mu)
-        flat = np.ravel(mu)
-        for group, size in self._groups:
+    def __call__(self, it):
+        target = self.targets(it)
+        flat = it.flat
+        for group, size, cells in self._margins:
             # a margin cell with no mass holds only zero cells, and they
             # stay zero whatever ratio scales them
             cur = np.bincount(group, flat, size)
-            target = np.bincount(group, z, size)
-            flat = flat * (target / np.where(cur > 0, cur, 1.0))[group]
-        return flat.reshape(mu.shape)
+            if not (cur > 0).all():
+                cur = np.where(cur > 0, cur, 1.0)
+            flat = flat * (target[cells] / cur)[group]
+        return _Iterate(flat.reshape(it.mu.shape))
 
 
 @dataclass(frozen=True, eq=False)
@@ -403,19 +478,14 @@ BOUNDARY_PERFECT_MISFIT = "perfect-fit-misfit"
 BOUNDARY_SMALL_CELL = "small-cell"
 
 
-def _margin_residual(mu, ecm) -> float:
-    """Largest relative gap between the sufficient margins of mu and those
-    of its E step, each summed over the map's group index; zero at a fixed
-    point of EM."""
-    z = ecm._spread_counts(mu)
-    flat = np.ravel(mu)
-    worst = 0.0
-    for group, size in ecm._groups:
-        target = np.bincount(group, z, size)
-        cur = np.bincount(group, flat, size)
-        gap = np.abs(target - cur) / np.maximum(target, 1e-300)
-        worst = max(worst, float(gap.max()))
-    return worst
+def _margin_residual(it, ecm) -> float:
+    """Largest relative gap between the sufficient margins of an iterate
+    and those of its E step, each stacked over the map's stacked index;
+    zero at a fixed point of EM.  The E-step margins stay on the iterate
+    for the map application that follows."""
+    target = ecm.targets(it)
+    gap = np.abs(target - ecm.stacked_margins(it.flat))
+    return float((gap / np.maximum(target, 1e-300)).max(initial=0.0))
 
 
 def _checkpoint(marks, mu):
@@ -438,11 +508,11 @@ def _decaying(marks, mu, n, half):
     return falling & (mu > 0) & (mu < DECAY_CELL * n)
 
 
-def _squarem_step(mu, ll, step_max, ecm):
+def _squarem_step(it, ll, step_max, ecm):
     """One SQUAREM cycle (Varadhan & Roland 2008, step SqS3) of the ECM map,
     extrapolated in log space over the live cells.
 
-    Returns the next iterate, its log-likelihood, the next step bound and
+    Returns the next _Iterate, its log-likelihood, the next step bound and
     the map evaluations spent.  The step length is capped at step_max; the
     cap grows by SQUAREM_STEP_FACTOR when a capped step is kept and shrinks
     by it when a step is refused.  The extrapolated point, after one more
@@ -450,29 +520,30 @@ def _squarem_step(mu, ll, step_max, ecm):
     the last accepted iterate; otherwise the plain double step is kept,
     which ECM never makes worse.
     """
-    mu1 = ecm(mu)
-    mu2 = ecm(mu1)
-    live = mu2 > 0
-    x0, x1, x2 = (np.log(m[live]) for m in (mu, mu1, mu2))
+    it1 = ecm(it)
+    it2 = ecm(it1)
+    live = it2.mu > 0
+    x0, x1, x2 = (np.log(i.mu[live]) for i in (it, it1, it2))
     r = x1 - x0
     v = x2 - x1 - r
-    v_norm = float(np.linalg.norm(v))
+    # the Euclidean norm as numpy.linalg.norm computes it
+    v_norm = math.sqrt(v @ v)
     if v_norm == 0:
-        return mu2, ecm.loglik(mu2), step_max, 2
-    alpha = max(min(-float(np.linalg.norm(r)) / v_norm, -1.0), -step_max)
-    jump = np.zeros_like(mu)
+        return it2, ecm.loglik(it2), step_max, 2
+    alpha = max(min(-math.sqrt(r @ r) / v_norm, -1.0), -step_max)
+    jump = np.zeros_like(it.mu)
     # a long extrapolation can overflow or underflow cells; such a jump
     # fails the guard below
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         jump[live] = np.exp(x0 - 2.0 * alpha * r + alpha * alpha * v)
-        jump = ecm(jump)
+        jump = ecm(_Iterate(jump))
         ll_jump = ecm.loglik(jump)
-    if np.all(np.isfinite(jump)) and ll_jump >= ll:
+    if np.isfinite(jump.flat).all() and ll_jump >= ll:
         if alpha == -step_max:
             step_max *= SQUAREM_STEP_FACTOR
         return jump, ll_jump, step_max, 3
     step_max = max(step_max / SQUAREM_STEP_FACTOR, 1.0)
-    return mu2, ecm.loglik(mu2), step_max, 3
+    return it2, ecm.loglik(it2), step_max, 3
 
 
 def _is_face(zero, sum_axes_list) -> bool:
@@ -499,14 +570,14 @@ def _zeros_stay_down(mu, before, ecm) -> bool:
     in the model's span) must be negative on every reopened cell.
     """
     reopened = (mu == 0) & (before > 0)
-    probe = np.where(reopened, REOPEN_SHARE * before, mu)
-    marks = _checkpoint([], probe)
+    probe = _Iterate(np.where(reopened, REOPEN_SHARE * before, mu))
+    marks = _checkpoint([], probe.mu)
     for step in range(1, DECAY_WINDOW + 1):
         probe = ecm(probe)
         if step % DECAY_HALF == 0:
-            marks = _checkpoint(marks, probe)
+            marks = _checkpoint(marks, probe.mu)
     a, b, c = (m[reopened] for m in marks)
-    return bool(np.all((b < a) & (c < b)))
+    return bool(((b < a) & (c < b)).all())
 
 
 @dataclass(frozen=True)
@@ -517,12 +588,12 @@ class _FaceSolve:
     certified: bool
 
 
-def _solve_face(mu, decaying, floor, ecm, budget):
+def _solve_face(it, decaying, floor, ecm, budget):
     """Finish an EM fit on the face where the decaying cells are zero.
 
-    The decaying cells of mu are fixed at zero as structural zeros and
-    SQUAREM-accelerated ECM runs on the live cells.  Cells that in turn
-    pass the decay test, checked on a clock of its own every
+    The decaying cells of the iterate it are fixed at zero as structural
+    zeros and SQUAREM-accelerated ECM runs on the live cells.  Cells that
+    in turn pass the decay test, checked on a clock of its own every
     FACE_CHECK_CYCLES cycles, are zeroed too.  The solve ends when the
     sufficient margins match to FACE_RESIDUAL.  The result counts when its
     log-likelihood is at least floor, that of the last iterate before
@@ -532,26 +603,27 @@ def _solve_face(mu, decaying, floor, ecm, budget):
     that reach the last accepted one, starting from floor, so that it
     extends the caller's trace monotonically.
     """
-    before = mu
-    mu = np.where(decaying, 0.0, mu)
-    ll = ecm.loglik(mu)
+    before = it.mu
+    it = _Iterate(np.where(decaying, 0.0, before))
+    ll = ecm.loglik(it)
     n = ecm.table.N
     trace = []
     evaluations = 0
     cycles = 0
     step_max = 1.0
-    marks = _checkpoint([], mu)
+    marks = _checkpoint([], it.mu)
     while (
         math.isfinite(ll)
         and len(trace) < budget
         and evaluations < FACE_MAX_EVALUATIONS
     ):
-        mu, ll, step_max, spent = _squarem_step(mu, ll, step_max, ecm)
+        it, ll, step_max, spent = _squarem_step(it, ll, step_max, ecm)
         evaluations += spent
         cycles += 1
         if ll >= (trace[-1] if trace else floor):
             trace.append(ll)
-        if _margin_residual(mu, ecm) < FACE_RESIDUAL:
+        mu = it.mu
+        if _margin_residual(it, ecm) < FACE_RESIDUAL:
             certified = ll >= floor and _is_face(mu == 0, ecm.sum_axes_list)
             if certified:
                 evaluations += DECAY_WINDOW
@@ -560,11 +632,11 @@ def _solve_face(mu, decaying, floor, ecm, budget):
         if cycles % FACE_CHECK_CYCLES == 0:
             marks = _checkpoint(marks, mu)
             decaying = _decaying(marks, mu, n, FACE_CHECK_CYCLES)
-            if np.any(decaying):
-                mu = np.where(decaying, 0.0, mu)
-                ll = ecm.loglik(mu)
-                marks = _checkpoint([], mu)
-    return _FaceSolve(mu, tuple(trace), evaluations, False)
+            if decaying.any():
+                it = _Iterate(np.where(decaying, 0.0, mu))
+                ll = ecm.loglik(it)
+                marks = _checkpoint([], it.mu)
+    return _FaceSolve(it.mu, tuple(trace), evaluations, False)
 
 
 def fit_em(
@@ -610,6 +682,7 @@ def fit_em(
     elif init != "uniform":
         raise ComputationError(f"unknown init mode {init}")
     ecm = _EcmMap(table, _margin_axes(schema, generating_class(model)))
+    it = _Iterate(mu)
     trace = []
     prev = None
     converged = False
@@ -618,9 +691,10 @@ def fit_em(
     attempts = 0
     marks = _checkpoint([], mu)
     while len(trace) < max_iter:
-        mu = ecm(mu)
+        it = ecm(it)
+        mu = it.mu
         evaluations += 1
-        ll = ecm.loglik(mu)
+        ll = ecm.loglik(it)
         trace.append(ll)
         if prev is not None and math.isfinite(ll):
             if abs(ll - prev) <= tol * (abs(prev) + 1.0):
@@ -631,10 +705,10 @@ def fit_em(
             continue
         marks = _checkpoint(marks, mu)
         decaying = _decaying(marks, mu, n, DECAY_HALF)
-        if not np.any(decaying):
+        if not decaying.any():
             continue
         attempts += 1
-        face = _solve_face(mu, decaying, ll, ecm, max_iter - len(trace))
+        face = _solve_face(it, decaying, ll, ecm, max_iter - len(trace))
         evaluations += face.evaluations
         if face.certified:
             face_cells = int(np.count_nonzero((face.mu == 0) & (mu > 0)))

@@ -29,7 +29,7 @@ from misstab import (
     is_perfect_fit,
     scale_counts,
 )
-from misstab.fitting import _EcmMap, _margin_axes
+from misstab.fitting import _EcmMap, _Iterate, _margin_axes
 from misstab.models import MECH_MAR, full_cross_dims
 
 SEED = 20260815
@@ -279,10 +279,10 @@ def test_criterion_7_invariant_suite(
         axes = _margin_axes(table.schema, generating_class(closed.model))
         ecm = _EcmMap(table, axes)
         dims = full_cross_dims(table.schema)
-        mu = np.full(dims, table.N / float(np.prod(dims)))
+        it = _Iterate(np.full(dims, table.N / float(np.prod(dims))))
         for _ in range(depth):
-            mu = ecm(mu)
-        rel = np.abs(mu - closed.mu_hat) / np.maximum(closed.mu_hat, 1e-12)
+            it = ecm(it)
+        rel = np.abs(it.mu - closed.mu_hat) / np.maximum(closed.mu_hat, 1e-12)
         c.check(
             f"EM/explicit agreement for {mid} within 1e-6",
             rel.max() <= 1e-6,
@@ -298,7 +298,7 @@ def test_criterion_7_invariant_suite(
     ):
         fit = fit_em(mid, table, tol=1e-15, max_iter=100000)
         axes_list = _margin_axes(table.schema, generating_class(fit.model))
-        z = _EcmMap(table, axes_list).e_step(fit.mu_hat)
+        z = _EcmMap(table, axes_list).e_step(_Iterate(fit.mu_hat))
         for axes in axes_list:
             have = fit.mu_hat.sum(axis=axes)
             want = z.sum(axis=axes)

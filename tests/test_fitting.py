@@ -31,6 +31,7 @@ from misstab.fitting import (
     METHOD_CLOSED,
     METHOD_EM,
     _EcmMap,
+    _Iterate,
     _g2_from_mu,
     _is_face,
     _margin_axes,
@@ -40,6 +41,7 @@ from misstab.fitting import (
 from misstab.models import (
     MECH_MAR,
     Mechanism,
+    ObservationMap,
     _make_model,
     full_cross_dims,
     generating_class,
@@ -536,10 +538,31 @@ class TestEm:
         dims = full_cross_dims(bone_table.schema)
         axes = _margin_axes(bone_table.schema, generating_class(fit.model))
         ecm = _EcmMap(bone_table, axes)
-        mu = np.full(dims, bone_table.N / float(np.prod(dims)))
+        it = _Iterate(np.full(dims, bone_table.N / float(np.prod(dims))))
         for _ in range(fit.iterations):
-            mu = ecm(mu)
-        assert np.array_equal(mu, fit.mu_hat)
+            it = ecm(it)
+        assert np.array_equal(it.mu, fit.mu_hat)
+
+    @pytest.mark.parametrize(
+        "name,model_id",
+        [(n, m) for n, m, *_ in LIMITS],
+        ids=[f"{n.split('-')[0]}-{m}" for n, m, *_ in LIMITS],
+    )
+    def test_each_iterate_is_collapsed_once(self, name, model_id, monkeypatch):
+        # the log-likelihood, the margin residual and the next map
+        # application share one collapse of an iterate; the raw SQUAREM
+        # jumps and the final G2 add the few more
+        calls = []
+        collapse = ObservationMap.collapse
+
+        def counted(self, mu):
+            calls.append(None)
+            return collapse(self, mu)
+
+        monkeypatch.setattr(ObservationMap, "collapse", counted)
+        fit = fit_em(model_id, builtin_dataset(name))
+        assert fit.face_cells > 0
+        assert len(calls) <= 1.1 * fit.evaluations
 
     def test_map_is_built_once_per_fit(self, bone_table, monkeypatch):
         # the observed counts and their observation map are gathered when

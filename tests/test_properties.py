@@ -48,9 +48,11 @@ from misstab import (
 from misstab.fitting import (
     FitResult,
     _EcmMap,
+    _Iterate,
     _g2_from_mu,
     _margin_axes,
     _margin_groups,
+    _margin_residual,
 )
 from misstab.models import (
     _effects_coding,
@@ -229,7 +231,7 @@ class TestStationarity:
                 fit = fit_em(fit.model, table, tol=1e-15, max_iter=100000)
             mu = fit.mu_hat
             axes_list = _margin_axes(table.schema, generating_class(fit.model))
-            z = _EcmMap(table, axes_list).e_step(mu)
+            z = _EcmMap(table, axes_list).e_step(_Iterate(mu))
             for axes in axes_list:
                 have = mu.sum(axis=axes)
                 want = z.sum(axis=axes)
@@ -263,10 +265,10 @@ class TestClosedFormAgreement:
         model = closed.model
         dims = full_cross_dims(schema)
         ecm = _EcmMap(table, _margin_axes(schema, generating_class(model)))
-        mu = np.full(dims, table.N / float(np.prod(dims)))
+        it = _Iterate(np.full(dims, table.N / float(np.prod(dims))))
         for _ in range(depth):
-            mu = ecm(mu)
-        rel = np.abs(mu - closed.mu_hat) / np.maximum(closed.mu_hat, 1e-12)
+            it = ecm(it)
+        rel = np.abs(it.mu - closed.mu_hat) / np.maximum(closed.mu_hat, 1e-12)
         assert rel.max() <= 1e-6, (name, model_id, rel.max())
 
 
@@ -507,6 +509,19 @@ def _oracle_ipf(mu, z, sum_axes_list):
     return mu
 
 
+def _oracle_margin_residual(mu, table, sum_axes_list):
+    """Largest relative gap, over every sufficient margin, between the
+    margins of mu and those of its E step."""
+    z = _oracle_e_step(mu, table)
+    worst = 0.0
+    for axes in sum_axes_list:
+        target = _oracle_margin(z, axes)
+        cur = _oracle_margin(mu, axes)
+        gap = np.abs(target - cur) / np.maximum(target, 1e-300)
+        worst = max(worst, float(gap.max()))
+    return worst
+
+
 def _oracle_loglik_and_g2(mu, table):
     ll = -float(mu.sum())
     g2 = 0.0
@@ -574,16 +589,77 @@ class TestObservationMapOracle:
                 strata[pat], want, rtol=1e-12, atol=1e-12
             )
         ecm = _EcmMap(table, ())
+        it = _Iterate(mu)
         np.testing.assert_allclose(
-            ecm.e_step(mu), _oracle_e_step(mu, table),
+            ecm.e_step(it), _oracle_e_step(mu, table),
             rtol=1e-12, atol=1e-12,
         )
         ll, g2 = _oracle_loglik_and_g2(mu, table)
-        for got, want in ((ecm.loglik(mu), ll), (_g2_from_mu(mu, table), g2)):
+        for got, want in ((ecm.loglik(it), ll), (_g2_from_mu(mu, table), g2)):
             if math.isinf(want):
                 assert got == want
             else:
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+CROSS_KINDS = ("positive", "empty-margin", "zero-collapse")
+
+
+@st.composite
+def tables_margins_and_cross(draw, kind):
+    """A table of one of the three analysis shapes with positive counts,
+    the sufficient margins of a catalog model and a strictly positive
+    cross.  kind "empty-margin" empties one margin cell of the cross, and
+    "zero-collapse" empties the cells behind one observed count, so that
+    the E step spreads that count evenly."""
+    n_vars = draw(st.sampled_from([2, 3]))
+    names = ("a", "b", "c")[:n_vars]
+    levels = [draw(st.integers(2, 4)) for _ in names]
+    n_missing = 2 if n_vars == 2 else draw(st.integers(1, 2))
+    missing = draw(st.permutations(names))[:n_missing]
+    schema = TableSchema(tuple(zip(names, levels)), missing)
+    model = draw(st.sampled_from(enumerate_models(schema)))
+    axes_list = _margin_axes(schema, generating_class(model))
+    dims = full_cross_dims(schema)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    strata = tuple(
+        Stratum(
+            schema.observed_for(pat),
+            rng.integers(1, 30, size=[schema.levels(v) for v in
+                                      schema.observed_for(pat)]),
+        )
+        for pat in schema.patterns()
+    )
+    mu = rng.uniform(0.05, 20.0, size=dims)
+    if kind == "empty-margin":
+        empty = draw(st.sampled_from(axes_list))
+        cell = [
+            slice(None) if a in empty else draw(st.integers(0, d - 1))
+            for a, d in enumerate(dims)
+        ]
+        mu[tuple(cell)] = 0.0
+    elif kind == "zero-collapse":
+        pat = draw(st.sampled_from(schema.patterns()[1:]))
+        block = list(_oracle_slice(schema, pat))
+        for v in schema.observed_for(pat):
+            block[schema.index(v)] = draw(st.integers(0, schema.levels(v) - 1))
+        mu[tuple(block)] = 0.0
+    return IncompleteTable(schema, strata), axes_list, mu
+
+
+def _check_cross_kind(table, axes_list, mu, kind):
+    """The cross really takes the path its kind names."""
+    schema = table.schema
+    collapsed = [
+        _oracle_collapse(mu, schema, table.pattern_of(st_))
+        for st_ in table.strata
+    ]
+    if kind == "positive":
+        assert np.all(mu > 0)
+    elif kind == "empty-margin":
+        assert any(np.any(_oracle_margin(mu, a) == 0) for a in axes_list)
+    else:
+        assert any(np.any(c == 0) for c in collapsed)
 
 
 class TestEcmMapOracle:
@@ -599,14 +675,14 @@ class TestEcmMapOracle:
         axes = _margin_axes(table.schema, generating_class(fit.model))
         ecm = _EcmMap(table, axes)
         dims = full_cross_dims(table.schema)
-        states = [np.full(dims, table.N / float(np.prod(dims)))]
+        states = [_Iterate(np.full(dims, table.N / float(np.prod(dims))))]
         for _ in range(50):
             states.append(ecm(states[-1]))
-        states.append(fit.mu_hat)
-        for mu in states:
-            z = _oracle_e_step(mu, table)
-            assert np.array_equal(ecm.e_step(mu), z)
-            assert np.array_equal(ecm(mu), _oracle_ipf(mu, z, axes))
+        states.append(_Iterate(fit.mu_hat))
+        for it in states:
+            z = _oracle_e_step(it.mu, table)
+            assert np.array_equal(ecm.e_step(it), z)
+            assert np.array_equal(ecm(it).mu, _oracle_ipf(it.mu, z, axes))
 
     @pytest.mark.parametrize(
         "name,model_id", ALL_CASES, ids=[f"{n}-{m}" for n, m in ALL_CASES]
@@ -624,7 +700,34 @@ class TestEcmMapOracle:
         assert any(
             np.any((mu.sum(axis=a) == 0) & (z.sum(axis=a) > 0)) for a in axes
         )
-        assert np.array_equal(_EcmMap(table, axes)(mu), _oracle_ipf(mu, z, axes))
+        got = _EcmMap(table, axes)(_Iterate(mu)).mu
+        assert np.array_equal(got, _oracle_ipf(mu, z, axes))
+
+    # a strictly positive cross takes the unguarded divisions, an emptied
+    # margin cell the guarded sweep, a zero collapse the even spread
+    @pytest.mark.parametrize("kind", CROSS_KINDS)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_every_path_matches_the_oracle(self, kind, data):
+        table, axes_list, mu = data.draw(tables_margins_and_cross(kind))
+        _check_cross_kind(table, axes_list, mu, kind)
+        z = _oracle_e_step(mu, table)
+        it = _Iterate(mu)
+        assert np.array_equal(_EcmMap(table, axes_list)(it).mu,
+                              _oracle_ipf(mu, z, axes_list))
+        # with no margins to fit the map leaves the cross as it is
+        assert np.array_equal(_EcmMap(table, ())(it).mu, mu)
+
+
+class TestMarginResidualOracle:
+    @pytest.mark.parametrize("kind", CROSS_KINDS)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_residual_is_the_largest_margin_gap(self, kind, data):
+        table, axes_list, mu = data.draw(tables_margins_and_cross(kind))
+        _check_cross_kind(table, axes_list, mu, kind)
+        got = _margin_residual(_Iterate(mu), _EcmMap(table, axes_list))
+        assert got == _oracle_margin_residual(mu, table, axes_list)
 
 
 @st.composite
