@@ -78,3 +78,31 @@ def test_higher_is_better_metrics_count_the_other_way():
 def test_order_alternates_by_seed():
     assert bench_pairs._order(0) == ("parent", "change")
     assert bench_pairs._order(1) == ("change", "parent")
+
+
+def _fits(g2=1.5, iterations=60, evaluations=136, sha="ab"):
+    return {"M1": {"G2": g2, "iterations": iterations,
+                   "evaluations": evaluations, "mu_hat_sha256": sha},
+            "M2": {"G2": 0.25, "iterations": 9, "evaluations": 9,
+                   "mu_hat_sha256": "cd"}}
+
+
+@pytest.mark.parametrize(
+    "change,same",
+    [
+        ({}, True),
+        ({"g2": 1.5 + 2.0**-52}, False),
+        ({"iterations": 61}, False),
+        ({"evaluations": 137}, False),
+        ({"sha": "ac"}, False),
+    ],
+)
+def test_fit_all_is_identical_only_bit_for_bit(change, same):
+    fits = {"parent": _fits(), "change": _fits(**change)}
+    assert bench_pairs.identical(fits) is same
+
+
+def test_fit_all_with_another_catalog_is_not_identical():
+    fits = {"parent": _fits(), "change": _fits()}
+    del fits["change"]["M2"]
+    assert bench_pairs.identical(fits) is False

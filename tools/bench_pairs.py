@@ -19,7 +19,9 @@ bench/run.py's own default, the same on both sides.
 Traced pairs (--trace 1) take the seeds after the untraced ones.  --fit-all
 L times fit_all on the seeded L x L x L table of bench/workloads.py in each
 checkout (parent, change, change, parent) and records every fit's G2,
-iterations and evaluations.  The record is rewritten after every pair, so
+iterations, evaluations and a sha256 of its mu_hat bytes; the record's
+identical flag says whether all four agree bit for bit on both sides.  The
+record is rewritten after every pair, so
 an interrupted run keeps what it measured.
 """
 
@@ -42,7 +44,7 @@ CLAIM_SHARE = 0.9  # of the pairs the change must win
 # Runs in a checkout with its src/ and bench/ on the path; prints one JSON
 # object with the time and every fit of fit_all on the synthetic table.
 FIT_ALL_SCRIPT = """
-import json, sys, time
+import hashlib, json, sys, time
 import misstab, workloads
 table = workloads.synthetic_table(3, int(sys.argv[1]))
 start = time.perf_counter()
@@ -50,9 +52,12 @@ fits = misstab.fit_all(table)
 seconds = time.perf_counter() - start
 print(json.dumps({"fit_all_s": seconds, "fits": {
     f.model_id: {"G2": f.G2, "iterations": f.iterations,
-                 "evaluations": f.evaluations}
+                 "evaluations": f.evaluations,
+                 "mu_hat_sha256":
+                     hashlib.sha256(f.mu_hat.tobytes()).hexdigest()}
     for f in fits}}))
 """
+FIT_FIELDS = ("iterations", "evaluations", "mu_hat_sha256")
 
 
 def _rev(checkout: Path) -> str:
@@ -155,6 +160,17 @@ def claim(summary: dict, workload: str, metric: str, lower: bool) -> dict:
     }
 
 
+def identical(fits: dict) -> bool:
+    """Whether both sides fitted the same models to the same G2 bits,
+    iterations, evaluations and mu_hat bytes."""
+    parent, change = (fits[side] for side in SIDES)
+    return parent.keys() == change.keys() and all(
+        parent[m]["G2"].hex() == change[m]["G2"].hex()
+        and all(parent[m][k] == change[m][k] for k in FIT_FIELDS)
+        for m in parent
+    )
+
+
 def _counts(arg: str) -> tuple:
     name, _, count = arg.partition("=")
     return name, int(count)
@@ -251,6 +267,7 @@ def main(argv=None) -> int:
                 abs(first["change"][m]["G2"] - first["parent"][m]["G2"])
                 for m in first["parent"]
             ),
+            "identical": identical(first),
             "fits": {m: {side: first[side][m] for side in SIDES}
                      for m in first["parent"]},
         }
