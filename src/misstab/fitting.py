@@ -8,17 +8,20 @@ rescales the working table to the model's sufficient margins by one sweep
 of iterative proportional fitting: every iteration is one application of
 the ECM map (_EcmMap).  The map is built once per fit and holds, besides
 the observation index, one group index per sufficient margin: each margin
-of the sweep is a bincount over its group index, which adds the cells in
-C order as the observation map's collapse does.  When the maximum lies on
-the boundary, the cells that keep decaying are fixed at zero and the fit
-is finished on that face of the model by accelerated ECM (fit_em,
-_solve_face).  Fit quality is the deviance of the observed strata against
-the collapsed fitted expectations, with tail probabilities from the
-chi-square survival function in closed form for integer df: a finite
-Poisson sum for even df, erfc plus a finite sum for odd df (chi_square_sf,
-standard library only).  The E step, the deviance and the fitted strata
-all collapse the cross through the schema's one observation map
-(models.observation_map).
+of the E step and of the sweep is a bincount over its group index, which
+adds the cells in C order as the observation map's collapse does.  The
+map takes and returns iterates (_Iterate): the read-only cross with its
+collapse and its E-step margins, computed once and shared by the
+log-likelihood, the margin residual and the next map application.  When
+the maximum lies on the boundary, the cells that keep decaying are fixed
+at zero and the fit is finished on that face of the model by accelerated
+ECM (fit_em, _solve_face).  Fit quality is the deviance of the observed
+strata against the collapsed fitted expectations, with tail
+probabilities from the chi-square survival function in closed form for
+integer df: a finite Poisson sum for even df, erfc plus a finite sum for
+odd df (chi_square_sf, standard library only).  The E step, the
+deviance and the fitted strata all collapse the cross through the
+schema's one observation map (models.observation_map).
 """
 
 from __future__ import annotations
@@ -105,34 +108,15 @@ def _margin_groups(shape, sum_axes_list) -> tuple:
     return tuple(groups)
 
 
-def _stacked_groups(groups, cells: int) -> tuple:
-    """The group indices of all the margins laid end to end, each shifted
-    past the margin cells of those before it; the cell of the raveled
-    cross behind each entry; and each margin's slice of the stacked
-    margins.  One bincount over the stacked index, weighted by the cross
-    gathered at those cells, sums every margin at once and still adds each
-    margin cell's cells one at a time in C order."""
-    parts = [np.empty(0, dtype=np.intp)]
-    slices = []
-    start = 0
-    for group, size in groups:
-        parts.append(group + start)
-        slices.append(slice(start, start + size))
-        start += size
-    stack = np.concatenate(parts)
-    source = np.tile(np.arange(cells), len(groups))
-    for arr in (stack, source):
-        arr.flags.writeable = False
-    return stack, source, tuple(slices)
-
-
 class _Iterate:
-    """One point of the ECM path.  It carries the cross mu, made read-only
-    and raveled as flat, and what the map reads from mu, each computed
-    once, when it is first needed: c, the collapse onto the observed cells
-    (for the log-likelihood and the E step), and targets, the stacked
-    sufficient margins of the E step (for the sweep and the margin
-    residual).  Since mu cannot change, neither can go stale."""
+    """One point of the ECM path.  It takes over the cross mu, which it
+    makes read-only and ravels as flat, and carries what the map reads
+    from mu, each computed once, when it is first needed: c, the collapse
+    onto the observed cells (for the log-likelihood and the E step), and
+    targets, the sufficient margins of the E step (for the sweep and the
+    margin residual).  Since mu cannot change, neither can go stale.  The
+    targets are those of the map that first read them, so an iterate
+    belongs to one map."""
 
     __slots__ = ("mu", "flat", "c", "targets")
 
@@ -153,12 +137,10 @@ class _EcmMap:
     It is built once per fit and holds what no iteration changes: the
     observation index, the observed counts gathered onto the cross, the
     even spread 1 / cells_per_obs of a count whose collapsed fit is zero,
-    the positive counts with their mask, one group index per sufficient
-    margin (_margin_groups) and the stacked index of them all
-    (_stacked_groups).  A margin is summed by bincount over its group
-    index, which adds each margin cell's cells one at a time in C order,
-    as the observation map's collapse does; the E step's margins are
-    summed all at once over the stacked index.
+    the positive counts with their mask, and one group index per
+    sufficient margin (_margin_groups).  A margin is summed by bincount
+    over its group index, which adds each margin cell's cells one at a
+    time in C order, as the observation map's collapse does.
 
     It maps an _Iterate to the next one, and reads each iterate's collapse
     and E-step margins from the iterate, computing them only the first
@@ -179,14 +161,7 @@ class _EcmMap:
         self._positive = y > 0
         self._y_positive = y[self._positive]
         dims = full_cross_dims(table.schema)
-        groups = _margin_groups(dims, sum_axes_list)
-        self._stack, self._source, slices = _stacked_groups(
-            groups, math.prod(dims)
-        )
-        self._margins = tuple(
-            (group, size, cells)
-            for (group, size), cells in zip(groups, slices)
-        )
+        self._groups = _margin_groups(dims, sum_axes_list)
 
     def _collapse(self, it):
         if it.c is None:
@@ -205,14 +180,11 @@ class _EcmMap:
         )
         return self._y_cross * share
 
-    def stacked_margins(self, flat):
-        """Every sufficient margin of a raveled cross, end to end."""
-        return np.bincount(self._stack, flat[self._source])
-
     def targets(self, it):
-        """The stacked sufficient margins of the E step of an iterate."""
+        """The sufficient margins of the E step of an iterate."""
         if it.targets is None:
-            it.targets = self.stacked_margins(self._spread_counts(it))
+            z = self._spread_counts(it)
+            it.targets = [np.bincount(g, z, size) for g, size in self._groups]
         return it.targets
 
     def e_step(self, it):
@@ -228,15 +200,14 @@ class _EcmMap:
         return -float(it.mu.sum()) + logs
 
     def __call__(self, it):
-        target = self.targets(it)
         flat = it.flat
-        for group, size, cells in self._margins:
+        for (group, size), target in zip(self._groups, self.targets(it)):
             # a margin cell with no mass holds only zero cells, and they
             # stay zero whatever ratio scales them
             cur = np.bincount(group, flat, size)
             if not (cur > 0).all():
                 cur = np.where(cur > 0, cur, 1.0)
-            flat = flat * (target[cells] / cur)[group]
+            flat = flat * (target / cur)[group]
         return _Iterate(flat.reshape(it.mu.shape))
 
 
@@ -480,12 +451,15 @@ BOUNDARY_SMALL_CELL = "small-cell"
 
 def _margin_residual(it, ecm) -> float:
     """Largest relative gap between the sufficient margins of an iterate
-    and those of its E step, each stacked over the map's stacked index;
-    zero at a fixed point of EM.  The E-step margins stay on the iterate
-    for the map application that follows."""
-    target = ecm.targets(it)
-    gap = np.abs(target - ecm.stacked_margins(it.flat))
-    return float((gap / np.maximum(target, 1e-300)).max(initial=0.0))
+    and those of its E step, each summed over the map's group index; zero
+    at a fixed point of EM.  The E-step margins stay on the iterate for
+    the map application that follows."""
+    worst = 0.0
+    for (group, size), target in zip(ecm._groups, ecm.targets(it)):
+        cur = np.bincount(group, it.flat, size)
+        gap = np.abs(target - cur) / np.maximum(target, 1e-300)
+        worst = max(worst, float(gap.max()))
+    return worst
 
 
 def _checkpoint(marks, mu):

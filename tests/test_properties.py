@@ -712,11 +712,10 @@ class TestEcmMapOracle:
         table, axes_list, mu = data.draw(tables_margins_and_cross(kind))
         _check_cross_kind(table, axes_list, mu, kind)
         z = _oracle_e_step(mu, table)
-        it = _Iterate(mu)
-        assert np.array_equal(_EcmMap(table, axes_list)(it).mu,
-                              _oracle_ipf(mu, z, axes_list))
+        got = _EcmMap(table, axes_list)(_Iterate(mu)).mu
+        assert np.array_equal(got, _oracle_ipf(mu, z, axes_list))
         # with no margins to fit the map leaves the cross as it is
-        assert np.array_equal(_EcmMap(table, ())(it).mu, mu)
+        assert np.array_equal(_EcmMap(table, ())(_Iterate(mu)).mu, mu)
 
 
 class TestMarginResidualOracle:
