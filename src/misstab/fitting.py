@@ -114,16 +114,17 @@ class _Iterate:
     from mu, each computed once, when it is first needed: c, the collapse
     onto the observed cells (for the log-likelihood and the E step), and
     targets, the sufficient margins of the E step (for the sweep and the
-    margin residual).  Since mu cannot change, neither can go stale.  The
-    targets are those of the map that first read them, so an iterate
-    belongs to one map."""
+    margin residual).  Since mu cannot change, neither can go stale; owner
+    names the map they were computed for, and another map computes its
+    own."""
 
-    __slots__ = ("mu", "flat", "c", "targets")
+    __slots__ = ("mu", "flat", "owner", "c", "targets")
 
     def __init__(self, mu):
         mu.flags.writeable = False
         self.mu = mu
         self.flat = mu.reshape(-1)
+        self.owner = None
         self.c = None
         self.targets = None
 
@@ -142,9 +143,9 @@ class _EcmMap:
     over its group index, which adds each margin cell's cells one at a
     time in C order, as the observation map's collapse does.
 
-    It maps an _Iterate to the next one, and reads each iterate's collapse
-    and E-step margins from the iterate, computing them only the first
-    time, so an EM iteration collapses the cross once for both its
+    It maps an _Iterate to the next one, and keeps each iterate's collapse
+    and E-step margins on the iterate, computed the first time it reads
+    that iterate, so an EM iteration collapses the cross once for both its
     log-likelihood and the next map application.  A division whose
     divisor has no zero (or NaN) cell skips the guard that a zero needs.
     """
@@ -164,7 +165,8 @@ class _EcmMap:
         self._groups = _margin_groups(dims, sum_axes_list)
 
     def _collapse(self, it):
-        if it.c is None:
+        if it.owner is not self:
+            it.owner, it.targets = self, None
             it.c = self._omap.collapse(it.flat)
         return it.c
 
@@ -182,7 +184,7 @@ class _EcmMap:
 
     def targets(self, it):
         """The sufficient margins of the E step of an iterate."""
-        if it.targets is None:
+        if it.owner is not self or it.targets is None:
             z = self._spread_counts(it)
             it.targets = [np.bincount(g, z, size) for g, size in self._groups]
         return it.targets

@@ -649,17 +649,16 @@ def tables_margins_and_cross(draw, kind):
 
 def _check_cross_kind(table, axes_list, mu, kind):
     """The cross really takes the path its kind names."""
-    schema = table.schema
-    collapsed = [
-        _oracle_collapse(mu, schema, table.pattern_of(st_))
-        for st_ in table.strata
-    ]
     if kind == "positive":
         assert np.all(mu > 0)
     elif kind == "empty-margin":
         assert any(np.any(_oracle_margin(mu, a) == 0) for a in axes_list)
     else:
-        assert any(np.any(c == 0) for c in collapsed)
+        patterns = (table.pattern_of(s) for s in table.strata)
+        assert any(
+            np.any(_oracle_collapse(mu, table.schema, pat) == 0)
+            for pat in patterns
+        )
 
 
 class TestEcmMapOracle:
@@ -712,10 +711,15 @@ class TestEcmMapOracle:
         table, axes_list, mu = data.draw(tables_margins_and_cross(kind))
         _check_cross_kind(table, axes_list, mu, kind)
         z = _oracle_e_step(mu, table)
-        got = _EcmMap(table, axes_list)(_Iterate(mu)).mu
+        it = _Iterate(mu)
+        got = _EcmMap(table, axes_list)(it).mu
         assert np.array_equal(got, _oracle_ipf(mu, z, axes_list))
+        # an iterate another map has read gets this map's own margins
+        twice = scale_counts(table, 2)
+        want = _oracle_ipf(mu, _oracle_e_step(mu, twice), axes_list)
+        assert np.array_equal(_EcmMap(twice, axes_list)(it).mu, want)
         # with no margins to fit the map leaves the cross as it is
-        assert np.array_equal(_EcmMap(table, ())(_Iterate(mu)).mu, mu)
+        assert np.array_equal(_EcmMap(table, ())(it).mu, mu)
 
 
 class TestMarginResidualOracle:
