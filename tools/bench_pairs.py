@@ -21,8 +21,8 @@ L times fit_all on the seeded L x L x L table of bench/workloads.py in each
 checkout (parent, change, change, parent) and records every fit's G2,
 iterations, evaluations and a sha256 of its mu_hat bytes; the record's
 identical flag says whether all four agree bit for bit on both sides.  The
-record is rewritten after every pair, so
-an interrupted run keeps what it measured.
+record is rewritten after every pair, so an interrupted run keeps what it
+measured.
 """
 
 from __future__ import annotations
