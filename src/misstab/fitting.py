@@ -12,7 +12,12 @@ of the E step and of the sweep is a bincount over its group index, which
 adds the cells in C order as the observation map's collapse does.  The
 map takes and returns iterates (_Iterate): the read-only cross with its
 collapse and its E-step margins, computed once and shared by the
-log-likelihood, the margin residual and the next map application.  When
+log-likelihood, the margin residual and the next map application.  The
+loop calls ufunc reductions directly on crosses carried flat (an
+all-positive test is np.minimum.reduce(x, initial=inf) > 0, a sum is
+np.add.reduce): on a cross of a few dozen cells a call costs numpy's
+dispatch, not arithmetic, and the method forms, (x > 0).all() or
+x.sum(), add a Python-level wrapper to each call for the same bits.  When
 the maximum lies on the boundary, the cells that keep decaying are fixed
 at zero and the fit is finished on that face of the model by accelerated
 ECM (fit_em, _solve_face).  Fit quality is the deviance of the observed
@@ -109,24 +114,32 @@ def _margin_groups(shape, sum_axes_list) -> tuple:
 
 
 class _Iterate:
-    """One point of the ECM path.  It takes over the cross mu, which it
-    makes read-only and ravels as flat, and carries what the map reads
-    from mu, each computed once, when it is first needed: c, the collapse
-    onto the observed cells (for the log-likelihood and the E step), and
-    targets, the sufficient margins of the E step (for the sweep and the
-    margin residual).  Since mu cannot change, neither can go stale; owner
-    names the map they were computed for, and another map computes its
-    own."""
+    """One point of the ECM path.  It takes over the cross, which it makes
+    read-only and holds as flat, the cells raveled in C order, with the
+    cross's shape: either a shaped cross mu, or a raveled one and its
+    shape.  The shaped view mu is made only when it is read.  It carries
+    what the map reads from the cross, each computed once, when it is
+    first needed: c, the collapse onto the observed cells (for the
+    log-likelihood and the E step), and targets, the sufficient margins of
+    the E step (for the sweep and the margin residual).  Since the cross
+    cannot change, neither can go stale; owner names the map they were
+    computed for, and another map computes its own."""
 
-    __slots__ = ("mu", "flat", "owner", "c", "targets")
+    __slots__ = ("flat", "shape", "owner", "c", "targets")
 
-    def __init__(self, mu):
+    def __init__(self, mu, shape=None):
         mu.flags.writeable = False
-        self.mu = mu
-        self.flat = mu.reshape(-1)
+        if shape is None:
+            shape, mu = mu.shape, mu.reshape(-1)
+        self.flat = mu
+        self.shape = shape
         self.owner = None
         self.c = None
         self.targets = None
+
+    @property
+    def mu(self):
+        return self.flat.reshape(self.shape)
 
 
 class _EcmMap:
@@ -173,7 +186,7 @@ class _EcmMap:
     def _spread_counts(self, it):
         c = self._collapse(it)
         cross = c[self._idx]
-        if (c > 0).all():
+        if np.minimum.reduce(c, initial=math.inf) > 0:
             return self._y_cross * (it.flat / cross)
         # a count whose collapsed fit is zero is spread evenly over its cells
         positive = cross > 0
@@ -190,16 +203,16 @@ class _EcmMap:
         return it.targets
 
     def e_step(self, it):
-        return self._spread_counts(it).reshape(it.mu.shape)
+        return self._spread_counts(it).reshape(it.shape)
 
     def loglik(self, it) -> float:
         """Observed-data log-likelihood; -inf when the fit gives a positive
         count zero expectation."""
         c = self._collapse(it)[self._positive]
-        if not (c > 0).all():
+        if not np.minimum.reduce(c, initial=math.inf) > 0:
             return float("-inf")
-        logs = float((self._y_positive * np.log(c)).sum())
-        return -float(it.mu.sum()) + logs
+        logs = float(np.add.reduce(self._y_positive * np.log(c)))
+        return -float(np.add.reduce(it.flat)) + logs
 
     def __call__(self, it):
         flat = it.flat
@@ -207,10 +220,10 @@ class _EcmMap:
             # a margin cell with no mass holds only zero cells, and they
             # stay zero whatever ratio scales them
             cur = np.bincount(group, flat, size)
-            if not (cur > 0).all():
+            if not np.minimum.reduce(cur, initial=math.inf) > 0:
                 cur = np.where(cur > 0, cur, 1.0)
             flat = flat * (target / cur)[group]
-        return _Iterate(flat.reshape(it.mu.shape))
+        return _Iterate(flat, it.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -350,6 +363,7 @@ def _finalize(
     g2 = _g2_from_mu(mu, table)
     params = parameter_count(model, schema)
     df = degrees_of_freedom(model, schema)
+    perfect = is_perfect_fit(model, schema)
     if df == 0:
         p = 1.0
     elif math.isinf(g2):
@@ -361,7 +375,7 @@ def _finalize(
     # a model with as many parameters as observed statistics fits them
     # exactly at any interior maximum, so a visibly imperfect fit means
     # the maximum sits on the boundary of the parameter space
-    elif is_perfect_fit(model, schema) and g2 > 1e-6:
+    elif perfect and g2 > 1e-6:
         rule = BOUNDARY_PERFECT_MISFIT
     elif np.any(mu / n < BOUNDARY_PROB):
         rule = BOUNDARY_SMALL_CELL
@@ -391,7 +405,7 @@ def _finalize(
         boundary=rule is not None,
         iterations=iterations,
         method=method,
-        perfect_fit=is_perfect_fit(model, schema),
+        perfect_fit=perfect,
         loglik_trace=tuple(trace),
         evaluations=evaluations,
         face_cells=face_cells,
@@ -460,7 +474,7 @@ def _margin_residual(it, ecm) -> float:
     for (group, size), target in zip(ecm._groups, ecm.targets(it)):
         cur = np.bincount(group, it.flat, size)
         gap = np.abs(target - cur) / np.maximum(target, 1e-300)
-        worst = max(worst, float(gap.max()))
+        worst = max(worst, float(np.maximum.reduce(gap)))
     return worst
 
 
@@ -498,8 +512,8 @@ def _squarem_step(it, ll, step_max, ecm):
     """
     it1 = ecm(it)
     it2 = ecm(it1)
-    live = it2.mu > 0
-    x0, x1, x2 = (np.log(i.mu[live]) for i in (it, it1, it2))
+    live = it2.flat > 0
+    x0, x1, x2 = (np.log(i.flat[live]) for i in (it, it1, it2))
     r = x1 - x0
     v = x2 - x1 - r
     # the Euclidean norm as numpy.linalg.norm computes it
@@ -507,14 +521,14 @@ def _squarem_step(it, ll, step_max, ecm):
     if v_norm == 0:
         return it2, ecm.loglik(it2), step_max, 2
     alpha = max(min(-math.sqrt(r @ r) / v_norm, -1.0), -step_max)
-    jump = np.zeros_like(it.mu)
+    jump = np.zeros(it.flat.size)
     # a long extrapolation can overflow or underflow cells; such a jump
     # fails the guard below
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         jump[live] = np.exp(x0 - 2.0 * alpha * r + alpha * alpha * v)
-        jump = ecm(_Iterate(jump))
+        jump = ecm(_Iterate(jump, it.shape))
         ll_jump = ecm.loglik(jump)
-    if np.isfinite(jump.flat).all() and ll_jump >= ll:
+    if np.logical_and.reduce(np.isfinite(jump.flat)) and ll_jump >= ll:
         if alpha == -step_max:
             step_max *= SQUAREM_STEP_FACTOR
         return jump, ll_jump, step_max, 3
@@ -537,28 +551,30 @@ def _is_face(zero, sum_axes_list) -> bool:
     return bool(np.array_equal(covered, zero))
 
 
-def _zeros_stay_down(mu, before, ecm) -> bool:
-    """Whether the likelihood lets the zero cells of mu stay at zero.
+def _zeros_stay_down(it, before, ecm) -> bool:
+    """Whether the likelihood lets the zero cells of the iterate it stay at
+    zero.
 
     Each zero cell is reopened at REOPEN_SHARE of its value in before, the
-    fit before any cell was zeroed, and DECAY_WINDOW ECM steps run: over
-    both halves of the window the difference of log iterates (a direction
-    in the model's span) must be negative on every reopened cell.
+    raveled fit before any cell was zeroed, and DECAY_WINDOW ECM steps run:
+    over both halves of the window the difference of log iterates (a
+    direction in the model's span) must be negative on every reopened cell.
     """
+    mu = it.flat
     reopened = (mu == 0) & (before > 0)
-    probe = _Iterate(np.where(reopened, REOPEN_SHARE * before, mu))
-    marks = _checkpoint([], probe.mu)
+    probe = _Iterate(np.where(reopened, REOPEN_SHARE * before, mu), it.shape)
+    marks = _checkpoint([], probe.flat)
     for step in range(1, DECAY_WINDOW + 1):
         probe = ecm(probe)
         if step % DECAY_HALF == 0:
-            marks = _checkpoint(marks, probe.mu)
+            marks = _checkpoint(marks, probe.flat)
     a, b, c = (m[reopened] for m in marks)
-    return bool(((b < a) & (c < b)).all())
+    return bool(np.logical_and.reduce((b < a) & (c < b)))
 
 
 @dataclass(frozen=True)
 class _FaceSolve:
-    mu: np.ndarray
+    it: _Iterate
     trace: tuple
     evaluations: int
     certified: bool
@@ -567,27 +583,28 @@ class _FaceSolve:
 def _solve_face(it, decaying, floor, ecm, budget):
     """Finish an EM fit on the face where the decaying cells are zero.
 
-    The decaying cells of the iterate it are fixed at zero as structural
-    zeros and SQUAREM-accelerated ECM runs on the live cells.  Cells that
-    in turn pass the decay test, checked on a clock of its own every
-    FACE_CHECK_CYCLES cycles, are zeroed too.  The solve ends when the
-    sufficient margins match to FACE_RESIDUAL.  The result counts when its
-    log-likelihood is at least floor, that of the last iterate before
-    zeroing (so its G2 is no larger), its zeros form a face (_is_face) and
-    the likelihood keeps them down (_zeros_stay_down).  trace holds the
-    accepted log-likelihoods, at most budget of them: those of the cycles
-    that reach the last accepted one, starting from floor, so that it
-    extends the caller's trace monotonically.
+    The decaying cells of the iterate it, a mask over its flat cells, are
+    fixed at zero as structural zeros and SQUAREM-accelerated ECM runs on
+    the live cells.  Cells that in turn pass the decay test, checked on a
+    clock of its own every FACE_CHECK_CYCLES cycles, are zeroed too.  The
+    solve ends when the sufficient margins match to FACE_RESIDUAL.  The
+    result, the last iterate, counts when its log-likelihood is at least
+    floor, that of the last iterate before zeroing (so its G2 is no
+    larger), its zeros form a face (_is_face) and the likelihood keeps
+    them down (_zeros_stay_down).  trace holds the accepted
+    log-likelihoods, at most budget of them: those of the cycles that
+    reach the last accepted one, starting from floor, so that it extends
+    the caller's trace monotonically.
     """
-    before = it.mu
-    it = _Iterate(np.where(decaying, 0.0, before))
+    before = it.flat
+    it = _Iterate(np.where(decaying, 0.0, before), it.shape)
     ll = ecm.loglik(it)
     n = ecm.table.N
     trace = []
     evaluations = 0
     cycles = 0
     step_max = 1.0
-    marks = _checkpoint([], it.mu)
+    marks = _checkpoint([], it.flat)
     while (
         math.isfinite(ll)
         and len(trace) < budget
@@ -598,21 +615,22 @@ def _solve_face(it, decaying, floor, ecm, budget):
         cycles += 1
         if ll >= (trace[-1] if trace else floor):
             trace.append(ll)
-        mu = it.mu
         if _margin_residual(it, ecm) < FACE_RESIDUAL:
-            certified = ll >= floor and _is_face(mu == 0, ecm.sum_axes_list)
+            zero = it.mu == 0
+            certified = ll >= floor and _is_face(zero, ecm.sum_axes_list)
             if certified:
                 evaluations += DECAY_WINDOW
-                certified = _zeros_stay_down(mu, before, ecm)
-            return _FaceSolve(mu, tuple(trace), evaluations, certified)
+                certified = _zeros_stay_down(it, before, ecm)
+            return _FaceSolve(it, tuple(trace), evaluations, certified)
         if cycles % FACE_CHECK_CYCLES == 0:
+            mu = it.flat
             marks = _checkpoint(marks, mu)
             decaying = _decaying(marks, mu, n, FACE_CHECK_CYCLES)
             if decaying.any():
-                it = _Iterate(np.where(decaying, 0.0, mu))
+                it = _Iterate(np.where(decaying, 0.0, mu), it.shape)
                 ll = ecm.loglik(it)
-                marks = _checkpoint([], it.mu)
-    return _FaceSolve(it.mu, tuple(trace), evaluations, False)
+                marks = _checkpoint([], it.flat)
+    return _FaceSolve(it, tuple(trace), evaluations, False)
 
 
 def fit_em(
@@ -665,10 +683,9 @@ def fit_em(
     evaluations = 0
     face_cells = 0
     attempts = 0
-    marks = _checkpoint([], mu)
+    marks = _checkpoint([], it.flat)
     while len(trace) < max_iter:
         it = ecm(it)
-        mu = it.mu
         evaluations += 1
         ll = ecm.loglik(it)
         trace.append(ll)
@@ -679,26 +696,27 @@ def fit_em(
         prev = ll
         if len(trace) % DECAY_HALF or attempts == FACE_ATTEMPTS:
             continue
-        marks = _checkpoint(marks, mu)
-        decaying = _decaying(marks, mu, n, DECAY_HALF)
+        marks = _checkpoint(marks, it.flat)
+        decaying = _decaying(marks, it.flat, n, DECAY_HALF)
         if not decaying.any():
             continue
         attempts += 1
         face = _solve_face(it, decaying, ll, ecm, max_iter - len(trace))
         evaluations += face.evaluations
         if face.certified:
-            face_cells = int(np.count_nonzero((face.mu == 0) & (mu > 0)))
-            mu = face.mu
+            zeroed = (face.it.flat == 0) & (it.flat > 0)
+            face_cells = int(np.count_nonzero(zeroed))
+            it = face.it
             trace.extend(face.trace)
             converged = True
             break
         # a refused face leaves no trace: EM goes on from where it was
-        marks = _checkpoint([], mu)
+        marks = _checkpoint([], it.flat)
     return _finalize(
         model,
         schema,
         table,
-        mu,
+        it.mu,
         METHOD_EM,
         converged,
         len(trace),

@@ -106,3 +106,31 @@ def test_fit_all_with_another_catalog_is_not_identical():
     fits = {"parent": _fits(), "change": _fits()}
     del fits["change"]["M2"]
     assert bench_pairs.identical(fits) is False
+
+
+def _fit_all_runs(parent, change):
+    """FIT_ALL_SCRIPT outputs, one per fits dict given for each side."""
+    def run(fits):
+        return {"fit_all_s": 1.0, "fit_all_cal": 200.0, "fits": fits}
+
+    return {"parent": [run(f) for f in parent],
+            "change": [run(f) for f in change]}
+
+
+@pytest.mark.parametrize("side,run", [("parent", 1), ("change", 1),
+                                      ("change", 0)])
+def test_fit_all_record_compares_every_run(side, run):
+    runs = _fit_all_runs([_fits(), _fits()], [_fits(), _fits()])
+    assert bench_pairs.fit_all_record(runs, 8)["identical"] is True
+    runs[side][run]["fits"] = _fits(iterations=61)
+    record = bench_pairs.fit_all_record(runs, 8)
+    assert record["identical"] is False
+    assert record["fit_all_cal"] == {"parent": [200.0, 200.0],
+                                     "change": [200.0, 200.0]}
+
+
+def test_fit_all_script_times_in_kernels():
+    got = bench_pairs._fit_all(_PATH.parents[1], 2)
+    assert got["fit_all_s"] > 0 and got["fit_all_cal"] > 0
+    assert all(set(fit) == {"G2", *bench_pairs.FIT_FIELDS}
+               for fit in got["fits"].values())

@@ -10,6 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from misstab import (
     CLASS_INCONCLUSIVE,
@@ -647,6 +648,12 @@ def tables_margins_and_cross(draw, kind):
     return IncompleteTable(schema, strata), axes_list, mu
 
 
+def _iterates(mu):
+    """The cross as an iterate built shaped, as a fit's start is, and as
+    one built flat with its shape, as the map builds each next one."""
+    return _Iterate(mu), _Iterate(mu.reshape(-1), mu.shape)
+
+
 def _check_cross_kind(table, axes_list, mu, kind):
     """The cross really takes the path its kind names."""
     if kind == "positive":
@@ -674,10 +681,10 @@ class TestEcmMapOracle:
         axes = _margin_axes(table.schema, generating_class(fit.model))
         ecm = _EcmMap(table, axes)
         dims = full_cross_dims(table.schema)
-        states = [_Iterate(np.full(dims, table.N / float(np.prod(dims))))]
+        states = list(_iterates(np.full(dims, table.N / float(np.prod(dims)))))
         for _ in range(50):
             states.append(ecm(states[-1]))
-        states.append(_Iterate(fit.mu_hat))
+        states.extend(_iterates(fit.mu_hat))
         for it in states:
             z = _oracle_e_step(it.mu, table)
             assert np.array_equal(ecm.e_step(it), z)
@@ -699,8 +706,9 @@ class TestEcmMapOracle:
         assert any(
             np.any((mu.sum(axis=a) == 0) & (z.sum(axis=a) > 0)) for a in axes
         )
-        got = _EcmMap(table, axes)(_Iterate(mu)).mu
-        assert np.array_equal(got, _oracle_ipf(mu, z, axes))
+        for it in _iterates(mu):
+            got = _EcmMap(table, axes)(it).mu
+            assert np.array_equal(got, _oracle_ipf(mu, z, axes))
 
     # a strictly positive cross takes the unguarded divisions, an emptied
     # margin cell the guarded sweep, a zero collapse the even spread
@@ -711,15 +719,15 @@ class TestEcmMapOracle:
         table, axes_list, mu = data.draw(tables_margins_and_cross(kind))
         _check_cross_kind(table, axes_list, mu, kind)
         z = _oracle_e_step(mu, table)
-        it = _Iterate(mu)
-        got = _EcmMap(table, axes_list)(it).mu
-        assert np.array_equal(got, _oracle_ipf(mu, z, axes_list))
-        # an iterate another map has read gets this map's own margins
         twice = scale_counts(table, 2)
-        want = _oracle_ipf(mu, _oracle_e_step(mu, twice), axes_list)
-        assert np.array_equal(_EcmMap(twice, axes_list)(it).mu, want)
-        # with no margins to fit the map leaves the cross as it is
-        assert np.array_equal(_EcmMap(table, ())(it).mu, mu)
+        for it in _iterates(mu):
+            got = _EcmMap(table, axes_list)(it).mu
+            assert np.array_equal(got, _oracle_ipf(mu, z, axes_list))
+            # an iterate another map has read gets this map's own margins
+            want = _oracle_ipf(mu, _oracle_e_step(mu, twice), axes_list)
+            assert np.array_equal(_EcmMap(twice, axes_list)(it).mu, want)
+            # with no margins to fit the map leaves the cross as it is
+            assert np.array_equal(_EcmMap(table, ())(it).mu, mu)
 
 
 class TestMarginResidualOracle:
@@ -729,8 +737,59 @@ class TestMarginResidualOracle:
     def test_residual_is_the_largest_margin_gap(self, kind, data):
         table, axes_list, mu = data.draw(tables_margins_and_cross(kind))
         _check_cross_kind(table, axes_list, mu, kind)
-        got = _margin_residual(_Iterate(mu), _EcmMap(table, axes_list))
-        assert got == _oracle_margin_residual(mu, table, axes_list)
+        want = _oracle_margin_residual(mu, table, axes_list)
+        for it in _iterates(mu):
+            assert _margin_residual(it, _EcmMap(table, axes_list)) == want
+
+
+# Floats at the edges of what the ECM loop's reductions can meet: NaN,
+# signed zeros and infinities, subnormals, and (with min_side 0) arrays
+# with no cells.
+EDGE_FLOATS = st.one_of(
+    st.sampled_from(
+        [math.nan, 0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 1e-310]
+    ),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+)
+
+
+def edge_arrays(max_dims):
+    return hnp.arrays(
+        np.float64,
+        hnp.array_shapes(
+            min_dims=1, max_dims=max_dims, min_side=0, max_side=7
+        ),
+        elements=EDGE_FLOATS,
+    )
+
+
+class TestUfuncReductions:
+    # the ECM loop calls ufunc reductions directly, without the method
+    # wrappers; each must answer as the form it replaced does, to the byte
+    @settings(max_examples=300, deadline=None)
+    @given(edge_arrays(max_dims=1))
+    def test_all_tests_match_the_method_form(self, x):
+        positive = np.minimum.reduce(x, initial=math.inf) > 0
+        assert bool(positive) == bool((x > 0).all())
+        finite = np.logical_and.reduce(np.isfinite(x))
+        assert bool(finite) == bool(np.isfinite(x).all())
+        mask = (x > 0) & (x < 1)
+        assert bool(np.logical_and.reduce(mask)) == bool(mask.all())
+
+    @settings(max_examples=300, deadline=None)
+    @given(edge_arrays(max_dims=4))
+    @np.errstate(invalid="ignore", over="ignore")
+    def test_sums_and_maxima_are_the_same_bytes(self, x):
+        flat = x.reshape(-1)
+        # loglik sums the cross through its flat view
+        assert np.add.reduce(flat).tobytes() == x.sum().tobytes()
+        assert np.add.reduce(flat).tobytes() == flat.sum().tobytes()
+        if flat.size == 0:
+            for fn in (np.maximum.reduce, np.max):
+                with pytest.raises(ValueError):
+                    fn(flat)
+        else:
+            assert np.maximum.reduce(flat).tobytes() == flat.max().tobytes()
 
 
 @st.composite

@@ -18,11 +18,13 @@ bench/run.py's own default, the same on both sides.
 
 Traced pairs (--trace 1) take the seeds after the untraced ones.  --fit-all
 L times fit_all on the seeded L x L x L table of bench/workloads.py in each
-checkout (parent, change, change, parent) and records every fit's G2,
-iterations, evaluations and a sha256 of its mu_hat bytes; the record's
-identical flag says whether all four agree bit for bit on both sides.  The
-record is rewritten after every pair, so an interrupted run keeps what it
-measured.
+checkout (parent, change, change, parent), each run between two runs of
+the checkout's bench/calibration.small_arrays kernel, and records its wall
+time (fit_all_s), its time in kernels (fit_all_cal, as bench/run.py
+measures run_cal), and every fit's G2, iterations, evaluations and a
+sha256 of its mu_hat bytes; the record's identical flag says whether all
+four runs agree bit for bit.  The record is rewritten after every pair, so
+an interrupted run keeps what it measured.
 """
 
 from __future__ import annotations
@@ -43,14 +45,20 @@ CLAIM_SHARE = 0.9  # of the pairs the change must win
 
 # Runs in a checkout with its src/ and bench/ on the path; prints one JSON
 # object with the time and every fit of fit_all on the synthetic table.
+# The kernel runs once untimed so that neither timed run is its first.
 FIT_ALL_SCRIPT = """
 import hashlib, json, sys, time
 import misstab, workloads
+from calibration import kernel_seconds, small_arrays
 table = workloads.synthetic_table(3, int(sys.argv[1]))
+small_arrays()
+before = kernel_seconds(small_arrays)
 start = time.perf_counter()
 fits = misstab.fit_all(table)
 seconds = time.perf_counter() - start
-print(json.dumps({"fit_all_s": seconds, "fits": {
+after = kernel_seconds(small_arrays)
+print(json.dumps({"fit_all_s": seconds,
+                  "fit_all_cal": 2.0 * seconds / (before + after), "fits": {
     f.model_id: {"G2": f.G2, "iterations": f.iterations,
                  "evaluations": f.evaluations,
                  "mu_hat_sha256":
@@ -161,14 +169,48 @@ def claim(summary: dict, workload: str, metric: str, lower: bool) -> dict:
 
 
 def identical(fits: dict) -> bool:
-    """Whether both sides fitted the same models to the same G2 bits,
-    iterations, evaluations and mu_hat bytes."""
-    parent, change = (fits[side] for side in SIDES)
-    return parent.keys() == change.keys() and all(
-        parent[m]["G2"].hex() == change[m]["G2"].hex()
-        and all(parent[m][k] == change[m][k] for k in FIT_FIELDS)
-        for m in parent
+    """Whether every run in fits (a label per run, such as the side) fitted
+    the same models to the same G2 bits, iterations, evaluations and
+    mu_hat bytes."""
+    first, *rest = fits.values()
+    return all(
+        first.keys() == other.keys() and all(
+            first[m]["G2"].hex() == other[m]["G2"].hex()
+            and all(first[m][k] == other[m][k] for k in FIT_FIELDS)
+            for m in first
+        )
+        for other in rest
     )
+
+
+def fit_all_record(runs: dict, levels: int) -> dict:
+    """The --fit-all entry of the record from every run of each side (side
+    -> list of FIT_ALL_SCRIPT outputs).  The fits and sums shown are those
+    of each side's first run; identical compares every run of both sides."""
+    first = {side: runs[side][0]["fits"] for side in SIDES}
+    every = {f"{side}{i}": run["fits"]
+             for side in SIDES for i, run in enumerate(runs[side])}
+    return {
+        "table": f"bench/workloads.synthetic_table(3, {levels}), "
+                 "fit_all at the default tol",
+        "fit_all_s": {side: [r["fit_all_s"] for r in runs[side]]
+                      for side in SIDES},
+        "fit_all_cal": {side: [r["fit_all_cal"] for r in runs[side]]
+                        for side in SIDES},
+        "iterations": {side: sum(f["iterations"]
+                                 for f in first[side].values())
+                       for side in SIDES},
+        "evaluations": {side: sum(f["evaluations"]
+                                  for f in first[side].values())
+                        for side in SIDES},
+        "max_abs_g2_change": max(
+            abs(first["change"][m]["G2"] - first["parent"][m]["G2"])
+            for m in first["parent"]
+        ),
+        "identical": identical(every),
+        "fits": {m: {side: first[side][m] for side in SIDES}
+                 for m in first["parent"]},
+    }
 
 
 def _counts(arg: str) -> tuple:
@@ -251,26 +293,8 @@ def main(argv=None) -> int:
         runs = {side: [] for side in SIDES}
         for side in SIDES + SIDES[::-1]:
             runs[side].append(_fit_all(checkouts[side], args.fit_all))
-        first = {side: runs[side][0]["fits"] for side in SIDES}
-        doc[f"fit_all_{args.fit_all}cubed"] = {
-            "table": f"bench/workloads.synthetic_table(3, {args.fit_all}), "
-                     "fit_all at the default tol",
-            "fit_all_s": {side: [r["fit_all_s"] for r in runs[side]]
-                          for side in SIDES},
-            "iterations": {side: sum(f["iterations"]
-                                     for f in first[side].values())
-                           for side in SIDES},
-            "evaluations": {side: sum(f["evaluations"]
-                                      for f in first[side].values())
-                            for side in SIDES},
-            "max_abs_g2_change": max(
-                abs(first["change"][m]["G2"] - first["parent"][m]["G2"])
-                for m in first["parent"]
-            ),
-            "identical": identical(first),
-            "fits": {m: {side: first[side][m] for side in SIDES}
-                     for m in first["parent"]},
-        }
+        doc[f"fit_all_{args.fit_all}cubed"] = fit_all_record(runs,
+                                                             args.fit_all)
         save()
     return 0
 
