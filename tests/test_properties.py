@@ -681,7 +681,8 @@ class TestEcmMapOracle:
         axes = _margin_axes(table.schema, generating_class(fit.model))
         ecm = _EcmMap(table, axes)
         dims = full_cross_dims(table.schema)
-        states = list(_iterates(np.full(dims, table.N / float(np.prod(dims)))))
+        start = np.full(dims, table.N / float(np.prod(dims)))
+        states = list(_iterates(start))
         for _ in range(50):
             states.append(ecm(states[-1]))
         states.extend(_iterates(fit.mu_hat))
@@ -720,11 +721,11 @@ class TestEcmMapOracle:
         _check_cross_kind(table, axes_list, mu, kind)
         z = _oracle_e_step(mu, table)
         twice = scale_counts(table, 2)
+        want = _oracle_ipf(mu, _oracle_e_step(mu, twice), axes_list)
         for it in _iterates(mu):
             got = _EcmMap(table, axes_list)(it).mu
             assert np.array_equal(got, _oracle_ipf(mu, z, axes_list))
             # an iterate another map has read gets this map's own margins
-            want = _oracle_ipf(mu, _oracle_e_step(mu, twice), axes_list)
             assert np.array_equal(_EcmMap(twice, axes_list)(it).mu, want)
             # with no margins to fit the map leaves the cross as it is
             assert np.array_equal(_EcmMap(table, ())(it).mu, mu)
