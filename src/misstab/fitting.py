@@ -326,24 +326,42 @@ def _recover_lambda(model, schema, mu):
     On the complete cross the sum-to-zero effects are orthogonal ANOVA
     components: a term's effect is the mean of log mu over the axes
     outside it less the effects of its proper subterms, which is that mean
-    centred along each of the term's own axes.
+    centred along each of the term's own axes.  Each term's mean is taken
+    from the smallest mean already formed over a superset of its axes (log
+    mu itself to begin with), so the whole cross is reduced about once
+    rather than once per term.  np.add.reduce(x, axes, keepdims=True) /
+    count has the bits of x.mean(axes, keepdims=True) without its
+    Python-level wrapper.
     """
     if np.any(mu <= 0):
         return None, None
     logmu = np.log(mu)
     axes = factor_axes(schema)
+    means = {frozenset(range(logmu.ndim)): logmu}  # by the axes they keep
+    for term in sorted(model.terms, key=len, reverse=True):
+        keep = frozenset(axes[f] for f in term)
+        if keep not in means:
+            source = min(
+                (k for k in means if keep < k), key=lambda k: means[k].size
+            )
+            drop = tuple(sorted(source - keep))
+            means[keep] = np.add.reduce(
+                means[source], drop, keepdims=True
+            ) / math.prod(logmu.shape[a] for a in drop)
     lam = {}
     fitted = 0.0
     for term in model.terms:
         inside = [axes[f] for f in term]
         outside = [a for a in range(logmu.ndim) if a not in inside]
-        effect = logmu.mean(axis=tuple(outside), keepdims=True)
+        effect = means[frozenset(inside)]
         for a in inside:
-            effect = effect - effect.mean(axis=a, keepdims=True)
+            effect = effect - np.add.reduce(
+                effect, a, keepdims=True
+            ) / effect.shape[a]
         fitted = fitted + effect
         shape = [logmu.shape[a] for a in inside]
         lam[term] = effect.transpose(inside + outside).reshape(shape)
-    return lam, float(np.max(np.abs(logmu - fitted)))
+    return lam, float(np.maximum.reduce(np.abs(logmu - fitted), axis=None))
 
 
 def _finalize(

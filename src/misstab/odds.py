@@ -14,6 +14,15 @@ Every count a check reads sits at a fixed position of the table's flat
 observed-cell vector, so a ScreeningPlan (one per schema) holds every check
 as index arrays into it and screens a whole matrix of replicate tables at
 once by cross-multiplication.
+
+The records of a verdict (CountRatio, OddsInterval, QueryRecord) are named
+tuples.  assess builds every record in the call, thousands on a large
+table, and most of its time went to building them as frozen dataclasses
+and to the garbage collection those allocations set off.  A named tuple
+has no instance dict and no per-field setattr, and each family's records
+are built by mapping the types over the columns of their fields.  They
+compare equal to plain tuples of their fields, and _replace copies one
+with a field changed.
 """
 
 from __future__ import annotations
@@ -37,15 +46,16 @@ MEMBERSHIP_UNDEFINED = "undefined"
 
 # Membership codes: positions in _MEMBERSHIPS.
 _INSIDE, _OUTSIDE, _UNDEFINED = range(3)
-_MEMBERSHIPS = (MEMBERSHIP_INSIDE, MEMBERSHIP_OUTSIDE, MEMBERSHIP_UNDEFINED)
+_MEMBERSHIPS = np.array(
+    [MEMBERSHIP_INSIDE, MEMBERSHIP_OUTSIDE, MEMBERSHIP_UNDEFINED], dtype=object
+)
 
 CLASS_MAR = "MAR"
 CLASS_MCAR_OR_NMAR = "MCAR-or-NMAR"
 CLASS_INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class CountRatio:
+class CountRatio(NamedTuple):
     """A ratio of two raw counts, kept unreduced for display."""
 
     numerator: int
@@ -89,8 +99,7 @@ class OddsQuery:
         return f"{self.target}({self.pair[0]},{self.pair[1]}){cond}"
 
 
-@dataclass(frozen=True)
-class OddsInterval:
+class OddsInterval(NamedTuple):
     """Response odds at each level of the assessed variable.
 
     values: (level, ratio) for every level; minimum and maximum are the
@@ -270,33 +279,42 @@ def screening_plan(schema: TableSchema) -> ScreeningPlan:
     queries = list_queries(schema)
     omap = observation_map(schema)
 
-    def positions(pattern):
+    def positions(pattern, order):
+        """The flat positions of a stratum's cells, its axes in order."""
         k = omap.patterns.index(pattern)
-        cells = np.arange(omap.offsets[k], omap.offsets[k + 1])
-        return cells.reshape(omap.shapes[k])
+        cells = np.arange(omap.offsets[k], omap.offsets[k + 1], dtype=np.intp)
+        names = schema.observed_for(pattern)
+        return cells.reshape(omap.shapes[k]).transpose(
+            [names.index(n) for n in order]
+        )
 
-    full = positions(())
-    margins = {v: positions((v,)) for v in schema.missing}
     width = max(schema.levels(v) for v in schema.missing)
     value = np.zeros((2, len(queries)), dtype=np.intp)
     odds = np.zeros((2, len(queries), width), dtype=np.intp)
     valid = np.zeros((len(queries), width), dtype=bool)
     family = np.empty(len(queries), dtype=np.intp)
-    for q, query in enumerate(queries):
-        v = query.missing_var
-        for side, level in enumerate(query.pair):
-            at = dict(query.conditioning)
-            at[query.target] = level
-            value[side, q] = margins[v][
-                tuple(at[n] - 1 for n in schema.observed_for((v,)))
-            ]
-            row = full[
-                tuple(at[n] - 1 if n in at else slice(None)
-                      for n in schema.names)
-            ]
-            odds[side, q, : row.size] = row
-        valid[q, : schema.levels(v)] = True
-        family[q] = schema.missing.index(v)
+    start = 0
+    for k, v in enumerate(schema.missing):
+        for t in schema.names:
+            if t == v:
+                continue
+            rest = [n for n in schema.names if n not in (v, t)]
+            # the level pairs of t in lexicographic order, each over the
+            # levels of the rest in lexicographic order, as list_queries
+            # lists them
+            pairs = np.triu_indices(schema.levels(t), 1)
+            margin = positions((v,), [t, *rest])
+            full = positions((), [t, *rest, v])
+            stop = start + pairs[0].size * margin[0].size
+            rows = slice(start, stop)
+            for side, level in enumerate(pairs):
+                value[side, rows] = margin[level].reshape(-1)
+                odds[side, rows, : schema.levels(v)] = full[level].reshape(
+                    -1, schema.levels(v)
+                )
+            valid[rows, : schema.levels(v)] = True
+            family[rows] = k
+            start = stop
     for arr in (value, odds, valid, family):
         arr.flags.writeable = False
     return ScreeningPlan(
@@ -311,8 +329,7 @@ def _ratio_json(ratio: CountRatio | None):
     return [ratio.numerator, ratio.denominator]
 
 
-@dataclass(frozen=True)
-class QueryRecord:
+class QueryRecord(NamedTuple):
     query: OddsQuery
     value: CountRatio | None
     interval: OddsInterval | None
@@ -358,8 +375,9 @@ def _note(value_undefined, interval_undefined, partial, degenerate) -> str:
 
 # Every note, at 8 * (non-response odds undefined) + 4 * (no defined
 # response odds) + 2 * (some response odds undefined) + degenerate.
-_NOTES = tuple(
-    _note(*flags) for flags in itertools.product((False, True), repeat=4)
+_NOTES = np.array(
+    [_note(*flags) for flags in itertools.product((False, True), repeat=4)],
+    dtype=object,
 )
 
 
@@ -401,7 +419,8 @@ def _family_records(queries, value, odds, codes) -> tuple:
     keys, inverse = np.unique(num * base + den, return_inverse=True)
     ratios = np.fromiter(
         itertools.chain(
-            (CountRatio(k // base, k % base) for k in keys.tolist()), [None]
+            map(CountRatio, (keys // base).tolist(), (keys % base).tolist()),
+            [None],
         ),
         dtype=object,
         count=len(keys) + 1,
@@ -411,26 +430,24 @@ def _family_records(queries, value, odds, codes) -> tuple:
         at * n_levels + np.arange(n_levels), return_inverse=True
     )
     entries = np.fromiter(
-        ((k % n_levels + 1, ratios[k // n_levels]) for k in keys.tolist()),
+        zip((keys % n_levels + 1).tolist(), ratios[keys // n_levels].tolist()),
         dtype=object,
         count=len(keys),
     )
+    intervals = map(
+        OddsInterval,
+        map(tuple, entries[entry.reshape(n_checks, n_levels)].tolist()),
+        ratios[np.where(defined, at[rows, lo], -1)].tolist(),
+        ratios[np.where(defined, at[rows, hi], -1)].tolist(),
+    )
     return tuple(
-        QueryRecord(
-            query,
-            v,
-            OddsInterval(tuple(row), low, high),
-            _MEMBERSHIPS[code],
-            _NOTES[note],
-        )
-        for query, v, row, low, high, code, note in zip(
+        map(
+            QueryRecord,
             queries,
             ratios[inverse[:n_checks]].tolist(),
-            entries[entry.reshape(n_checks, n_levels)].tolist(),
-            ratios[np.where(defined, at[rows, lo], -1)].tolist(),
-            ratios[np.where(defined, at[rows, hi], -1)].tolist(),
-            codes.tolist(),
-            notes.tolist(),
+            intervals,
+            _MEMBERSHIPS[codes].tolist(),
+            _NOTES[notes].tolist(),
         )
     )
 

@@ -130,7 +130,36 @@ def test_fit_all_record_compares_every_run(side, run):
 
 
 def test_fit_all_script_times_in_kernels():
-    got = bench_pairs._fit_all(_PATH.parents[1], 2)
+    got = bench_pairs._script(_PATH.parents[1], bench_pairs.FIT_ALL_SCRIPT, 2)
     assert got["fit_all_s"] > 0 and got["fit_all_cal"] > 0
     assert all(set(fit) == {"G2", *bench_pairs.FIT_FIELDS}
                for fit in got["fits"].values())
+
+
+def _assess_runs(parent, change):
+    """ASSESS_SCRIPT outputs, one per verdict digest given for each side."""
+    def run(sha):
+        return {"first_s": 0.5, "first_cal": 90.0, "repeat_s": 0.2,
+                "repeat_cal": 40.0, "sha256": sha}
+
+    return {"parent": [run(s) for s in parent],
+            "change": [run(s) for s in change]}
+
+
+@pytest.mark.parametrize("side,run", [("parent", 0), ("parent", 1),
+                                      ("change", 0), ("change", 1)])
+def test_assess_record_compares_every_verdict(side, run):
+    runs = _assess_runs(["ab", "ab"], ["ab", "ab"])
+    record = bench_pairs.assess_record(runs, 20)
+    assert record["identical"] is True and record["sha256"] == "ab"
+    assert record["repeat_cal"] == {"parent": [40.0, 40.0],
+                                    "change": [40.0, 40.0]}
+    runs[side][run]["sha256"] = "ac"
+    assert bench_pairs.assess_record(runs, 20)["identical"] is False
+
+
+def test_assess_script_times_in_kernels():
+    got = bench_pairs._script(_PATH.parents[1], bench_pairs.ASSESS_SCRIPT, 2)
+    assert set(got) == {*bench_pairs.ASSESS_TIMES, "sha256"}
+    assert all(got[key] > 0 for key in bench_pairs.ASSESS_TIMES)
+    assert len(got["sha256"]) == 64

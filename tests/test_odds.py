@@ -1,5 +1,6 @@
 """Exact odds screening: values, intervals, memberships, verdicts."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -11,11 +12,14 @@ from misstab import (
     CLASS_MCAR_OR_NMAR,
     ComputationError,
     CountRatio,
+    FamilyAssessment,
     IncompleteTable,
     MEMBERSHIP_INSIDE,
     MEMBERSHIP_OUTSIDE,
     MEMBERSHIP_UNDEFINED,
+    OddsInterval,
     OddsQuery,
+    QueryRecord,
     Stratum,
     TableError,
     TableSchema,
@@ -55,6 +59,64 @@ class TestCountRatio:
         assert CountRatio(6, 4).fraction == Fraction(3, 2)
         with pytest.raises(ComputationError):
             CountRatio(0, 4).fraction
+
+
+class TestRecordTypes:
+    def test_fields(self):
+        assert CountRatio._fields == ("numerator", "denominator")
+        assert OddsInterval._fields == ("values", "minimum", "maximum")
+        assert QueryRecord._fields == (
+            "query", "value", "interval", "membership", "note"
+        )
+
+    def test_repr_and_str(self, smoking_table):
+        rec = assess(smoking_table).records[0]
+        assert repr(rec) == (
+            "QueryRecord(query=OddsQuery(missing_var='smoking', "
+            "target='birthweight', pair=(1, 2), conditioning=()), "
+            "value=CountRatio(numerator=142, denominator=464), "
+            "interval=OddsInterval(values=((1, CountRatio(numerator=4512, "
+            "denominator=21009)), (2, CountRatio(numerator=3394, "
+            "denominator=24132))), minimum=CountRatio(numerator=3394, "
+            "denominator=24132), maximum=CountRatio(numerator=4512, "
+            "denominator=21009)), membership='outside', note='')"
+        )
+        assert str(rec.value) == "142/464"
+        assert str(rec.interval) == "(3394/24132, 4512/21009)"
+        assert str(OddsInterval(((1, CountRatio(0, 3)),), None, None)) == (
+            "(undefined)"
+        )
+
+    def test_tuples_of_their_fields(self, smoking_table):
+        rec = assess(smoking_table).records[0]
+        assert rec.value == (142, 464)
+        assert rec == tuple(rec)
+        assert rec._replace(note="x") == (*rec[:4], "x")
+        assert QueryRecord(rec.query, None, None, "undefined").note == ""
+
+    @pytest.mark.parametrize(
+        "obj,field",
+        [
+            (CountRatio(3, 4), "numerator"),
+            (OddsInterval((), None, None), "minimum"),
+            (QueryRecord(OddsQuery("a", "b", (1, 2)), None, None, "x"), "note"),
+        ],
+    )
+    def test_fields_cannot_be_assigned(self, obj, field):
+        with pytest.raises(AttributeError):
+            setattr(obj, field, None)
+
+    def test_family_records_are_built_in_assess(self, bone_table):
+        # a field holding the records, not a property that builds them
+        # when first read, so assess pays for them
+        assert "records" in {f.name for f in dataclasses.fields(
+            FamilyAssessment
+        )}
+        assert not hasattr(FamilyAssessment, "records")
+        for fam in assess(bone_table).families:
+            records = vars(fam)["records"]
+            assert type(records) is tuple and records
+            assert all(type(r) is QueryRecord for r in records)
 
 
 class TestListQueries:

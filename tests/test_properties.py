@@ -61,10 +61,11 @@ from misstab.models import (
     factor_axes,
     factor_levels,
     full_cross_dims,
+    observation_map,
     observed_counts,
 )
 from misstab.bootstrap import _child_seeds
-from misstab.odds import screening_plan
+from misstab.odds import ScreeningPlan, screening_plan
 
 DATASET_NAMES = ("smoking-birthweight", "bone-density", "spo-y1", "spo-y1y2")
 ALL_CASES = [
@@ -1267,6 +1268,77 @@ def screened_tables(draw):
         ),
     )
     return scale_counts(table, draw(st.sampled_from([1, 3, 10**9])))
+
+
+def _oracle_plan(schema):
+    """The screening plan filled one check at a time: each count a check
+    reads found by its level indices in its stratum."""
+    queries = list_queries(schema)
+    omap = observation_map(schema)
+
+    def positions(pattern):
+        k = omap.patterns.index(pattern)
+        cells = np.arange(omap.offsets[k], omap.offsets[k + 1])
+        return cells.reshape(omap.shapes[k])
+
+    full = positions(())
+    margins = {v: positions((v,)) for v in schema.missing}
+    width = max(schema.levels(v) for v in schema.missing)
+    value = np.zeros((2, len(queries)), dtype=np.intp)
+    odds = np.zeros((2, len(queries), width), dtype=np.intp)
+    valid = np.zeros((len(queries), width), dtype=bool)
+    family = np.empty(len(queries), dtype=np.intp)
+    for q, query in enumerate(queries):
+        v = query.missing_var
+        for side, level in enumerate(query.pair):
+            at = dict(query.conditioning)
+            at[query.target] = level
+            value[side, q] = margins[v][
+                tuple(at[n] - 1 for n in schema.observed_for((v,)))
+            ]
+            row = full[
+                tuple(at[n] - 1 if n in at else slice(None)
+                      for n in schema.names)
+            ]
+            odds[side, q, : row.size] = row
+        valid[q, : schema.levels(v)] = True
+        family[q] = schema.missing.index(v)
+    return ScreeningPlan(
+        queries, family, value[0], value[1], odds[0], odds[1], valid
+    )
+
+
+@st.composite
+def analysis_schemas(draw):
+    """A schema of one of the three analysis shapes, 2-5 levels a
+    variable, its variables missing in any order."""
+    n_vars = draw(st.sampled_from([2, 3]))
+    names = ("a", "b", "c")[:n_vars]
+    levels = [draw(st.integers(2, 5)) for _ in names]
+    n_missing = 2 if n_vars == 2 else draw(st.integers(1, 2))
+    missing = draw(st.permutations(names))[:n_missing]
+    return TableSchema(tuple(zip(names, levels)), missing)
+
+
+def _assert_same_plan(schema):
+    got, want = screening_plan.__wrapped__(schema), _oracle_plan(schema)
+    assert got.queries == want.queries
+    for field in ("family", "value_num", "value_den", "odds_num",
+                  "odds_den", "odds_valid"):
+        g, w = getattr(got, field), getattr(want, field)
+        assert g.dtype == w.dtype and np.array_equal(g, w), field
+        assert not g.flags.writeable, field
+
+
+class TestPlanOracle:
+    @pytest.mark.parametrize("name", DATASET_NAMES)
+    def test_builtin_plans_match_a_per_check_build(self, name):
+        _assert_same_plan(builtin_dataset(name).schema)
+
+    @settings(max_examples=200, deadline=None)
+    @given(analysis_schemas())
+    def test_plans_match_a_per_check_build(self, schema):
+        _assert_same_plan(schema)
 
 
 class TestBatchScreeningOracle:

@@ -23,8 +23,14 @@ the checkout's bench/calibration.small_arrays kernel, and records its wall
 time (fit_all_s), its time in kernels (fit_all_cal, as bench/run.py
 measures run_cal), and every fit's G2, iterations, evaluations and a
 sha256 of its mu_hat bytes; the record's identical flag says whether all
-four runs agree bit for bit.  The record is rewritten after every pair, so
-an interrupted run keeps what it measured.
+four runs agree bit for bit.  --assess L times a first and a repeated
+assess of bench/workloads.synthetic_table(0, L) in each checkout in the
+same order, each between two runs of the checkout's
+bench/calibration.mixed kernel (Python-level work, as building the
+records is), and records both times in seconds and in kernels; its
+identical flag says whether all four verdicts have the same sha256 of
+json.dumps(verdict.as_dict()).  The record is rewritten after every pair,
+so an interrupted run keeps what it measured.
 """
 
 from __future__ import annotations
@@ -67,6 +73,29 @@ print(json.dumps({"fit_all_s": seconds,
 """
 FIT_FIELDS = ("iterations", "evaluations", "mu_hat_sha256")
 
+# Runs like FIT_ALL_SCRIPT; the first assess also builds the schema's
+# screening plan, the repeated one finds it cached.
+ASSESS_SCRIPT = """
+import hashlib, json, sys, time
+import misstab, workloads
+from calibration import kernel_seconds, mixed
+table = workloads.synthetic_table(0, int(sys.argv[1]))
+mixed()
+out = {}
+for run in ("first", "repeat"):
+    before = kernel_seconds(mixed)
+    start = time.perf_counter()
+    verdict = misstab.assess(table)
+    seconds = time.perf_counter() - start
+    after = kernel_seconds(mixed)
+    out[run + "_s"] = seconds
+    out[run + "_cal"] = 2.0 * seconds / (before + after)
+out["sha256"] = hashlib.sha256(
+    json.dumps(verdict.as_dict()).encode()).hexdigest()
+print(json.dumps(out))
+"""
+ASSESS_TIMES = ("first_s", "first_cal", "repeat_s", "repeat_cal")
+
 
 def _rev(checkout: Path) -> str:
     proc = subprocess.run(
@@ -92,13 +121,15 @@ def _bench(checkout: Path, *args) -> list:
             if line.startswith("{")]
 
 
-def _fit_all(checkout: Path, levels: int) -> dict:
+def _script(checkout: Path, script: str, levels: int) -> dict:
+    """The JSON object a script prints, run in a checkout with its src/
+    and bench/ on the path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(checkout / "src"), str(checkout / "bench")]
     )
     proc = subprocess.run(
-        [sys.executable, "-c", FIT_ALL_SCRIPT, str(levels)],
+        [sys.executable, "-c", script, str(levels)],
         cwd=checkout, env=env, capture_output=True, text=True,
         timeout=RUN_TIMEOUT_S, check=True,
     )
@@ -213,6 +244,30 @@ def fit_all_record(runs: dict, levels: int) -> dict:
     }
 
 
+def assess_record(runs: dict, levels: int) -> dict:
+    """The --assess entry of the record from every run of each side (side
+    -> list of ASSESS_SCRIPT outputs); identical compares the verdicts of
+    every run of both sides."""
+    every = [run["sha256"] for side in SIDES for run in runs[side]]
+    return {
+        "table": f"bench/workloads.synthetic_table(0, {levels}), a first "
+                 "and a repeated assess",
+        **{key: {side: [run[key] for run in runs[side]] for side in SIDES}
+           for key in ASSESS_TIMES},
+        "identical": len(set(every)) == 1,
+        "sha256": every[0],
+    }
+
+
+def _alternate(checkouts: dict, script: str, levels: int) -> dict:
+    """A script's output in each checkout, run parent, change, change,
+    parent."""
+    runs = {side: [] for side in SIDES}
+    for side in SIDES + SIDES[::-1]:
+        runs[side].append(_script(checkouts[side], script, levels))
+    return runs
+
+
 def _counts(arg: str) -> tuple:
     name, _, count = arg.partition("=")
     return name, int(count)
@@ -230,6 +285,7 @@ def main(argv=None) -> int:
     parser.add_argument("--claim", metavar="WORKLOAD:METRIC")
     parser.add_argument("--smoke", action="store_true")
     parser.add_argument("--fit-all", type=int, metavar="LEVELS")
+    parser.add_argument("--assess", type=int, metavar="LEVELS")
     parser.add_argument("--what", default="")
     args = parser.parse_args(argv)
 
@@ -290,11 +346,13 @@ def main(argv=None) -> int:
                 )
             save()
     if args.fit_all:
-        runs = {side: [] for side in SIDES}
-        for side in SIDES + SIDES[::-1]:
-            runs[side].append(_fit_all(checkouts[side], args.fit_all))
+        runs = _alternate(checkouts, FIT_ALL_SCRIPT, args.fit_all)
         doc[f"fit_all_{args.fit_all}cubed"] = fit_all_record(runs,
                                                              args.fit_all)
+        save()
+    if args.assess:
+        runs = _alternate(checkouts, ASSESS_SCRIPT, args.assess)
+        doc[f"assess_{args.assess}cubed"] = assess_record(runs, args.assess)
         save()
     return 0
 
