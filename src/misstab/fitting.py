@@ -9,8 +9,13 @@ of iterative proportional fitting: every iteration is one application of
 the ECM map (_EcmMap).  The map is built once per fit and holds, besides
 the observation index, one group index per sufficient margin: each margin
 of the E step and of the sweep is a bincount over its group index, which
-adds the cells in C order as the observation map's collapse does.  The
-map takes and returns iterates (_Iterate): the read-only cross with its
+adds the cells in C order as the observation map's collapse does.  What
+the fit reads from the model's terms alone, the margins' axes and the
+plan of the effect recovery, is a schedule built once per schema and
+model (_schedule) that holds no array.  The effects (lambda_hat) are
+recovered from the same group index: each generator's mean of log mu is
+a bincount over it, so an EM fit builds its index once and a closed-form
+fit builds one for its effects.  The map takes and returns iterates (_Iterate): the read-only cross with its
 collapse and its E-step margins, computed once and shared by the
 log-likelihood, the margin residual and the next map application.  The
 loop calls ufunc reductions directly on crosses carried flat (an
@@ -31,8 +36,10 @@ schema's one observation map (models.observation_map).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,6 +49,7 @@ from .models import (
     MECH_MAR,
     MECH_MCAR,
     MECH_NMAR,
+    SCHEMA_CACHE_SIZE,
     NonresponseModel,
     degrees_of_freedom,
     enumerate_models,
@@ -97,6 +105,89 @@ def _margin_axes(schema: TableSchema, terms) -> tuple:
         keep = {axes[f] for f in term}
         out.append(tuple(a for a in range(ndim) if a not in keep))
     return tuple(out)
+
+
+class _Schedule(NamedTuple):
+    """What fitting a model and recovering its effects read from its terms
+    alone, worked out once per schema and model (_schedule).  It holds
+    tuples, ints and None only, so a cached schedule keeps no array alive.
+
+    The generators are the members of the generating class, in its order.
+    sum_axes holds, per generator, the axes its margin sums out (the
+    sufficient margins of the ECM map); kept, per generator, its margin's
+    shape with the summed axes at extent 1 and the cells each margin cell
+    sums.  The means of log mu are numbered generators first; sources
+    holds, per smaller term in the order its mean is formed (largest term
+    first), the mean it is reduced from (None: log mu itself, when the
+    class is empty), the axes it sums out and their cell count.  effects
+    holds, per model term, its mean, the axes along which its effect is
+    centred, and the transpose order and shape of the effect reported.
+    spread groups the effects, by position, into one sum per generator
+    that contains them (or one for those no generator contains), each
+    added onto the cross once.
+    """
+
+    sum_axes: tuple
+    kept: tuple
+    sources: tuple
+    effects: tuple
+    spread: tuple
+
+
+@functools.lru_cache(maxsize=SCHEMA_CACHE_SIZE)
+def _schedule(schema: TableSchema, model: NonresponseModel) -> _Schedule:
+    """The schedule of a model on a schema, built once and shared."""
+    axes = factor_axes(schema)
+    dims = full_cross_dims(schema)
+    cells = math.prod(dims)
+    generators = generating_class(model)
+    sum_axes = _margin_axes(schema, generators)
+    kept = []
+    for drop in sum_axes:
+        shape = tuple(1 if a in drop else d for a, d in enumerate(dims))
+        kept.append((shape, cells // math.prod(shape)))
+    # the axes each mean keeps, by position
+    keeps = [frozenset(axes[f] for f in g) for g in generators]
+
+    def size(k):
+        return math.prod(dims[a] for a in keeps[k])
+
+    sources = []
+    for term in sorted(model.terms, key=len, reverse=True):
+        keep = frozenset(axes[f] for f in term)
+        if keep in keeps:
+            continue
+        supersets = [k for k, other in enumerate(keeps) if keep < other]
+        source = min(supersets, key=size, default=None)
+        wider = frozenset(range(len(dims))) if source is None else keeps[source]
+        drop = tuple(sorted(wider - keep))
+        sources.append((source, drop, math.prod(dims[a] for a in drop)))
+        keeps.append(keep)
+    effects = []
+    spread = {}
+    for k, term in enumerate(model.terms):
+        inside = tuple(axes[f] for f in term)
+        keep = frozenset(inside)
+        outside = tuple(a for a in range(len(dims)) if a not in keep)
+        owner = next(
+            (g for g, other in enumerate(keeps[: len(generators)])
+             if keep <= other),
+            None,
+        )
+        spread.setdefault(owner, []).append(k)
+        effects.append((
+            keeps.index(keep),
+            inside,
+            inside + outside,
+            tuple(dims[a] for a in inside),
+        ))
+    return _Schedule(
+        sum_axes,
+        tuple(kept),
+        tuple(sources),
+        tuple(effects),
+        tuple(tuple(members) for members in spread.values()),
+    )
 
 
 def _margin_groups(shape, sum_axes_list) -> tuple:
@@ -319,48 +410,57 @@ def chi_square_sf(x: float, df: int) -> float:
     return min(math.fsum(terms), 1.0)
 
 
-def _recover_lambda(model, schema, mu):
+def _recover_lambda(model, schema, mu, groups=None):
     """Sum-to-zero effects of log mu, one per model term, and the largest
     cell residual of their sum.
 
     On the complete cross the sum-to-zero effects are orthogonal ANOVA
     components: a term's effect is the mean of log mu over the axes
     outside it less the effects of its proper subterms, which is that mean
-    centred along each of the term's own axes.  Each term's mean is taken
-    from the smallest mean already formed over a superset of its axes (log
-    mu itself to begin with), so the whole cross is reduced about once
-    rather than once per term.  np.add.reduce(x, axes, keepdims=True) /
-    count has the bits of x.mean(axes, keepdims=True) without its
-    Python-level wrapper.
+    centred along each of the term's own axes.  groups is the margin group
+    index of the model's generating class (_margin_groups; an EM fit passes
+    its map's, and it is built here when omitted).  Each generator's mean
+    is a bincount of log mu over its group index, each smaller term's mean
+    is reduced from the smallest mean already formed over a superset of its
+    axes, and the effects are summed per generator and spread onto the
+    cross once per generator, all as the model's schedule (_schedule)
+    lays out.  np.add.reduce(x, axes, keepdims=True) / count has the bits
+    of x.mean(axes, keepdims=True) without its Python-level wrapper.
     """
     if np.any(mu <= 0):
         return None, None
+    plan = _schedule(schema, model)
+    if groups is None:
+        groups = _margin_groups(mu.shape, plan.sum_axes)
     logmu = np.log(mu)
-    axes = factor_axes(schema)
-    means = {frozenset(range(logmu.ndim)): logmu}  # by the axes they keep
-    for term in sorted(model.terms, key=len, reverse=True):
-        keep = frozenset(axes[f] for f in term)
-        if keep not in means:
-            source = min(
-                (k for k in means if keep < k), key=lambda k: means[k].size
-            )
-            drop = tuple(sorted(source - keep))
-            means[keep] = np.add.reduce(
-                means[source], drop, keepdims=True
-            ) / math.prod(logmu.shape[a] for a in drop)
-    lam = {}
-    fitted = 0.0
-    for term in model.terms:
-        inside = [axes[f] for f in term]
-        outside = [a for a in range(logmu.ndim) if a not in inside]
-        effect = means[frozenset(inside)]
+    flat = logmu.reshape(-1)
+    means = [
+        (np.bincount(group, flat, size) / count).reshape(kept)
+        for (group, size), (kept, count) in zip(groups, plan.kept)
+    ]
+    for source, drop, count in plan.sources:
+        x = logmu if source is None else means[source]
+        means.append(np.add.reduce(x, drop, keepdims=True) / count)
+    effects = []
+    for at, inside, _, _ in plan.effects:
+        effect = means[at]
         for a in inside:
             effect = effect - np.add.reduce(
                 effect, a, keepdims=True
             ) / effect.shape[a]
-        fitted = fitted + effect
-        shape = [logmu.shape[a] for a in inside]
-        lam[term] = effect.transpose(inside + outside).reshape(shape)
+        effects.append(effect)
+    fitted = 0.0
+    for members in plan.spread:
+        part = effects[members[0]]
+        for k in members[1:]:
+            part = part + effects[k]
+        fitted = fitted + part
+    lam = {
+        term: effect.transpose(order).reshape(shape)
+        for term, effect, (_, _, order, shape) in zip(
+            model.terms, effects, plan.effects
+        )
+    }
     return lam, float(np.maximum.reduce(np.abs(logmu - fitted), axis=None))
 
 
@@ -375,6 +475,7 @@ def _finalize(
     trace,
     evaluations=0,
     face_cells=0,
+    groups=None,
 ):
     n = table.N
     mu = np.asarray(mu, dtype=float)
@@ -399,7 +500,7 @@ def _finalize(
         rule = BOUNDARY_SMALL_CELL
     else:
         rule = None
-    lam, resid = _recover_lambda(model, schema, mu)
+    lam, resid = _recover_lambda(model, schema, mu, groups)
     pi = mu / n
     pi.flags.writeable = False
     mu_ro = mu.copy()
@@ -693,7 +794,7 @@ def fit_em(
         mu *= n / mu.sum()
     elif init != "uniform":
         raise ComputationError(f"unknown init mode {init}")
-    ecm = _EcmMap(table, _margin_axes(schema, generating_class(model)))
+    ecm = _EcmMap(table, _schedule(schema, model).sum_axes)
     it = _Iterate(mu)
     trace = []
     prev = None
@@ -741,6 +842,7 @@ def fit_em(
         trace,
         evaluations=evaluations,
         face_cells=face_cells,
+        groups=ecm._groups,
     )
 
 

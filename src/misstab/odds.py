@@ -20,9 +20,11 @@ tuples.  assess builds every record in the call, thousands on a large
 table, and most of its time went to building them as frozen dataclasses
 and to the garbage collection those allocations set off.  A named tuple
 has no instance dict and no per-field setattr, and each family's records
-are built by mapping the types over the columns of their fields.  They
-compare equal to plain tuples of their fields, and _replace copies one
-with a field changed.
+are built from the columns of their fields by mapping tuple.__new__ over
+the type and the zipped rows (_build): the same instances as calling the
+type, without running its generated __new__, so no Python frame runs per
+record.  They compare equal to plain tuples of their fields, and
+_replace copies one with a field changed.
 """
 
 from __future__ import annotations
@@ -381,6 +383,14 @@ _NOTES = np.array(
 )
 
 
+def _build(record_type, *columns):
+    """Records of a named tuple type, one per row of the columns of its
+    fields.  tuple.__new__ makes the same instances as calling the type
+    does, without running the type's generated __new__ (a Python frame)
+    once per record."""
+    return map(tuple.__new__, itertools.repeat(record_type), zip(*columns))
+
+
 def _family_records(queries, value, odds, codes) -> tuple:
     """The records of one family's checks, from the counts they read.
 
@@ -419,7 +429,7 @@ def _family_records(queries, value, odds, codes) -> tuple:
     keys, inverse = np.unique(num * base + den, return_inverse=True)
     ratios = np.fromiter(
         itertools.chain(
-            map(CountRatio, (keys // base).tolist(), (keys % base).tolist()),
+            _build(CountRatio, (keys // base).tolist(), (keys % base).tolist()),
             [None],
         ),
         dtype=object,
@@ -434,14 +444,14 @@ def _family_records(queries, value, odds, codes) -> tuple:
         dtype=object,
         count=len(keys),
     )
-    intervals = map(
+    intervals = _build(
         OddsInterval,
         map(tuple, entries[entry.reshape(n_checks, n_levels)].tolist()),
         ratios[np.where(defined, at[rows, lo], -1)].tolist(),
         ratios[np.where(defined, at[rows, hi], -1)].tolist(),
     )
     return tuple(
-        map(
+        _build(
             QueryRecord,
             queries,
             ratios[inverse[:n_checks]].tolist(),

@@ -80,11 +80,12 @@ def test_order_alternates_by_seed():
     assert bench_pairs._order(1) == ("change", "parent")
 
 
-def _fits(g2=1.5, iterations=60, evaluations=136, sha="ab"):
+def _fits(g2=1.5, iterations=60, evaluations=136, sha="ab", resid=3e-15):
     return {"M1": {"G2": g2, "iterations": iterations,
-                   "evaluations": evaluations, "mu_hat_sha256": sha},
+                   "evaluations": evaluations, "lambda_residual": resid,
+                   "mu_hat_sha256": sha},
             "M2": {"G2": 0.25, "iterations": 9, "evaluations": 9,
-                   "mu_hat_sha256": "cd"}}
+                   "lambda_residual": None, "mu_hat_sha256": "cd"}}
 
 
 @pytest.mark.parametrize(
@@ -129,10 +130,26 @@ def test_fit_all_record_compares_every_run(side, run):
                                      "change": [200.0, 200.0]}
 
 
+def test_fit_all_record_reports_the_largest_lambda_residual():
+    # effects may move by rounding while the fits keep their bits
+    runs = _fit_all_runs([_fits(), _fits(resid=5e-15)],
+                         [_fits(resid=1e-14), _fits(resid=None)])
+    record = bench_pairs.fit_all_record(runs, 8)
+    assert record["identical"] is True
+    assert record["max_lambda_residual"] == {"parent": 5e-15,
+                                             "change": 1e-14}
+    assert record["fits"]["M1"]["change"]["lambda_residual"] == 1e-14
+    runs = _fit_all_runs([_fits(resid=None)], [_fits(resid=None)])
+    assert bench_pairs.fit_all_record(runs, 8)["max_lambda_residual"] == {
+        "parent": None, "change": None}
+
+
 def test_fit_all_script_times_in_kernels():
     got = bench_pairs._script(_PATH.parents[1], bench_pairs.FIT_ALL_SCRIPT, 2)
     assert got["fit_all_s"] > 0 and got["fit_all_cal"] > 0
-    assert all(set(fit) == {"G2", *bench_pairs.FIT_FIELDS}
+    assert all(set(fit) == {"G2", "lambda_residual", *bench_pairs.FIT_FIELDS}
+               for fit in got["fits"].values())
+    assert any(fit["lambda_residual"] is not None
                for fit in got["fits"].values())
 
 

@@ -36,6 +36,7 @@ from misstab.fitting import (
     _is_face,
     _margin_axes,
     _recover_lambda,
+    _schedule,
     best_non_perfect,
 )
 from misstab.models import (
@@ -579,6 +580,33 @@ class TestEm:
         fit = fit_em("M3", bone_table)
         assert fit.evaluations == 226 and fit.face_cells > 0
         assert calls == {"observed_counts": 2, "observation_map": 2}
+
+    def test_margin_index_is_built_once_per_fit(self, monkeypatch):
+        # the map's group index serves the sweep and the effect recovery;
+        # a closed-form fit builds one for its effects alone
+        calls = []
+        original = misstab.fitting._margin_groups
+
+        def counted(*args):
+            calls.append(None)
+            return original(*args)
+
+        monkeypatch.setattr(misstab.fitting, "_margin_groups", counted)
+        table = builtin_dataset("spo-y1y2")
+        fit = fit_em("D5:Y1=MCAR,Y2=MAR(Y3)", table)
+        assert fit.lambda_hat is not None and len(calls) == 1
+        closed = fit_model("C4", builtin_dataset("spo-y1"))
+        assert closed.method == METHOD_CLOSED
+        assert closed.lambda_hat is not None and len(calls) == 2
+
+    def test_refit_reads_the_cached_schedule(self, bone_table):
+        fit_em("M4", bone_table)
+        before = _schedule.cache_info()
+        fit_em("M4", bone_table)
+        after = _schedule.cache_info()
+        # one lookup for the map and one for the effects, both hits
+        assert after.hits == before.hits + 2
+        assert after.misses == before.misses
 
     def test_empty_table(self):
         schema = TableSchema((("a", 2), ("b", 2)), ("a", "b"))

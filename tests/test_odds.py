@@ -119,6 +119,39 @@ class TestRecordTypes:
             assert all(type(r) is QueryRecord for r in records)
 
 
+    @pytest.mark.parametrize(
+        "fixture",
+        ["smoking_table", "bone_table", "opinion_one_table",
+         "opinion_two_table"],
+    )
+    def test_records_are_exact_instances(self, request, fixture):
+        # built without calling the types, yet the same as a call builds
+        verdict = assess(request.getfixturevalue(fixture))
+        for rec in verdict.records:
+            interval = rec.interval
+            assert type(rec) is QueryRecord
+            assert type(rec.value) is CountRatio
+            assert type(interval) is OddsInterval
+            for end in (interval.minimum, interval.maximum):
+                assert end is None or type(end) is CountRatio
+            assert all(type(r) is CountRatio for _, r in interval.values)
+            rebuilt = QueryRecord(
+                rec.query,
+                CountRatio(*rec.value),
+                OddsInterval(
+                    tuple((lvl, CountRatio(*r)) for lvl, r in interval.values),
+                    None if interval.minimum is None
+                    else CountRatio(*interval.minimum),
+                    None if interval.maximum is None
+                    else CountRatio(*interval.maximum),
+                ),
+                rec.membership,
+                rec.note,
+            )
+            assert rec == rebuilt and rec.note == rebuilt.note
+            assert repr(rec) == repr(rebuilt)
+
+
 class TestListQueries:
     def test_counts_per_shape(
         self, smoking_table, bone_table, opinion_one_table, opinion_two_table

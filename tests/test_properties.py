@@ -54,6 +54,8 @@ from misstab.fitting import (
     _margin_axes,
     _margin_groups,
     _margin_residual,
+    _recover_lambda,
+    _schedule,
 )
 from misstab.models import (
     _effects_coding,
@@ -1094,6 +1096,88 @@ class TestFitDiagnosticsOracle:
     def test_catalog_fits_match_the_design_matrix(self, request, name):
         for fit in request.getfixturevalue(FIT_FIXTURE[name]):
             _check_diagnostics(fit)
+
+
+def _seeded_cube(levels):
+    """A seeded levels^3 table with the first two variables missing, every
+    observed cell Poisson with mean 50."""
+    schema = TableSchema((("y1", levels), ("y2", levels), ("y3", levels)),
+                         ("y1", "y2"))
+    rng = np.random.default_rng(4)
+    return IncompleteTable(schema, tuple(
+        Stratum(obs, rng.poisson(50, size=(levels,) * len(obs)))
+        for obs in map(schema.observed_for, schema.patterns())
+    ))
+
+
+def _interior_fits():
+    """Every catalog fit without an NMAR mechanism of a seeded 4^3 table
+    (EM fits), and one closed-form fit."""
+    table = _seeded_cube(4)
+    fits = [
+        fit_model(m, table)
+        for m in enumerate_models(table.schema)
+        if all(mech.kind != MECH_NMAR for _, mech in m.mechanisms)
+    ]
+    fits.append(fit_model("C4", builtin_dataset("spo-y1")))
+    return fits
+
+
+class TestEffectRecoveryOracle:
+    """Effects recovered from the generators' group index (_schedule,
+    _recover_lambda) against the design-matrix projection."""
+
+    @pytest.fixture(scope="class")
+    def fits(self):
+        return _interior_fits()
+
+    def test_fits_are_interior(self, fits):
+        assert len(fits) == 10
+        assert {f.method for f in fits[:-1]} == {"em"}
+        assert fits[-1].method == "closed-form"
+        assert all(f.lambda_hat is not None for f in fits)
+
+    def test_effects_match_the_design_matrix(self, fits):
+        for fit in fits:
+            lam, resid = _oracle_lambda(fit.model, fit.schema, fit.mu_hat)
+            assert list(fit.lambda_hat) == list(lam)
+            for term, want in lam.items():
+                assert fit.lambda_hat[term].shape == want.shape, term
+                np.testing.assert_allclose(
+                    fit.lambda_hat[term], want, rtol=0, atol=1e-10
+                )
+            assert fit.lambda_residual == pytest.approx(resid, abs=1e-10)
+
+    def test_a_model_without_generators_keeps_its_intercept(self):
+        # the generating class leaves out the intercept, so its mean comes
+        # from log mu itself
+        table = builtin_dataset("spo-y1y2")
+        base = enumerate_models(table.schema)[0]
+        model = NonresponseModel("I", base.mechanisms, ((),))
+        assert generating_class(model) == ()
+        fit = fit_em(model, table)
+        lam, resid = _oracle_lambda(model, table.schema, fit.mu_hat)
+        assert list(fit.lambda_hat) == [()]
+        assert float(fit.lambda_hat[()]) == pytest.approx(float(lam[()]))
+        assert fit.lambda_residual == pytest.approx(resid, abs=1e-12)
+
+    def test_given_and_built_groups_give_the_same_bits(self, fits):
+        # an EM fit recovers its effects from its map's group index, and
+        # a closed-form fit, like a call without one, builds its own
+        for fit in fits:
+            groups = _margin_groups(
+                fit.mu_hat.shape, _schedule(fit.schema, fit.model).sum_axes
+            )
+            for got, resid in (
+                _recover_lambda(fit.model, fit.schema, fit.mu_hat),
+                _recover_lambda(fit.model, fit.schema, fit.mu_hat, groups),
+            ):
+                assert resid == fit.lambda_residual
+                assert list(got) == list(fit.lambda_hat)
+                for term, effect in got.items():
+                    want = fit.lambda_hat[term]
+                    assert effect.tobytes() == want.tobytes(), term
+                    assert effect.shape == want.shape, term
 
 
 def _hand_parameter_count(model, schema):

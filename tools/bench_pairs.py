@@ -21,9 +21,11 @@ L times fit_all on the seeded L x L x L table of bench/workloads.py in each
 checkout (parent, change, change, parent), each run between two runs of
 the checkout's bench/calibration.small_arrays kernel, and records its wall
 time (fit_all_s), its time in kernels (fit_all_cal, as bench/run.py
-measures run_cal), and every fit's G2, iterations, evaluations and a
-sha256 of its mu_hat bytes; the record's identical flag says whether all
-four runs agree bit for bit.  --assess L times a first and a repeated
+measures run_cal), and every fit's G2, iterations, evaluations,
+lambda_residual and a sha256 of its mu_hat bytes; the record's identical
+flag says whether all four runs agree bit for bit in all but
+lambda_residual, whose largest value each side reports as
+max_lambda_residual.  --assess L times a first and a repeated
 assess of bench/workloads.synthetic_table(0, L) in each checkout in the
 same order, each between two runs of the checkout's
 bench/calibration.mixed kernel (Python-level work, as building the
@@ -67,6 +69,7 @@ print(json.dumps({"fit_all_s": seconds,
                   "fit_all_cal": 2.0 * seconds / (before + after), "fits": {
     f.model_id: {"G2": f.G2, "iterations": f.iterations,
                  "evaluations": f.evaluations,
+                 "lambda_residual": f.lambda_residual,
                  "mu_hat_sha256":
                      hashlib.sha256(f.mu_hat.tobytes()).hexdigest()}
     for f in fits}}))
@@ -214,6 +217,17 @@ def identical(fits: dict) -> bool:
     )
 
 
+def max_lambda_residual(runs: list) -> float | None:
+    """The largest lambda_residual of any fit in any of a side's runs; None
+    when no fit recovered effects.  It is left out of identical, since
+    effects may move by rounding while every fit keeps its bits."""
+    return max(
+        (f["lambda_residual"] for run in runs for f in run["fits"].values()
+         if f["lambda_residual"] is not None),
+        default=None,
+    )
+
+
 def fit_all_record(runs: dict, levels: int) -> dict:
     """The --fit-all entry of the record from every run of each side (side
     -> list of FIT_ALL_SCRIPT outputs).  The fits and sums shown are those
@@ -234,6 +248,8 @@ def fit_all_record(runs: dict, levels: int) -> dict:
         "evaluations": {side: sum(f["evaluations"]
                                   for f in first[side].values())
                         for side in SIDES},
+        "max_lambda_residual": {side: max_lambda_residual(runs[side])
+                                for side in SIDES},
         "max_abs_g2_change": max(
             abs(first["change"][m]["G2"] - first["parent"][m]["G2"])
             for m in first["parent"]
