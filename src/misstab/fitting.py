@@ -15,9 +15,10 @@ plan of the effect recovery, is a schedule built once per schema and
 model (_schedule) that holds no array.  The effects (lambda_hat) are
 recovered from the same group index: each generator's mean of log mu is
 a bincount over it, so an EM fit builds its index once and a closed-form
-fit builds one for its effects.  The map takes and returns iterates (_Iterate): the read-only cross with its
-collapse and its E-step margins, computed once and shared by the
-log-likelihood, the margin residual and the next map application.  The
+fit builds one for its effects.  The map takes and returns iterates
+(_Iterate): the read-only cross with its collapse and its E-step
+margins, computed once and shared by the log-likelihood, the margin
+residual and the next map application.  The
 loop calls ufunc reductions directly on crosses carried flat (an
 all-positive test is np.minimum.reduce(x, initial=inf) > 0, a sum is
 np.add.reduce): on a cross of a few dozen cells a call costs numpy's
@@ -159,8 +160,8 @@ def _schedule(schema: TableSchema, model: NonresponseModel) -> _Schedule:
             continue
         supersets = [k for k, other in enumerate(keeps) if keep < other]
         source = min(supersets, key=size, default=None)
-        wider = frozenset(range(len(dims))) if source is None else keeps[source]
-        drop = tuple(sorted(wider - keep))
+        wider = range(len(dims)) if source is None else keeps[source]
+        drop = tuple(a for a in sorted(wider) if a not in keep)
         sources.append((source, drop, math.prod(dims[a] for a in drop)))
         keeps.append(keep)
     effects = []

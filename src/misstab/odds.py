@@ -429,7 +429,9 @@ def _family_records(queries, value, odds, codes) -> tuple:
     keys, inverse = np.unique(num * base + den, return_inverse=True)
     ratios = np.fromiter(
         itertools.chain(
-            _build(CountRatio, (keys // base).tolist(), (keys % base).tolist()),
+            _build(
+                CountRatio, (keys // base).tolist(), (keys % base).tolist()
+            ),
             [None],
         ),
         dtype=object,
