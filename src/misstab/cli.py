@@ -18,7 +18,6 @@ from .bootstrap import MODE_MULTINOMIAL, MODE_POISSON, bootstrap_assess
 from .errors import ComputationError, TableError
 from .fitting import fit_all, fit_model
 from .models import (
-    DF_CONVENTIONS,
     DF_POISSON_CELLS,
     enumerate_models,
     model_summary,
@@ -131,8 +130,8 @@ def _print_json(payload, out):
     print(json.dumps(payload, indent=2), file=out)
 
 
-def _print_assess_text(table, source, verdict, tol, from_env, out):
-    _print_header(table, source, tol, from_env, out)
+def _print_assess_text(table, source, verdict, out):
+    _print_header(table, source, None, False, out)
     print(file=out)
     for fam in verdict.families:
         print(f"variable {fam.variable}:", file=out)
@@ -157,12 +156,11 @@ def _print_assess_text(table, source, verdict, tol, from_env, out):
 def _cmd_assess(args, out):
     table, source = _load_source(args.source)
     verdict = assess(table)
-    tol = _env_tol()
     if args.format == "json":
-        _print_json(_json_head("assess", table, source, tol,
+        _print_json(_json_head("assess", table, source, None,
                                **verdict.as_dict()), out)
     else:
-        _print_assess_text(table, source, verdict, tol, tol is not None, out)
+        _print_assess_text(table, source, verdict, out)
     return EXIT_OK
 
 
@@ -232,7 +230,7 @@ def _cmd_fit(args, out):
     rows = [_fit_row(f) for f in fits]
     if args.format == "json":
         _print_json(_json_head(
-            "fit", table, source, tol, df_convention=args.df_convention,
+            "fit", table, source, tol, df_convention=DF_POISSON_CELLS,
             observed_statistics=observed_statistic_count(table.schema),
             fits=rows,
         ), out)
@@ -262,7 +260,7 @@ def _cmd_bootstrap(args, out):
     )
     if args.format == "json":
         _print_json(_json_head(
-            "bootstrap", table, source, tol, df_convention=args.df_convention,
+            "bootstrap", table, source, tol, df_convention=DF_POISSON_CELLS,
             seed=args.seed, **summary.as_dict(), **timing,
         ), out)
         return EXIT_OK
@@ -314,7 +312,7 @@ def _cmd_catalog(args, out):
             "source": source,
             "shape": schema.shape,
             "observed_statistics": observed_statistic_count(schema),
-            "df_convention": args.df_convention,
+            "df_convention": DF_POISSON_CELLS,
             "models": summaries,
         }
         _print_json(payload, out)
@@ -337,26 +335,15 @@ def _cmd_catalog(args, out):
 def _add_format(p):
     p.add_argument(
         "--format",
-        choices=("text", "json", "structured"),
+        choices=("text", "json"),
         default="text",
-        help="output format (structured is an alias of json)",
-    )
-
-
-def _add_df_convention(p):
-    # every convention gives the same df (models.degrees_of_freedom), so
-    # the choice is checked here and only echoed in the JSON output
-    p.add_argument(
-        "--df-convention",
-        choices=DF_CONVENTIONS,
-        default=DF_POISSON_CELLS,
+        help="output format",
     )
 
 
 def _add_fit_options(p):
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--max-iter", type=int, default=10000)
-    _add_df_convention(p)
 
 
 @functools.cache
@@ -417,7 +404,6 @@ def build_parser() -> _Parser:
         "catalog", help="list the model catalog for a table's shape"
     )
     p.add_argument("source")
-    _add_df_convention(p)
     _add_format(p)
     p.set_defaults(func=_cmd_catalog)
 
@@ -434,8 +420,6 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except SystemExit as exc:  # --help and friends
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    if args.format == "structured":
-        args.format = "json"
     try:
         return args.func(args, out)
     except _UsageError as exc:

@@ -968,13 +968,6 @@ def fit_all(
     return tuple(fits)
 
 
-def best_non_perfect(fits) -> FitResult | None:
-    for f in fits:
-        if not f.perfect_fit:
-            return f
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Model-based odds diagnostics.
 

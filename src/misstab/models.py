@@ -41,8 +41,6 @@ MECH_NMAR = "NMAR"
 MECH_MAR = "MAR"
 
 DF_POISSON_CELLS = "poisson-cells"
-DF_MULTINOMIAL = "multinomial"
-DF_CONVENTIONS = (DF_POISSON_CELLS, DF_MULTINOMIAL)
 
 # schemas whose model catalog, observation map and screening plan stay
 # cached; a process that meets more schemas rebuilds the least recently used
@@ -283,12 +281,7 @@ def observed_statistic_count(schema: TableSchema) -> int:
 
 def degrees_of_freedom(model: NonresponseModel, schema: TableSchema) -> int:
     """Residual degrees of freedom, floored at zero: observed statistics
-    less free parameters (the poisson-cells convention).
-
-    The multinomial convention removes the fixed total from each side
-    first, which gives the same number, so DF_CONVENTIONS only names the
-    accepted spellings.
-    """
+    less free parameters (the poisson-cells convention)."""
     stats = observed_statistic_count(schema)
     return max(stats - parameter_count(model, schema), 0)
 

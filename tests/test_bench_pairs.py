@@ -80,6 +80,16 @@ def test_order_alternates_by_seed():
     assert bench_pairs._order(1) == ("change", "parent")
 
 
+def test_src_lines_counts_the_package_modules_as_wc_does(tmp_path):
+    pkg = tmp_path / "src" / "misstab"
+    pkg.mkdir(parents=True)
+    (pkg / "a.py").write_text("x = 1\ny = 2\n\n")
+    (pkg / "b.py").write_text("z = 3")  # no final newline: wc -l says 0
+    (pkg / "notes.txt").write_text("not\ncounted\n")
+    (tmp_path / "src" / "other.py").write_text("not counted\n")
+    assert bench_pairs.src_lines(tmp_path) == 3
+
+
 def _fits(g2=1.5, iterations=60, evaluations=136, sha="ab", resid=3e-15):
     return {"M1": {"G2": g2, "iterations": iterations,
                    "evaluations": evaluations, "lambda_residual": resid,

@@ -72,11 +72,19 @@ class TestAssess:
         assert first["value"] == [142, 464]
         assert first["membership"] == "outside"
 
-    def test_structured_is_json_alias(self, capsys):
-        main(["assess", "smoking-birthweight", "--format", "json"])
-        as_json = capsys.readouterr().out
-        main(["assess", "smoking-birthweight", "--format", "structured"])
-        assert capsys.readouterr().out == as_json
+    @pytest.mark.parametrize("raw", ["1e-8", "abc"])
+    def test_env_tolerance_is_ignored(self, capsys, monkeypatch, raw):
+        # assess has no tolerance, so MISSTAB_TOL neither shows nor fails
+        runs = [["assess", "bone-density", "--format", fmt]
+                for fmt in ("text", "json")]
+        unset = []
+        for argv in runs:
+            assert main(argv) == 0
+            unset.append(capsys.readouterr())
+        monkeypatch.setenv("MISSTAB_TOL", raw)
+        for argv, expected in zip(runs, unset):
+            assert main(argv) == 0
+            assert capsys.readouterr() == expected
 
     def test_container_dataset_rejected(self, capsys):
         assert main(["assess", "spo-full"]) == 2
@@ -356,37 +364,40 @@ class TestDatasetsAndCatalog:
         assert doc["models"][0]["id"] == "D1:Y1=MCAR,Y2=MCAR"
 
 
-# a short EM keeps the fits quick; both conventions run with it
+# the first four took --df-convention, and every command took --format
+# structured; a short EM keeps the fits quick
 DF_COMMANDS = (
     ["fit", "bone-density", "--max-iter", "50"],
     ["fit", "bone-density", "--model", "M4"],
     ["catalog", "bone-density"],
     ["bootstrap", "bone-density", "--model", "M5", "--seed", "1",
      "--replicates", "300"],
+    ["assess", "bone-density"],
+    ["datasets"],
+)
+REMOVED_OPTIONS = (
+    ["--df-convention", "poisson-cells"],
+    ["--df-convention", "multinomial"],
+    ["--format", "structured"],
 )
 
 
 @pytest.mark.parametrize("argv", DF_COMMANDS, ids=" ".join)
 class TestDfConvention:
-    @staticmethod
-    def _out(capsys, argv):
-        assert main(argv) == 0, argv
-        return capsys.readouterr().out
-
-    def test_multinomial_changes_only_the_echo(self, capsys, argv):
-        multinomial = ["--df-convention", "multinomial"]
-        assert self._out(capsys, argv + multinomial) == self._out(capsys, argv)
-        argv = argv + ["--format", "json"]
-        default = json.loads(self._out(capsys, argv))
-        other = json.loads(self._out(capsys, argv + multinomial))
-        if "df_convention" in default:
-            assert default.pop("df_convention") == "poisson-cells"
-            assert other.pop("df_convention") == "multinomial"
-        assert other == default
-
     def test_unknown_convention_is_usage_error(self, capsys, argv):
-        assert main(argv + ["--df-convention", "other"]) == 1
-        assert "usage error" in capsys.readouterr().err
+        # every df convention gives the same df, so the option is gone and
+        # the JSON of a fit, catalog or bootstrap names the one convention
+        for option in REMOVED_OPTIONS:
+            assert main(argv + option) == 1, option
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "usage error" in captured.err
+        assert main(argv + ["--format", "json"]) == 0
+        doc = strict_json(capsys.readouterr().out)
+        if argv[0] in ("fit", "catalog", "bootstrap"):
+            assert doc["df_convention"] == "poisson-cells"
+        else:
+            assert "df_convention" not in doc
 
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -417,6 +428,14 @@ GOLDEN = {
         "bootstrap", "smoking-birthweight", "--model", "M6", "--seed", "0",
         "--replicates", "500",
     ],
+    # the JSON heads that carry df_convention
+    "catalog-bone-density.json": [
+        "catalog", "bone-density", "--format", "json",
+    ],
+    "bootstrap-bone-density-M5.json": [
+        "bootstrap", "bone-density", "--model", "M5", "--seed", "0",
+        "--replicates", "500", "--format", "json",
+    ],
 }
 
 
@@ -430,7 +449,7 @@ def test_consecutive_calls_share_no_state(capsys):
     golden = (GOLDEN_DIR / "fit-bone-density.txt").read_text(encoding="utf-8")
     assert capsys.readouterr().out == golden
     assert one != golden
-    assert main(["fit", "bone-density", "--format", "structured"]) == 0
+    assert main(["fit", "bone-density", "--format", "json"]) == 0
     doc = strict_json(capsys.readouterr().out)
     assert doc["command"] == "fit" and len(doc["fits"]) == 9
     assert main(first) == 0

@@ -7,6 +7,8 @@ import sys
 import misstab
 
 REMOVED = (
+    "DF_CONVENTIONS",
+    "DF_MULTINOMIAL",
     "aic_bic",
     "g_squared",
     "membership",

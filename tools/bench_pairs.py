@@ -31,8 +31,10 @@ same order, each between two runs of the checkout's
 bench/calibration.mixed kernel (Python-level work, as building the
 records is), and records both times in seconds and in kernels; its
 identical flag says whether all four verdicts have the same sha256 of
-json.dumps(verdict.as_dict()).  The record is rewritten after every pair,
-so an interrupted run keeps what it measured.
+json.dumps(verdict.as_dict()).  The record also holds src_lines, the
+lines of src/misstab/*.py in each checkout as wc -l counts them, so a
+change that removes code shows its size next to its runs.  The record is
+rewritten after every pair, so an interrupted run keeps what it measured.
 """
 
 from __future__ import annotations
@@ -106,6 +108,13 @@ def _rev(checkout: Path) -> str:
         capture_output=True, text=True,
     )
     return proc.stdout.strip() or "unknown"
+
+
+def src_lines(checkout: Path) -> int:
+    """The newlines in a checkout's src/misstab/*.py, the total wc -l
+    prints."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (checkout / "src" / "misstab").glob("*.py"))
 
 
 def _bench(checkout: Path, *args) -> list:
@@ -315,6 +324,7 @@ def main(argv=None) -> int:
         "what": args.what,
         "parent": _rev(checkouts["parent"]),
         "change": _rev(checkouts["change"]),
+        "src_lines": {side: src_lines(checkouts[side]) for side in SIDES},
         "machine": {"cpus": os.cpu_count(),
                     "python": platform.python_version(),
                     "note": "runs one at a time; no machine setting changed"},
