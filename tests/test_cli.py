@@ -366,7 +366,7 @@ class TestDatasetsAndCatalog:
 
 # the first four took --df-convention, and every command took --format
 # structured; a short EM keeps the fits quick
-DF_COMMANDS = (
+REMOVED_OPTION_COMMANDS = (
     ["fit", "bone-density", "--max-iter", "50"],
     ["fit", "bone-density", "--model", "M4"],
     ["catalog", "bone-density"],
@@ -382,7 +382,7 @@ REMOVED_OPTIONS = (
 )
 
 
-@pytest.mark.parametrize("argv", DF_COMMANDS, ids=" ".join)
+@pytest.mark.parametrize("argv", REMOVED_OPTION_COMMANDS, ids=" ".join)
 class TestDfConvention:
     def test_unknown_convention_is_usage_error(self, capsys, argv):
         # every df convention gives the same df, so the option is gone and
