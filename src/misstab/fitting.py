@@ -7,26 +7,31 @@ distributes each supplemental count over the cells it collapses, then
 rescales the working table to the model's sufficient margins by one sweep
 of iterative proportional fitting: every iteration is one application of
 the ECM map (_EcmMap).  The map is built once per fit and holds, besides
-the observation index, one group index per sufficient margin: each margin
-of the E step and of the sweep is a bincount over its group index, which
-adds the cells in C order as the observation map's collapse does.  What
-the fit reads from the model's terms alone, the margins' axes and the
-plan of the effect recovery, is a schedule built once per schema and
-model (_schedule) that holds no array.  The effects (lambda_hat) are
-recovered from the same group index: each generator's mean of log mu is
-a bincount over it, so an EM fit builds its index once and a closed-form
-fit builds one for its effects.  The map takes and returns iterates
-(_Iterate): the read-only cross with its collapse and its E-step
-margins, computed once and shared by the log-likelihood, the margin
-residual and the next map application.  The
-loop calls ufunc reductions directly on crosses carried flat (an
-all-positive test is np.minimum.reduce(x, initial=inf) > 0, a sum is
-np.add.reduce): on a cross of a few dozen cells a call costs numpy's
-dispatch, not arithmetic, and the method forms, (x > 0).all() or
-x.sum(), add a Python-level wrapper to each call for the same bits.  When
-the maximum lies on the boundary, the cells that keep decaying are fixed
-at zero and the fit is finished on that face of the model by accelerated
-ECM (fit_em, _solve_face).  Fit quality is the deviance of the observed
+the observation index, the group index of each sufficient margin: each
+margin of the E step and of the sweep is a bincount over its group index,
+which adds the cells in C order as the observation map's collapse does.
+The group indices depend on the cross's shape alone, so each is built
+once per shape and margin, read-only, and cached (_margin_group): a refit
+and another model with the same margin read the same one.  What the fit
+reads from the model's terms alone, the margins' axes, the parameter
+count, df and perfect-fit flag, and the plan of the effect recovery, is a
+schedule built once per schema and model (_schedule) that holds no
+array.  The effects (lambda_hat) are recovered from the same group
+indices: each generator's mean of log mu is a bincount over its index,
+EM and closed-form fits alike, and each term's effect is its mean less
+the effects of its proper subterms, formed in order of term size.  The
+map takes and returns iterates (_Iterate): the read-only cross with its
+collapse and its E-step margins, computed once and shared by the
+log-likelihood, the margin residual, the next map application and, for
+the final iterate, the deviance.  The loop calls ufunc reductions
+directly on crosses carried flat (an all-positive test is
+np.minimum.reduce(x, initial=inf) > 0, a sum is np.add.reduce): on a
+cross of a few dozen cells a call costs numpy's dispatch, not
+arithmetic, and the method forms, (x > 0).all() or x.sum(), add a
+Python-level wrapper to each call for the same bits.  When the maximum
+lies on the boundary, the cells that keep decaying are fixed at zero and
+the fit is finished on that face of the model by accelerated ECM
+(fit_em, _solve_face).  Fit quality is the deviance of the observed
 strata against the collapsed fitted expectations, with tail
 probabilities from the chi-square survival function in closed form for
 integer df: a finite Poisson sum for even df, erfc plus a finite sum for
@@ -38,6 +43,7 @@ schema's one observation map (models.observation_map).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -87,17 +93,6 @@ def collapse_cross(mu: np.ndarray, schema: TableSchema, pattern):
     return omap.split(omap.collapse(mu))[omap.patterns.index(pat)]
 
 
-def _positive_cells(mu, table):
-    """Nonzero observed counts with their collapsed fit, or None when the
-    fit gives one of those cells zero expectation."""
-    y = observed_counts(table)
-    c = observation_map(table.schema).collapse(mu)
-    mask = y > 0
-    if not (c[mask] > 0).all():
-        return None
-    return y[mask], c[mask]
-
-
 def _margin_axes(schema: TableSchema, terms) -> tuple:
     axes = factor_axes(schema)
     ndim = len(full_cross_dims(schema))
@@ -111,28 +106,39 @@ def _margin_axes(schema: TableSchema, terms) -> tuple:
 class _Schedule(NamedTuple):
     """What fitting a model and recovering its effects read from its terms
     alone, worked out once per schema and model (_schedule).  It holds
-    tuples, ints and None only, so a cached schedule keeps no array alive.
+    tuples, ints, bools and None only, so a cached schedule keeps no array
+    alive.
 
     The generators are the members of the generating class, in its order.
     sum_axes holds, per generator, the axes its margin sums out (the
     sufficient margins of the ECM map); kept, per generator, its margin's
     shape with the summed axes at extent 1 and the cells each margin cell
-    sums.  The means of log mu are numbered generators first; sources
-    holds, per smaller term in the order its mean is formed (largest term
-    first), the mean it is reduced from (None: log mu itself, when the
-    class is empty), the axes it sums out and their cell count.  effects
-    holds, per model term, its mean, the axes along which its effect is
-    centred, and the transpose order and shape of the effect reported.
-    spread groups the effects, by position, into one sum per generator
-    that contains them (or one for those no generator contains), each
-    added onto the cross once.
+    sums.  The effects cover the downward closure of the terms (every term
+    and each of its subterms), so a term's proper subterms all have one,
+    whether or not the model holds them.  The means of log mu are numbered
+    generators first; sources holds, per other member of the closure in
+    the order its mean is formed (largest first), the mean it is reduced
+    from (None: log mu itself, when the class is empty), the axes it sums
+    out and their cell count.  effects holds, per member of the closure in
+    order of size, its mean and the positions (in that order) of the
+    effects of its proper subterms, which its mean less theirs leaves as
+    its own.  terms holds, per model term, the position of its effect and
+    the transpose order and shape of the effect reported.  spread groups
+    the model terms' effects, by position, into one sum per generator that
+    contains them (or one for those no generator contains), each added onto
+    the cross once.  n_params, df and perfect are the model's parameter
+    count, residual degrees of freedom and perfect-fit flag (models).
     """
 
     sum_axes: tuple
     kept: tuple
     sources: tuple
     effects: tuple
+    terms: tuple
     spread: tuple
+    n_params: int
+    df: int
+    perfect: bool
 
 
 @functools.lru_cache(maxsize=SCHEMA_CACHE_SIZE)
@@ -153,9 +159,18 @@ def _schedule(schema: TableSchema, model: NonresponseModel) -> _Schedule:
     def size(k):
         return math.prod(dims[a] for a in keeps[k])
 
+    def subterms(term):
+        inside = sorted(axes[f] for f in term)
+        for k in range(len(inside), -1, -1):
+            yield from map(frozenset, itertools.combinations(inside, k))
+
+    # in order of first appearance, which for a catalog model is the order
+    # of its terms
+    closure = list(dict.fromkeys(
+        sub for term in model.terms for sub in subterms(term)
+    ))
     sources = []
-    for term in sorted(model.terms, key=len, reverse=True):
-        keep = frozenset(axes[f] for f in term)
+    for keep in sorted(closure, key=len, reverse=True):
         if keep in keeps:
             continue
         supersets = [k for k, other in enumerate(keeps) if keep < other]
@@ -164,9 +179,16 @@ def _schedule(schema: TableSchema, model: NonresponseModel) -> _Schedule:
         drop = tuple(a for a in sorted(wider) if a not in keep)
         sources.append((source, drop, math.prod(dims[a] for a in drop)))
         keeps.append(keep)
-    effects = []
+    order = sorted(closure, key=len)
+    effects = tuple(
+        (keeps.index(keep), tuple(
+            k for k, sub in enumerate(order[:at]) if sub < keep
+        ))
+        for at, keep in enumerate(order)
+    )
+    terms = []
     spread = {}
-    for k, term in enumerate(model.terms):
+    for term in model.terms:
         inside = tuple(axes[f] for f in term)
         keep = frozenset(inside)
         outside = tuple(a for a in range(len(dims)) if a not in keep)
@@ -175,34 +197,44 @@ def _schedule(schema: TableSchema, model: NonresponseModel) -> _Schedule:
              if keep <= other),
             None,
         )
-        spread.setdefault(owner, []).append(k)
-        effects.append((
-            keeps.index(keep),
-            inside,
-            inside + outside,
-            tuple(dims[a] for a in inside),
-        ))
+        at = order.index(keep)
+        spread.setdefault(owner, []).append(at)
+        terms.append((at, inside + outside, tuple(dims[a] for a in inside)))
     return _Schedule(
         sum_axes,
         tuple(kept),
         tuple(sources),
-        tuple(effects),
+        effects,
+        tuple(terms),
         tuple(tuple(members) for members in spread.values()),
+        parameter_count(model, schema),
+        degrees_of_freedom(model, schema),
+        is_perfect_fit(model, schema),
     )
 
 
+# margin group indices that stay cached, each one margin of one cross
+# shape; the catalog of one schema has at most a dozen distinct margins
+MARGIN_CACHE_SIZE = 4 * SCHEMA_CACHE_SIZE
+
+
+@functools.lru_cache(maxsize=MARGIN_CACHE_SIZE)
+def _margin_group(shape: tuple, sum_axes: tuple) -> tuple:
+    """The margin cell of every cell of the raveled cross, margin cells
+    numbered in C order over the kept axes, read-only, and the number of
+    margin cells; built once per cross shape and margin and shared."""
+    kept = [1 if a in sum_axes else d for a, d in enumerate(shape)]
+    cells = np.arange(math.prod(kept)).reshape(kept)
+    group = np.broadcast_to(cells, shape).ravel()
+    group.flags.writeable = False
+    return group, cells.size
+
+
 def _margin_groups(shape, sum_axes_list) -> tuple:
-    """For each sufficient margin, the margin cell of every cell of the
-    raveled cross (margin cells numbered in C order over the kept axes)
-    and the number of margin cells."""
-    groups = []
-    for axes in sum_axes_list:
-        kept = [1 if a in axes else d for a, d in enumerate(shape)]
-        cells = np.arange(math.prod(kept)).reshape(kept)
-        group = np.broadcast_to(cells, shape).ravel()
-        group.flags.writeable = False
-        groups.append((group, cells.size))
-    return tuple(groups)
+    """The group index of each sufficient margin (_margin_group)."""
+    return tuple(
+        _margin_group(tuple(shape), tuple(axes)) for axes in sum_axes_list
+    )
 
 
 class _Iterate:
@@ -241,12 +273,13 @@ class _EcmMap:
     rescales the fit to each sufficient margin (sum_axes_list) in turn.
 
     It is built once per fit and holds what no iteration changes: the
-    observation index, the observed counts gathered onto the cross, the
-    even spread 1 / cells_per_obs of a count whose collapsed fit is zero,
-    the positive counts with their mask, and one group index per
-    sufficient margin (_margin_groups).  A margin is summed by bincount
-    over its group index, which adds each margin cell's cells one at a
-    time in C order, as the observation map's collapse does.
+    observation index and the even spread of a count whose collapsed fit
+    is zero (both the observation map's), the observed counts gathered
+    onto the cross, the positive counts with their mask, and the cached
+    group index of each sufficient margin (_margin_group).  A margin is
+    summed by bincount over its group index, which adds each margin
+    cell's cells one at a time in C order, as the observation map's
+    collapse does.
 
     It maps an _Iterate to the next one, and keeps each iterate's collapse
     and E-step margins on the iterate, computed the first time it reads
@@ -263,7 +296,7 @@ class _EcmMap:
         self._omap = omap
         self._idx = omap.obs_index
         self._y_cross = y[self._idx]
-        self._spread = 1.0 / omap.cells_per_obs[self._idx]
+        self._spread = omap.spread
         self._positive = y > 0
         self._y_positive = y[self._positive]
         dims = full_cross_dims(table.schema)
@@ -296,6 +329,10 @@ class _EcmMap:
 
     def e_step(self, it):
         return self._spread_counts(it).reshape(it.shape)
+
+    def deviance(self, it) -> float:
+        """G2 of an iterate, from the collapse it carries."""
+        return _deviance(self._y_positive, self._collapse(it)[self._positive])
 
     def loglik(self, it) -> float:
         """Observed-data log-likelihood; -inf when the fit gives a positive
@@ -370,12 +407,18 @@ class FitResult:
         return dict(zip(omap.patterns, omap.split(omap.collapse(self.mu_hat))))
 
 
-def _g2_from_mu(mu, table) -> float:
-    cells = _positive_cells(mu, table)
-    if cells is None:
+def _deviance(y, c) -> float:
+    """G2 of the nonzero observed counts y against their collapsed fit c;
+    inf when the fit gives one of those cells zero expectation."""
+    if not np.minimum.reduce(c, initial=math.inf) > 0:
         return float("inf")
-    y, c = cells
-    return max(2.0 * float((y * np.log(y / c)).sum()), 0.0)
+    return max(2.0 * float(np.add.reduce(y * np.log(y / c))), 0.0)
+
+
+def _g2_from_mu(mu, table) -> float:
+    y = observed_counts(table)
+    mask = y > 0
+    return _deviance(y[mask], observation_map(table.schema).collapse(mu)[mask])
 
 
 def chi_square_sf(x: float, df: int) -> float:
@@ -411,44 +454,42 @@ def chi_square_sf(x: float, df: int) -> float:
     return min(math.fsum(terms), 1.0)
 
 
-def _recover_lambda(model, schema, mu, groups=None):
+def _recover_lambda(model, schema, mu):
     """Sum-to-zero effects of log mu, one per model term, and the largest
     cell residual of their sum.
 
     On the complete cross the sum-to-zero effects are orthogonal ANOVA
-    components: a term's effect is the mean of log mu over the axes
-    outside it less the effects of its proper subterms, which is that mean
-    centred along each of the term's own axes.  groups is the margin group
-    index of the model's generating class (_margin_groups; an EM fit passes
-    its map's, and it is built here when omitted).  Each generator's mean
-    is a bincount of log mu over its group index, each smaller term's mean
-    is reduced from the smallest mean already formed over a superset of its
-    axes, and the effects are summed per generator and spread onto the
-    cross once per generator, all as the model's schedule (_schedule)
-    lays out.  np.add.reduce(x, axes, keepdims=True) / count has the bits
-    of x.mean(axes, keepdims=True) without its Python-level wrapper.
+    components: the mean of log mu over the axes outside a term is the sum
+    of the effects of the term and of all its proper subterms, so the
+    term's effect is its mean less theirs.  Each generator's mean is a
+    bincount of log mu over its cached group index (_margin_group), each
+    smaller mean is reduced from the smallest mean already formed over a
+    superset of its axes, the effects are formed in order of term size,
+    each its mean less the effects of its proper subterms, and they are
+    summed per generator and spread onto the cross once per generator, all
+    as the model's schedule (_schedule) lays out.  np.add.reduce(x, axes,
+    keepdims=True) / count has the bits of x.mean(axes, keepdims=True)
+    without its Python-level wrapper.
     """
     if np.any(mu <= 0):
         return None, None
     plan = _schedule(schema, model)
-    if groups is None:
-        groups = _margin_groups(mu.shape, plan.sum_axes)
     logmu = np.log(mu)
     flat = logmu.reshape(-1)
     means = [
         (np.bincount(group, flat, size) / count).reshape(kept)
-        for (group, size), (kept, count) in zip(groups, plan.kept)
+        for (group, size), (kept, count) in zip(
+            _margin_groups(mu.shape, plan.sum_axes), plan.kept
+        )
     ]
     for source, drop, count in plan.sources:
         x = logmu if source is None else means[source]
         means.append(np.add.reduce(x, drop, keepdims=True) / count)
     effects = []
-    for at, inside, _, _ in plan.effects:
+    for at, subterms in plan.effects:
         effect = means[at]
-        for a in inside:
-            effect = effect - np.add.reduce(
-                effect, a, keepdims=True
-            ) / effect.shape[a]
+        for k in subterms:
+            effect = effect - effects[k]
         effects.append(effect)
     fitted = 0.0
     for members in plan.spread:
@@ -457,10 +498,8 @@ def _recover_lambda(model, schema, mu, groups=None):
             part = part + effects[k]
         fitted = fitted + part
     lam = {
-        term: effect.transpose(order).reshape(shape)
-        for term, effect, (_, _, order, shape) in zip(
-            model.terms, effects, plan.effects
-        )
+        term: effects[at].transpose(order).reshape(shape)
+        for term, (at, order, shape) in zip(model.terms, plan.terms)
     }
     return lam, float(np.maximum.reduce(np.abs(logmu - fitted), axis=None))
 
@@ -474,50 +513,55 @@ def _finalize(
     converged,
     iterations,
     trace,
+    g2,
     evaluations=0,
     face_cells=0,
-    groups=None,
 ):
+    """The FitResult of a fit whose cross is mu and whose G2 is g2.  A
+    read-only mu (an EM iterate) becomes mu_hat as it is; another is
+    copied first."""
     n = table.N
     mu = np.asarray(mu, dtype=float)
-    g2 = _g2_from_mu(mu, table)
-    params = parameter_count(model, schema)
-    df = degrees_of_freedom(model, schema)
-    perfect = is_perfect_fit(model, schema)
-    if df == 0:
+    plan = _schedule(schema, model)
+    if plan.df == 0:
         p = 1.0
     elif math.isinf(g2):
         p = 0.0
     else:
-        p = chi_square_sf(g2, df)
+        p = chi_square_sf(g2, plan.df)
     if face_cells:
         rule = BOUNDARY_FACE
     # a model with as many parameters as observed statistics fits them
     # exactly at any interior maximum, so a visibly imperfect fit means
     # the maximum sits on the boundary of the parameter space
-    elif perfect and g2 > 1e-6:
+    elif plan.perfect and g2 > 1e-6:
         rule = BOUNDARY_PERFECT_MISFIT
-    elif np.any(mu / n < BOUNDARY_PROB):
+    # the smallest cell is under the bound exactly when some cell is, as
+    # division by n > 0 keeps the order; fmin, like the cellwise test,
+    # passes over a NaN cell
+    elif np.fmin.reduce(mu, axis=None) / n < BOUNDARY_PROB:
         rule = BOUNDARY_SMALL_CELL
     else:
         rule = None
-    lam, resid = _recover_lambda(model, schema, mu, groups)
+    lam, resid = _recover_lambda(model, schema, mu)
     pi = mu / n
     pi.flags.writeable = False
-    mu_ro = mu.copy()
-    mu_ro.flags.writeable = False
+    if mu.flags.writeable:
+        mu = mu.copy()
+        mu.flags.writeable = False
+    params = plan.n_params
     return FitResult(
         model_id=model.id,
         model=model,
         schema=schema,
         table=table,
         n_params=params,
-        mu_hat=mu_ro,
+        mu_hat=mu,
         pi_hat=pi,
         lambda_hat=lam,
         lambda_residual=resid,
         G2=g2,
-        df=df,
+        df=plan.df,
         p_value=p,
         aic=g2 + 2.0 * params,
         bic=g2 + math.log(n) * params,
@@ -525,7 +569,7 @@ def _finalize(
         boundary=rule is not None,
         iterations=iterations,
         method=method,
-        perfect_fit=perfect,
+        perfect_fit=plan.perfect,
         loglik_trace=tuple(trace),
         evaluations=evaluations,
         face_cells=face_cells,
@@ -803,7 +847,9 @@ def fit_em(
     evaluations = 0
     face_cells = 0
     attempts = 0
-    marks = _checkpoint([], it.flat)
+    # the log of the first checkpoint is taken at the first decay test,
+    # which a fit that converges sooner never reaches
+    marks, origin = [], it.flat
     while len(trace) < max_iter:
         it = ecm(it)
         evaluations += 1
@@ -816,7 +862,7 @@ def fit_em(
         prev = ll
         if len(trace) % DECAY_HALF or attempts == FACE_ATTEMPTS:
             continue
-        marks = _checkpoint(marks, it.flat)
+        marks = _checkpoint(marks or _checkpoint([], origin), it.flat)
         decaying = _decaying(marks, it.flat, n, DECAY_HALF)
         if not decaying.any():
             continue
@@ -831,7 +877,7 @@ def fit_em(
             converged = True
             break
         # a refused face leaves no trace: EM goes on from where it was
-        marks = _checkpoint([], it.flat)
+        marks, origin = [], it.flat
     return _finalize(
         model,
         schema,
@@ -841,9 +887,9 @@ def fit_em(
         converged,
         len(trace),
         trace,
+        ecm.deviance(it),
         evaluations=evaluations,
         face_cells=face_cells,
-        groups=ecm._groups,
     )
 
 
@@ -929,7 +975,10 @@ def fit_closed_form(model, table: IncompleteTable) -> FitResult | None:
         elif len(pat) == 2 and y > 0:
             return None
         mu[(Ellipsis,) + tuple(int(m in pat) for m in schema.missing)] = block
-    return _finalize(model, schema, table, mu, METHOD_CLOSED, True, 0, ())
+    return _finalize(
+        model, schema, table, mu, METHOD_CLOSED, True, 0, (),
+        _g2_from_mu(mu, table),
+    )
 
 
 def fit_model(

@@ -116,7 +116,10 @@ class ObservationMap:
     concatenated in schema.patterns() order; offsets[k]:offsets[k + 1]
     holds pattern k, whose counts have extents shapes[k].  obs_index gives,
     for each cell of the complete cross (raveled in C order), the observed
-    cell it is summed into, and cells_per_obs counts those cells.
+    cell it is summed into, and cells_per_obs counts those cells.  spread
+    gives, for each cell of the cross, 1 / cells_per_obs of its observed
+    cell: the share of a count the E step spreads evenly over its cells
+    when their fit is zero.
     """
 
     patterns: tuple
@@ -124,6 +127,7 @@ class ObservationMap:
     shapes: tuple
     obs_index: np.ndarray
     cells_per_obs: np.ndarray
+    spread: np.ndarray
 
     def collapse(self, mu) -> np.ndarray:
         """Expectations of the observed cells, flat."""
@@ -157,11 +161,12 @@ def observation_map(schema: TableSchema) -> ObservationMap:
         shapes.append(tuple(schema.levels(v) for v in observed))
     obs_index = obs_index.ravel()
     cells_per_obs = np.bincount(obs_index, minlength=offsets[-1])
-    for arr in (obs_index, cells_per_obs):
+    spread = 1.0 / cells_per_obs[obs_index]
+    for arr in (obs_index, cells_per_obs, spread):
         arr.flags.writeable = False
     return ObservationMap(
         schema.patterns(), tuple(offsets), tuple(shapes), obs_index,
-        cells_per_obs,
+        cells_per_obs, spread,
     )
 
 

@@ -15,15 +15,17 @@ observed-cell vector, so a ScreeningPlan (one per schema) holds every check
 as index arrays into it and screens a whole matrix of replicate tables at
 once by cross-multiplication.
 
-The records of a verdict (CountRatio, OddsInterval, QueryRecord) are named
-tuples.  assess builds every record in the call, thousands on a large
-table, and most of its time went to building them as frozen dataclasses
-and to the garbage collection those allocations set off.  A named tuple
-has no instance dict and no per-field setattr, and each family's records
-are built from the columns of their fields by mapping tuple.__new__ over
-the type and the zipped rows (_build): the same instances as calling the
+The checks (OddsQuery) and the records of a verdict (CountRatio,
+OddsInterval, QueryRecord) are named tuples.  A large schema has
+thousands of checks, and assess builds every record in the call,
+thousands on a large table; as frozen dataclasses most of their time went
+to building them and to the garbage collection those allocations set
+off.  A named tuple has no instance dict and no per-field setattr, and
+the checks of each variable pair and the records of each family are
+built from the columns of their fields by mapping tuple.__new__ over the
+type and the zipped rows (_build): the same instances as calling the
 type, without running its generated __new__, so no Python frame runs per
-record.  They compare equal to plain tuples of their fields, and
+check or record.  They compare equal to plain tuples of their fields, and
 _replace copies one with a field changed.
 """
 
@@ -79,8 +81,7 @@ class CountRatio(NamedTuple):
         return f"{self.numerator}/{self.denominator}"
 
 
-@dataclass(frozen=True)
-class OddsQuery:
+class OddsQuery(NamedTuple):
     """One containment check.
 
     missing_var: the variable whose supplemental stratum supplies the
@@ -155,13 +156,20 @@ def list_queries(schema: TableSchema) -> tuple:
                 continue
             rest = [n for n in schema.names if n not in (v, t)]
             pairs = itertools.combinations(range(1, schema.levels(t) + 1), 2)
-            conditions = itertools.product(
-                *(range(1, schema.levels(c) + 1) for c in rest)
-            )
-            queries.extend(
-                OddsQuery(v, t, pair, tuple(zip(rest, levels)))
-                for pair, levels in itertools.product(pairs, conditions)
-            )
+            conditions = [
+                tuple(zip(rest, levels))
+                for levels in itertools.product(
+                    *(range(1, schema.levels(c) + 1) for c in rest)
+                )
+            ]
+            # every variable has two levels or more, so there are rows
+            rows = list(itertools.product(pairs, conditions))
+            queries.extend(_build(
+                OddsQuery,
+                itertools.repeat(v, len(rows)),
+                itertools.repeat(t, len(rows)),
+                *zip(*rows),
+            ))
     return tuple(queries)
 
 

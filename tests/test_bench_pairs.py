@@ -75,6 +75,24 @@ def test_higher_is_better_metrics_count_the_other_way():
     assert got["met"] and got["drop"] == pytest.approx(0.2)
 
 
+def test_summary_keeps_each_operations_median_per_side():
+    line = {"op_kernels": {"assess": [3.0, 1.0, 2.0], "D1": [0.5, 0.7]}}
+    assert bench_pairs.op_medians(line) == {"assess": 2.0, "D1": 0.6}
+    pairs = _pairs(PARENT[:3], [8.0] * 3)
+    runs = [(1.0, 4.0), (1.2, 5.0), (0.9, 6.0)]
+    for pair, (fit, assess) in zip(pairs, runs):
+        pair["parent"]["op_kernels"] = {"assess": assess, "D1": fit}
+        pair["change"]["op_kernels"] = {"assess": assess, "D1": fit - 0.5}
+    summary = bench_pairs.summarise(pairs, {"run_cal": True})
+    assert summary["op_kernels"] == {
+        "assess": {"parent": 5.0, "change": 5.0},
+        "D1": {"parent": 1.0, "change": 0.5},
+    }
+    assert "op_kernels" not in bench_pairs.summarise(
+        _pairs(PARENT, PARENT), {"run_cal": True}
+    )
+
+
 def test_order_alternates_by_seed():
     assert bench_pairs._order(0) == ("parent", "change")
     assert bench_pairs._order(1) == ("change", "parent")

@@ -29,12 +29,14 @@ import misstab.fitting
 from misstab.fitting import (
     BOUNDARY_FACE,
     METHOD_CLOSED,
+    MARGIN_CACHE_SIZE,
     METHOD_EM,
     _EcmMap,
     _Iterate,
     _g2_from_mu,
     _is_face,
     _margin_axes,
+    _margin_group,
     _recover_lambda,
     _schedule,
 )
@@ -568,7 +570,8 @@ class TestEm:
 
     def test_map_is_built_once_per_fit(self, bone_table, monkeypatch):
         # the observed counts and their observation map are gathered when
-        # the map is built and once more for the final G2, never per step
+        # the map is built, never per step, and the final G2 reads the
+        # map's counts and the last iterate's collapse
         calls = {"observed_counts": 0, "observation_map": 0}
         for name in calls:
             original = getattr(misstab.fitting, name)
@@ -580,33 +583,54 @@ class TestEm:
             monkeypatch.setattr(misstab.fitting, name, counted)
         fit = fit_em("M3", bone_table)
         assert fit.evaluations == 226 and fit.face_cells > 0
-        assert calls == {"observed_counts": 2, "observation_map": 2}
+        assert calls == {"observed_counts": 1, "observation_map": 1}
 
-    def test_margin_index_is_built_once_per_fit(self, monkeypatch):
-        # the map's group index serves the sweep and the effect recovery;
-        # a closed-form fit builds one for its effects alone
-        calls = []
-        original = misstab.fitting._margin_groups
-
-        def counted(*args):
-            calls.append(None)
-            return original(*args)
-
-        monkeypatch.setattr(misstab.fitting, "_margin_groups", counted)
+    def test_margin_index_is_built_once_per_fit(self):
+        # each margin's group index is built once per cross shape and
+        # shared: by the map and the effects of a fit, by a refit, by
+        # another model with the same margin, and by the effects of a
+        # closed-form fit
+        _margin_group.cache_clear()
         table = builtin_dataset("spo-y1y2")
         fit = fit_em("D5:Y1=MCAR,Y2=MAR(Y3)", table)
-        assert fit.lambda_hat is not None and len(calls) == 1
-        closed = fit_model("C4", builtin_dataset("spo-y1"))
-        assert closed.method == METHOD_CLOSED
-        assert closed.lambda_hat is not None and len(calls) == 2
+        assert fit.lambda_hat is not None
+        # three margins, missed by the map and hit by the effects
+        assert _margin_group.cache_info()[:2] == (3, 3)
+        fit_em("D5:Y1=MCAR,Y2=MAR(Y3)", table)
+        assert _margin_group.cache_info()[:2] == (9, 3)
+        # the full margin, the indicator pair and (Y3, R(Y2)) are shared;
+        # only (Y3, R(Y1)) is new
+        other = fit_em("D3:Y1=MAR(Y3),Y2=MAR(Y3)", table)
+        assert other.lambda_hat is not None
+        assert _margin_group.cache_info()[:2] == (16, 4)
+        for _ in range(2):
+            closed = fit_model("C4", builtin_dataset("spo-y1"))
+            assert closed.method == METHOD_CLOSED
+            assert closed.lambda_hat is not None
+        assert _margin_group.cache_info()[:2] == (18, 6)
+
+    def test_margin_cache_is_read_only_and_bounded(self, bone_table):
+        schema = bone_table.schema
+        axes = _schedule(schema, get_model(schema, "M4")).sum_axes
+        groups = _EcmMap(bone_table, axes)._groups
+        for (group, size), drop in zip(groups, axes):
+            cached = _margin_group(full_cross_dims(schema), drop)
+            assert cached[0] is group and cached[1] == size
+            assert not group.flags.writeable
+            with pytest.raises(ValueError):
+                group[0] = 0
+        assert _margin_group.cache_info().maxsize == MARGIN_CACHE_SIZE
+        for extent in range(2, MARGIN_CACHE_SIZE + 4):
+            _margin_group((extent, 2), (1,))
+        assert _margin_group.cache_info().currsize == MARGIN_CACHE_SIZE
 
     def test_refit_reads_the_cached_schedule(self, bone_table):
         fit_em("M4", bone_table)
         before = _schedule.cache_info()
         fit_em("M4", bone_table)
         after = _schedule.cache_info()
-        # one lookup for the map and one for the effects, both hits
-        assert after.hits == before.hits + 2
+        # one lookup each for the map, the counts and the effects, all hits
+        assert after.hits == before.hits + 3
         assert after.misses == before.misses
 
     def test_empty_table(self):

@@ -52,10 +52,10 @@ from misstab.fitting import (
     _Iterate,
     _g2_from_mu,
     _margin_axes,
+    _margin_group,
     _margin_groups,
     _margin_residual,
     _recover_lambda,
-    _schedule,
 )
 from misstab.models import (
     _effects_coding,
@@ -1123,6 +1123,20 @@ def _interior_fits():
     return fits
 
 
+def _assert_effects_match(model, schema, mu):
+    """The effects recovered from a positive cross, and their residual,
+    within 1e-10 of the design-matrix projection."""
+    got, resid = _recover_lambda(model, schema, mu)
+    lam, want_resid = _oracle_lambda(model, schema, mu)
+    assert list(got) == list(lam)
+    for term, want in lam.items():
+        assert got[term].shape == want.shape, term
+        np.testing.assert_allclose(
+            got[term], want, rtol=0, atol=1e-10, err_msg=f"{model.id} {term}"
+        )
+    assert resid == pytest.approx(want_resid, abs=1e-10)
+
+
 class TestEffectRecoveryOracle:
     """Effects recovered from the generators' group index (_schedule,
     _recover_lambda) against the design-matrix projection."""
@@ -1139,14 +1153,50 @@ class TestEffectRecoveryOracle:
 
     def test_effects_match_the_design_matrix(self, fits):
         for fit in fits:
-            lam, resid = _oracle_lambda(fit.model, fit.schema, fit.mu_hat)
-            assert list(fit.lambda_hat) == list(lam)
-            for term, want in lam.items():
-                assert fit.lambda_hat[term].shape == want.shape, term
-                np.testing.assert_allclose(
-                    fit.lambda_hat[term], want, rtol=0, atol=1e-10
-                )
-            assert fit.lambda_residual == pytest.approx(resid, abs=1e-10)
+            _assert_effects_match(fit.model, fit.schema, fit.mu_hat)
+            lam, _ = _recover_lambda(fit.model, fit.schema, fit.mu_hat)
+            for term, effect in lam.items():
+                assert fit.lambda_hat[term].tobytes() == effect.tobytes()
+
+    @pytest.mark.parametrize("name", DATASET_NAMES)
+    def test_every_catalog_model_matches_the_design_matrix(
+        self, request, name
+    ):
+        # each model's fit where it is positive, closed forms included,
+        # and a seeded positive cross outside the model's span, whose
+        # projection leaves a residual
+        fits = request.getfixturevalue(FIT_FIXTURE[name])
+        schema = fits[0].schema
+        assert sorted(f.model_id for f in fits) == sorted(
+            m.id for m in enumerate_models(schema)
+        )
+        rng = np.random.default_rng(24)
+        for fit in fits:
+            crosses = [rng.uniform(0.05, 20.0, fit.mu_hat.shape)]
+            if fit.lambda_hat is not None:
+                crosses.append(fit.mu_hat)
+            for mu in crosses:
+                _assert_effects_match(fit.model, schema, mu)
+
+    def test_a_non_hierarchical_model_matches_the_design_matrix(
+        self, smoking_table
+    ):
+        # M4 less the main effect of R(Y1), which its (Y2, R(Y1)) term
+        # contains: the effect of that term is still its mean less those of
+        # all its proper subterms, R(Y1) among them
+        schema = smoking_table.schema
+        m4 = get_model(schema, "M4")
+        main = (indicator_factor(schema.missing[0]),)
+        model = NonresponseModel(
+            "M4-R1", m4.mechanisms, tuple(t for t in m4.terms if t != main)
+        )
+        assert generating_class(model) == generating_class(m4)
+        fit = fit_em(model, smoking_table)
+        assert fit.lambda_hat is not None and main not in fit.lambda_hat
+        assert fit.lambda_residual > 1e-3
+        rng = np.random.default_rng(24)
+        for mu in (fit.mu_hat, rng.uniform(0.05, 20.0, fit.mu_hat.shape)):
+            _assert_effects_match(model, schema, mu)
 
     def test_a_model_without_generators_keeps_its_intercept(self):
         # the generating class leaves out the intercept, so its mean comes
@@ -1162,15 +1212,14 @@ class TestEffectRecoveryOracle:
         assert fit.lambda_residual == pytest.approx(resid, abs=1e-12)
 
     def test_given_and_built_groups_give_the_same_bits(self, fits):
-        # an EM fit recovers its effects from its map's group index, and
-        # a closed-form fit, like a call without one, builds its own
+        # an EM fit recovers its effects from the group index its map
+        # read from the cache, and a recovery after the cache is emptied
+        # builds the index again, to the same bits
         for fit in fits:
-            groups = _margin_groups(
-                fit.mu_hat.shape, _schedule(fit.schema, fit.model).sum_axes
-            )
+            _margin_group.cache_clear()
             for got, resid in (
                 _recover_lambda(fit.model, fit.schema, fit.mu_hat),
-                _recover_lambda(fit.model, fit.schema, fit.mu_hat, groups),
+                _recover_lambda(fit.model, fit.schema, fit.mu_hat),
             ):
                 assert resid == fit.lambda_residual
                 assert list(got) == list(fit.lambda_hat)

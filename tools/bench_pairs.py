@@ -4,7 +4,11 @@ Each pair runs one workload with one seed in the parent checkout and in the
 change checkout, one process at a time, with the order alternating: even
 seeds run the parent first, odd seeds the change.  The record holds every
 run, and per workload and end-to-end metric the median and quartiles of
-each side and the number of pairs the change won.  A claim names one
+each side and the number of pairs the change won.  Each run also keeps
+its operations' median times in kernels (op_kernels, from the op_kernels
+lists of bench/run.py's summary line), and the summary gives each side's
+median of them per operation, so a claim shows which operations moved.
+A claim names one
 workload and metric; it is met when the change wins at least nine pairs in
 ten, its median beats the parent's by more than the parent's
 interquartile range, every check of every run passes and no more of the
@@ -165,9 +169,18 @@ def _better(change: float, parent: float, lower: bool) -> bool:
     return change < parent if lower else change > parent
 
 
+def op_medians(summary_line: dict) -> dict:
+    """Each operation's median time in kernels over one run, from the
+    op_kernels lists of bench/run.py's summary line."""
+    return {op: statistics.median(kernels)
+            for op, kernels in summary_line["op_kernels"].items()}
+
+
 def summarise(pairs: list, metrics: dict) -> dict:
     """Per end-to-end metric: both sides' median and quartiles, the pairs
-    the change won and the relative change of the median."""
+    the change won and the relative change of the median; per operation,
+    when the runs keep op_kernels, each side's median of its runs'
+    medians."""
     out = {}
     for name, lower in metrics.items():
         values = {side: [p[side]["metrics"][name]["value"] for p in pairs]
@@ -180,6 +193,13 @@ def summarise(pairs: list, metrics: dict) -> dict:
             "change": change,
             "change_better_pairs": f"{won}/{len(pairs)}",
             "median_change": change["median"] / parent["median"] - 1.0,
+        }
+    if "op_kernels" in pairs[0]["parent"]:
+        out["op_kernels"] = {
+            op: {side: statistics.median([p[side]["op_kernels"][op]
+                                          for p in pairs])
+                 for side in SIDES}
+            for op in pairs[0]["parent"]["op_kernels"]
         }
     out["all_correct"] = all(p[s]["correct"] for p in pairs for s in SIDES)
     out["failed"] = {s: sum(p[s]["failed"] for p in pairs) for s in SIDES}
@@ -350,7 +370,7 @@ def main(argv=None) -> int:
                 lines = _bench(checkouts[side], "--workload", workload,
                                "--seed", seed, "--trace", 0)
                 doc["machine"]["numpy"] = lines[0]["environment"]["numpy"]
-                pair[side] = lines[-1]
+                pair[side] = {**lines[-1], "op_kernels": op_medians(lines[-2])}
             pairs.append(pair)
             summary = doc.setdefault("summary", {})
             summary[workload] = summarise(pairs, end_to_end)
