@@ -214,7 +214,7 @@ def _schedule(schema: TableSchema, model: NonresponseModel) -> _Schedule:
 
 
 # margin group indices that stay cached, each one margin of one cross
-# shape; the catalog of one schema has at most a dozen distinct margins
+# shape; the catalog of one schema has at most eight distinct margins
 MARGIN_CACHE_SIZE = 4 * SCHEMA_CACHE_SIZE
 
 
@@ -232,9 +232,7 @@ def _margin_group(shape: tuple, sum_axes: tuple) -> tuple:
 
 def _margin_groups(shape, sum_axes_list) -> tuple:
     """The group index of each sufficient margin (_margin_group)."""
-    return tuple(
-        _margin_group(tuple(shape), tuple(axes)) for axes in sum_axes_list
-    )
+    return tuple(_margin_group(shape, axes) for axes in sum_axes_list)
 
 
 class _Iterate:
