@@ -28,7 +28,12 @@ directly on crosses carried flat (an all-positive test is
 np.minimum.reduce(x, initial=inf) > 0, a sum is np.add.reduce): on a
 cross of a few dozen cells a call costs numpy's dispatch, not
 arithmetic, and the method forms, (x > 0).all() or x.sum(), add a
-Python-level wrapper to each call for the same bits.  When the maximum
+Python-level wrapper to each call for the same bits.  An iterate known
+to have no zero cell (flagged positive) skips the zero guards: its E
+step and log-likelihood test nothing, and on a table whose counts are
+all positive its sweep runs unguarded and the result is tested once; a
+result that fails the test, which only underflow can cause, is swept
+again with the guards, so every fit keeps its bits.  When the maximum
 lies on the boundary, the cells that keep decaying are fixed at zero and
 the fit is finished on that face of the model by accelerated ECM
 (fit_em, _solve_face).  Fit quality is the deviance of the observed
@@ -37,7 +42,8 @@ probabilities from the chi-square survival function in closed form for
 integer df: a finite Poisson sum for even df, erfc plus a finite sum for
 odd df (chi_square_sf, standard library only).  The E step, the
 deviance and the fitted strata all collapse the cross through the
-schema's one observation map (models.observation_map).
+schema's one observation map (models.observation_map), the map by a
+bincount over its index.
 """
 
 from __future__ import annotations
@@ -239,22 +245,27 @@ class _Iterate:
     """One point of the ECM path.  It takes over the cross, which it makes
     read-only and holds as flat, the cells raveled in C order, with the
     cross's shape: either a shaped cross mu, or a raveled one and its
-    shape.  The shaped view mu is made only when it is read.  It carries
-    what the map reads from the cross, each computed once, when it is
-    first needed: c, the collapse onto the observed cells (for the
+    shape.  The shaped view mu is made only when it is read.  positive
+    says that every cell is known to be > 0 (none NaN): a fit's start and
+    a probe of the face certification are tested once when they are made,
+    a map application passes on what its own output test found, and a
+    zeroed face iterate or a SQUAREM jump is not flagged.  It carries what
+    the map reads from the cross, each computed once, when it is first
+    needed: c, the collapse onto the observed cells (for the
     log-likelihood and the E step), and targets, the sufficient margins of
     the E step (for the sweep and the margin residual).  Since the cross
     cannot change, neither can go stale; owner names the map they were
     computed for, and another map computes its own."""
 
-    __slots__ = ("flat", "shape", "owner", "c", "targets")
+    __slots__ = ("flat", "shape", "positive", "owner", "c", "targets")
 
-    def __init__(self, mu, shape=None):
-        mu.flags.writeable = False
+    def __init__(self, mu, shape=None, positive=False):
+        mu.setflags(write=False)
         if shape is None:
             shape, mu = mu.shape, mu.reshape(-1)
         self.flat = mu
         self.shape = shape
+        self.positive = positive
         self.owner = None
         self.c = None
         self.targets = None
@@ -272,30 +283,46 @@ class _EcmMap:
 
     It is built once per fit and holds what no iteration changes: the
     observation index and the even spread of a count whose collapsed fit
-    is zero (both the observation map's), the observed counts gathered
-    onto the cross, the positive counts with their mask, and the cached
-    group index of each sufficient margin (_margin_group).  A margin is
-    summed by bincount over its group index, which adds each margin
-    cell's cells one at a time in C order, as the observation map's
-    collapse does.
+    is zero (both the observation map's), the observed counts as float64
+    gathered onto the cross, the positive counts with their index, and
+    the cached group index of each sufficient margin (_margin_group).  A
+    margin is summed by bincount over its group index, and the collapse
+    onto the observed cells by bincount over the observation index: each
+    adds a cell's members one at a time in C order, as the observation
+    map's collapse does.
 
     It maps an _Iterate to the next one, and keeps each iterate's collapse
     and E-step margins on the iterate, computed the first time it reads
     that iterate, so an EM iteration collapses the cross once for both its
     log-likelihood and the next map application.  A division whose
     divisor has no zero (or NaN) cell skips the guard that a zero needs.
+    On an iterate flagged positive the collapse is a sum of positive
+    cells, so the E step and the log-likelihood test nothing; when the
+    observed counts are all positive too, the sweep runs without its
+    per-margin guards and its result is tested once.  A zero or NaN
+    divisor anywhere in that sweep leaves a NaN in the result, so a
+    result that passes has the guarded sweep's bits and is flagged
+    positive, and one that fails is swept again with the guards.  Only
+    underflow can empty a margin cell there, so the unguarded sweep runs
+    with numpy's divide and invalid warnings off: its zero divisor is
+    the expected way to fail, not an error.
     """
 
     def __init__(self, table: IncompleteTable, sum_axes_list):
         omap = observation_map(table.schema)
-        y = observed_counts(table)
+        y = observed_counts(table).astype(float)
         self.table = table
         self.sum_axes_list = sum_axes_list
-        self._omap = omap
         self._idx = omap.obs_index
+        self._cells = y.size
         self._y_cross = y[self._idx]
         self._spread = omap.spread
-        self._positive = y > 0
+        # the positive counts, read through an integer index, or a slice of
+        # them all when every count is positive and the sweep may go
+        # unguarded
+        positive = np.flatnonzero(y > 0)
+        self._unguarded = positive.size == y.size
+        self._positive = slice(None) if self._unguarded else positive
         self._y_positive = y[self._positive]
         dims = full_cross_dims(table.schema)
         self._groups = _margin_groups(dims, sum_axes_list)
@@ -303,13 +330,13 @@ class _EcmMap:
     def _collapse(self, it):
         if it.owner is not self:
             it.owner, it.targets = self, None
-            it.c = self._omap.collapse(it.flat)
+            it.c = np.bincount(self._idx, it.flat, self._cells)
         return it.c
 
     def _spread_counts(self, it):
         c = self._collapse(it)
         cross = c[self._idx]
-        if np.minimum.reduce(c, initial=math.inf) > 0:
+        if it.positive or np.minimum.reduce(c, initial=math.inf) > 0:
             return self._y_cross * (it.flat / cross)
         # a count whose collapsed fit is zero is spread evenly over its cells
         positive = cross > 0
@@ -336,14 +363,25 @@ class _EcmMap:
         """Observed-data log-likelihood; -inf when the fit gives a positive
         count zero expectation."""
         c = self._collapse(it)[self._positive]
-        if not np.minimum.reduce(c, initial=math.inf) > 0:
+        if not (it.positive or np.minimum.reduce(c, initial=math.inf) > 0):
             return float("-inf")
         logs = float(np.add.reduce(self._y_positive * np.log(c)))
         return -float(np.add.reduce(it.flat)) + logs
 
     def __call__(self, it):
+        targets = self.targets(it)
+        if it.positive and self._unguarded:
+            flat = it.flat
+            # a margin cell emptied by underflow divides by zero, and the
+            # NaN it leaves sends the sweep to the guarded loop below
+            with np.errstate(divide="ignore", invalid="ignore"):
+                for (group, size), target in zip(self._groups, targets):
+                    cur = np.bincount(group, flat, size)
+                    flat = flat * (target / cur)[group]
+            if np.minimum.reduce(flat, initial=math.inf) > 0:
+                return _Iterate(flat, it.shape, True)
         flat = it.flat
-        for (group, size), target in zip(self._groups, self.targets(it)):
+        for (group, size), target in zip(self._groups, targets):
             # a margin cell with no mass holds only zero cells, and they
             # stay zero whatever ratio scales them
             cur = np.bincount(group, flat, size)
@@ -630,14 +668,16 @@ BOUNDARY_SMALL_CELL = "small-cell"
 def _margin_residual(it, ecm) -> float:
     """Largest relative gap between the sufficient margins of an iterate
     and those of its E step, each summed over the map's group index; zero
-    at a fixed point of EM.  The E-step margins stay on the iterate for
-    the map application that follows."""
-    worst = 0.0
-    for (group, size), target in zip(ecm._groups, ecm.targets(it)):
-        cur = np.bincount(group, it.flat, size)
-        gap = np.abs(target - cur) / np.maximum(target, 1e-300)
-        worst = max(worst, float(np.maximum.reduce(gap)))
-    return worst
+    at a fixed point of EM, NaN when any gap is NaN.  The margins are
+    concatenated, so the gap and its maximum are one call each.  The
+    E-step margins stay on the iterate for the map application that
+    follows."""
+    target = np.concatenate(ecm.targets(it))
+    cur = np.concatenate(
+        [np.bincount(group, it.flat, size) for group, size in ecm._groups]
+    )
+    gap = np.abs(target - cur) / np.maximum(target, 1e-300)
+    return float(np.maximum.reduce(gap))
 
 
 def _checkpoint(marks, mu):
@@ -724,7 +764,9 @@ def _zeros_stay_down(it, before, ecm) -> bool:
     """
     mu = it.flat
     reopened = (mu == 0) & (before > 0)
-    probe = _Iterate(np.where(reopened, REOPEN_SHARE * before, mu), it.shape)
+    probe = np.where(reopened, REOPEN_SHARE * before, mu)
+    positive = np.minimum.reduce(probe, initial=math.inf) > 0
+    probe = _Iterate(probe, it.shape, positive)
     marks = _checkpoint([], probe.flat)
     for step in range(1, DECAY_WINDOW + 1):
         probe = ecm(probe)
@@ -838,7 +880,8 @@ def fit_em(
     elif init != "uniform":
         raise ComputationError(f"unknown init mode {init}")
     ecm = _EcmMap(table, _schedule(schema, model).sum_axes)
-    it = _Iterate(mu)
+    positive = np.minimum.reduce(mu, axis=None, initial=math.inf) > 0
+    it = _Iterate(mu, positive=positive)
     trace = []
     prev = None
     converged = False

@@ -266,6 +266,8 @@ class IncompleteTable:
 
     schema: TableSchema
     strata: tuple
+    # the total count, summed once: the table cannot change
+    N: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         strata = tuple(self.strata)
@@ -313,15 +315,12 @@ class IncompleteTable:
                 f"unexpected stratum for pattern {pattern_label(extra)}"
             )
         object.__setattr__(self, "strata", tuple(ordered))
-        total = self.N
+        total = sum(st.total for st in ordered)
         if total > INT64_MAX:
             raise TableError(
                 f"total count {total} overflows int64 (max {INT64_MAX})"
             )
-
-    @property
-    def N(self) -> int:
-        return sum(st.total for st in self.strata)
+        object.__setattr__(self, "N", total)
 
     def pattern_of(self, stratum: Stratum) -> tuple:
         return tuple(

@@ -146,16 +146,42 @@ def _fit_all_runs(parent, change):
             "change": [run(f) for f in change]}
 
 
-@pytest.mark.parametrize("side,run", [("parent", 1), ("change", 1),
-                                      ("change", 0)])
+def test_alternation_runs_each_side_four_times_first_as_often_as_last(
+        monkeypatch):
+    order = []
+
+    def script(checkout, script, levels):
+        order.append(checkout)
+        return {"run": len(order)}
+
+    monkeypatch.setattr(bench_pairs, "_script", script)
+    runs = bench_pairs._alternate({"parent": "P", "change": "C"}, "", 8)
+    assert "".join(order) == "PCCPPCCP"
+    assert runs == {"parent": [{"run": r} for r in (1, 4, 5, 8)],
+                    "change": [{"run": r} for r in (2, 3, 6, 7)]}
+
+
+@pytest.mark.parametrize("side,run", [(s, r) for s in bench_pairs.SIDES
+                                      for r in range(4)])
 def test_fit_all_record_compares_every_run(side, run):
-    runs = _fit_all_runs([_fits(), _fits()], [_fits(), _fits()])
+    runs = _fit_all_runs([_fits()] * 4, [_fits()] * 4)
     assert bench_pairs.fit_all_record(runs, 8)["identical"] is True
-    runs[side][run]["fits"] = _fits(iterations=61)
+    runs[side][run] = {**runs[side][run], "fits": _fits(iterations=61)}
     record = bench_pairs.fit_all_record(runs, 8)
     assert record["identical"] is False
-    assert record["fit_all_cal"] == {"parent": [200.0, 200.0],
-                                     "change": [200.0, 200.0]}
+    assert record["fit_all_cal"] == {"parent": [200.0] * 4,
+                                     "change": [200.0] * 4}
+
+
+def test_fit_all_record_holds_each_sides_median():
+    runs = _fit_all_runs([_fits()] * 4, [_fits()] * 4)
+    for side, times in (("parent", (7.0, 9.0, 6.0, 8.0)),
+                        ("change", (5.0, 4.0, 9.0, 6.0))):
+        for run, seconds in zip(runs[side], times):
+            run["fit_all_s"], run["fit_all_cal"] = seconds, 100 * seconds
+    median = bench_pairs.fit_all_record(runs, 8)["median"]
+    assert median == {"fit_all_s": {"parent": 7.5, "change": 5.5},
+                      "fit_all_cal": {"parent": 750.0, "change": 550.0}}
 
 
 def test_fit_all_record_reports_the_largest_lambda_residual():
@@ -191,16 +217,26 @@ def _assess_runs(parent, change):
             "change": [run(s) for s in change]}
 
 
-@pytest.mark.parametrize("side,run", [("parent", 0), ("parent", 1),
-                                      ("change", 0), ("change", 1)])
+@pytest.mark.parametrize("side,run", [(s, r) for s in bench_pairs.SIDES
+                                      for r in range(4)])
 def test_assess_record_compares_every_verdict(side, run):
-    runs = _assess_runs(["ab", "ab"], ["ab", "ab"])
+    runs = _assess_runs(["ab"] * 4, ["ab"] * 4)
     record = bench_pairs.assess_record(runs, 20)
     assert record["identical"] is True and record["sha256"] == "ab"
-    assert record["repeat_cal"] == {"parent": [40.0, 40.0],
-                                    "change": [40.0, 40.0]}
+    assert record["repeat_cal"] == {"parent": [40.0] * 4,
+                                    "change": [40.0] * 4}
     runs[side][run]["sha256"] = "ac"
     assert bench_pairs.assess_record(runs, 20)["identical"] is False
+
+
+def test_assess_record_holds_each_sides_median():
+    runs = _assess_runs(["ab"] * 4, ["ab"] * 4)
+    for run, first in zip(runs["change"], (80.0, 60.0, 70.0, 90.0)):
+        run["first_cal"] = first
+    median = bench_pairs.assess_record(runs, 20)["median"]
+    assert set(median) == set(bench_pairs.ASSESS_TIMES)
+    assert median["first_cal"] == {"parent": 90.0, "change": 75.0}
+    assert median["repeat_s"] == {"parent": 0.2, "change": 0.2}
 
 
 def test_assess_script_times_in_kernels():

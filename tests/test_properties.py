@@ -733,6 +733,115 @@ class TestEcmMapOracle:
             # with no margins to fit the map leaves the cross as it is
             assert np.array_equal(_EcmMap(table, ())(it).mu, mu)
 
+    @pytest.mark.parametrize(
+        "name,model_id", ALL_CASES, ids=[f"{n}-{m}" for n, m in ALL_CASES]
+    )
+    def test_a_positive_flag_keeps_the_bits(
+        self, request, name, model_id, monkeypatch
+    ):
+        # every zero-free iterate a fit maps, in the EM phase, the face
+        # solve and the probes of its certification, maps to the same bits
+        # and has the same log-likelihood whether it is flagged positive
+        # (no guard, unguarded sweep) or not (every guard)
+        table = request.getfixturevalue(TABLE_FIXTURE[name])
+        seen = []
+        call = _EcmMap.__call__
+
+        def recorded(ecm, it):
+            seen.append((ecm, it.flat, it.shape))
+            return call(ecm, it)
+
+        monkeypatch.setattr(_EcmMap, "__call__", recorded)
+        fit_em(model_id, table)
+        monkeypatch.undo()
+        positive = 0
+        for ecm, flat, shape in seen:
+            if not np.all(flat > 0):
+                continue
+            positive += 1
+            flagged, plain = (_Iterate(flat, shape, p) for p in (True, False))
+            assert ecm.loglik(flagged) == ecm.loglik(plain)
+            fast, slow = ecm(flagged), ecm(plain)
+            assert fast.flat.tobytes() == slow.flat.tobytes()
+            assert fast.positive == np.all(fast.flat > 0)
+            assert not slow.positive
+        assert positive > 0
+
+    def test_a_sweep_that_empties_a_margin_cell_falls_back(
+        self, smoking_table
+    ):
+        # every cell is positive, but those of one cell of the second margin
+        # are the smallest subnormal, which the first margin's ratios scale
+        # to zero: the unguarded sweep divides by that empty margin cell,
+        # and the map returns the guarded sweep's bits instead
+        table = smoking_table
+        schema = table.schema
+        dims = full_cross_dims(schema)
+        for model in enumerate_models(schema):
+            axes = _margin_axes(schema, generating_class(model))
+            mu = np.full(dims, 1e10 * table.N / math.prod(dims))
+            block = tuple(
+                slice(None) if a in axes[1] else 0 for a in range(len(dims))
+            )
+            mu[block] = 5e-324
+            z = _oracle_e_step(mu, table)
+            first = _oracle_ipf(mu, z, axes[:1])
+            assert np.any(_oracle_margin(first, axes[1]) == 0)
+            ecm = _EcmMap(table, axes)
+            assert ecm._unguarded
+            got = ecm(_Iterate(mu.copy(), positive=True))
+            assert not got.positive
+            assert np.array_equal(got.mu, _oracle_ipf(mu, z, axes))
+            assert np.array_equal(got.mu, ecm(_Iterate(mu.copy())).mu)
+
+    def test_a_zero_count_keeps_the_guarded_sweep(
+        self, smoking_table, monkeypatch
+    ):
+        # with a zero observed count the E step can empty a margin, so the
+        # map never sweeps unguarded: a zero-free iterate costs one bincount
+        # per margin for its E step and one for the guarded sweep, never a
+        # second sweep, and no map output of a fit is flagged positive
+        schema = smoking_table.schema
+        full, *rest = smoking_table.strata
+        counts = full.counts.copy()
+        counts[0, 0] = 0
+        table = IncompleteTable(
+            schema, (Stratum(full.observed, counts), *rest)
+        )
+        model = get_model(schema, "M4")
+        axes = _margin_axes(schema, generating_class(model))
+        ecm = _EcmMap(table, axes)
+        assert not ecm._unguarded
+        dims = full_cross_dims(schema)
+        mu = np.full(dims, table.N / math.prod(dims))
+        groups = [group for group, _ in ecm._groups]
+        sums = []
+        bincount = np.bincount
+
+        def counted(index, *args, **kwargs):
+            if any(index is group for group in groups):
+                sums.append(None)
+            return bincount(index, *args, **kwargs)
+
+        monkeypatch.setattr(np, "bincount", counted)
+        got = ecm(_Iterate(mu, positive=True))
+        monkeypatch.undo()
+        assert len(sums) == 2 * len(groups)
+        assert not got.positive
+        want = _oracle_ipf(mu, _oracle_e_step(mu, table), axes)
+        assert np.array_equal(got.mu, want)
+        outputs = []
+        call = _EcmMap.__call__
+
+        def recorded(ecm, it):
+            out = call(ecm, it)
+            outputs.append(out.positive)
+            return out
+
+        monkeypatch.setattr(_EcmMap, "__call__", recorded)
+        fit = fit_em(model, table)
+        assert len(outputs) == fit.evaluations and not any(outputs)
+
 
 class TestMarginResidualOracle:
     @pytest.mark.parametrize("kind", CROSS_KINDS)

@@ -21,24 +21,26 @@ bench/run.py's own default, the same on both sides.
         --claim fit-boundary:run_cal --smoke --fit-all 8 --out BENCH_N.json
 
 Traced pairs (--trace 1) take the seeds after the untraced ones.  --fit-all
-L times fit_all on the seeded L x L x L table of bench/workloads.py in each
-checkout (parent, change, change, parent), each run between two runs of
-the checkout's bench/calibration.small_arrays kernel, and records its wall
-time (fit_all_s), its time in kernels (fit_all_cal, as bench/run.py
-measures run_cal), and every fit's G2, iterations, evaluations,
-lambda_residual and a sha256 of its mu_hat bytes; the record's identical
-flag says whether all four runs agree bit for bit in all but
-lambda_residual, whose largest value each side reports as
-max_lambda_residual.  --assess L times a first and a repeated
+L times fit_all on the seeded L x L x L table of bench/workloads.py four
+times in each checkout, in the order parent, change, change, parent,
+parent, change, change, parent (ALTERNATION), each run between two runs
+of the checkout's bench/calibration.small_arrays kernel, and records its
+wall time (fit_all_s), its time in kernels (fit_all_cal, as bench/run.py
+measures run_cal), each side's median of both, and every fit's G2,
+iterations, evaluations, lambda_residual and a sha256 of its mu_hat
+bytes; the record's identical flag says whether all eight runs agree bit
+for bit in all but lambda_residual, whose largest value each side
+reports as max_lambda_residual.  --assess L times a first and a repeated
 assess of bench/workloads.synthetic_table(0, L) in each checkout in the
 same order, each between two runs of the checkout's
 bench/calibration.mixed kernel (Python-level work, as building the
-records is), and records both times in seconds and in kernels; its
-identical flag says whether all four verdicts have the same sha256 of
-json.dumps(verdict.as_dict()).  The record also holds src_lines, the
-lines of src/misstab/*.py in each checkout as wc -l counts them, so a
-change that removes code shows its size next to its runs.  The record is
-rewritten after every pair, so an interrupted run keeps what it measured.
+records is), and records both times in seconds and in kernels, with each
+side's median; its identical flag says whether all eight verdicts have
+the same sha256 of json.dumps(verdict.as_dict()).  The record also holds
+src_lines, the lines of src/misstab/*.py in each checkout as wc -l
+counts them, so a change that removes code shows its size next to its
+runs.  The record is rewritten after every pair, so an interrupted run
+keeps what it measured.
 """
 
 from __future__ import annotations
@@ -54,6 +56,9 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+# the order of the --fit-all and --assess runs: four a side, each side
+# first as often as last, so a step in the machine's speed falls on both
+ALTERNATION = SIDES + SIDES[::-1] + SIDES + SIDES[::-1]
 RUN_TIMEOUT_S = 900
 CLAIM_SHARE = 0.9  # of the pairs the change must win
 
@@ -257,10 +262,18 @@ def max_lambda_residual(runs: list) -> float | None:
     )
 
 
+def _medians(runs: dict, keys) -> dict:
+    """Per key, each side's median over its runs."""
+    return {key: {side: statistics.median(run[key] for run in runs[side])
+                  for side in SIDES}
+            for key in keys}
+
+
 def fit_all_record(runs: dict, levels: int) -> dict:
     """The --fit-all entry of the record from every run of each side (side
     -> list of FIT_ALL_SCRIPT outputs).  The fits and sums shown are those
-    of each side's first run; identical compares every run of both sides."""
+    of each side's first run; median holds each side's median time, and
+    identical compares every run of both sides."""
     first = {side: runs[side][0]["fits"] for side in SIDES}
     every = {f"{side}{i}": run["fits"]
              for side in SIDES for i, run in enumerate(runs[side])}
@@ -271,6 +284,7 @@ def fit_all_record(runs: dict, levels: int) -> dict:
                       for side in SIDES},
         "fit_all_cal": {side: [r["fit_all_cal"] for r in runs[side]]
                         for side in SIDES},
+        "median": _medians(runs, ("fit_all_s", "fit_all_cal")),
         "iterations": {side: sum(f["iterations"]
                                  for f in first[side].values())
                        for side in SIDES},
@@ -291,24 +305,25 @@ def fit_all_record(runs: dict, levels: int) -> dict:
 
 def assess_record(runs: dict, levels: int) -> dict:
     """The --assess entry of the record from every run of each side (side
-    -> list of ASSESS_SCRIPT outputs); identical compares the verdicts of
-    every run of both sides."""
+    -> list of ASSESS_SCRIPT outputs); median holds each side's median
+    times, and identical compares the verdicts of every run of both
+    sides."""
     every = [run["sha256"] for side in SIDES for run in runs[side]]
     return {
         "table": f"bench/workloads.synthetic_table(0, {levels}), a first "
                  "and a repeated assess",
         **{key: {side: [run[key] for run in runs[side]] for side in SIDES}
            for key in ASSESS_TIMES},
+        "median": _medians(runs, ASSESS_TIMES),
         "identical": len(set(every)) == 1,
         "sha256": every[0],
     }
 
 
 def _alternate(checkouts: dict, script: str, levels: int) -> dict:
-    """A script's output in each checkout, run parent, change, change,
-    parent."""
+    """A script's output in each checkout, run in the order ALTERNATION."""
     runs = {side: [] for side in SIDES}
-    for side in SIDES + SIDES[::-1]:
+    for side in ALTERNATION:
         runs[side].append(_script(checkouts[side], script, levels))
     return runs
 
