@@ -140,29 +140,33 @@ def _child_seeds(entropy, spawn_key, start: int, count: int) -> np.ndarray:
 
 
 @functools.cache
-def _seed_row():
-    """A SeedSequence stand-in that hands PCG64 one precomputed row of
-    _child_seeds.  Built on first use, so importing misstab does not load
-    numpy.random."""
+def _seed_rows():
+    """A SeedSequence stand-in that hands each PCG64 built on it the next
+    row of a block of precomputed _child_seeds.  Built on first use, so
+    importing misstab does not load numpy.random."""
     from numpy.random.bit_generator import ISeedSequence
 
-    class SeedRow(ISeedSequence):
-        def __init__(self, row):
-            self.row = row
+    class SeedRows(ISeedSequence):
+        def __init__(self, seeds):
+            self.rows = iter(seeds)
 
         def generate_state(self, n_words, dtype=np.uint32):
-            return self.row  # PCG64 asks for (4, np.uint64)
+            return next(self.rows)  # PCG64 asks for (4, np.uint64)
 
-    return SeedRow
+    return SeedRows
 
 
-def _block_generators(root, start: int, count: int):
-    """The generators of replicates start ... start + count - 1, one at a
-    time: generator i draws what default_rng(root.spawn(n)[i]) draws.  The
-    first and last seeds are checked against SeedSequence itself before
-    any is yielded, so a derivation that differs raises instead of drawing
-    another stream."""
-    seeds = _child_seeds(root.entropy, root.spawn_key, start, count)
+def _draw_block(root, start: int, count: int, draw) -> np.ndarray:
+    """The draws of replicates start ... start + count - 1, one row each:
+    row i is draw(g) for the generator g that default_rng(root.spawn(n)[i])
+    gives.  The first and last seeds are checked against SeedSequence
+    itself before anything is drawn, so a derivation that differs raises
+    instead of drawing another stream.  PCG64 reads the raw buffer of the
+    row it is handed, so the rows are made C-contiguous uint64 first: a
+    strided row would seed another stream that the check cannot see."""
+    seeds = np.ascontiguousarray(
+        _child_seeds(root.entropy, root.spawn_key, start, count), np.uint64
+    )
     for k in {0, count - 1}:
         child = np.random.SeedSequence(
             root.entropy, spawn_key=root.spawn_key + (start + k,)
@@ -172,9 +176,11 @@ def _block_generators(root, start: int, count: int):
                 f"the derived seed of replicate {start + k} differs from"
                 " numpy's SeedSequence"
             )
-    row, generator, pcg64 = _seed_row(), np.random.Generator, np.random.PCG64
-    for seed in seeds:
-        yield generator(pcg64(row(seed)))
+    rows = _seed_rows()(seeds)
+    generator, pcg64 = np.random.Generator, np.random.PCG64
+    return np.concatenate(
+        [draw(generator(pcg64(rows))) for _ in range(count)]
+    ).reshape(count, -1)
 
 
 def _sampler(fit: FitResult, table: IncompleteTable, mode: str):
@@ -348,9 +354,7 @@ def bootstrap_assess(
     for start in range(0, n_replicates, plan.block_rows):
         began = time.perf_counter()
         count = min(plan.block_rows, n_replicates - start)
-        block = np.stack(
-            [draw(rng) for rng in _block_generators(root, start, count)]
-        )
+        block = _draw_block(root, start, count, draw)
         drawn = time.perf_counter()
         result = plan.screen(block)
         defined = result.defined
