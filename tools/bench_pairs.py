@@ -44,11 +44,10 @@ order and between the same kernel runs as --assess, each configuration
 fitted first outside the timed calls, and records their time in seconds
 (criterion6_s) and in kernels (criterion6_cal), each side's median, and
 an identical flag over the sha256 of every summary's as_dict().  The
-record also holds
-src_lines, the lines of src/misstab/*.py in each checkout as wc -l
-counts them, so a change that removes code shows its size next to its
-runs.  The record is rewritten after every pair, so an interrupted run
-keeps what it measured.
+record also holds src_lines, the lines of src/misstab/*.py in each
+checkout as wc -l counts them, so a change that removes code shows its
+size next to its runs.  The record is rewritten after every pair, so an
+interrupted run keeps what it measured.
 """
 
 from __future__ import annotations
