@@ -97,7 +97,8 @@ def _mix(x, y):
 def _child_seeds(entropy, spawn_key, start: int, count: int) -> np.ndarray:
     """Row k is SeedSequence(entropy, spawn_key=spawn_key + (start + k,))
     .generate_state(4, np.uint64), the PCG64 seed of that child, for count
-    children with indices below 2**64.
+    children with indices below 2**64.  The result is a fresh C-contiguous
+    uint64 array, so each row is a contiguous buffer PCG64 can read.
 
     One pass of SeedSequence's mixing: the words before the child index
     are the same for every child and are mixed once, on Python ints; the
@@ -161,12 +162,8 @@ def _draw_block(root, start: int, count: int, draw) -> np.ndarray:
     row i is draw(g) for the generator g that default_rng(root.spawn(n)[i])
     gives.  The first and last seeds are checked against SeedSequence
     itself before anything is drawn, so a derivation that differs raises
-    instead of drawing another stream.  PCG64 reads the raw buffer of the
-    row it is handed, so the rows are made C-contiguous uint64 first: a
-    strided row would seed another stream that the check cannot see."""
-    seeds = np.ascontiguousarray(
-        _child_seeds(root.entropy, root.spawn_key, start, count), np.uint64
-    )
+    instead of drawing another stream."""
+    seeds = _child_seeds(root.entropy, root.spawn_key, start, count)
     for k in {0, count - 1}:
         child = np.random.SeedSequence(
             root.entropy, spawn_key=root.spawn_key + (start + k,)

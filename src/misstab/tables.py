@@ -16,7 +16,6 @@ read-only int64 arrays indexed by the observed variables in declared order.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import itertools
 import json
@@ -590,11 +589,8 @@ def scale_counts(table: IncompleteTable, c: int) -> IncompleteTable:
 
 
 # ---------------------------------------------------------------------------
-# Built-in datasets.  Each is built once per process and shared: a table is
-# immutable (frozen strata with read-only counts), and spo-y1 and spo-y1y2
-# reuse the strata of the one spo-full.
+# Built-in datasets.
 
-@functools.cache
 def _smoking_birthweight() -> IncompleteTable:
     return _table_from_nested(
         [("smoking", 2), ("birthweight", 2)],
@@ -608,7 +604,6 @@ def _smoking_birthweight() -> IncompleteTable:
     )
 
 
-@functools.cache
 def _bone_density() -> IncompleteTable:
     return _table_from_nested(
         [("density", 3), ("income", 3)],
@@ -622,7 +617,6 @@ def _bone_density() -> IncompleteTable:
     )
 
 
-@functools.cache
 def _spo_full() -> IncompleteTable:
     # One originally empty fully classified cell is recorded as 2 so that
     # every observed count is positive.
@@ -645,12 +639,10 @@ def _spo_full() -> IncompleteTable:
     )
 
 
-@functools.cache
 def _spo_y1() -> IncompleteTable:
     return subtable(_spo_full(), [(), ("secession",)])
 
 
-@functools.cache
 def _spo_y1y2() -> IncompleteTable:
     return subtable(
         _spo_full(),

@@ -244,52 +244,3 @@ def test_assess_script_times_in_kernels():
     assert set(got) == {*bench_pairs.ASSESS_TIMES, "sha256"}
     assert all(got[key] > 0 for key in bench_pairs.ASSESS_TIMES)
     assert len(got["sha256"]) == 64
-
-
-def _criterion6_runs(parent, change):
-    """CRITERION6_SCRIPT outputs, one per summary digest given for each
-    side; each run holds it for all four configurations."""
-    def run(sha):
-        return {"criterion6_s": 0.25, "criterion6_cal": 60.0,
-                "sha256": {key: sha for key in ("a M4", "b M5", "c C3",
-                                                "d D6")}}
-
-    return {"parent": [run(s) for s in parent],
-            "change": [run(s) for s in change]}
-
-
-@pytest.mark.parametrize("side,run", [(s, r) for s in bench_pairs.SIDES
-                                      for r in range(4)])
-def test_criterion6_record_compares_every_summary(side, run):
-    runs = _criterion6_runs(["ab"] * 4, ["ab"] * 4)
-    record = bench_pairs.criterion6_record(runs, 10000)
-    assert record["identical"] is True
-    assert record["sha256"]["b M5"] == "ab"
-    assert "10000 replicates" in record["calls"]
-    assert record["criterion6_cal"] == {"parent": [60.0] * 4,
-                                        "change": [60.0] * 4}
-    runs[side][run]["sha256"] = {**runs[side][run]["sha256"], "c C3": "ac"}
-    assert bench_pairs.criterion6_record(runs, 10000)["identical"] is False
-
-
-def test_criterion6_record_holds_each_sides_median():
-    runs = _criterion6_runs(["ab"] * 4, ["ab"] * 4)
-    for run, seconds in zip(runs["change"], (0.21, 0.19, 0.2, 0.3)):
-        run["criterion6_s"] = seconds
-    median = bench_pairs.criterion6_record(runs, 10000)["median"]
-    assert set(median) == set(bench_pairs.CRITERION6_TIMES)
-    assert median["criterion6_s"] == {"parent": 0.25,
-                                      "change": pytest.approx(0.205)}
-    assert median["criterion6_cal"] == {"parent": 60.0, "change": 60.0}
-
-
-def test_criterion6_script_times_in_kernels():
-    got = bench_pairs._script(_PATH.parents[1],
-                              bench_pairs.CRITERION6_SCRIPT, 20)
-    assert set(got) == {*bench_pairs.CRITERION6_TIMES, "sha256"}
-    assert all(got[key] > 0 for key in bench_pairs.CRITERION6_TIMES)
-    assert list(got["sha256"]) == [
-        "smoking-birthweight M4", "bone-density M5", "spo-y1 C3",
-        "spo-y1y2 D6:Y1=NMAR,Y2=MAR(Y3)",
-    ]
-    assert all(len(digest) == 64 for digest in got["sha256"].values())

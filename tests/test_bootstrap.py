@@ -295,33 +295,3 @@ class TestBlockSeeds:
         with pytest.raises(ComputationError, match="SeedSequence"):
             bootstrap_assess(smoking_table, "M4", n_replicates=20, seed=4)
         assert draws == []
-
-    @pytest.mark.parametrize("mode", [MODE_MULTINOMIAL, MODE_POISSON])
-    def test_strided_seeds_draw_the_resample_streams(
-        self, opinion_two_table, monkeypatch, mode
-    ):
-        # PCG64 reads the raw buffer of the seed row it is handed, and the
-        # rows of a Fortran-ordered block are strided: the values the
-        # first/last check compares agree, the streams would not
-        model, n, seed = "D6:Y1=NMAR,Y2=MAR(Y3)", 50, 11
-        plan = odds.screening_plan(opinion_two_table.schema)
-        monkeypatch.setattr(odds, "_BLOCK_CELLS", 16 * plan.odds_num.size)
-        assert -(-n // plan.block_rows) >= 3
-        derive = bootstrap._child_seeds
-        monkeypatch.setattr(
-            bootstrap, "_child_seeds",
-            lambda *args: np.asfortranarray(derive(*args)),
-        )
-        draws = self._recorded_draws(monkeypatch)
-        fit = fit_model(model, opinion_two_table)
-        bootstrap_assess(
-            opinion_two_table, model, n_replicates=n, seed=seed, mode=mode,
-            fit=fit,
-        )
-        children = np.random.SeedSequence(seed).spawn(n)
-        assert len(draws) == n
-        for draw, child in zip(draws, children):
-            rep = resample(
-                fit, opinion_two_table, np.random.default_rng(child), mode=mode
-            )
-            np.testing.assert_array_equal(draw, observed_counts(rep))

@@ -18,8 +18,7 @@ bench/run.py's own default, the same on both sides.
     python3 tools/bench_pairs.py --parent ../parent --change . \\
         --pairs fit-boundary=10 --pairs fit-large=10 \\
         --pairs bootstrap-screen=5 --traced fit-boundary=2 \\
-        --claim fit-boundary:run_cal --smoke --fit-all 8 --criterion6 10000 \\
-        --out BENCH_N.json
+        --claim fit-boundary:run_cal --smoke --fit-all 8 --out BENCH_N.json
 
 Traced pairs (--trace 1) take the seeds after the untraced ones.  --fit-all
 L times fit_all on the seeded L x L x L table of bench/workloads.py four
@@ -37,17 +36,11 @@ same order, each between two runs of the checkout's
 bench/calibration.mixed kernel (Python-level work, as building the
 records is), and records both times in seconds and in kernels, with each
 side's median; its identical flag says whether all eight verdicts have
-the same sha256 of json.dumps(verdict.as_dict()).  --criterion6 N times
-the four criterion-6 bootstrap_assess calls of bench/workloads.py's
-BootstrapScreen.CONFIGS at N replicates in each checkout, in the same
-order and between the same kernel runs as --assess, each configuration
-fitted first outside the timed calls, and records their time in seconds
-(criterion6_s) and in kernels (criterion6_cal), each side's median, and
-an identical flag over the sha256 of every summary's as_dict().  The
-record also holds src_lines, the lines of src/misstab/*.py in each
-checkout as wc -l counts them, so a change that removes code shows its
-size next to its runs.  The record is rewritten after every pair, so an
-interrupted run keeps what it measured.
+the same sha256 of json.dumps(verdict.as_dict()).  The record also holds
+src_lines, the lines of src/misstab/*.py in each checkout as wc -l
+counts them, so a change that removes code shows its size next to its
+runs.  The record is rewritten after every pair, so an interrupted run
+keeps what it measured.
 """
 
 from __future__ import annotations
@@ -116,36 +109,6 @@ out["sha256"] = hashlib.sha256(
 print(json.dumps(out))
 """
 ASSESS_TIMES = ("first_s", "first_cal", "repeat_s", "repeat_cal")
-
-# Runs like ASSESS_SCRIPT; each criterion-6 configuration is fitted first,
-# outside the timed calls, as misstab bootstrap fits before it draws, and
-# every bootstrap uses the seed of the acceptance test of criterion 6.
-CRITERION6_SCRIPT = """
-import hashlib, json, sys, time
-import misstab
-from calibration import kernel_seconds, mixed
-from workloads import BootstrapScreen
-n = int(sys.argv[1])
-calls = []
-for ds, model in BootstrapScreen.CONFIGS:
-    table = misstab.builtin_dataset(ds)
-    fit = misstab.fit_model(model, table)
-    calls.append((f"{ds} {model}", table, model, fit))
-mixed()
-before = kernel_seconds(mixed)
-start = time.perf_counter()
-summaries = [misstab.bootstrap_assess(table, model, n_replicates=n,
-                                      seed=20260815, fit=fit)
-             for _, table, model, fit in calls]
-seconds = time.perf_counter() - start
-after = kernel_seconds(mixed)
-print(json.dumps({"criterion6_s": seconds,
-                  "criterion6_cal": 2.0 * seconds / (before + after),
-                  "sha256": {key: hashlib.sha256(
-                      json.dumps(s.as_dict()).encode()).hexdigest()
-                      for (key, *_), s in zip(calls, summaries)}}))
-"""
-CRITERION6_TIMES = ("criterion6_s", "criterion6_cal")
 
 
 def _rev(checkout: Path) -> str:
@@ -340,41 +303,20 @@ def fit_all_record(runs: dict, levels: int) -> dict:
     }
 
 
-def _digest_record(runs: dict, times) -> dict:
-    """Each time of every run of each side, each side's median of them,
-    and whether every run of both sides has the same sha256 entry."""
-    every = [run["sha256"] for side in SIDES for run in runs[side]]
-    return {
-        **{key: {side: [run[key] for run in runs[side]] for side in SIDES}
-           for key in times},
-        "median": _medians(runs, times),
-        "identical": all(digest == every[0] for digest in every),
-        "sha256": every[0],
-    }
-
-
 def assess_record(runs: dict, levels: int) -> dict:
     """The --assess entry of the record from every run of each side (side
     -> list of ASSESS_SCRIPT outputs); median holds each side's median
     times, and identical compares the verdicts of every run of both
     sides."""
+    every = [run["sha256"] for side in SIDES for run in runs[side]]
     return {
         "table": f"bench/workloads.synthetic_table(0, {levels}), a first "
                  "and a repeated assess",
-        **_digest_record(runs, ASSESS_TIMES),
-    }
-
-
-def criterion6_record(runs: dict, replicates: int) -> dict:
-    """The --criterion6 entry of the record from every run of each side
-    (side -> list of CRITERION6_SCRIPT outputs); median holds each side's
-    median times, and identical compares the digest of every summary of
-    every run of both sides."""
-    return {
-        "calls": "bootstrap_assess of the four criterion-6 configurations "
-                 f"(bench/workloads.BootstrapScreen.CONFIGS) at {replicates}"
-                 " replicates, seed 20260815, each fitted first",
-        **_digest_record(runs, CRITERION6_TIMES),
+        **{key: {side: [run[key] for run in runs[side]] for side in SIDES}
+           for key in ASSESS_TIMES},
+        "median": _medians(runs, ASSESS_TIMES),
+        "identical": len(set(every)) == 1,
+        "sha256": every[0],
     }
 
 
@@ -404,7 +346,6 @@ def main(argv=None) -> int:
     parser.add_argument("--smoke", action="store_true")
     parser.add_argument("--fit-all", type=int, metavar="LEVELS")
     parser.add_argument("--assess", type=int, metavar="LEVELS")
-    parser.add_argument("--criterion6", type=int, metavar="N")
     parser.add_argument("--what", default="")
     args = parser.parse_args(argv)
 
@@ -473,12 +414,6 @@ def main(argv=None) -> int:
     if args.assess:
         runs = _alternate(checkouts, ASSESS_SCRIPT, args.assess)
         doc[f"assess_{args.assess}cubed"] = assess_record(runs, args.assess)
-        save()
-    if args.criterion6:
-        runs = _alternate(checkouts, CRITERION6_SCRIPT, args.criterion6)
-        doc[f"criterion6_{args.criterion6}"] = criterion6_record(
-            runs, args.criterion6
-        )
         save()
     return 0
 
