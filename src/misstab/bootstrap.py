@@ -329,6 +329,7 @@ def bootstrap_assess(
         )
     if n_replicates < 1:
         raise ComputationError("n_replicates must be >= 1")
+    n_replicates = int(n_replicates)  # a numpy integer is not JSON
     _check_mode(mode)
     _check_seed(seed)
     # before the fit, so a table the plan refuses is not fitted first

@@ -16,7 +16,7 @@ import sys
 
 from .bootstrap import MODE_MULTINOMIAL, MODE_POISSON, bootstrap_assess
 from .errors import ComputationError, TableError
-from .fitting import fit_all, fit_model
+from .fitting import DEFAULT_MAX_ITER, DEFAULT_TOL, fit_all, fit_model
 from .models import (
     DF_POISSON_CELLS,
     enumerate_models,
@@ -85,7 +85,7 @@ def _resolve_tol(args):
         return args.tol, False
     if env is not None:
         return env, True
-    return 1e-10, False
+    return DEFAULT_TOL, False
 
 
 def _print_header(table, source, tol, from_env, out):
@@ -343,7 +343,7 @@ def _add_format(p):
 
 def _add_fit_options(p):
     p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--max-iter", type=int, default=10000)
+    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
 
 
 @functools.cache

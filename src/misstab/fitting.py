@@ -82,6 +82,8 @@ from .tables import pattern_label
 
 BOUNDARY_PROB = 1e-8  # fitted cell probability below this flags a boundary
 RANK_DECIMALS = 6  # fit_all ranks G2 rounded to this many decimals
+DEFAULT_TOL = 1e-10  # EM stops below this relative log-likelihood change
+DEFAULT_MAX_ITER = 10000  # and runs this many iterations at most
 
 METHOD_CLOSED = "closed-form"
 METHOD_EM = "em"
@@ -840,8 +842,8 @@ def _solve_face(it, decaying, floor, ecm, budget):
 def fit_em(
     model,
     table: IncompleteTable,
-    tol: float = 1e-10,
-    max_iter: int = 10000,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
     init: str = "uniform",
     seed=None,
 ) -> FitResult:
@@ -1025,8 +1027,8 @@ def fit_closed_form(model, table: IncompleteTable) -> FitResult | None:
 def fit_model(
     model,
     table: IncompleteTable,
-    tol: float = 1e-10,
-    max_iter: int = 10000,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
 ) -> FitResult:
     """Fit one model, using the explicit solution when it applies (fit_em
     forces EM).  A bad tol or max_iter is rejected either way."""
@@ -1039,7 +1041,9 @@ def fit_model(
 
 
 def fit_all(
-    table: IncompleteTable, tol: float = 1e-10, max_iter: int = 10000
+    table: IncompleteTable,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
 ) -> tuple:
     """Fit the full catalog, ranked by G2 rounded to RANK_DECIMALS places
     (ties: fewer parameters, then id).

@@ -143,34 +143,11 @@ def list_queries(schema: TableSchema) -> tuple:
 
     Ordered by assessed missing variable (declared order), then target
     variable (declared order), then level pair (lexicographic), then the
-    levels of the remaining variables (lexicographic).
+    levels of the remaining variables (lexicographic).  These are the
+    checks of screening_plan(schema), which raises TableError on a schema
+    it refuses.
     """
-    if not schema.is_analysis_shape:
-        raise TableError(
-            f"shape {schema.shape} does not support odds assessment"
-        )
-    queries = []
-    for v in schema.missing:
-        for t in schema.names:
-            if t == v:
-                continue
-            rest = [n for n in schema.names if n not in (v, t)]
-            pairs = itertools.combinations(range(1, schema.levels(t) + 1), 2)
-            conditions = [
-                tuple(zip(rest, levels))
-                for levels in itertools.product(
-                    *(range(1, schema.levels(c) + 1) for c in rest)
-                )
-            ]
-            # every variable has two levels or more, so there are rows
-            rows = list(itertools.product(pairs, conditions))
-            queries.extend(_build(
-                OddsQuery,
-                itertools.repeat(v, len(rows)),
-                itertools.repeat(t, len(rows)),
-                *zip(*rows),
-            ))
-    return tuple(queries)
+    return screening_plan(schema).queries
 
 
 # Replicate x check x level cells one screening step holds at most, so the
@@ -260,16 +237,23 @@ class ScreeningPlan:
 PLAN_ENTRY_BUDGET = 1 << 22
 
 
+def _blocks(schema: TableSchema):
+    """The blocks of checks in screening order, one per assessed missing
+    variable v (declared order) and target t (declared order, v skipped):
+    (v, t, the remaining variables, the block's check count).  A block
+    holds one check per level pair of t and levels of the rest."""
+    cells = math.prod(l for _, l in schema.variables)
+    for v in schema.missing:
+        for t, l in schema.variables:
+            if t != v:
+                rest = [n for n in schema.names if n not in (v, t)]
+                count = cells // (schema.levels(v) * l) * math.comb(l, 2)
+                yield v, t, rest, count
+
+
 def plan_entries(schema: TableSchema) -> int:
     """Entries of the schema's screening plan, from its levels alone."""
-    cells = math.prod(l for _, l in schema.variables)
-    # one check per level pair of the target and levels of the rest
-    checks = sum(
-        cells // (schema.levels(v) * l) * math.comb(l, 2)
-        for v in schema.missing
-        for t, l in schema.variables
-        if t != v
-    )
+    checks = sum(count for *_, count in _blocks(schema))
     return checks * max((schema.levels(v) for v in schema.missing), default=0)
 
 
@@ -277,16 +261,20 @@ def plan_entries(schema: TableSchema) -> int:
 def screening_plan(schema: TableSchema) -> ScreeningPlan:
     """The screening plan of a schema, built once and shared.
 
-    A schema whose plan would exceed PLAN_ENTRY_BUDGET entries raises
-    TableError before any check is listed.
+    A schema of a shape screening does not cover, or one whose plan would
+    exceed PLAN_ENTRY_BUDGET entries, raises TableError before any check
+    is built.
     """
+    if not schema.is_analysis_shape:
+        raise TableError(
+            f"shape {schema.shape} does not support odds assessment"
+        )
     entries = plan_entries(schema)
     if entries > PLAN_ENTRY_BUDGET:
         raise TableError(
             f"screening needs {entries} plan entries, over the budget of"
             f" {PLAN_ENTRY_BUDGET}"
         )
-    queries = list_queries(schema)
     omap = observation_map(schema)
 
     def positions(pattern, order):
@@ -299,36 +287,41 @@ def screening_plan(schema: TableSchema) -> ScreeningPlan:
         )
 
     width = max(schema.levels(v) for v in schema.missing)
-    value = np.zeros((2, len(queries)), dtype=np.intp)
-    odds = np.zeros((2, len(queries), width), dtype=np.intp)
-    valid = np.zeros((len(queries), width), dtype=bool)
-    family = np.empty(len(queries), dtype=np.intp)
+    n_checks = entries // width
+    value = np.zeros((2, n_checks), dtype=np.intp)
+    odds = np.zeros((2, n_checks, width), dtype=np.intp)
+    valid = np.zeros((n_checks, width), dtype=bool)
+    family = np.empty(n_checks, dtype=np.intp)
+    queries = []
     start = 0
-    for k, v in enumerate(schema.missing):
-        for t in schema.names:
-            if t == v:
-                continue
-            rest = [n for n in schema.names if n not in (v, t)]
-            # the level pairs of t in lexicographic order, each over the
-            # levels of the rest in lexicographic order, as list_queries
-            # lists them
-            pairs = np.triu_indices(schema.levels(t), 1)
-            margin = positions((v,), [t, *rest])
-            full = positions((), [t, *rest, v])
-            stop = start + pairs[0].size * margin[0].size
-            rows = slice(start, stop)
-            for side, level in enumerate(pairs):
-                value[side, rows] = margin[level].reshape(-1)
-                odds[side, rows, : schema.levels(v)] = full[level].reshape(
-                    -1, schema.levels(v)
-                )
-            valid[rows, : schema.levels(v)] = True
-            family[rows] = k
-            start = stop
+    for v, t, rest, count in _blocks(schema):
+        # the level pairs of t in lexicographic order, each over the
+        # levels of the rest in lexicographic order
+        pairs = itertools.combinations(range(1, schema.levels(t) + 1), 2)
+        conditions = itertools.product(
+            *([(c, l) for l in range(1, schema.levels(c) + 1)] for c in rest)
+        )
+        queries.extend(_build(
+            OddsQuery,
+            itertools.repeat(v, count),
+            itertools.repeat(t, count),
+            *zip(*itertools.product(pairs, conditions)),
+        ))
+        margin = positions((v,), [t, *rest])
+        full = positions((), [t, *rest, v])
+        rows = slice(start, start + count)
+        for side, level in enumerate(np.triu_indices(schema.levels(t), 1)):
+            value[side, rows] = margin[level].reshape(-1)
+            odds[side, rows, : schema.levels(v)] = full[level].reshape(
+                -1, schema.levels(v)
+            )
+        valid[rows, : schema.levels(v)] = True
+        family[rows] = schema.missing.index(v)
+        start += count
     for arr in (value, odds, valid, family):
         arr.flags.writeable = False
     return ScreeningPlan(
-        queries, family, value[0], value[1], odds[0], odds[1], valid
+        tuple(queries), family, value[0], value[1], odds[0], odds[1], valid
     )
 
 

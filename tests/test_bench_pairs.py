@@ -1,6 +1,7 @@
 """The pair summary and claim rule of tools/bench_pairs.py."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -244,3 +245,29 @@ def test_assess_script_times_in_kernels():
     assert set(got) == {*bench_pairs.ASSESS_TIMES, "sha256"}
     assert all(got[key] > 0 for key in bench_pairs.ASSESS_TIMES)
     assert len(got["sha256"]) == 64
+
+
+def test_fit_all_and_assess_are_flags_at_the_recorded_levels(
+        monkeypatch, tmp_path):
+    calls = []
+
+    def alternate(checkouts, script, levels):
+        calls.append((script, levels))
+        if script == bench_pairs.FIT_ALL_SCRIPT:
+            return _fit_all_runs([_fits()] * 4, [_fits()] * 4)
+        return _assess_runs(["ab"] * 4, ["ab"] * 4)
+
+    monkeypatch.setattr(bench_pairs, "_alternate", alternate)
+    monkeypatch.setattr(bench_pairs, "_rev", lambda checkout: "0000000")
+    repo, out = _PATH.parents[1], tmp_path / "bench.json"
+    argv = ["--parent", str(repo), "--change", str(repo), "--out", str(out)]
+    assert bench_pairs.main([*argv, "--fit-all", "--assess"]) == 0
+    assert calls == [(bench_pairs.FIT_ALL_SCRIPT, 8),
+                     (bench_pairs.ASSESS_SCRIPT, 20)]
+    doc = json.loads(out.read_text())
+    assert doc["fit_all_8cubed"]["table"].startswith(
+        "bench/workloads.synthetic_table(3, 8),")
+    assert doc["assess_20cubed"]["table"].startswith(
+        "bench/workloads.synthetic_table(0, 20),")
+    with pytest.raises(SystemExit):
+        bench_pairs.main([*argv, "--fit-all", "8"])

@@ -1,6 +1,7 @@
 """Parametric bootstrap: reproducibility, tallies, and generators."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -79,8 +80,11 @@ class TestBootstrapAssess:
         b = bootstrap_assess(opinion_one_table, "C3", n_replicates=80, seed=2)
         assert a.as_dict() != b.as_dict()
 
-    def test_tallies_partition_replicates(self, opinion_one_table):
-        summary = bootstrap_assess(opinion_one_table, "C3", n_replicates=60, seed=9)
+    @pytest.mark.parametrize("n", [60, np.int64(60)], ids=repr)
+    def test_tallies_partition_replicates(self, opinion_one_table, n):
+        summary = bootstrap_assess(opinion_one_table, "C3", n_replicates=n, seed=9)
+        plain = bootstrap_assess(opinion_one_table, "C3", n_replicates=60, seed=9)
+        assert json.loads(json.dumps(summary.as_dict())) == plain.as_dict()
         assert summary.n_replicates == 60
         assert summary.model_id == "C3"
         assert summary.mode == MODE_MULTINOMIAL

@@ -580,6 +580,20 @@ class TestSourcesAndExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("data error: screening needs 4 plan")
 
+    def test_complete_table_is_a_data_error(self, capsys, tmp_path):
+        schema = TableSchema((("a", 2), ("b", 3)), ())
+        table = IncompleteTable(
+            schema, (Stratum(("a", "b"), [[1, 2, 3], [4, 5, 6]]),)
+        )
+        path = tmp_path / "complete.json"
+        path.write_text(dump_table(table))
+        assert main(["assess", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "data error: shape complete does not support odds assessment\n"
+        )
+
     def test_unknown_source(self, capsys):
         assert main(["assess", "no-such-thing"]) == 2
         assert "data error" in capsys.readouterr().err

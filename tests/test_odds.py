@@ -160,6 +160,9 @@ class TestListQueries:
         assert len(list_queries(bone_table.schema)) == 6
         assert len(list_queries(opinion_one_table.schema)) == 4
         assert len(list_queries(opinion_two_table.schema)) == 8
+        for table in (smoking_table, opinion_two_table):
+            schema = table.schema
+            assert list_queries(schema) is screening_plan(schema).queries
 
     def test_two_variable_order(self, smoking_table):
         q1, q2 = list_queries(smoking_table.schema)
@@ -184,6 +187,17 @@ class TestListQueries:
 
         with pytest.raises(TableError):
             list_queries(builtin_dataset("spo-full").schema)
+
+    def test_rejects_a_complete_table(self):
+        schema = TableSchema((("a", 2), ("b", 3)), ())
+        table = IncompleteTable(
+            schema, (Stratum(("a", "b"), np.ones((2, 3), int)),)
+        )
+        refused = "shape complete does not support odds assessment"
+        with pytest.raises(TableError, match=refused):
+            list_queries(schema)
+        with pytest.raises(TableError, match=refused):
+            assess(table)
 
     def test_label(self):
         q = OddsQuery("a", "b", (1, 3), (("c", 2),))
@@ -473,10 +487,10 @@ class TestPlanBudget:
             ),
         )
 
-        def refuse(schema):
-            raise AssertionError("list_queries ran")
+        def refuse(*args):
+            raise AssertionError("a check was built")
 
-        monkeypatch.setattr(odds, "list_queries", refuse)
+        monkeypatch.setattr(odds, "_build", refuse)
         assert plan_entries(schema) > PLAN_ENTRY_BUDGET
         with pytest.raises(TableError, match="plan entries, over the budget"):
             screening_plan(schema)

@@ -18,26 +18,26 @@ bench/run.py's own default, the same on both sides.
     python3 tools/bench_pairs.py --parent ../parent --change . \\
         --pairs fit-boundary=10 --pairs fit-large=10 \\
         --pairs bootstrap-screen=5 --traced fit-boundary=2 \\
-        --claim fit-boundary:run_cal --smoke --fit-all 8 --out BENCH_N.json
+        --claim fit-boundary:run_cal --smoke --fit-all --out BENCH_N.json
 
-Traced pairs (--trace 1) take the seeds after the untraced ones.  --fit-all
-L times fit_all on the seeded L x L x L table of bench/workloads.py four
-times in each checkout, in the order parent, change, change, parent,
-parent, change, change, parent (ALTERNATION), each run between two runs
-of the checkout's bench/calibration.small_arrays kernel, and records its
-wall time (fit_all_s), its time in kernels (fit_all_cal, as bench/run.py
-measures run_cal), each side's median of both, and every fit's G2,
-iterations, evaluations, lambda_residual and a sha256 of its mu_hat
-bytes; the record's identical flag says whether all eight runs agree bit
-for bit in all but lambda_residual, whose largest value each side
-reports as max_lambda_residual.  --assess L times a first and a repeated
-assess of bench/workloads.synthetic_table(0, L) in each checkout in the
-same order, each between two runs of the checkout's
-bench/calibration.mixed kernel (Python-level work, as building the
-records is), and records both times in seconds and in kernels, with each
-side's median; its identical flag says whether all eight verdicts have
-the same sha256 of json.dumps(verdict.as_dict()).  The record also holds
-src_lines, the lines of src/misstab/*.py in each checkout as wc -l
+Traced pairs (--trace 1) take the seeds after the untraced ones.
+--fit-all times fit_all on the seeded FIT_ALL_LEVELS-cubed table of
+bench/workloads.py four times in each checkout, in the order parent,
+change, change, parent, parent, change, change, parent (ALTERNATION), each
+run between two runs of the checkout's bench/calibration.small_arrays
+kernel, and records its wall time (fit_all_s), its time in kernels
+(fit_all_cal, as bench/run.py measures run_cal), each side's median of
+both, and every fit's G2, iterations, evaluations, lambda_residual and a
+sha256 of its mu_hat bytes; the record's identical flag says whether all
+eight runs agree bit for bit in all but lambda_residual, whose largest
+value each side reports as max_lambda_residual.  --assess times a first
+and a repeated assess of bench/workloads.synthetic_table(0, ASSESS_LEVELS)
+in each checkout in the same order, each between two runs of the
+checkout's bench/calibration.mixed kernel (Python-level work, as building
+the records is), and records both times in seconds and in kernels, with
+each side's median; its identical flag says whether all eight verdicts
+have the same sha256 of json.dumps(verdict.as_dict()).  The record also
+holds src_lines, the lines of src/misstab/*.py in each checkout as wc -l
 counts them, so a change that removes code shows its size next to its
 runs.  The record is rewritten after every pair, so an interrupted run
 keeps what it measured.
@@ -61,6 +61,10 @@ SIDES = ("parent", "change")
 ALTERNATION = SIDES + SIDES[::-1] + SIDES + SIDES[::-1]
 RUN_TIMEOUT_S = 900
 CLAIM_SHARE = 0.9  # of the pairs the change must win
+# the levels of the tables --fit-all and --assess run on, as every record
+# with a fit_all_8cubed or assess_20cubed entry ran them
+FIT_ALL_LEVELS = 8
+ASSESS_LEVELS = 20
 
 # Runs in a checkout with its src/ and bench/ on the path; prints one JSON
 # object with the time and every fit of fit_all on the synthetic table.
@@ -344,8 +348,8 @@ def main(argv=None) -> int:
                         default=[], metavar="WORKLOAD=N")
     parser.add_argument("--claim", metavar="WORKLOAD:METRIC")
     parser.add_argument("--smoke", action="store_true")
-    parser.add_argument("--fit-all", type=int, metavar="LEVELS")
-    parser.add_argument("--assess", type=int, metavar="LEVELS")
+    parser.add_argument("--fit-all", action="store_true")
+    parser.add_argument("--assess", action="store_true")
     parser.add_argument("--what", default="")
     args = parser.parse_args(argv)
 
@@ -407,13 +411,14 @@ def main(argv=None) -> int:
                 )
             save()
     if args.fit_all:
-        runs = _alternate(checkouts, FIT_ALL_SCRIPT, args.fit_all)
-        doc[f"fit_all_{args.fit_all}cubed"] = fit_all_record(runs,
-                                                             args.fit_all)
+        runs = _alternate(checkouts, FIT_ALL_SCRIPT, FIT_ALL_LEVELS)
+        doc[f"fit_all_{FIT_ALL_LEVELS}cubed"] = fit_all_record(
+            runs, FIT_ALL_LEVELS)
         save()
     if args.assess:
-        runs = _alternate(checkouts, ASSESS_SCRIPT, args.assess)
-        doc[f"assess_{args.assess}cubed"] = assess_record(runs, args.assess)
+        runs = _alternate(checkouts, ASSESS_SCRIPT, ASSESS_LEVELS)
+        doc[f"assess_{ASSESS_LEVELS}cubed"] = assess_record(runs,
+                                                            ASSESS_LEVELS)
         save()
     return 0
 
