@@ -34,9 +34,10 @@ step and log-likelihood test nothing, and on a table whose counts are
 all positive its sweep runs unguarded and the result is tested once; a
 result that fails the test, which only underflow can cause, is swept
 again with the guards, so every fit keeps its bits.  When the maximum
-lies on the boundary, the cells that keep decaying are fixed at zero and
-the fit is finished on that face of the model by accelerated ECM
-(fit_em, _solve_face).  Fit quality is the deviance of the observed
+lies on the boundary, the cells that keep decaying are fixed at zero, with
+the rest of each margin cell whose live cells all fall with them, and the
+fit is finished on that face of the model by accelerated ECM (fit_em,
+_complete, _solve_face).  Fit quality is the deviance of the observed
 strata against the collapsed fitted expectations, with tail
 probabilities from the chi-square survival function in closed form for
 integer df: a finite Poisson sum for even df, erfc plus a finite sum for
@@ -688,18 +689,58 @@ def _checkpoint(marks, mu):
         return (marks + [np.log(mu)])[-3:]
 
 
-def _decaying(marks, mu, n, half):
-    """Live cells under DECAY_CELL * n whose log-rate stayed below
-    DECAY_RATE per step over both halves of the window the checkpoints
-    span.  The checkpoints are half steps apart, where a step is an EM
-    iteration, or a SQUAREM cycle on a face."""
-    if len(marks) < 3:
-        return np.zeros(mu.shape, dtype=bool)
+def _falling(marks, half):
+    """Cells whose log-rate stayed below DECAY_RATE per step over both
+    halves of the window the three checkpoints span."""
     a, b, c = marks
     drop = DECAY_RATE * half
     with np.errstate(invalid="ignore"):
-        falling = (b - a < drop) & (c - b < drop)
-    return falling & (mu > 0) & (mu < DECAY_CELL * n)
+        return (b - a < drop) & (c - b < drop)
+
+
+def _decaying(marks, mu, n, half):
+    """Live cells under DECAY_CELL * n that are falling (_falling) over the
+    window the checkpoints span.  The checkpoints are half steps apart,
+    where a step is an EM iteration, or a SQUAREM cycle on a face; the
+    flagged cells are zeroed with the rest of their margin cells
+    (_complete)."""
+    if len(marks) < 3:
+        return np.zeros(mu.shape, dtype=bool)
+    return _falling(marks, half) & (mu > 0) & (mu < DECAY_CELL * n)
+
+
+def _complete(flagged, marks, mu, half, ecm):
+    """The flagged cells and the live rest of each margin cell of the
+    generating class (the map's groups) that holds a flagged cell and whose
+    live cells all fall (_falling) on the same checkpoints, whatever their
+    size: a face empties whole margin cells, so the rest of one follows its
+    first cells down.  A margin cell is left out when zeroing it would take
+    the last live cell of a positive observed count.  Each margin counts
+    its flagged and its steady cells by one bincount over its group index.
+    """
+    live = mu > 0
+    steady = live & ~_falling(marks, half)
+    pulls = [
+        (np.bincount(group, flagged, size) > 0)
+        & (np.bincount(group, steady, size) == 0)
+        for group, size in ecm._groups
+    ]
+
+    def zeroed(pulls):
+        pulled = np.zeros_like(flagged)
+        for (group, _), pull in zip(ecm._groups, pulls):
+            pulled |= pull[group]
+        return flagged | (pulled & live)
+
+    zero = zeroed(pulls)
+    kept = np.bincount(ecm._idx, live & ~zero, ecm._cells)[ecm._idx]
+    starved = zero & ~flagged & (ecm._y_cross > 0) & (kept == 0)
+    if not starved.any():
+        return zero
+    return zeroed([
+        pull & (np.bincount(group, starved, size) == 0)
+        for (group, size), pull in zip(ecm._groups, pulls)
+    ])
 
 
 def _squarem_step(it, ll, step_max, ecm):
@@ -784,32 +825,37 @@ class _FaceSolve:
     trace: tuple
     evaluations: int
     certified: bool
+    completed: bool
 
 
-def _solve_face(it, decaying, floor, ecm, budget):
-    """Finish an EM fit on the face where the decaying cells are zero.
+def _solve_face(it, zero, floor, ecm, budget, complete):
+    """Finish an EM fit on the face where the cells of zero are zero.
 
-    The decaying cells of the iterate it, a mask over its flat cells, are
+    The cells of zero, a mask over the flat cells of the iterate it, are
     fixed at zero as structural zeros and SQUAREM-accelerated ECM runs on
     the live cells.  Cells that in turn pass the decay test, checked on a
-    clock of its own every FACE_CHECK_CYCLES cycles, are zeroed too.  The
-    solve ends when the sufficient margins match to FACE_RESIDUAL.  The
-    result, the last iterate, counts when its log-likelihood is at least
-    floor, that of the last iterate before zeroing (so its G2 is no
-    larger), its zeros form a face (_is_face) and the likelihood keeps
-    them down (_zeros_stay_down).  trace holds the accepted
-    log-likelihoods, at most budget of them: those of the cycles that
-    reach the last accepted one, starting from floor, so that it extends
-    the caller's trace monotonically.
+    clock of its own every FACE_CHECK_CYCLES cycles, are zeroed too, with
+    the rest of their margin cells when complete is set (_complete), so a
+    face is emptied in one stage, not one per decay window.  The solve
+    ends when the sufficient margins match to FACE_RESIDUAL.  The result,
+    the last iterate, counts when its log-likelihood is at least floor,
+    that of the last iterate before zeroing (so its G2 is no larger), its
+    zeros form a face (_is_face) and the likelihood keeps them down
+    (_zeros_stay_down).  trace holds the accepted log-likelihoods, at most
+    budget of them: those of the cycles that reach the last accepted one,
+    starting from floor, so that it extends the caller's trace
+    monotonically.  completed says whether completion zeroed a cell the
+    decay test did not flag.
     """
     before = it.flat
-    it = _Iterate(np.where(decaying, 0.0, before), it.shape)
+    it = _Iterate(np.where(zero, 0.0, before), it.shape)
     ll = ecm.loglik(it)
     n = ecm.table.N
     trace = []
     evaluations = 0
     cycles = 0
     step_max = 1.0
+    completed = False
     marks = _checkpoint([], it.flat)
     while (
         math.isfinite(ll)
@@ -827,16 +873,24 @@ def _solve_face(it, decaying, floor, ecm, budget):
             if certified:
                 evaluations += DECAY_WINDOW
                 certified = _zeros_stay_down(it, before, ecm)
-            return _FaceSolve(it, tuple(trace), evaluations, certified)
+            return _FaceSolve(
+                it, tuple(trace), evaluations, certified, completed
+            )
         if cycles % FACE_CHECK_CYCLES == 0:
             mu = it.flat
             marks = _checkpoint(marks, mu)
             decaying = _decaying(marks, mu, n, FACE_CHECK_CYCLES)
             if decaying.any():
-                it = _Iterate(np.where(decaying, 0.0, mu), it.shape)
+                zero = decaying
+                if complete:
+                    zero = _complete(
+                        decaying, marks, mu, FACE_CHECK_CYCLES, ecm
+                    )
+                    completed |= bool((zero != decaying).any())
+                it = _Iterate(np.where(zero, 0.0, mu), it.shape)
                 ll = ecm.loglik(it)
                 marks = _checkpoint([], it.flat)
-    return _FaceSolve(it, tuple(trace), evaluations, False)
+    return _FaceSolve(it, tuple(trace), evaluations, False, completed)
 
 
 def fit_em(
@@ -854,9 +908,14 @@ def fit_em(
     proportional fitting to the model's sufficient margins, so every
     iteration applies the ECM map once (_EcmMap).  Iteration stops
     when the relative change of the observed-data log-likelihood drops
-    below tol.  Cells that keep decaying are fixed at zero and the fit is
-    finished on that face of the model (see _solve_face), which yields the
-    limit of the likelihood whatever tol is.  init="perturbed" (with a
+    below tol.  Cells that keep decaying are fixed at zero, each with the
+    rest of its margin cells when those fall too (_complete), and the fit
+    is finished on that face of the model (see _solve_face), which yields
+    the limit of the likelihood whatever tol is.  A face attempt that
+    completion changed and that is refused is solved once more from the
+    flagged cells alone, completing nothing, so completion loses no face
+    that zeroing the flagged cells stage by stage certifies; each attempt
+    counts the map evaluations of both solves.  init="perturbed" (with a
     seed) jitters the start multiplicatively to probe for multiple modes.
     """
     schema = table.schema
@@ -910,8 +969,16 @@ def fit_em(
         if not decaying.any():
             continue
         attempts += 1
-        face = _solve_face(it, decaying, ll, ecm, max_iter - len(trace))
+        budget = max_iter - len(trace)
+        zero = _complete(decaying, marks, it.flat, DECAY_HALF, ecm)
+        face = _solve_face(it, zero, ll, ecm, budget, True)
         evaluations += face.evaluations
+        if not face.certified and (
+            face.completed or (zero != decaying).any()
+        ):
+            # completion can take a cell the face keeps live
+            face = _solve_face(it, decaying, ll, ecm, budget, False)
+            evaluations += face.evaluations
         if face.certified:
             zeroed = (face.it.flat == 0) & (it.flat > 0)
             face_cells = int(np.count_nonzero(zeroed))

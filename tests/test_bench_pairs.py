@@ -271,3 +271,47 @@ def test_fit_all_and_assess_are_flags_at_the_recorded_levels(
         "bench/workloads.synthetic_table(0, 20),")
     with pytest.raises(SystemExit):
         bench_pairs.main([*argv, "--fit-all", "8"])
+
+
+def test_face_corpus_script_fits_every_catalog_model_of_each_table():
+    fits = bench_pairs._script(_PATH.parents[1],
+                               bench_pairs.FACE_CORPUS_SCRIPT, 3,
+                               bench_pairs.FACE_CORPUS_SEED)["fits"]
+    assert list(fits)[:2] == ["t0:M1", "t0:M2"] and len(fits) == 27
+    assert all(set(fit) == {"G2", "face_cells", *bench_pairs.FIT_FIELDS}
+               for fit in fits.values())
+    record = bench_pairs.face_corpus_record(
+        {"parent": fits, "change": fits}, 3)
+    assert record["corpus"].startswith("3 tables,")
+    assert (record["fits"], record["identical"]) == (27, 27)
+    assert [record[key] for key in record["moved"]] == [0, 0, 0, 0]
+    total = sum(fit["evaluations"] for fit in fits.values())
+    assert record["evaluations"] == {"parent": total, "change": total}
+
+
+def _corpus_fit(g2=1.0, face_cells=0, evaluations=10):
+    return {"G2": g2, "iterations": 5, "evaluations": evaluations,
+            "face_cells": face_cells, "mu_hat_sha256": "ab"}
+
+
+def test_face_corpus_record_lists_what_moved():
+    parent = {"t0:M1": _corpus_fit(face_cells=4),
+              "t0:M2": _corpus_fit(g2=2.0),
+              "t1:M1": _corpus_fit(),
+              "t1:M2": _corpus_fit(),
+              "t1:M3": _corpus_fit()}
+    change = {"t0:M1": _corpus_fit(),
+              "t0:M2": _corpus_fit(g2=1.5, face_cells=6, evaluations=4),
+              "t1:M1": _corpus_fit(g2=1.0 + 2e-6),
+              # within the tolerance, but not the same bits
+              "t1:M2": _corpus_fit(g2=1.0 + 1e-9),
+              "t1:M3": _corpus_fit()}
+    record = bench_pairs.face_corpus_record(
+        {"parent": parent, "change": change}, 2)
+    assert (record["fits"], record["identical"]) == (5, 1)
+    assert record["moved"] == {"faces_lost": ["t0:M1"],
+                               "faces_gained": ["t0:M2"],
+                               "g2_rises": ["t1:M1"],
+                               "g2_drops": ["t0:M2"]}
+    assert [record[key] for key in record["moved"]] == [1, 1, 1, 1]
+    assert record["evaluations"] == {"parent": 50, "change": 44}

@@ -68,6 +68,7 @@ from misstab.models import (
 )
 from misstab.bootstrap import _child_seeds
 from misstab.odds import ScreeningPlan, screening_plan
+from test_models import _oracle_list_queries
 
 DATASET_NAMES = ("smoking-birthweight", "bone-density", "spo-y1", "spo-y1y2")
 ALL_CASES = [
@@ -1511,8 +1512,9 @@ def screened_tables(draw):
 
 def _oracle_plan(schema):
     """The screening plan filled one check at a time: each count a check
-    reads found by its level indices in its stratum."""
-    queries = list_queries(schema)
+    reads found by its level indices in its stratum; the checks come from
+    an enumeration of their own, not from the plan."""
+    queries = _oracle_list_queries(schema)
     omap = observation_map(schema)
 
     def positions(pattern):

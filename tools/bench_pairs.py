@@ -18,7 +18,8 @@ bench/run.py's own default, the same on both sides.
     python3 tools/bench_pairs.py --parent ../parent --change . \\
         --pairs fit-boundary=10 --pairs fit-large=10 \\
         --pairs bootstrap-screen=5 --traced fit-boundary=2 \\
-        --claim fit-boundary:run_cal --smoke --fit-all --out BENCH_N.json
+        --claim fit-boundary:run_cal --smoke --fit-all --face-corpus \\
+        --out BENCH_N.json
 
 Traced pairs (--trace 1) take the seeds after the untraced ones.
 --fit-all times fit_all on the seeded FIT_ALL_LEVELS-cubed table of
@@ -39,7 +40,14 @@ each side's median; its identical flag says whether all eight verdicts
 have the same sha256 of json.dumps(verdict.as_dict()).  The record also
 holds src_lines, the lines of src/misstab/*.py in each checkout as wc -l
 counts them, so a change that removes code shows its size next to its
-runs.  The record is rewritten after every pair, so an interrupted run
+runs.  --face-corpus fits every catalog model with fit_em's defaults, in
+each checkout once, to FACE_CORPUS_TABLES random tables with both
+variables missing (FACE_CORPUS_SCRIPT), and records how the change's fits
+differ from the parent's: the fits identical bit for bit (G2, iterations,
+evaluations, face cells and mu_hat bytes), the faces lost and gained, the G2 rises and
+drops beyond FACE_CORPUS_G2_TOL, and each side's total evaluations
+(face_corpus_record).  It measures no time, so it may run on a busy
+machine.  The record is rewritten after every pair, so an interrupted run
 keeps what it measured.
 """
 
@@ -114,6 +122,43 @@ print(json.dumps(out))
 """
 ASSESS_TIMES = ("first_s", "first_cal", "repeat_s", "repeat_cal")
 
+# Runs in a checkout with its src/ on the path; prints one JSON object with
+# every catalog fit of each table of the corpus.  Table t has a and b at 2-4
+# levels each, both missing, and every count is Poisson with a mean drawn
+# from gamma(1, 20), all from one default_rng(FACE_CORPUS_SEED) stream in
+# that order; a table with no count at all is drawn again.
+FACE_CORPUS_SCRIPT = """
+import hashlib, json, sys
+import numpy as np
+from misstab import IncompleteTable, Stratum, TableSchema
+from misstab import enumerate_models, fit_em
+rng = np.random.default_rng(int(sys.argv[2]))
+fits = {}
+for t in range(int(sys.argv[1])):
+    while True:
+        levels = [int(k) for k in rng.integers(2, 5, size=2)]
+        schema = TableSchema(tuple(zip(("a", "b"), levels)), ("a", "b"))
+        strata = []
+        for pattern in schema.patterns():
+            observed = schema.observed_for(pattern)
+            shape = [schema.levels(v) for v in observed]
+            strata.append(Stratum(observed,
+                                  rng.poisson(rng.gamma(1.0, 20.0, shape))))
+        table = IncompleteTable(schema, tuple(strata))
+        if table.N > 0:
+            break
+    for model in enumerate_models(schema):
+        f = fit_em(model, table)
+        fits[f"t{t}:{model.id}"] = {
+            "G2": f.G2, "iterations": f.iterations,
+            "evaluations": f.evaluations, "face_cells": f.face_cells,
+            "mu_hat_sha256": hashlib.sha256(f.mu_hat.tobytes()).hexdigest()}
+print(json.dumps({"fits": fits}))
+"""
+FACE_CORPUS_TABLES = 150
+FACE_CORPUS_SEED = 7
+FACE_CORPUS_G2_TOL = 1e-6  # a G2 moving by more than this rises or drops
+
 
 def _rev(checkout: Path) -> str:
     proc = subprocess.run(
@@ -146,15 +191,15 @@ def _bench(checkout: Path, *args) -> list:
             if line.startswith("{")]
 
 
-def _script(checkout: Path, script: str, levels: int) -> dict:
-    """The JSON object a script prints, run in a checkout with its src/
-    and bench/ on the path."""
+def _script(checkout: Path, script: str, *args) -> dict:
+    """The JSON object a script prints, run with args in a checkout with
+    its src/ and bench/ on the path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(checkout / "src"), str(checkout / "bench")]
     )
     proc = subprocess.run(
-        [sys.executable, "-c", script, str(levels)],
+        [sys.executable, "-c", script, *map(str, args)],
         cwd=checkout, env=env, capture_output=True, text=True,
         timeout=RUN_TIMEOUT_S, check=True,
     )
@@ -324,6 +369,40 @@ def assess_record(runs: dict, levels: int) -> dict:
     }
 
 
+def face_corpus_record(fits: dict, tables: int) -> dict:
+    """The --face-corpus entry of the record from each side's fits (side ->
+    FACE_CORPUS_SCRIPT's fits): which fits are identical in every field
+    recorded (a float read back from JSON equals only its own bits), which
+    lost or gained a certified face, and whose G2 rose or dropped beyond
+    FACE_CORPUS_G2_TOL, each list of fits in corpus order, with each
+    side's total evaluations."""
+    parent, change = (fits[side] for side in SIDES)
+    same = [m for m in parent if parent[m] == change[m]]
+    moved = {
+        "faces_lost": [m for m in parent if parent[m]["face_cells"]
+                       and not change[m]["face_cells"]],
+        "faces_gained": [m for m in parent if change[m]["face_cells"]
+                         and not parent[m]["face_cells"]],
+        "g2_rises": [m for m in parent if change[m]["G2"]
+                     > parent[m]["G2"] + FACE_CORPUS_G2_TOL],
+        "g2_drops": [m for m in parent if change[m]["G2"]
+                     < parent[m]["G2"] - FACE_CORPUS_G2_TOL],
+    }
+    return {
+        "corpus": f"{tables} tables, a and b at 2-4 levels, both missing, "
+                  f"Poisson counts of gamma(1, 20) means, "
+                  f"default_rng({FACE_CORPUS_SEED}); every catalog model "
+                  "by fit_em at its defaults",
+        "fits": len(parent),
+        "identical": len(same),
+        **{key: len(labels) for key, labels in moved.items()},
+        "evaluations": {side: sum(f["evaluations"]
+                                  for f in fits[side].values())
+                        for side in SIDES},
+        "moved": moved,
+    }
+
+
 def _alternate(checkouts: dict, script: str, levels: int) -> dict:
     """A script's output in each checkout, run in the order ALTERNATION."""
     runs = {side: [] for side in SIDES}
@@ -350,6 +429,7 @@ def main(argv=None) -> int:
     parser.add_argument("--smoke", action="store_true")
     parser.add_argument("--fit-all", action="store_true")
     parser.add_argument("--assess", action="store_true")
+    parser.add_argument("--face-corpus", action="store_true")
     parser.add_argument("--what", default="")
     args = parser.parse_args(argv)
 
@@ -419,6 +499,12 @@ def main(argv=None) -> int:
         runs = _alternate(checkouts, ASSESS_SCRIPT, ASSESS_LEVELS)
         doc[f"assess_{ASSESS_LEVELS}cubed"] = assess_record(runs,
                                                             ASSESS_LEVELS)
+        save()
+    if args.face_corpus:
+        fits = {side: _script(checkouts[side], FACE_CORPUS_SCRIPT,
+                              FACE_CORPUS_TABLES, FACE_CORPUS_SEED)["fits"]
+                for side in SIDES}
+        doc["face_corpus"] = face_corpus_record(fits, FACE_CORPUS_TABLES)
         save()
     return 0
 
