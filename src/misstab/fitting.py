@@ -825,27 +825,24 @@ class _FaceSolve:
     trace: tuple
     evaluations: int
     certified: bool
-    completed: bool
 
 
-def _solve_face(it, zero, floor, ecm, budget, complete):
+def _solve_face(it, zero, floor, ecm, budget):
     """Finish an EM fit on the face where the cells of zero are zero.
 
     The cells of zero, a mask over the flat cells of the iterate it, are
     fixed at zero as structural zeros and SQUAREM-accelerated ECM runs on
     the live cells.  Cells that in turn pass the decay test, checked on a
     clock of its own every FACE_CHECK_CYCLES cycles, are zeroed too, with
-    the rest of their margin cells when complete is set (_complete), so a
-    face is emptied in one stage, not one per decay window.  The solve
-    ends when the sufficient margins match to FACE_RESIDUAL.  The result,
-    the last iterate, counts when its log-likelihood is at least floor,
-    that of the last iterate before zeroing (so its G2 is no larger), its
-    zeros form a face (_is_face) and the likelihood keeps them down
-    (_zeros_stay_down).  trace holds the accepted log-likelihoods, at most
-    budget of them: those of the cycles that reach the last accepted one,
-    starting from floor, so that it extends the caller's trace
-    monotonically.  completed says whether completion zeroed a cell the
-    decay test did not flag.
+    the rest of their margin cells (_complete), so a face is emptied in
+    one stage, not one per decay window.  The solve ends when the
+    sufficient margins match to FACE_RESIDUAL.  The result, the last
+    iterate, counts when its log-likelihood is at least floor, that of the
+    last iterate before zeroing (so its G2 is no larger), its zeros form a
+    face (_is_face) and the likelihood keeps them down (_zeros_stay_down).
+    trace holds the accepted log-likelihoods, at most budget of them: those
+    of the cycles that reach the last accepted one, starting from floor, so
+    that it extends the caller's trace monotonically.
     """
     before = it.flat
     it = _Iterate(np.where(zero, 0.0, before), it.shape)
@@ -855,7 +852,6 @@ def _solve_face(it, zero, floor, ecm, budget, complete):
     evaluations = 0
     cycles = 0
     step_max = 1.0
-    completed = False
     marks = _checkpoint([], it.flat)
     while (
         math.isfinite(ll)
@@ -873,24 +869,17 @@ def _solve_face(it, zero, floor, ecm, budget, complete):
             if certified:
                 evaluations += DECAY_WINDOW
                 certified = _zeros_stay_down(it, before, ecm)
-            return _FaceSolve(
-                it, tuple(trace), evaluations, certified, completed
-            )
+            return _FaceSolve(it, tuple(trace), evaluations, certified)
         if cycles % FACE_CHECK_CYCLES == 0:
             mu = it.flat
             marks = _checkpoint(marks, mu)
             decaying = _decaying(marks, mu, n, FACE_CHECK_CYCLES)
             if decaying.any():
-                zero = decaying
-                if complete:
-                    zero = _complete(
-                        decaying, marks, mu, FACE_CHECK_CYCLES, ecm
-                    )
-                    completed |= bool((zero != decaying).any())
+                zero = _complete(decaying, marks, mu, FACE_CHECK_CYCLES, ecm)
                 it = _Iterate(np.where(zero, 0.0, mu), it.shape)
                 ll = ecm.loglik(it)
                 marks = _checkpoint([], it.flat)
-    return _FaceSolve(it, tuple(trace), evaluations, False, completed)
+    return _FaceSolve(it, tuple(trace), evaluations, False)
 
 
 def fit_em(
@@ -911,11 +900,11 @@ def fit_em(
     below tol.  Cells that keep decaying are fixed at zero, each with the
     rest of its margin cells when those fall too (_complete), and the fit
     is finished on that face of the model (see _solve_face), which yields
-    the limit of the likelihood whatever tol is.  A face attempt that
-    completion changed and that is refused is solved once more from the
-    flagged cells alone, completing nothing, so completion loses no face
-    that zeroing the flagged cells stage by stage certifies; each attempt
-    counts the map evaluations of both solves.  init="perturbed" (with a
+    the limit of the likelihood whatever tol is.  A face attempt that is
+    refused, and whose zero set completion enlarged here, is solved once
+    more from the flagged cells alone, so a cell completion took too early
+    can stay live; each attempt counts the map evaluations of both solves.
+    init="perturbed" (with a
     seed) jitters the start multiplicatively to probe for multiple modes.
     """
     schema = table.schema
@@ -971,13 +960,11 @@ def fit_em(
         attempts += 1
         budget = max_iter - len(trace)
         zero = _complete(decaying, marks, it.flat, DECAY_HALF, ecm)
-        face = _solve_face(it, zero, ll, ecm, budget, True)
+        face = _solve_face(it, zero, ll, ecm, budget)
         evaluations += face.evaluations
-        if not face.certified and (
-            face.completed or (zero != decaying).any()
-        ):
+        if not face.certified and (zero != decaying).any():
             # completion can take a cell the face keeps live
-            face = _solve_face(it, decaying, ll, ecm, budget, False)
+            face = _solve_face(it, decaying, ll, ecm, budget)
             evaluations += face.evaluations
         if face.certified:
             zeroed = (face.it.flat == 0) & (it.flat > 0)

@@ -315,3 +315,24 @@ def test_face_corpus_record_lists_what_moved():
                                "g2_drops": ["t0:M2"]}
     assert [record[key] for key in record["moved"]] == [1, 1, 1, 1]
     assert record["evaluations"] == {"parent": 50, "change": 44}
+    assert record["work"] == {"evaluations_rose": [],
+                              "evaluations_fell": ["t0:M2"]}
+
+
+def test_face_corpus_record_lists_fits_whose_work_moved():
+    # the totals match, but work moved from one fit to two others
+    parent = {"t0:M1": _corpus_fit(evaluations=30),
+              "t0:M2": _corpus_fit(),
+              "t1:M1": _corpus_fit(),
+              "t1:M2": _corpus_fit()}
+    change = {"t0:M1": _corpus_fit(evaluations=10),
+              "t0:M2": _corpus_fit(evaluations=20),
+              "t1:M1": _corpus_fit(),
+              "t1:M2": _corpus_fit(evaluations=20)}
+    record = bench_pairs.face_corpus_record(
+        {"parent": parent, "change": change}, 2)
+    assert record["evaluations"] == {"parent": 60, "change": 60}
+    assert record["work"] == {"evaluations_rose": ["t0:M2", "t1:M2"],
+                              "evaluations_fell": ["t0:M1"]}
+    assert (record["evaluations_rose"], record["evaluations_fell"]) == (2, 1)
+    assert record["identical"] == 1

@@ -731,23 +731,62 @@ class TestFaceSolver:
     def test_a_refused_completion_keeps_the_flagged_face(
         self, model_id, table, face_cells, g2, monkeypatch
     ):
-        # completion takes a cell these faces keep live, so the completed
-        # attempt is refused; solved again with the flagged cells alone, it
-        # reaches the face that zeroing stage by stage certifies
+        # completion at the hand-off takes a cell these faces keep live, so
+        # the completed attempt is refused; solved again from the flagged
+        # cells alone, it reaches the face
+        completions = []
+        solves = []
+        complete = misstab.fitting._complete
+        solve_face = misstab.fitting._solve_face
+
+        def complete_spy(flagged, *args):
+            zero = complete(flagged, *args)
+            completions.append((flagged, zero))
+            return zero
+
+        def solve_spy(*args):
+            # the last completion before a solve starts is the hand-off's
+            handoff = completions[-1]
+            face = solve_face(*args)
+            solves.append((args[1], handoff, face.certified))
+            return face
+
+        monkeypatch.setattr(misstab.fitting, "_complete", complete_spy)
+        monkeypatch.setattr(misstab.fitting, "_solve_face", solve_spy)
+        fit = fit_em(model_id, table)
+        (completed, (flagged, zero), first), (retried, _, last) = solves[-2:]
+        assert (first, last) == (False, True)
+        assert (zero & ~flagged).any()
+        assert np.array_equal(completed, zero)
+        assert np.array_equal(retried, flagged)
+        assert fit.boundary_rule == BOUNDARY_FACE
+        assert fit.face_cells == face_cells
+        assert fit.G2 == pytest.approx(g2, abs=1e-6)
+
+    def test_a_face_clock_completion_is_not_solved_again(self, monkeypatch):
+        # completion on the face clock enlarges this refused attempt, but not
+        # the hand-off, so the attempt is not solved again from the flagged
+        # cells; EM goes on, and its next attempt is certified
+        table = both_missing(
+            (4, 3), [[8, 12, 21], [19, 59, 18], [37, 0, 55], [21, 32, 6]],
+            [7, 31, 3], [26, 55, 5, 10], 6,
+        )
         solves = []
         solve_face = misstab.fitting._solve_face
 
         def spy(*args):
             face = solve_face(*args)
-            solves.append((args[-1], face.certified))
+            solves.append(face.certified)
             return face
 
         monkeypatch.setattr(misstab.fitting, "_solve_face", spy)
-        fit = fit_em(model_id, table)
-        assert solves[-2:] == [(True, False), (False, True)]
+        fit = fit_em("M1", table)
+        assert solves == [False, True]
+        assert fit.evaluations == 248
         assert fit.boundary_rule == BOUNDARY_FACE
-        assert fit.face_cells == face_cells
-        assert fit.G2 == pytest.approx(g2, abs=1e-6)
+        assert fit.face_cells == 20
+        assert fit.G2 == 51.60888580776063
+        assert fit.iterations == 103
 
     def test_completion_takes_whole_falling_margin_cells(self):
         # a flagged cell pulls in the rest of its margin cell, here the four

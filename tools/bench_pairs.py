@@ -44,11 +44,11 @@ runs.  --face-corpus fits every catalog model with fit_em's defaults, in
 each checkout once, to FACE_CORPUS_TABLES random tables with both
 variables missing (FACE_CORPUS_SCRIPT), and records how the change's fits
 differ from the parent's: the fits identical bit for bit (G2, iterations,
-evaluations, face cells and mu_hat bytes), the faces lost and gained, the G2 rises and
-drops beyond FACE_CORPUS_G2_TOL, and each side's total evaluations
-(face_corpus_record).  It measures no time, so it may run on a busy
-machine.  The record is rewritten after every pair, so an interrupted run
-keeps what it measured.
+evaluations, face cells and mu_hat bytes), the faces lost and gained, the
+G2 rises and drops beyond FACE_CORPUS_G2_TOL, the fits whose evaluations
+rose and fell, and each side's total evaluations (face_corpus_record).
+It measures no time, so it may run on a busy machine.  The record is
+rewritten after every pair, so an interrupted run keeps what it measured.
 """
 
 from __future__ import annotations
@@ -373,9 +373,11 @@ def face_corpus_record(fits: dict, tables: int) -> dict:
     """The --face-corpus entry of the record from each side's fits (side ->
     FACE_CORPUS_SCRIPT's fits): which fits are identical in every field
     recorded (a float read back from JSON equals only its own bits), which
-    lost or gained a certified face, and whose G2 rose or dropped beyond
-    FACE_CORPUS_G2_TOL, each list of fits in corpus order, with each
-    side's total evaluations."""
+    lost or gained a certified face, whose G2 rose or dropped beyond
+    FACE_CORPUS_G2_TOL, and whose evaluations rose or fell, each list of
+    fits in corpus order with its count, and each side's total
+    evaluations.  The totals alone would hide a change that moves work
+    from some fits to others."""
     parent, change = (fits[side] for side in SIDES)
     same = [m for m in parent if parent[m] == change[m]]
     moved = {
@@ -388,6 +390,12 @@ def face_corpus_record(fits: dict, tables: int) -> dict:
         "g2_drops": [m for m in parent if change[m]["G2"]
                      < parent[m]["G2"] - FACE_CORPUS_G2_TOL],
     }
+    work = {
+        "evaluations_rose": [m for m in parent if change[m]["evaluations"]
+                             > parent[m]["evaluations"]],
+        "evaluations_fell": [m for m in parent if change[m]["evaluations"]
+                             < parent[m]["evaluations"]],
+    }
     return {
         "corpus": f"{tables} tables, a and b at 2-4 levels, both missing, "
                   f"Poisson counts of gamma(1, 20) means, "
@@ -395,11 +403,12 @@ def face_corpus_record(fits: dict, tables: int) -> dict:
                   "by fit_em at its defaults",
         "fits": len(parent),
         "identical": len(same),
-        **{key: len(labels) for key, labels in moved.items()},
+        **{key: len(labels) for key, labels in (moved | work).items()},
         "evaluations": {side: sum(f["evaluations"]
                                   for f in fits[side].values())
                         for side in SIDES},
         "moved": moved,
+        "work": work,
     }
 
 
