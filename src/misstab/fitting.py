@@ -900,12 +900,12 @@ def fit_em(
     below tol.  Cells that keep decaying are fixed at zero, each with the
     rest of its margin cells when those fall too (_complete), and the fit
     is finished on that face of the model (see _solve_face), which yields
-    the limit of the likelihood whatever tol is.  A face attempt that is
-    refused, and whose zero set completion enlarged here, is solved once
-    more from the flagged cells alone, so a cell completion took too early
-    can stay live; each attempt counts the map evaluations of both solves.
-    init="perturbed" (with a
-    seed) jitters the start multiplicatively to probe for multiple modes.
+    the limit of the likelihood whatever tol is.  A refused face attempt
+    whose zero set completion enlarged at this hand-off is solved once
+    more from the flagged cells alone, so a cell that completion took but
+    the face keeps live can stay live; each attempt counts the map
+    evaluations of both solves.  init="perturbed" (with a seed) jitters
+    the start multiplicatively to probe for multiple modes.
     """
     schema = table.schema
     if not schema.is_analysis_shape:
