@@ -37,7 +37,8 @@ again with the guards, so every fit keeps its bits.  When the maximum
 lies on the boundary, the cells that keep decaying are fixed at zero, with
 the rest of each margin cell whose live cells all fall with them, and the
 fit is finished on that face of the model by accelerated ECM (fit_em,
-_complete, _solve_face).  Fit quality is the deviance of the observed
+_decay_zeros, _solve_face); a face is tested against the same group
+indices (_is_face).  Fit quality is the deviance of the observed
 strata against the collapsed fitted expectations, with tail
 probabilities from the chi-square survival function in closed form for
 integer df: a finite Poisson sum for even df, erfc plus a finite sum for
@@ -315,7 +316,6 @@ class _EcmMap:
         omap = observation_map(table.schema)
         y = observed_counts(table).astype(float)
         self.table = table
-        self.sum_axes_list = sum_axes_list
         self._idx = omap.obs_index
         self._cells = y.size
         self._y_cross = y[self._idx]
@@ -544,21 +544,14 @@ def _recover_lambda(model, schema, mu):
 
 
 def _finalize(
-    model,
-    schema,
-    table,
-    mu,
-    method,
-    converged,
-    iterations,
-    trace,
-    g2,
-    evaluations=0,
+    model, table, mu, method, converged, trace, g2, evaluations=0,
     face_cells=0,
 ):
-    """The FitResult of a fit whose cross is mu and whose G2 is g2.  A
-    read-only mu (an EM iterate) becomes mu_hat as it is; another is
-    copied first."""
+    """The FitResult of a fit whose cross is mu, whose accepted
+    log-likelihoods are trace and whose G2 is g2.  mu becomes mu_hat as it
+    is, made read-only: an EM iterate already is, and a closed-form cross
+    is built for this result alone."""
+    schema = table.schema
     n = table.N
     mu = np.asarray(mu, dtype=float)
     plan = _schedule(schema, model)
@@ -585,9 +578,7 @@ def _finalize(
     lam, resid = _recover_lambda(model, schema, mu)
     pi = mu / n
     pi.flags.writeable = False
-    if mu.flags.writeable:
-        mu = mu.copy()
-        mu.flags.writeable = False
+    mu.flags.writeable = False
     params = plan.n_params
     return FitResult(
         model_id=model.id,
@@ -606,7 +597,7 @@ def _finalize(
         bic=g2 + math.log(n) * params,
         converged=converged,
         boundary=rule is not None,
-        iterations=iterations,
+        iterations=len(trace),
         method=method,
         perfect_fit=plan.perfect,
         loglik_trace=tuple(trace),
@@ -689,37 +680,35 @@ def _checkpoint(marks, mu):
         return (marks + [np.log(mu)])[-3:]
 
 
-def _falling(marks, half):
-    """Cells whose log-rate stayed below DECAY_RATE per step over both
-    halves of the window the three checkpoints span."""
+def _decay_zeros(marks, mu, half, ecm):
+    """The decay test of the flat fit mu of ecm's table on the checkpoints
+    marks, half steps apart, where a step is an EM iteration, or a SQUAREM
+    cycle on a face.
+
+    A cell falls when its log-rate stayed below DECAY_RATE per step over
+    both halves of the window the three checkpoints span.  The flagged
+    cells are the live ones under DECAY_CELL * N that fall; with none (or
+    fewer than three checkpoints) the test returns None.  Otherwise it
+    returns the flagged cells and the cells to zero: the flagged ones and
+    the live rest of each margin cell of the generating class (the map's
+    groups) that holds a flagged cell and whose live cells all fall,
+    whatever their size, since a face empties whole margin cells, so the
+    rest of one follows its first cells down.  A margin cell is left out
+    when zeroing it would take the last live cell of a positive observed
+    count.  Each margin counts its flagged and its steady cells by one
+    bincount over its group index.
+    """
+    if len(marks) < 3:
+        return None
     a, b, c = marks
     drop = DECAY_RATE * half
     with np.errstate(invalid="ignore"):
-        return (b - a < drop) & (c - b < drop)
-
-
-def _decaying(marks, mu, n, half):
-    """Live cells under DECAY_CELL * n that are falling (_falling) over the
-    window the checkpoints span.  The checkpoints are half steps apart,
-    where a step is an EM iteration, or a SQUAREM cycle on a face; the
-    flagged cells are zeroed with the rest of their margin cells
-    (_complete)."""
-    if len(marks) < 3:
-        return np.zeros(mu.shape, dtype=bool)
-    return _falling(marks, half) & (mu > 0) & (mu < DECAY_CELL * n)
-
-
-def _complete(flagged, marks, mu, half, ecm):
-    """The flagged cells and the live rest of each margin cell of the
-    generating class (the map's groups) that holds a flagged cell and whose
-    live cells all fall (_falling) on the same checkpoints, whatever their
-    size: a face empties whole margin cells, so the rest of one follows its
-    first cells down.  A margin cell is left out when zeroing it would take
-    the last live cell of a positive observed count.  Each margin counts
-    its flagged and its steady cells by one bincount over its group index.
-    """
+        falling = (b - a < drop) & (c - b < drop)
     live = mu > 0
-    steady = live & ~_falling(marks, half)
+    flagged = falling & live & (mu < DECAY_CELL * ecm.table.N)
+    if not flagged.any():
+        return None
+    steady = live & ~falling
     pulls = [
         (np.bincount(group, flagged, size) > 0)
         & (np.bincount(group, steady, size) == 0)
@@ -735,12 +724,12 @@ def _complete(flagged, marks, mu, half, ecm):
     zero = zeroed(pulls)
     kept = np.bincount(ecm._idx, live & ~zero, ecm._cells)[ecm._idx]
     starved = zero & ~flagged & (ecm._y_cross > 0) & (kept == 0)
-    if not starved.any():
-        return zero
-    return zeroed([
-        pull & (np.bincount(group, starved, size) == 0)
-        for (group, size), pull in zip(ecm._groups, pulls)
-    ])
+    if starved.any():
+        zero = zeroed([
+            pull & (np.bincount(group, starved, size) == 0)
+            for (group, size), pull in zip(ecm._groups, pulls)
+        ])
+    return flagged, zero
 
 
 def _squarem_step(it, ll, step_max, ecm):
@@ -781,9 +770,11 @@ def _squarem_step(it, ll, step_max, ecm):
     return it2, ecm.loglik(it2), step_max, 3
 
 
-def _is_face(zero, sum_axes_list) -> bool:
-    """Whether the zero cells are exactly the union of the margin cells of
-    the generating class that they empty.
+def _is_face(zero, groups) -> bool:
+    """Whether the zero cells, a mask over the flat cells of the cross,
+    are exactly the union of the margin cells of the generating class
+    that they empty.  groups holds each margin's group index and size (the
+    map's _groups); a margin cell is empty when it holds no live cell.
 
     Minus the indicators of those margin cells is then a direction in the
     model's span that is negative on every zero cell and zero on the live
@@ -791,8 +782,8 @@ def _is_face(zero, sum_axes_list) -> bool:
     lies on a face (Fienberg & Rinaldo 2012).
     """
     covered = np.zeros_like(zero)
-    for axes in sum_axes_list:
-        covered |= np.all(zero, axis=axes, keepdims=True)
+    for group, size in groups:
+        covered |= (np.bincount(group, ~zero, size) == 0)[group]
     return bool(np.array_equal(covered, zero))
 
 
@@ -834,20 +825,20 @@ def _solve_face(it, zero, floor, ecm, budget):
     fixed at zero as structural zeros and SQUAREM-accelerated ECM runs on
     the live cells.  Cells that in turn pass the decay test, checked on a
     clock of its own every FACE_CHECK_CYCLES cycles, are zeroed too, with
-    the rest of their margin cells (_complete), so a face is emptied in
+    the rest of their margin cells (_decay_zeros), so a face is emptied in
     one stage, not one per decay window.  The solve ends when the
     sufficient margins match to FACE_RESIDUAL.  The result, the last
     iterate, counts when its log-likelihood is at least floor, that of the
     last iterate before zeroing (so its G2 is no larger), its zeros form a
-    face (_is_face) and the likelihood keeps them down (_zeros_stay_down).
-    trace holds the accepted log-likelihoods, at most budget of them: those
-    of the cycles that reach the last accepted one, starting from floor, so
-    that it extends the caller's trace monotonically.
+    face over the map's group indices (_is_face) and the likelihood keeps
+    them down (_zeros_stay_down).  trace holds the accepted
+    log-likelihoods, at most budget of them: those of the cycles that reach
+    the last accepted one, starting from floor, so that it extends the
+    caller's trace monotonically.
     """
     before = it.flat
     it = _Iterate(np.where(zero, 0.0, before), it.shape)
     ll = ecm.loglik(it)
-    n = ecm.table.N
     trace = []
     evaluations = 0
     cycles = 0
@@ -864,8 +855,7 @@ def _solve_face(it, zero, floor, ecm, budget):
         if ll >= (trace[-1] if trace else floor):
             trace.append(ll)
         if _margin_residual(it, ecm) < FACE_RESIDUAL:
-            zero = it.mu == 0
-            certified = ll >= floor and _is_face(zero, ecm.sum_axes_list)
+            certified = ll >= floor and _is_face(it.flat == 0, ecm._groups)
             if certified:
                 evaluations += DECAY_WINDOW
                 certified = _zeros_stay_down(it, before, ecm)
@@ -873,10 +863,9 @@ def _solve_face(it, zero, floor, ecm, budget):
         if cycles % FACE_CHECK_CYCLES == 0:
             mu = it.flat
             marks = _checkpoint(marks, mu)
-            decaying = _decaying(marks, mu, n, FACE_CHECK_CYCLES)
-            if decaying.any():
-                zero = _complete(decaying, marks, mu, FACE_CHECK_CYCLES, ecm)
-                it = _Iterate(np.where(zero, 0.0, mu), it.shape)
+            decay = _decay_zeros(marks, mu, FACE_CHECK_CYCLES, ecm)
+            if decay is not None:
+                it = _Iterate(np.where(decay[1], 0.0, mu), it.shape)
                 ll = ecm.loglik(it)
                 marks = _checkpoint([], it.flat)
     return _FaceSolve(it, tuple(trace), evaluations, False)
@@ -898,7 +887,7 @@ def fit_em(
     iteration applies the ECM map once (_EcmMap).  Iteration stops
     when the relative change of the observed-data log-likelihood drops
     below tol.  Cells that keep decaying are fixed at zero, each with the
-    rest of its margin cells when those fall too (_complete), and the fit
+    rest of its margin cells when those fall too (_decay_zeros), and the fit
     is finished on that face of the model (see _solve_face), which yields
     the limit of the likelihood whatever tol is.  A refused face attempt
     whose zero set completion enlarged at this hand-off is solved once
@@ -954,17 +943,17 @@ def fit_em(
         if len(trace) % DECAY_HALF or attempts == FACE_ATTEMPTS:
             continue
         marks = _checkpoint(marks or _checkpoint([], origin), it.flat)
-        decaying = _decaying(marks, it.flat, n, DECAY_HALF)
-        if not decaying.any():
+        decay = _decay_zeros(marks, it.flat, DECAY_HALF, ecm)
+        if decay is None:
             continue
         attempts += 1
         budget = max_iter - len(trace)
-        zero = _complete(decaying, marks, it.flat, DECAY_HALF, ecm)
+        flagged, zero = decay
         face = _solve_face(it, zero, ll, ecm, budget)
         evaluations += face.evaluations
-        if not face.certified and (zero != decaying).any():
+        if not face.certified and (zero != flagged).any():
             # completion can take a cell the face keeps live
-            face = _solve_face(it, decaying, ll, ecm, budget)
+            face = _solve_face(it, flagged, ll, ecm, budget)
             evaluations += face.evaluations
         if face.certified:
             zeroed = (face.it.flat == 0) & (it.flat > 0)
@@ -976,17 +965,8 @@ def fit_em(
         # a refused face leaves no trace: EM goes on from where it was
         marks, origin = [], it.flat
     return _finalize(
-        model,
-        schema,
-        table,
-        it.mu,
-        METHOD_EM,
-        converged,
-        len(trace),
-        trace,
-        ecm.deviance(it),
-        evaluations=evaluations,
-        face_cells=face_cells,
+        model, table, it.mu, METHOD_EM, converged, trace, ecm.deviance(it),
+        evaluations=evaluations, face_cells=face_cells,
     )
 
 
@@ -1073,8 +1053,7 @@ def fit_closed_form(model, table: IncompleteTable) -> FitResult | None:
             return None
         mu[(Ellipsis,) + tuple(int(m in pat) for m in schema.missing)] = block
     return _finalize(
-        model, schema, table, mu, METHOD_CLOSED, True, 0, (),
-        _g2_from_mu(mu, table),
+        model, table, mu, METHOD_CLOSED, True, (), _g2_from_mu(mu, table)
     )
 
 

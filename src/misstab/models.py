@@ -116,17 +116,15 @@ class ObservationMap:
     concatenated in schema.patterns() order; offsets[k]:offsets[k + 1]
     holds pattern k, whose counts have extents shapes[k].  obs_index gives,
     for each cell of the complete cross (raveled in C order), the observed
-    cell it is summed into, and cells_per_obs counts those cells.  spread
-    gives, for each cell of the cross, 1 / cells_per_obs of its observed
-    cell: the share of a count the E step spreads evenly over its cells
-    when their fit is zero.
+    cell it is summed into.  spread gives, for each cell of the cross, one
+    over the number of cells summed into its observed cell: the share of a
+    count the E step spreads evenly over its cells when their fit is zero.
     """
 
     patterns: tuple
     offsets: tuple
     shapes: tuple
     obs_index: np.ndarray
-    cells_per_obs: np.ndarray
     spread: np.ndarray
 
     def collapse(self, mu) -> np.ndarray:
@@ -162,11 +160,10 @@ def observation_map(schema: TableSchema) -> ObservationMap:
     obs_index = obs_index.ravel()
     cells_per_obs = np.bincount(obs_index, minlength=offsets[-1])
     spread = 1.0 / cells_per_obs[obs_index]
-    for arr in (obs_index, cells_per_obs, spread):
+    for arr in (obs_index, spread):
         arr.flags.writeable = False
     return ObservationMap(
-        schema.patterns(), tuple(offsets), tuple(shapes), obs_index,
-        cells_per_obs, spread,
+        schema.patterns(), tuple(offsets), tuple(shapes), obs_index, spread
     )
 
 

@@ -509,7 +509,6 @@ def load_table_csv(text: str) -> IncompleteTable:
         observed = schema.observed_for(pat)
         dims = tuple(schema.levels(v) for v in observed)
         arr = np.zeros(dims, dtype=np.int64)
-        seen = 0
         for combo in itertools.product(*(range(1, d + 1) for d in dims)):
             lookup = {v: c for v, c in zip(observed, combo)}
             key = tuple(lookup.get(n) for n in var_names)
@@ -518,7 +517,6 @@ def load_table_csv(text: str) -> IncompleteTable:
                     f"CSV lacks cell {key} for pattern {pattern_label(pat)}"
                 )
             arr[tuple(c - 1 for c in combo)] = cells.pop(key)
-            seen += 1
         strata.append(Stratum(observed, arr))
     if cells:
         raise TableError(f"CSV has rows for unknown pattern: {next(iter(cells))}")

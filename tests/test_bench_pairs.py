@@ -274,9 +274,9 @@ def test_fit_all_and_assess_are_flags_at_the_recorded_levels(
 
 
 def test_face_corpus_script_fits_every_catalog_model_of_each_table():
-    fits = bench_pairs._script(_PATH.parents[1],
-                               bench_pairs.FACE_CORPUS_SCRIPT, 3,
-                               bench_pairs.FACE_CORPUS_SEED)["fits"]
+    fits = bench_pairs._script(
+        _PATH.parents[1], bench_pairs.FACE_CORPUS_SCRIPT, 3,
+        *bench_pairs.FACE_CORPORA["face_corpus"][1])["fits"]
     assert list(fits)[:2] == ["t0:M1", "t0:M2"] and len(fits) == 27
     assert all(set(fit) == {"G2", "face_cells", *bench_pairs.FIT_FIELDS}
                for fit in fits.values())
@@ -287,6 +287,49 @@ def test_face_corpus_script_fits_every_catalog_model_of_each_table():
     assert [record[key] for key in record["moved"]] == [0, 0, 0, 0]
     total = sum(fit["evaluations"] for fit in fits.values())
     assert record["evaluations"] == {"parent": total, "change": total}
+
+
+def test_face_shapes_script_fits_each_shape_in_turn():
+    # three tables: a x b with both missing (9 models), a x b x c with a
+    # missing (4) and with a and b missing (16)
+    fits = bench_pairs._script(
+        _PATH.parents[1], bench_pairs.FACE_CORPUS_SCRIPT, 3,
+        *bench_pairs.FACE_CORPORA["face_corpus_shapes"][1])["fits"]
+    assert len(fits) == 9 + 4 + 16
+    assert [m for m in fits if m.startswith("t1:")] == [
+        "t1:C1", "t1:C2", "t1:C3", "t1:C4"]
+    assert "t2:D1:Y1=MCAR,Y2=MCAR" in fits
+    record = bench_pairs.face_corpus_record(
+        {"parent": fits, "change": fits}, 3, "face_corpus_shapes")
+    assert record["corpus"].startswith("3 tables, in turn a x b")
+    assert "default_rng(11)" in record["corpus"]
+    assert (record["fits"], record["identical"]) == (29, 29)
+
+
+def test_face_corpus_flag_records_each_corpus_under_its_key(
+        monkeypatch, tmp_path):
+    calls = []
+
+    def script(checkout, script, *args):
+        calls.append((script, *args))
+        return {"fits": {"t0:M1": _corpus_fit(evaluations=args[0])}}
+
+    monkeypatch.setattr(bench_pairs, "_script", script)
+    monkeypatch.setattr(bench_pairs, "_rev", lambda checkout: "0000000")
+    repo, out = _PATH.parents[1], tmp_path / "bench.json"
+    argv = ["--parent", str(repo), "--change", str(repo), "--out", str(out)]
+    assert bench_pairs.main([*argv, "--face-corpus"]) == 0
+    drawn = bench_pairs.FACE_CORPUS_SCRIPT
+    assert calls == [(drawn, 150, 7, 1, 1.0, 20.0)] * 2 + [
+        (drawn, 120, 11, 3, 0.7, 15.0)] * 2
+    doc = json.loads(out.read_text())
+    assert doc["face_corpus"]["corpus"] == (
+        "150 tables, a and b at 2-4 levels, both missing, Poisson counts "
+        "of gamma(1, 20) means, default_rng(7); every catalog model by "
+        "fit_em at its defaults")
+    assert doc["face_corpus_shapes"]["corpus"].startswith("120 tables,")
+    assert doc["face_corpus_shapes"]["evaluations"] == {
+        "parent": 120, "change": 120}
 
 
 def _corpus_fit(g2=1.0, face_cells=0, evaluations=10):

@@ -33,7 +33,7 @@ from misstab.fitting import (
     METHOD_EM,
     _EcmMap,
     _Iterate,
-    _complete,
+    _decay_zeros,
     _g2_from_mu,
     _is_face,
     _margin_axes,
@@ -710,8 +710,9 @@ class TestFaceSolver:
         fit = fit_em("M2", table)
         assert fit.converged and fit.boundary_rule == BOUNDARY_FACE
         assert fit.face_cells == 6
-        assert _is_face(fit.mu_hat == 0, _schedule(
-            table.schema, fit.model).sum_axes)
+        groups = _EcmMap(table, _schedule(
+            table.schema, fit.model).sum_axes)._groups
+        assert _is_face(fit.mu_hat.ravel() == 0, groups)
         assert fit.G2 == pytest.approx(0.6640716, abs=1e-6)
 
     @pytest.mark.parametrize(
@@ -736,13 +737,14 @@ class TestFaceSolver:
         # cells alone, it reaches the face
         completions = []
         solves = []
-        complete = misstab.fitting._complete
+        decay_zeros = misstab.fitting._decay_zeros
         solve_face = misstab.fitting._solve_face
 
-        def complete_spy(flagged, *args):
-            zero = complete(flagged, *args)
-            completions.append((flagged, zero))
-            return zero
+        def decay_spy(*args):
+            decay = decay_zeros(*args)
+            if decay is not None:
+                completions.append(decay)
+            return decay
 
         def solve_spy(*args):
             # the last completion before a solve starts is the hand-off's
@@ -751,7 +753,7 @@ class TestFaceSolver:
             solves.append((args[1], handoff, face.certified))
             return face
 
-        monkeypatch.setattr(misstab.fitting, "_complete", complete_spy)
+        monkeypatch.setattr(misstab.fitting, "_decay_zeros", decay_spy)
         monkeypatch.setattr(misstab.fitting, "_solve_face", solve_spy)
         fit = fit_em(model_id, table)
         (completed, (flagged, zero), first), (retried, _, last) = solves[-2:]
@@ -792,7 +794,8 @@ class TestFaceSolver:
         # a flagged cell pulls in the rest of its margin cell, here the four
         # indicator cells of one (a, b) pair, only when they all fall and
         # every positive count keeps a live cell.  (0, 0, 0, 0) is the only
-        # cell of the full count at a = b = 1
+        # cell of the full count at a = b = 1.  Only the last cell of that
+        # margin cell is small enough to be flagged
         def ecm(full_count):
             table = both_missing(
                 (2, 2), [[full_count, 5], [5, 5]], [5, 5], [5, 5], 5
@@ -805,6 +808,7 @@ class TestFaceSolver:
         other = [np.ravel_multi_index((1, 1, r, s), dims)
                  for r in (0, 1) for s in (0, 1)]
         mu = np.ones(16)
+        mu[whole[-1]] = 1e-6
         flagged = np.zeros(16, dtype=bool)
         flagged[whole[-1]] = True
 
@@ -816,16 +820,23 @@ class TestFaceSolver:
         # margin cell is taken
         falling = np.zeros(16, dtype=bool)
         falling[whole + other] = True
-        got = _complete(flagged, marks(falling), mu, 1, ecm(0))
-        assert np.flatnonzero(got).tolist() == whole
+        got, zero = _decay_zeros(marks(falling), mu, 1, ecm(0))
+        assert np.array_equal(got, flagged)
+        assert np.flatnonzero(zero).tolist() == whole
         # one cell of it holds steady
         steady = falling.copy()
         steady[whole[1]] = False
-        got = _complete(flagged, marks(steady), mu, 1, ecm(0))
+        got, zero = _decay_zeros(marks(steady), mu, 1, ecm(0))
         assert np.array_equal(got, flagged)
+        assert np.array_equal(zero, flagged)
         # zeroing it would leave the full count at a = b = 1 no live cell
-        got = _complete(flagged, marks(falling), mu, 1, ecm(3))
+        got, zero = _decay_zeros(marks(falling), mu, 1, ecm(3))
         assert np.array_equal(got, flagged)
+        assert np.array_equal(zero, flagged)
+        # no small cell falls, or the window is not yet spanned
+        assert _decay_zeros(marks(falling), np.ones(16), 1, ecm(0)) is None
+        assert _decay_zeros(marks(steady & ~flagged), mu, 1, ecm(0)) is None
+        assert _decay_zeros(marks(falling)[1:], mu, 1, ecm(0)) is None
 
     def test_trace_holds_accepted_iterations(self, bone_table):
         fit = fit_em("M3", bone_table)
@@ -836,13 +847,14 @@ class TestFaceSolver:
 
     def test_face_is_a_union_of_emptied_margins(self, smoking_table):
         fit = fit_em("M2", smoking_table)
-        axes = _margin_axes(fit.schema, generating_class(fit.model))
-        zero = fit.mu_hat == 0
-        assert _is_face(zero, axes)
+        groups = _EcmMap(smoking_table, _schedule(
+            fit.schema, fit.model).sum_axes)._groups
+        zero = fit.mu_hat.ravel() == 0
+        assert _is_face(zero, groups)
         # one cell short of the face empties no margin cell
         short = zero.copy()
-        short[np.unravel_index(np.flatnonzero(zero)[0], zero.shape)] = False
-        assert not _is_face(short, axes)
+        short[np.flatnonzero(zero)[0]] = False
+        assert not _is_face(short, groups)
 
     def test_interior_fit_has_no_face(self, smoking_table):
         fit = fit_em("M4", smoking_table)

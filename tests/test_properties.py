@@ -51,6 +51,7 @@ from misstab.fitting import (
     _EcmMap,
     _Iterate,
     _g2_from_mu,
+    _is_face,
     _margin_axes,
     _margin_group,
     _margin_groups,
@@ -947,6 +948,64 @@ class TestMarginGroups:
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
             emptied |= bool(np.any(got == 0))
         assert emptied
+
+
+def _oracle_is_face(zero, sum_axes_list):
+    """The face test on the shaped zero mask by axis reduction: the union
+    of the margin cells it empties (all zero over a margin's summed axes)
+    must be the mask itself."""
+    covered = np.zeros_like(zero)
+    for axes in sum_axes_list:
+        covered |= np.all(zero, axis=axes, keepdims=True)
+    return bool(np.array_equal(covered, zero))
+
+
+FACE_MASKS = ("random", "union", "union-less-one")
+
+
+@st.composite
+def face_masks(draw, kind):
+    """The sufficient margins of a catalog model of one of the three
+    analysis shapes (2-4 levels a variable) and a zero mask over its cross:
+    random cells, a union of one to three margin cells, or such a union
+    with one of its cells live again."""
+    n_vars = draw(st.sampled_from([2, 3]))
+    names = ("a", "b", "c")[:n_vars]
+    levels = [draw(st.integers(2, 4)) for _ in names]
+    n_missing = 2 if n_vars == 2 else draw(st.integers(1, 2))
+    missing = draw(st.permutations(names))[:n_missing]
+    schema = TableSchema(tuple(zip(names, levels)), missing)
+    model = draw(st.sampled_from(enumerate_models(schema)))
+    axes_list = _margin_axes(schema, generating_class(model))
+    dims = full_cross_dims(schema)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "random":
+        return axes_list, rng.random(dims) < draw(st.sampled_from([0.1, 0.5]))
+    zero = np.zeros(dims, dtype=bool)
+    for _ in range(draw(st.integers(1, 3))):
+        empty = draw(st.sampled_from(axes_list))
+        zero[tuple(
+            slice(None) if a in empty else draw(st.integers(0, d - 1))
+            for a, d in enumerate(dims)
+        )] = True
+    if kind == "union-less-one":
+        cells = np.flatnonzero(zero)
+        zero.reshape(-1)[cells[draw(st.integers(0, cells.size - 1))]] = False
+    return axes_list, zero
+
+
+class TestFaceTestOracle:
+    @pytest.mark.parametrize("kind", FACE_MASKS)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_group_test_matches_the_axis_reduction(self, kind, data):
+        # the flat mask against the group indices the map holds
+        axes_list, zero = data.draw(face_masks(kind))
+        groups = _margin_groups(zero.shape, axes_list)
+        want = _oracle_is_face(zero, axes_list)
+        assert _is_face(zero.reshape(-1), groups) is want
+        if kind == "union":
+            assert want
 
 
 # Design-matrix reference for the fit diagnostics: lambda recovered by least

@@ -41,12 +41,14 @@ have the same sha256 of json.dumps(verdict.as_dict()).  The record also
 holds src_lines, the lines of src/misstab/*.py in each checkout as wc -l
 counts them, so a change that removes code shows its size next to its
 runs.  --face-corpus fits every catalog model with fit_em's defaults, in
-each checkout once, to FACE_CORPUS_TABLES random tables with both
-variables missing (FACE_CORPUS_SCRIPT), and records how the change's fits
-differ from the parent's: the fits identical bit for bit (G2, iterations,
-evaluations, face cells and mu_hat bytes), the faces lost and gained, the
-G2 rises and drops beyond FACE_CORPUS_G2_TOL, the fits whose evaluations
-rose and fell, and each side's total evaluations (face_corpus_record).
+each checkout once, to each corpus of FACE_CORPORA (FACE_CORPUS_SCRIPT):
+150 random tables with both variables missing, recorded as face_corpus,
+and 120 random tables of three shapes in turn, recorded as
+face_corpus_shapes.  Each entry records how the change's fits differ from the parent's: the fits
+identical bit for bit (G2, iterations, evaluations, face cells and mu_hat
+bytes), the faces lost and gained, the G2 rises and drops beyond
+FACE_CORPUS_G2_TOL, the fits whose evaluations rose and fell, and each
+side's total evaluations (face_corpus_record).
 It measures no time, so it may run on a busy machine.  The record is
 rewritten after every pair, so an interrupted run keeps what it measured.
 """
@@ -123,27 +125,36 @@ print(json.dumps(out))
 ASSESS_TIMES = ("first_s", "first_cal", "repeat_s", "repeat_cal")
 
 # Runs in a checkout with its src/ on the path; prints one JSON object with
-# every catalog fit of each table of the corpus.  Table t has a and b at 2-4
-# levels each, both missing, and every count is Poisson with a mean drawn
-# from gamma(1, 20), all from one default_rng(FACE_CORPUS_SEED) stream in
-# that order; a table with no count at all is drawn again.
+# every catalog fit of each table of a corpus, drawn from one
+# default_rng(seed) stream in this order.  Table t has shape t mod shapes:
+# a x b with both missing (2-4 levels each), then a x b x c with a missing,
+# then a x b x c with a and b missing (2-3 levels each); each stratum, in
+# schema.patterns() order, is Poisson with means drawn from gamma(k,
+# theta), and a table with no count at all is drawn again.
 FACE_CORPUS_SCRIPT = """
 import hashlib, json, sys
 import numpy as np
 from misstab import IncompleteTable, Stratum, TableSchema
 from misstab import enumerate_models, fit_em
-rng = np.random.default_rng(int(sys.argv[2]))
+tables, seed, shapes = map(int, sys.argv[1:4])
+k, theta = map(float, sys.argv[4:6])
+rng = np.random.default_rng(seed)
 fits = {}
-for t in range(int(sys.argv[1])):
+for t in range(tables):
     while True:
-        levels = [int(k) for k in rng.integers(2, 5, size=2)]
-        schema = TableSchema(tuple(zip(("a", "b"), levels)), ("a", "b"))
+        if t % shapes == 0:
+            levels = [int(n) for n in rng.integers(2, 5, size=2)]
+            names = missing = ("a", "b")
+        else:
+            levels = [int(n) for n in rng.integers(2, 4, size=3)]
+            names, missing = ("a", "b", "c"), ("a", "b")[: t % shapes]
+        schema = TableSchema(tuple(zip(names, levels)), missing)
         strata = []
         for pattern in schema.patterns():
             observed = schema.observed_for(pattern)
             shape = [schema.levels(v) for v in observed]
             strata.append(Stratum(observed,
-                                  rng.poisson(rng.gamma(1.0, 20.0, shape))))
+                                  rng.poisson(rng.gamma(k, theta, shape))))
         table = IncompleteTable(schema, tuple(strata))
         if table.N > 0:
             break
@@ -155,8 +166,19 @@ for t in range(int(sys.argv[1])):
             "mu_hat_sha256": hashlib.sha256(f.mu_hat.tobytes()).hexdigest()}
 print(json.dumps({"fits": fits}))
 """
-FACE_CORPUS_TABLES = 150
-FACE_CORPUS_SEED = 7
+# each corpus --face-corpus fits, by its key in the record: its table
+# count, the script's seed, shapes, k and theta, and what its tables are
+FACE_CORPORA = {
+    "face_corpus": (
+        150, (7, 1, 1.0, 20.0),
+        "a and b at 2-4 levels, both missing, Poisson counts of "
+        "gamma(1, 20) means"),
+    "face_corpus_shapes": (
+        120, (11, 3, 0.7, 15.0),
+        "in turn a x b at 2-4 levels with both missing, a x b x c at 2-3 "
+        "levels with a missing and with a and b missing, Poisson counts of "
+        "gamma(0.7, 15) means"),
+}
 FACE_CORPUS_G2_TOL = 1e-6  # a G2 moving by more than this rises or drops
 
 
@@ -369,15 +391,16 @@ def assess_record(runs: dict, levels: int) -> dict:
     }
 
 
-def face_corpus_record(fits: dict, tables: int) -> dict:
-    """The --face-corpus entry of the record from each side's fits (side ->
-    FACE_CORPUS_SCRIPT's fits): which fits are identical in every field
-    recorded (a float read back from JSON equals only its own bits), which
-    lost or gained a certified face, whose G2 rose or dropped beyond
-    FACE_CORPUS_G2_TOL, and whose evaluations rose or fell, each list of
-    fits in corpus order with its count, and each side's total
-    evaluations.  The totals alone would hide a change that moves work
-    from some fits to others."""
+def face_corpus_record(fits: dict, tables: int,
+                       corpus: str = "face_corpus") -> dict:
+    """The entry of one --face-corpus corpus (a key of FACE_CORPORA) in the
+    record, from each side's fits (side -> the corpus script's fits): which
+    fits are identical in every field recorded (a float read back from JSON
+    equals only its own bits), which lost or gained a certified face, whose
+    G2 rose or dropped beyond FACE_CORPUS_G2_TOL, and whose evaluations
+    rose or fell, each list of fits in corpus order with its count, and
+    each side's total evaluations.  The totals alone would hide a change
+    that moves work from some fits to others."""
     parent, change = (fits[side] for side in SIDES)
     same = [m for m in parent if parent[m] == change[m]]
     moved = {
@@ -396,11 +419,10 @@ def face_corpus_record(fits: dict, tables: int) -> dict:
         "evaluations_fell": [m for m in parent if change[m]["evaluations"]
                              < parent[m]["evaluations"]],
     }
+    _, (seed, *_), drawn = FACE_CORPORA[corpus]
     return {
-        "corpus": f"{tables} tables, a and b at 2-4 levels, both missing, "
-                  f"Poisson counts of gamma(1, 20) means, "
-                  f"default_rng({FACE_CORPUS_SEED}); every catalog model "
-                  "by fit_em at its defaults",
+        "corpus": f"{tables} tables, {drawn}, default_rng({seed}); every "
+                  "catalog model by fit_em at its defaults",
         "fits": len(parent),
         "identical": len(same),
         **{key: len(labels) for key, labels in (moved | work).items()},
@@ -510,11 +532,12 @@ def main(argv=None) -> int:
                                                             ASSESS_LEVELS)
         save()
     if args.face_corpus:
-        fits = {side: _script(checkouts[side], FACE_CORPUS_SCRIPT,
-                              FACE_CORPUS_TABLES, FACE_CORPUS_SEED)["fits"]
-                for side in SIDES}
-        doc["face_corpus"] = face_corpus_record(fits, FACE_CORPUS_TABLES)
-        save()
+        for corpus, (tables, drawn, _) in FACE_CORPORA.items():
+            fits = {side: _script(checkouts[side], FACE_CORPUS_SCRIPT,
+                                  tables, *drawn)["fits"]
+                    for side in SIDES}
+            doc[corpus] = face_corpus_record(fits, tables, corpus)
+            save()
     return 0
 
 
