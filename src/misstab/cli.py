@@ -346,6 +346,8 @@ def _add_fit_options(p):
     p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
 
 
+# the cache hits only when main runs more than once in one process, as
+# the tests and bench/run.py run it; a misstab process parses once
 @functools.cache
 def build_parser() -> _Parser:
     """The command-line parser; parsing leaves it unchanged, so it is

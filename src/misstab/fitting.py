@@ -37,12 +37,17 @@ again with the guards, so every fit keeps its bits.  When the maximum
 lies on the boundary, the cells that keep decaying are fixed at zero, with
 the rest of each margin cell whose live cells all fall with them, and the
 fit is finished on that face of the model by accelerated ECM (fit_em,
-_decay_zeros, _solve_face); a face is tested against the same group
-indices (_is_face).  Fit quality is the deviance of the observed
-strata against the collapsed fitted expectations, with tail
-probabilities from the chi-square survival function in closed form for
-integer df: a finite Poisson sum for even df, erfc plus a finite sum for
-odd df (chi_square_sf, standard library only).  The E step, the
+_decay_zeros, _solve_face).  The face solve runs on the map restricted
+to the face's live cells (_EcmMap.restrict), so its iterates hold no
+zero cell: each is flagged positive, and on a table whose counts are
+all positive every face-phase map application sweeps unguarded.  The
+decay test, the face test (_is_face, against the same group indices),
+the certification and the result read the full cross.  Fit quality is
+the deviance of the observed strata against the collapsed fitted
+expectations, with tail probabilities from the chi-square survival
+function in closed form for integer df: a finite Poisson sum for even
+df, erfc plus a finite sum for odd df, its terms formed by their ratio
+(chi_square_sf, standard library only).  The E step, the
 deviance and the fitted strata all collapse the cross through the
 schema's one observation map (models.observation_map), the map by a
 bincount over its index.
@@ -50,6 +55,7 @@ bincount over its index.
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 import math
@@ -250,10 +256,12 @@ class _Iterate:
     read-only and holds as flat, the cells raveled in C order, with the
     cross's shape: either a shaped cross mu, or a raveled one and its
     shape.  The shaped view mu is made only when it is read.  positive
-    says that every cell is known to be > 0 (none NaN): a fit's start and
-    a probe of the face certification are tested once when they are made,
-    a map application passes on what its own output test found, and a
-    zeroed face iterate or a SQUAREM jump is not flagged.  It carries what
+    says that every cell is known to be > 0 (none NaN) and so every
+    positive count has a cell of the map: a fit's start and a probe of the
+    face certification are tested once when they are made, a face start
+    when the map is restricted to its live cells, a map application passes
+    on what its own output test found, and a SQUAREM jump is tested when
+    the iterates it extrapolates are flagged.  It carries what
     the map reads from the cross, each computed once, when it is first
     needed: c, the collapse onto the observed cells (for the
     log-likelihood and the E step), and targets, the sufficient margins of
@@ -304,12 +312,16 @@ class _EcmMap:
     cells, so the E step and the log-likelihood test nothing; when the
     observed counts are all positive too, the sweep runs without its
     per-margin guards and its result is tested once.  A zero or NaN
-    divisor anywhere in that sweep leaves a NaN in the result, so a
-    result that passes has the guarded sweep's bits and is flagged
-    positive, and one that fails is swept again with the guards.  Only
-    underflow can empty a margin cell there, so the unguarded sweep runs
-    with numpy's divide and invalid warnings off: its zero divisor is
-    the expected way to fail, not an error.
+    divisor at a margin cell that holds a cell of the map leaves a NaN in
+    the result, so a result that passes has the guarded sweep's bits and
+    is flagged positive, and one that fails is swept again with the
+    guards.  Only underflow can empty such a margin cell there, so the
+    unguarded sweep runs with numpy's divide and invalid warnings off: its
+    zero divisor is the expected way to fail, not an error.
+
+    A face solve runs on the map restricted to the live cells of the face
+    (restrict), whose iterates hold no zero cell and so are flagged
+    positive; cross puts such an iterate back on the full cross.
     """
 
     def __init__(self, table: IncompleteTable, sum_axes_list):
@@ -327,8 +339,43 @@ class _EcmMap:
         self._unguarded = positive.size == y.size
         self._positive = slice(None) if self._unguarded else positive
         self._y_positive = y[self._positive]
-        dims = full_cross_dims(table.schema)
-        self._groups = _margin_groups(dims, sum_axes_list)
+        self._shape = full_cross_dims(table.schema)
+        self._groups = _margin_groups(self._shape, sum_axes_list)
+        self._live = None  # the cells of the cross it covers: all of them
+
+    def restrict(self, flat):
+        """This map on the live (positive) cells of flat, a raveled cross of
+        its table, and flat at those cells as an iterate of it.
+
+        The restricted map holds the observation index, the counts gathered
+        onto the cross, the even spread and each margin's group index at
+        the live cells, in C order, and each bincount over them keeps this
+        map's size, so every collapse and margin has the bits this map
+        finds on a cross that is zero at the other cells.  The iterate is
+        flagged positive when every positive count keeps a live cell; one
+        that a zeroing starved is not, and its log-likelihood is -inf."""
+        live = np.flatnonzero(flat > 0)
+        face = copy.copy(self)
+        face._live = live
+        face._idx = self._idx[live]
+        face._y_cross = self._y_cross[live]
+        face._spread = self._spread[live]
+        face._groups = tuple(
+            (group[live], size) for group, size in self._groups
+        )
+        kept = np.bincount(face._idx, None, self._cells)[self._positive]
+        positive = bool(np.logical_and.reduce(kept))
+        return face, _Iterate(flat[live], positive=positive)
+
+    def cross(self, flat):
+        """A raveled cross of the map's cells on the full raveled cross of
+        its table, zero at the cells a restriction leaves out; flat itself
+        when the map covers every cell."""
+        if self._live is None:
+            return flat
+        full = np.zeros(math.prod(self._shape))
+        full[self._live] = flat
+        return full
 
     def _collapse(self, it):
         if it.owner is not self:
@@ -369,14 +416,17 @@ class _EcmMap:
         if not (it.positive or np.minimum.reduce(c, initial=math.inf) > 0):
             return float("-inf")
         logs = float(np.add.reduce(self._y_positive * np.log(c)))
-        return -float(np.add.reduce(it.flat)) + logs
+        # summed over the full cross: numpy adds in pairs by position, so
+        # a sum of the live cells alone can differ in the last bit
+        return -float(np.add.reduce(self.cross(it.flat))) + logs
 
     def __call__(self, it):
         targets = self.targets(it)
         if it.positive and self._unguarded:
             flat = it.flat
             # a margin cell emptied by underflow divides by zero, and the
-            # NaN it leaves sends the sweep to the guarded loop below
+            # NaN it leaves sends the sweep to the guarded loop below; a
+            # margin cell with no cell of a restricted map is never read
             with np.errstate(divide="ignore", invalid="ignore"):
                 for (group, size), target in zip(self._groups, targets):
                     cur = np.bincount(group, flat, size)
@@ -466,8 +516,12 @@ def chi_square_sf(x: float, df: int) -> float:
     With h = x/2 the tail is a finite sum (Abramowitz & Stegun 26.4.4-5):
     exp(-h) * sum_{j<m} h^j / j! for df = 2m, and erfc(sqrt(h)) plus
     sum_{j<m} h^(j+1/2) exp(-h) / Gamma(j+3/2) for df = 2m+1.  Every term
-    is positive and is formed in log space, and fsum adds them exactly, so
-    a large df neither overflows nor cancels.
+    is positive, and fsum adds them exactly, so a large df neither
+    overflows nor cancels.  Term j is term j-1 times h / (j + shift), with
+    shift 1/2 for odd df and 0 for even, so only the largest term, where
+    that ratio falls below 1, is formed in log space, and the others
+    follow from it by the ratio, down each side: none can overflow, and
+    one that underflows is negligible against it.
     """
     if not _is_int(df) or df < 1:
         raise ComputationError("df must be a positive integer")
@@ -483,11 +537,21 @@ def chi_square_sf(x: float, df: int) -> float:
         return 0.0
     m, odd = divmod(int(df), 2)
     shift = 0.5 * odd
-    log_h = math.log(h)
-    terms = [
-        math.exp((j + shift) * log_h - h - math.lgamma(j + shift + 1.0))
-        for j in range(m)
-    ]
+    terms = []
+    if m:
+        top = min(max(int(h - shift), 0), m - 1)
+        peak = math.exp(
+            (top + shift) * math.log(h) - h - math.lgamma(top + shift + 1.0)
+        )
+        term = peak
+        for j in range(top + 1, m):
+            term *= h / (j + shift)
+            terms.append(term)
+        term = peak
+        for j in range(top, 0, -1):
+            term *= (j + shift) / h
+            terms.append(term)
+        terms.append(peak)
     if odd:
         terms.append(math.erfc(math.sqrt(h)))
     return min(math.fsum(terms), 1.0)
@@ -734,7 +798,8 @@ def _decay_zeros(marks, mu, half, ecm):
 
 def _squarem_step(it, ll, step_max, ecm):
     """One SQUAREM cycle (Varadhan & Roland 2008, step SqS3) of the ECM map,
-    extrapolated in log space over the live cells.
+    extrapolated in log space over the live cells: every cell when the
+    map's iterates are flagged positive, as on a face's live cells.
 
     Returns the next _Iterate, its log-likelihood, the next step bound and
     the map evaluations spent.  The step length is capped at step_max; the
@@ -746,7 +811,10 @@ def _squarem_step(it, ll, step_max, ecm):
     """
     it1 = ecm(it)
     it2 = ecm(it1)
-    live = it2.flat > 0
+    # the map flags its output only when its input is flagged, so when it2
+    # is, every cell of all three iterates is live
+    positive = it2.positive
+    live = slice(None) if positive else it2.flat > 0
     x0, x1, x2 = (np.log(i.flat[live]) for i in (it, it1, it2))
     r = x1 - x0
     v = x2 - x1 - r
@@ -755,12 +823,17 @@ def _squarem_step(it, ll, step_max, ecm):
     if v_norm == 0:
         return it2, ecm.loglik(it2), step_max, 2
     alpha = max(min(-math.sqrt(r @ r) / v_norm, -1.0), -step_max)
-    jump = np.zeros(it.flat.size)
     # a long extrapolation can overflow or underflow cells; such a jump
     # fails the guard below
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        jump[live] = np.exp(x0 - 2.0 * alpha * r + alpha * alpha * v)
-        jump = ecm(_Iterate(jump, it.shape))
+        step = np.exp(x0 - 2.0 * alpha * r + alpha * alpha * v)
+        if positive:
+            jump = step
+            positive = np.minimum.reduce(step, initial=math.inf) > 0
+        else:
+            jump = np.zeros(it.flat.size)
+            jump[live] = step
+        jump = ecm(_Iterate(jump, it.shape, positive))
         ll_jump = ecm.loglik(jump)
     if np.logical_and.reduce(np.isfinite(jump.flat)) and ll_jump >= ll:
         if alpha == -step_max:
@@ -823,51 +896,57 @@ def _solve_face(it, zero, floor, ecm, budget):
 
     The cells of zero, a mask over the flat cells of the iterate it, are
     fixed at zero as structural zeros and SQUAREM-accelerated ECM runs on
-    the live cells.  Cells that in turn pass the decay test, checked on a
-    clock of its own every FACE_CHECK_CYCLES cycles, are zeroed too, with
-    the rest of their margin cells (_decay_zeros), so a face is emptied in
-    one stage, not one per decay window.  The solve ends when the
-    sufficient margins match to FACE_RESIDUAL.  The result, the last
-    iterate, counts when its log-likelihood is at least floor, that of the
-    last iterate before zeroing (so its G2 is no larger), its zeros form a
-    face over the map's group indices (_is_face) and the likelihood keeps
-    them down (_zeros_stay_down).  trace holds the accepted
-    log-likelihoods, at most budget of them: those of the cycles that reach
-    the last accepted one, starting from floor, so that it extends the
-    caller's trace monotonically.
+    the map restricted to the live cells (_EcmMap.restrict), whose
+    iterates are all positive.  Cells that in turn pass the decay test,
+    checked on the full cross on a clock of its own every
+    FACE_CHECK_CYCLES cycles, are zeroed too, with the rest of their
+    margin cells (_decay_zeros), and the map is restricted again, so a
+    face is emptied in one stage, not one per decay window.  The solve
+    ends when the sufficient margins match to FACE_RESIDUAL.  The result,
+    the last iterate on the full cross, counts when its log-likelihood is
+    at least floor, that of the last iterate before zeroing (so its G2 is
+    no larger), its zeros form a face over the map's group indices
+    (_is_face) and the likelihood keeps them down (_zeros_stay_down).
+    trace holds the accepted log-likelihoods, at most budget of them:
+    those of the cycles that reach the last accepted one, starting from
+    floor, so that it extends the caller's trace monotonically.
     """
     before = it.flat
-    it = _Iterate(np.where(zero, 0.0, before), it.shape)
-    ll = ecm.loglik(it)
+    mu = np.where(zero, 0.0, before)
+    face, it = ecm.restrict(mu)
+    ll = face.loglik(it)
     trace = []
     evaluations = 0
     cycles = 0
     step_max = 1.0
-    marks = _checkpoint([], it.flat)
+    marks = _checkpoint([], mu)
     while (
         math.isfinite(ll)
         and len(trace) < budget
         and evaluations < FACE_MAX_EVALUATIONS
     ):
-        it, ll, step_max, spent = _squarem_step(it, ll, step_max, ecm)
+        it, ll, step_max, spent = _squarem_step(it, ll, step_max, face)
         evaluations += spent
         cycles += 1
         if ll >= (trace[-1] if trace else floor):
             trace.append(ll)
-        if _margin_residual(it, ecm) < FACE_RESIDUAL:
+        if _margin_residual(it, face) < FACE_RESIDUAL:
+            it = _Iterate(face.cross(it.flat), ecm._shape)
             certified = ll >= floor and _is_face(it.flat == 0, ecm._groups)
             if certified:
                 evaluations += DECAY_WINDOW
                 certified = _zeros_stay_down(it, before, ecm)
             return _FaceSolve(it, tuple(trace), evaluations, certified)
         if cycles % FACE_CHECK_CYCLES == 0:
-            mu = it.flat
+            mu = face.cross(it.flat)
             marks = _checkpoint(marks, mu)
             decay = _decay_zeros(marks, mu, FACE_CHECK_CYCLES, ecm)
             if decay is not None:
-                it = _Iterate(np.where(decay[1], 0.0, mu), it.shape)
-                ll = ecm.loglik(it)
-                marks = _checkpoint([], it.flat)
+                mu = np.where(decay[1], 0.0, mu)
+                face, it = ecm.restrict(mu)
+                ll = face.loglik(it)
+                marks = _checkpoint([], mu)
+    it = _Iterate(face.cross(it.flat), ecm._shape)
     return _FaceSolve(it, tuple(trace), evaluations, False)
 
 
@@ -894,7 +973,8 @@ def fit_em(
     more from the flagged cells alone, so a cell that completion took but
     the face keeps live can stay live; each attempt counts the map
     evaluations of both solves.  init="perturbed" (with a seed) jitters
-    the start multiplicatively to probe for multiple modes.
+    the start multiplicatively to probe for multiple modes; a seed with
+    the uniform start, which draws nothing, is an error.
     """
     schema = table.schema
     if not schema.is_analysis_shape:
@@ -918,6 +998,11 @@ def fit_em(
         mu *= n / mu.sum()
     elif init != "uniform":
         raise ComputationError(f"unknown init mode {init}")
+    elif seed is not None:
+        raise ComputationError(
+            "seed applies to init='perturbed' only; the uniform start "
+            "draws nothing"
+        )
     ecm = _EcmMap(table, _schedule(schema, model).sum_axes)
     positive = np.minimum.reduce(mu, axis=None, initial=math.inf) > 0
     it = _Iterate(mu, positive=positive)

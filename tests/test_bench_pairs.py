@@ -312,7 +312,9 @@ def test_face_corpus_flag_records_each_corpus_under_its_key(
 
     def script(checkout, script, *args):
         calls.append((script, *args))
-        return {"fits": {"t0:M1": _corpus_fit(evaluations=args[0])}}
+        side = len(calls) % 2
+        return {"fits": {"t0:M1": _corpus_fit(evaluations=args[0])},
+                "fits_s": 9.0 + side, "fits_cal": 1500.0 + side}
 
     monkeypatch.setattr(bench_pairs, "_script", script)
     monkeypatch.setattr(bench_pairs, "_rev", lambda checkout: "0000000")
@@ -330,6 +332,29 @@ def test_face_corpus_flag_records_each_corpus_under_its_key(
     assert doc["face_corpus_shapes"]["corpus"].startswith("120 tables,")
     assert doc["face_corpus_shapes"]["evaluations"] == {
         "parent": 120, "change": 120}
+    for corpus in bench_pairs.FACE_CORPORA:
+        assert doc[corpus]["fits_s"] == {"parent": 10.0, "change": 9.0}
+        assert doc[corpus]["fits_cal"] == {"parent": 1501.0,
+                                           "change": 1500.0}
+
+
+def test_face_corpus_script_times_its_fits_in_kernels():
+    got = bench_pairs._script(
+        _PATH.parents[1], bench_pairs.FACE_CORPUS_SCRIPT, 2,
+        *bench_pairs.FACE_CORPORA["face_corpus_shapes"][1])
+    assert set(got) == {"fits", *bench_pairs.CORPUS_TIMES}
+    assert all(got[key] > 0 for key in bench_pairs.CORPUS_TIMES)
+    times = {"parent": got, "change": {"fits_s": 1.0, "fits_cal": 2.0}}
+    record = bench_pairs.face_corpus_record(
+        {"parent": got["fits"], "change": got["fits"]}, 2,
+        "face_corpus_shapes", times)
+    assert record["fits_s"] == {"parent": got["fits_s"], "change": 1.0}
+    assert record["fits_cal"] == {"parent": got["fits_cal"], "change": 2.0}
+    # without times the entry holds the fits alone
+    assert not set(bench_pairs.CORPUS_TIMES) & set(
+        bench_pairs.face_corpus_record(
+            {"parent": got["fits"], "change": got["fits"]}, 2,
+            "face_corpus_shapes"))
 
 
 def _corpus_fit(g2=1.0, face_cells=0, evaluations=10):

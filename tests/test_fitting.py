@@ -500,6 +500,17 @@ class TestEm:
             assert alt.G2 == pytest.approx(base.G2, abs=1e-4)
             assert alt.lambda_residual <= 1e-12
 
+    @pytest.mark.parametrize("seed", [0, 7, np.random.default_rng(1)])
+    def test_a_seed_needs_the_perturbed_start(self, smoking_table, seed):
+        # the uniform start draws nothing, so a seed there would change
+        # nothing without a word
+        with pytest.raises(ComputationError, match="init='perturbed'"):
+            fit_em("M4", smoking_table, seed=seed)
+        with pytest.raises(ComputationError, match="init='perturbed'"):
+            fit_em("M4", smoking_table, init="uniform", seed=seed)
+        fit = fit_em("M4", smoking_table, init="perturbed", seed=seed)
+        assert fit.converged
+
     def test_loglik_trace_is_monotone(self, smoking_table):
         fit = fit_em("M4", smoking_table)
         trace = fit.loglik_trace
@@ -574,19 +585,28 @@ class TestEm:
         # application share one collapse of an iterate; the raw SQUAREM
         # jumps add the few more.  A collapse is a bincount over the
         # observation index, whether the map or the observation map takes
-        # it, so every one is counted
+        # it, or over its live cells, which a face solve's map takes, so
+        # every one is counted
         table = builtin_dataset(name)
-        obs_index = observation_map(table.schema).obs_index
+        indices = [observation_map(table.schema).obs_index]
         calls = []
         bincount = np.bincount
+        restrict = _EcmMap.restrict
 
         def counted(index, *args, **kwargs):
-            if index is obs_index:
+            if any(index is obs_index for obs_index in indices):
                 calls.append(None)
             return bincount(index, *args, **kwargs)
 
+        def restricted(ecm, flat):
+            face, it = restrict(ecm, flat)
+            indices.append(face._idx)
+            return face, it
+
         monkeypatch.setattr(np, "bincount", counted)
+        monkeypatch.setattr(_EcmMap, "restrict", restricted)
         fit = fit_em(model_id, table)
+        assert len(indices) > 1
         assert fit.face_cells > 0
         assert fit.evaluations <= len(calls) <= 1.1 * fit.evaluations
 

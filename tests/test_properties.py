@@ -46,10 +46,19 @@ from misstab import (
     resample,
     scale_counts,
 )
+import misstab.fitting
 from misstab.fitting import (
+    DECAY_WINDOW,
+    FACE_CHECK_CYCLES,
+    FACE_MAX_EVALUATIONS,
+    FACE_RESIDUAL,
+    SQUAREM_STEP_FACTOR,
     FitResult,
     _EcmMap,
+    _FaceSolve,
     _Iterate,
+    _checkpoint,
+    _decay_zeros,
     _g2_from_mu,
     _is_face,
     _margin_axes,
@@ -57,6 +66,7 @@ from misstab.fitting import (
     _margin_groups,
     _margin_residual,
     _recover_lambda,
+    _zeros_stay_down,
 )
 from misstab.models import (
     _effects_coding,
@@ -1070,6 +1080,247 @@ class TestFaceOracle:
         plain = _settled_plain_ecm_g2(model, table)
         if plain is not None:
             assert fit.G2 >= plain - 1e-6
+
+
+# The face solve on the full cross: every iterate holds the zero cells, so
+# none is flagged positive and each map application takes the guarded
+# sweep, and each SQUAREM cycle extrapolates over a mask of the live cells
+# and scatters its jump back onto the cross.  The solve on the live cells
+# alone (_solve_face) must reproduce it bit for bit.
+
+def _oracle_squarem_step(it, ll, step_max, ecm):
+    it1 = ecm(it)
+    it2 = ecm(it1)
+    live = it2.flat > 0
+    x0, x1, x2 = (np.log(i.flat[live]) for i in (it, it1, it2))
+    r = x1 - x0
+    v = x2 - x1 - r
+    v_norm = math.sqrt(v @ v)
+    if v_norm == 0:
+        return it2, ecm.loglik(it2), step_max, 2
+    alpha = max(min(-math.sqrt(r @ r) / v_norm, -1.0), -step_max)
+    jump = np.zeros(it.flat.size)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        jump[live] = np.exp(x0 - 2.0 * alpha * r + alpha * alpha * v)
+        jump = ecm(_Iterate(jump, it.shape))
+        ll_jump = ecm.loglik(jump)
+    if np.logical_and.reduce(np.isfinite(jump.flat)) and ll_jump >= ll:
+        if alpha == -step_max:
+            step_max *= SQUAREM_STEP_FACTOR
+        return jump, ll_jump, step_max, 3
+    step_max = max(step_max / SQUAREM_STEP_FACTOR, 1.0)
+    return it2, ecm.loglik(it2), step_max, 3
+
+
+def _oracle_solve_face(it, zero, floor, ecm, budget):
+    before = it.flat
+    it = _Iterate(np.where(zero, 0.0, before), it.shape)
+    ll = ecm.loglik(it)
+    trace = []
+    evaluations = 0
+    cycles = 0
+    step_max = 1.0
+    marks = _checkpoint([], it.flat)
+    while (
+        math.isfinite(ll)
+        and len(trace) < budget
+        and evaluations < FACE_MAX_EVALUATIONS
+    ):
+        it, ll, step_max, spent = _oracle_squarem_step(it, ll, step_max, ecm)
+        evaluations += spent
+        cycles += 1
+        if ll >= (trace[-1] if trace else floor):
+            trace.append(ll)
+        if _margin_residual(it, ecm) < FACE_RESIDUAL:
+            certified = ll >= floor and _is_face(it.flat == 0, ecm._groups)
+            if certified:
+                evaluations += DECAY_WINDOW
+                certified = _zeros_stay_down(it, before, ecm)
+            return _FaceSolve(it, tuple(trace), evaluations, certified)
+        if cycles % FACE_CHECK_CYCLES == 0:
+            mu = it.flat
+            marks = _checkpoint(marks, mu)
+            decay = _decay_zeros(marks, mu, FACE_CHECK_CYCLES, ecm)
+            if decay is not None:
+                it = _Iterate(np.where(decay[1], 0.0, mu), it.shape)
+                ll = ecm.loglik(it)
+                marks = _checkpoint([], it.flat)
+    return _FaceSolve(it, tuple(trace), evaluations, False)
+
+
+def _same_face_solve(got, want):
+    assert got.trace == want.trace
+    assert got.evaluations == want.evaluations
+    assert got.certified is want.certified
+    assert got.it.shape == want.it.shape
+    assert got.it.flat.tobytes() == want.it.flat.tobytes()
+
+
+def _fit_against_the_oracle(model, table, monkeypatch):
+    """Fit with the solve on the live cells, comparing each of its face
+    solves with the full-cross oracle on the same arguments, then fit again
+    with the oracle in its place: both fits must have the same bits.
+    Returns the fit, each solve's start and every restriction it made."""
+    solve_face = misstab.fitting._solve_face
+    restrict = _EcmMap.restrict
+    starts, restrictions = [], []
+
+    def compared(it, zero, floor, ecm, budget):
+        got = solve_face(it, zero, floor, ecm, budget)
+        want = _oracle_solve_face(it, zero, floor, ecm, budget)
+        _same_face_solve(got, want)
+        starts.append(np.where(zero, 0.0, it.flat))
+        return got
+
+    def recorded(ecm, flat):
+        face, it = restrict(ecm, flat)
+        restrictions.append((ecm, face, it))
+        return face, it
+
+    monkeypatch.setattr(misstab.fitting, "_solve_face", compared)
+    monkeypatch.setattr(_EcmMap, "restrict", recorded)
+    fit = fit_em(model, table)
+    monkeypatch.setattr(misstab.fitting, "_solve_face", _oracle_solve_face)
+    want = fit_em(model, table)
+    monkeypatch.undo()
+    assert fit.loglik_trace == want.loglik_trace
+    assert (fit.G2, fit.p_value) == (want.G2, want.p_value)
+    assert (fit.iterations, fit.evaluations, fit.face_cells) == (
+        want.iterations, want.evaluations, want.face_cells)
+    assert fit.mu_hat.tobytes() == want.mu_hat.tobytes()
+    return fit, starts, restrictions
+
+
+def _check_restriction(ecm, face, it):
+    """A restriction covers the positive cells of the cross it was made
+    from, and its iterate is flagged positive exactly when every positive
+    count keeps one of them; a starved one's log-likelihood is -inf."""
+    assert np.all(it.flat > 0)
+    y = observed_counts(ecm.table).ravel()
+    kept = np.bincount(face._idx, minlength=y.size)
+    fed = bool(np.all(kept[y > 0] > 0))
+    assert it.positive is fed
+    if not fed:
+        assert face.loglik(it) == -math.inf
+    return fed
+
+
+@st.composite
+def sparse_analysis_fits(draw):
+    """A catalog model and a random table of one of the three analysis
+    shapes whose counts are zero about a third of the time (the stratum
+    with every missing variable unrecorded keeps a positive count, so the
+    table is never empty)."""
+    n_vars = draw(st.sampled_from([2, 3]))
+    names = ("a", "b", "c")[:n_vars]
+    levels = [draw(st.integers(2, 3)) for _ in names]
+    n_missing = 2 if n_vars == 2 else draw(st.integers(1, 2))
+    missing = draw(st.permutations(names))[:n_missing]
+    schema = TableSchema(tuple(zip(names, levels)), missing)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    strata = []
+    for pattern in schema.patterns():
+        observed = schema.observed_for(pattern)
+        shape = [schema.levels(v) for v in observed]
+        counts = rng.integers(0, 40, size=shape) * (rng.random(shape) > 0.3)
+        if len(pattern) == n_missing:
+            counts = counts + 1
+        strata.append(Stratum(observed, counts))
+    model = draw(st.sampled_from(enumerate_models(schema)))
+    return model, IncompleteTable(schema, tuple(strata))
+
+
+def _table(levels, missing, counts):
+    names = ("a", "b", "c")[: len(levels)]
+    schema = TableSchema(tuple(zip(names, levels)), missing)
+    return IncompleteTable(schema, tuple(
+        Stratum(schema.observed_for(p), np.array(c))
+        for p, c in zip(schema.patterns(), counts)
+    ))
+
+
+# a flagged cell at the hand-off from EM takes the last cell of a positive
+# count of the first table; a face-clock zeroing does on the second
+STARVED_AT_HANDOFF = ("M3", _table(
+    (2, 3), ("a", "b"),
+    [[[1, 4, 1], [37, 16, 21]], [0, 15, 48], [19, 1], 39],
+))
+STARVED_ON_THE_FACE_CLOCK = ("D6:Y1=MAR(Y2),Y2=NMAR", _table(
+    (3, 3, 3), ("a", "b"),
+    [[[[42, 4, 0], [1, 15, 5], [0, 3, 2]], [[3, 8, 0], [45, 10, 3],
+      [0, 7, 0]], [[7, 21, 7], [24, 13, 28], [9, 17, 0]]],
+     [[7, 2, 0], [1, 7, 13], [28, 27, 15]],
+     [[20, 2, 24], [19, 3, 1], [1, 6, 3]], [13, 36, 16]],
+))
+
+
+class TestLiveCellFaceSolve:
+    # the face solve runs on the map restricted to the live cells, and must
+    # keep the bits of the solve on the full cross: its trace, evaluations,
+    # certified flag and result, and so every fit's
+    @settings(max_examples=40, deadline=None)
+    @given(sparse_analysis_fits())
+    def test_random_fits_match_the_full_cross_solve(self, case):
+        model, table = case
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            _, _, restrictions = _fit_against_the_oracle(
+                model, table, monkeypatch
+            )
+        for ecm, face, it in restrictions:
+            _check_restriction(ecm, face, it)
+
+    @pytest.mark.parametrize(
+        "name,model_id", ALL_CASES, ids=[f"{n}-{m}" for n, m in ALL_CASES]
+    )
+    def test_catalog_fits_match_the_full_cross_solve(
+        self, request, name, model_id, monkeypatch
+    ):
+        table = request.getfixturevalue(TABLE_FIXTURE[name])
+        _fit_against_the_oracle(model_id, table, monkeypatch)
+
+    @pytest.mark.parametrize(
+        "case,starts",
+        [(STARVED_AT_HANDOFF, 1), (STARVED_ON_THE_FACE_CLOCK, 5)],
+        ids=["hand-off", "face-clock"],
+    )
+    def test_a_starved_count_keeps_a_log_likelihood_of_minus_inf(
+        self, case, starts, monkeypatch
+    ):
+        # the zeroing leaves a positive count no live cell: the restricted
+        # iterate is not flagged, so its log-likelihood tests the collapse
+        # and is -inf, as the full cross's is, and the solve stops there
+        model_id, table = case
+        _, _, restrictions = _fit_against_the_oracle(
+            model_id, table, monkeypatch
+        )
+        fed = [_check_restriction(*r) for r in restrictions]
+        assert len(fed) == starts and not all(fed)
+        for ecm, face, it in restrictions:
+            if not it.positive:
+                full = _Iterate(face.cross(it.flat), ecm._shape)
+                assert ecm.loglik(full) == -math.inf
+
+    def test_face_iterates_are_flagged_and_sweep_unguarded(
+        self, bone_table, monkeypatch
+    ):
+        # on a face whose counts are all positive, every map application of
+        # the face phase is on a flagged iterate of the restricted map and
+        # takes the unguarded sweep
+        applications = []
+        call = _EcmMap.__call__
+
+        def recorded(ecm, it):
+            out = call(ecm, it)
+            if ecm._live is not None:
+                applications.append((it.positive, out.positive))
+            return out
+
+        monkeypatch.setattr(_EcmMap, "__call__", recorded)
+        fit = fit_em("M1", bone_table)
+        assert fit.face_cells > 0
+        assert applications and all(
+            flags == (True, True) for flags in applications
+        )
 
 
 def _oracle_lambda(model, schema, mu):

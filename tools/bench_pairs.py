@@ -48,8 +48,11 @@ face_corpus_shapes.  Each entry records how the change's fits differ from the pa
 identical bit for bit (G2, iterations, evaluations, face cells and mu_hat
 bytes), the faces lost and gained, the G2 rises and drops beyond
 FACE_CORPUS_G2_TOL, the fits whose evaluations rose and fell, and each
-side's total evaluations (face_corpus_record).
-It measures no time, so it may run on a busy machine.  The record is
+side's total evaluations (face_corpus_record), with the time each
+side's fits took together, once a side, in seconds (fits_s) and in
+kernels of the checkout's bench/calibration.small_arrays, run before and
+after them (fits_cal).  One run a side resolves no small change, so the
+time is a figure to record, not to claim a gain by.  The record is
 rewritten after every pair, so an interrupted run keeps what it measured.
 """
 
@@ -124,22 +127,27 @@ print(json.dumps(out))
 """
 ASSESS_TIMES = ("first_s", "first_cal", "repeat_s", "repeat_cal")
 
-# Runs in a checkout with its src/ on the path; prints one JSON object with
-# every catalog fit of each table of a corpus, drawn from one
-# default_rng(seed) stream in this order.  Table t has shape t mod shapes:
-# a x b with both missing (2-4 levels each), then a x b x c with a missing,
-# then a x b x c with a and b missing (2-3 levels each); each stratum, in
-# schema.patterns() order, is Poisson with means drawn from gamma(k,
-# theta), and a table with no count at all is drawn again.
+# Runs like FIT_ALL_SCRIPT; prints one JSON object with every catalog fit
+# of each table of a corpus, drawn from one default_rng(seed) stream in
+# this order, and the time the fits took together, in seconds and in
+# kernels.  Table t has shape t mod shapes: a x b with both missing (2-4
+# levels each), then a x b x c with a missing, then a x b x c with a and b
+# missing (2-3 levels each); each stratum, in schema.patterns() order, is
+# Poisson with means drawn from gamma(k, theta), and a table with no count
+# at all is drawn again.
 FACE_CORPUS_SCRIPT = """
-import hashlib, json, sys
+import hashlib, json, sys, time
 import numpy as np
 from misstab import IncompleteTable, Stratum, TableSchema
 from misstab import enumerate_models, fit_em
+from calibration import kernel_seconds, small_arrays
 tables, seed, shapes = map(int, sys.argv[1:4])
 k, theta = map(float, sys.argv[4:6])
 rng = np.random.default_rng(seed)
 fits = {}
+small_arrays()
+before = kernel_seconds(small_arrays)
+seconds = 0.0
 for t in range(tables):
     while True:
         if t % shapes == 0:
@@ -159,13 +167,18 @@ for t in range(tables):
         if table.N > 0:
             break
     for model in enumerate_models(schema):
+        start = time.perf_counter()
         f = fit_em(model, table)
+        seconds += time.perf_counter() - start
         fits[f"t{t}:{model.id}"] = {
             "G2": f.G2, "iterations": f.iterations,
             "evaluations": f.evaluations, "face_cells": f.face_cells,
             "mu_hat_sha256": hashlib.sha256(f.mu_hat.tobytes()).hexdigest()}
-print(json.dumps({"fits": fits}))
+after = kernel_seconds(small_arrays)
+print(json.dumps({"fits": fits, "fits_s": seconds,
+                  "fits_cal": 2.0 * seconds / (before + after)}))
 """
+CORPUS_TIMES = ("fits_s", "fits_cal")
 # each corpus --face-corpus fits, by its key in the record: its table
 # count, the script's seed, shapes, k and theta, and what its tables are
 FACE_CORPORA = {
@@ -392,9 +405,10 @@ def assess_record(runs: dict, levels: int) -> dict:
 
 
 def face_corpus_record(fits: dict, tables: int,
-                       corpus: str = "face_corpus") -> dict:
+                       corpus: str = "face_corpus", times=None) -> dict:
     """The entry of one --face-corpus corpus (a key of FACE_CORPORA) in the
-    record, from each side's fits (side -> the corpus script's fits): which
+    record, from each side's fits (side -> the corpus script's fits) and,
+    when given, each side's times (side -> the script's CORPUS_TIMES): which
     fits are identical in every field recorded (a float read back from JSON
     equals only its own bits), which lost or gained a certified face, whose
     G2 rose or dropped beyond FACE_CORPUS_G2_TOL, and whose evaluations
@@ -420,7 +434,7 @@ def face_corpus_record(fits: dict, tables: int,
                              < parent[m]["evaluations"]],
     }
     _, (seed, *_), drawn = FACE_CORPORA[corpus]
-    return {
+    record = {
         "corpus": f"{tables} tables, {drawn}, default_rng({seed}); every "
                   "catalog model by fit_em at its defaults",
         "fits": len(parent),
@@ -432,6 +446,10 @@ def face_corpus_record(fits: dict, tables: int,
         "moved": moved,
         "work": work,
     }
+    if times is not None:
+        record.update({key: {side: times[side][key] for side in SIDES}
+                       for key in CORPUS_TIMES})
+    return record
 
 
 def _alternate(checkouts: dict, script: str, levels: int) -> dict:
@@ -533,10 +551,12 @@ def main(argv=None) -> int:
         save()
     if args.face_corpus:
         for corpus, (tables, drawn, _) in FACE_CORPORA.items():
-            fits = {side: _script(checkouts[side], FACE_CORPUS_SCRIPT,
-                                  tables, *drawn)["fits"]
+            runs = {side: _script(checkouts[side], FACE_CORPUS_SCRIPT,
+                                  tables, *drawn)
                     for side in SIDES}
-            doc[corpus] = face_corpus_record(fits, tables, corpus)
+            doc[corpus] = face_corpus_record(
+                {side: runs[side]["fits"] for side in SIDES}, tables, corpus,
+                runs)
             save()
     return 0
 
