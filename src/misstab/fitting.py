@@ -324,6 +324,14 @@ class _EcmMap:
     positive; cross puts such an iterate back on the full cross.
     """
 
+    # copy.copy (restrict) of an instance with a __dict__ would materialize
+    # the original's dict, and CPython's specialized attribute reads miss
+    # on such instances; slots keep every map's reads on the fast path
+    __slots__ = (
+        "table", "_idx", "_cells", "_y_cross", "_spread", "_unguarded",
+        "_positive", "_y_positive", "_shape", "_groups", "_live",
+    )
+
     def __init__(self, table: IncompleteTable, sum_axes_list):
         omap = observation_map(table.schema)
         y = observed_counts(table).astype(float)
