@@ -50,9 +50,10 @@ bytes), the faces lost and gained, the G2 rises and drops beyond
 FACE_CORPUS_G2_TOL, the fits whose evaluations rose and fell, and each
 side's total evaluations (face_corpus_record), with the time each
 side's fits took together, once a side, in seconds (fits_s) and in
-kernels of the checkout's bench/calibration.small_arrays, run before and
-after them (fits_cal).  One run a side resolves no small change, so the
-time is a figure to record, not to claim a gain by.  The record is
+kernels of the checkout's bench/calibration.small_arrays, run between
+the tables (fits_cal, each table's fits in the kernels around them).
+One run a side resolves no small change, so the time is a figure to
+record, not to claim a gain by.  The record is
 rewritten after every pair, so an interrupted run keeps what it measured.
 """
 
@@ -130,7 +131,9 @@ ASSESS_TIMES = ("first_s", "first_cal", "repeat_s", "repeat_cal")
 # Runs like FIT_ALL_SCRIPT; prints one JSON object with every catalog fit
 # of each table of a corpus, drawn from one default_rng(seed) stream in
 # this order, and the time the fits took together, in seconds and in
-# kernels.  Table t has shape t mod shapes: a x b with both missing (2-4
+# kernels: each table's fits run between two runs of the kernel, as
+# bench/run.py times an operation, so a corpus samples the machine's
+# speed once a table, not twice in all.  Table t has shape t mod shapes: a x b with both missing (2-4
 # levels each), then a x b x c with a missing, then a x b x c with a and b
 # missing (2-3 levels each); each stratum, in schema.patterns() order, is
 # Poisson with means drawn from gamma(k, theta), and a table with no count
@@ -147,7 +150,7 @@ rng = np.random.default_rng(seed)
 fits = {}
 small_arrays()
 before = kernel_seconds(small_arrays)
-seconds = 0.0
+seconds = kernels = 0.0
 for t in range(tables):
     while True:
         if t % shapes == 0:
@@ -166,17 +169,20 @@ for t in range(tables):
         table = IncompleteTable(schema, tuple(strata))
         if table.N > 0:
             break
+    took = 0.0
     for model in enumerate_models(schema):
         start = time.perf_counter()
         f = fit_em(model, table)
-        seconds += time.perf_counter() - start
+        took += time.perf_counter() - start
         fits[f"t{t}:{model.id}"] = {
             "G2": f.G2, "iterations": f.iterations,
             "evaluations": f.evaluations, "face_cells": f.face_cells,
             "mu_hat_sha256": hashlib.sha256(f.mu_hat.tobytes()).hexdigest()}
-after = kernel_seconds(small_arrays)
-print(json.dumps({"fits": fits, "fits_s": seconds,
-                  "fits_cal": 2.0 * seconds / (before + after)}))
+    after = kernel_seconds(small_arrays)
+    seconds += took
+    kernels += 2.0 * took / (before + after)
+    before = after
+print(json.dumps({"fits": fits, "fits_s": seconds, "fits_cal": kernels}))
 """
 CORPUS_TIMES = ("fits_s", "fits_cal")
 # each corpus --face-corpus fits, by its key in the record: its table
