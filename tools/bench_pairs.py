@@ -133,11 +133,11 @@ ASSESS_TIMES = ("first_s", "first_cal", "repeat_s", "repeat_cal")
 # this order, and the time the fits took together, in seconds and in
 # kernels: each table's fits run between two runs of the kernel, as
 # bench/run.py times an operation, so a corpus samples the machine's
-# speed once a table, not twice in all.  Table t has shape t mod shapes: a x b with both missing (2-4
-# levels each), then a x b x c with a missing, then a x b x c with a and b
-# missing (2-3 levels each); each stratum, in schema.patterns() order, is
-# Poisson with means drawn from gamma(k, theta), and a table with no count
-# at all is drawn again.
+# speed once a table, not twice in all.  Table t has shape t mod shapes:
+# a x b with both missing (2-4 levels each), then a x b x c with a
+# missing, then a x b x c with a and b missing (2-3 levels each); each
+# stratum, in schema.patterns() order, is Poisson with means drawn from
+# gamma(k, theta), and a table with no count at all is drawn again.
 FACE_CORPUS_SCRIPT = """
 import hashlib, json, sys, time
 import numpy as np
