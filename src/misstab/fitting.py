@@ -321,7 +321,8 @@ class _EcmMap:
 
     A face solve runs on the map restricted to the live cells of the face
     (restrict), whose iterates hold no zero cell and so are flagged
-    positive; cross puts such an iterate back on the full cross.
+    positive, unless a zeroing left a positive count no live cell; cross
+    puts the cells of such an iterate back on the full cross.
     """
 
     # copy.copy (restrict) of an instance with a __dict__ would materialize
