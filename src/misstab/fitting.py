@@ -30,17 +30,16 @@ cross of a few dozen cells a call costs numpy's dispatch, not
 arithmetic, and the method forms, (x > 0).all() or x.sum(), add a
 Python-level wrapper to each call for the same bits.  An iterate known
 to have no zero cell (flagged positive) skips the zero guards: its E
-step and log-likelihood test nothing, and on a table whose counts are
-all positive its sweep runs unguarded and the result is tested once; a
-result that fails the test, which only underflow can cause, is swept
-again with the guards, so every fit keeps its bits.  When the maximum
-lies on the boundary, the cells that keep decaying are fixed at zero, with
+step and log-likelihood test nothing, and its sweep runs unguarded and
+the result is tested once; a result that fails (a margin cell of the E
+step under zero counts, or underflow) is swept again with the guards,
+so every fit keeps its bits.  When the maximum lies on the boundary,
+the cells that keep decaying are fixed at zero, with
 the rest of each margin cell whose live cells all fall with them, and the
 fit is finished on that face of the model by accelerated ECM (fit_em,
 _decay_zeros, _solve_face).  The face solve runs on the map restricted
 to the face's live cells (_EcmMap.restrict), so its iterates hold no
-zero cell: each is flagged positive, and on a table whose counts are
-all positive every face-phase map application sweeps unguarded.  The
+zero cell and each is flagged positive.  The
 decay test, the face test (_is_face, against the same group indices),
 the certification and the result read the full cross.  Fit quality is
 the deviance of the observed strata against the collapsed fitted
@@ -258,12 +257,13 @@ class _Iterate:
     shape.  The shaped view mu is made only when it is read.  positive
     says that every cell is known to be > 0 (none NaN) and so every
     positive count has a cell of the map: a fit's start and a probe of the
-    face certification are tested once when they are made, a face start
-    when the map is restricted to its live cells, a map application passes
-    on what its own output test found, and a SQUAREM jump is tested when
-    the iterates it extrapolates are flagged.  It carries what
-    the map reads from the cross, each computed once, when it is first
-    needed: c, the collapse onto the observed cells (for the
+    face certification are tested once when they are made, a map
+    application passes on what its own output test found, and a SQUAREM
+    jump is tested when the iterates it extrapolates are flagged.  The
+    flag says what the cross holds, with one exception: a face start made
+    by restrict is not flagged when a positive count lost its live cells.
+    It carries what the map reads from the cross, each computed once, when
+    it is first needed: c, the collapse onto the observed cells (for the
     log-likelihood and the E step), and targets, the sufficient margins of
     the E step (for the sweep and the margin residual).  Since the cross
     cannot change, neither can go stale; owner names the map they were
@@ -309,15 +309,15 @@ class _EcmMap:
     log-likelihood and the next map application.  A division whose
     divisor has no zero (or NaN) cell skips the guard that a zero needs.
     On an iterate flagged positive the collapse is a sum of positive
-    cells, so the E step and the log-likelihood test nothing; when the
-    observed counts are all positive too, the sweep runs without its
-    per-margin guards and its result is tested once.  A zero or NaN
-    divisor at a margin cell that holds a cell of the map leaves a NaN in
-    the result, so a result that passes has the guarded sweep's bits and
-    is flagged positive, and one that fails is swept again with the
-    guards.  Only underflow can empty such a margin cell there, so the
-    unguarded sweep runs with numpy's divide and invalid warnings off: its
-    zero divisor is the expected way to fail, not an error.
+    cells, so the E step and the log-likelihood test nothing, and the
+    sweep runs without its per-margin guards and its result is tested
+    once.  A margin cell of the E step under zero counts alone scales its
+    cells to 0, and a zero or NaN divisor at a margin cell that holds a
+    cell of the map leaves a NaN, so a result that passes divided by no
+    zero, has the guarded sweep's bits and is flagged positive, and one
+    that fails is swept again with the guards.  The unguarded sweep runs
+    with numpy's divide and invalid warnings off: its zero divisor is an
+    expected way to fail, not an error.
 
     A face solve runs on the map restricted to the live cells of the face
     (restrict), whose iterates hold no zero cell and so are flagged
@@ -329,8 +329,8 @@ class _EcmMap:
     # the original's dict, and CPython's specialized attribute reads miss
     # on such instances; slots keep every map's reads on the fast path
     __slots__ = (
-        "table", "_idx", "_cells", "_y_cross", "_spread", "_unguarded",
-        "_positive", "_y_positive", "_shape", "_groups", "_live",
+        "table", "_idx", "_cells", "_y_cross", "_spread", "_positive",
+        "_y_positive", "_shape", "_groups", "_live",
     )
 
     def __init__(self, table: IncompleteTable, sum_axes_list):
@@ -341,12 +341,9 @@ class _EcmMap:
         self._cells = y.size
         self._y_cross = y[self._idx]
         self._spread = omap.spread
-        # the positive counts, read through an integer index, or a slice of
-        # them all when every count is positive and the sweep may go
-        # unguarded
+        # the positive counts' index, or a slice when every count is positive
         positive = np.flatnonzero(y > 0)
-        self._unguarded = positive.size == y.size
-        self._positive = slice(None) if self._unguarded else positive
+        self._positive = slice(None) if positive.size == y.size else positive
         self._y_positive = y[self._positive]
         self._shape = full_cross_dims(table.schema)
         self._groups = _margin_groups(self._shape, sum_axes_list)
@@ -431,11 +428,12 @@ class _EcmMap:
 
     def __call__(self, it):
         targets = self.targets(it)
-        if it.positive and self._unguarded:
+        if it.positive:
             flat = it.flat
-            # a margin cell emptied by underflow divides by zero, and the
-            # NaN it leaves sends the sweep to the guarded loop below; a
-            # margin cell with no cell of a restricted map is never read
+            # a zero target (a margin cell under zero counts) or a margin
+            # cell emptied by it or by underflow leaves a zero or NaN that
+            # sends the sweep to the guarded loop below; a margin cell
+            # with no cell of a restricted map is never read
             with np.errstate(divide="ignore", invalid="ignore"):
                 for (group, size), target in zip(self._groups, targets):
                     cur = np.bincount(group, flat, size)

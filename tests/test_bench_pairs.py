@@ -311,19 +311,30 @@ def test_face_corpus_flag_records_each_corpus_under_its_key(
     calls = []
 
     def script(checkout, script, *args):
-        calls.append((script, *args))
-        side = len(calls) % 2
+        calls.append((checkout.name, script, *args))
+        slow = checkout.name == "parent"
         return {"fits": {"t0:M1": _corpus_fit(evaluations=args[0])},
-                "fits_s": 9.0 + side, "fits_cal": 1500.0 + side}
+                "fits_s": 9.0 + slow, "fits_cal": 1500.0 + slow}
 
     monkeypatch.setattr(bench_pairs, "_script", script)
     monkeypatch.setattr(bench_pairs, "_rev", lambda checkout: "0000000")
-    repo, out = _PATH.parents[1], tmp_path / "bench.json"
-    argv = ["--parent", str(repo), "--change", str(repo), "--out", str(out)]
+    # two checkouts named for their sides, each with the BENCHMARK.json
+    # main reads
+    for side in bench_pairs.SIDES:
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(
+            (_PATH.parents[1] / "BENCHMARK.json").read_text())
+    out = tmp_path / "bench.json"
+    argv = ["--parent", str(tmp_path / "parent"),
+            "--change", str(tmp_path / "change"), "--out", str(out)]
     assert bench_pairs.main([*argv, "--face-corpus"]) == 0
     drawn = bench_pairs.FACE_CORPUS_SCRIPT
-    assert calls == [(drawn, 150, 7, 1, 1.0, 20.0)] * 2 + [
-        (drawn, 120, 11, 3, 0.7, 15.0)] * 2
+    # each corpus runs four times a side, alternating
+    assert calls == [
+        (side, drawn, *args)
+        for args in ((150, 7, 1, 1.0, 20.0), (120, 11, 3, 0.7, 15.0))
+        for side in bench_pairs.ALTERNATION
+    ]
     doc = json.loads(out.read_text())
     assert doc["face_corpus"]["corpus"] == (
         "150 tables, a and b at 2-4 levels, both missing, Poisson counts "
@@ -333,9 +344,11 @@ def test_face_corpus_flag_records_each_corpus_under_its_key(
     assert doc["face_corpus_shapes"]["evaluations"] == {
         "parent": 120, "change": 120}
     for corpus in bench_pairs.FACE_CORPORA:
-        assert doc[corpus]["fits_s"] == {"parent": 10.0, "change": 9.0}
-        assert doc[corpus]["fits_cal"] == {"parent": 1501.0,
-                                           "change": 1500.0}
+        assert doc[corpus]["fits_s"] == {"parent": [10.0] * 4,
+                                         "change": [9.0] * 4}
+        assert doc[corpus]["fits_cal"] == {"parent": [1501.0] * 4,
+                                           "change": [1500.0] * 4}
+        assert doc[corpus]["runs_agree"] is True
 
 
 def test_face_corpus_script_times_its_fits_in_kernels():
@@ -344,12 +357,14 @@ def test_face_corpus_script_times_its_fits_in_kernels():
         *bench_pairs.FACE_CORPORA["face_corpus_shapes"][1])
     assert set(got) == {"fits", *bench_pairs.CORPUS_TIMES}
     assert all(got[key] > 0 for key in bench_pairs.CORPUS_TIMES)
-    times = {"parent": got, "change": {"fits_s": 1.0, "fits_cal": 2.0}}
+    runs = {"parent": [got],
+            "change": [{**got, "fits_s": 1.0, "fits_cal": 2.0}]}
     record = bench_pairs.face_corpus_record(
         {"parent": got["fits"], "change": got["fits"]}, 2,
-        "face_corpus_shapes", times)
-    assert record["fits_s"] == {"parent": got["fits_s"], "change": 1.0}
-    assert record["fits_cal"] == {"parent": got["fits_cal"], "change": 2.0}
+        "face_corpus_shapes", runs)
+    assert record["fits_s"] == {"parent": [got["fits_s"]], "change": [1.0]}
+    assert record["fits_cal"] == {"parent": [got["fits_cal"]],
+                                  "change": [2.0]}
     # without times the entry holds the fits alone
     assert not set(bench_pairs.CORPUS_TIMES) & set(
         bench_pairs.face_corpus_record(
@@ -360,6 +375,30 @@ def test_face_corpus_script_times_its_fits_in_kernels():
 def _corpus_fit(g2=1.0, face_cells=0, evaluations=10):
     return {"G2": g2, "iterations": 5, "evaluations": evaluations,
             "face_cells": face_cells, "mu_hat_sha256": "ab"}
+
+
+@pytest.mark.parametrize("side,run", [(s, r) for s in bench_pairs.SIDES
+                                      for r in range(1, 4)])
+def test_face_corpus_record_holds_every_runs_times_and_medians(side, run):
+    # fake outputs of four runs a side: the times and their medians are
+    # each side's own, and runs_agree fails when any later run of a side
+    # fits other bits than its first
+    times = {"parent": (9.0, 12.0, 10.0, 11.0), "change": (8.0, 7.0, 9.5,
+                                                           8.5)}
+    runs = {s: [{"fits": {"t0:M1": _corpus_fit()}, "fits_s": t,
+                 "fits_cal": 150.0 * t} for t in times[s]]
+            for s in bench_pairs.SIDES}
+    fits = {s: runs[s][0]["fits"] for s in bench_pairs.SIDES}
+    record = bench_pairs.face_corpus_record(fits, 1, runs=runs)
+    assert record["fits_s"] == {s: list(times[s]) for s in bench_pairs.SIDES}
+    assert record["fits_cal"]["change"] == [1200.0, 1050.0, 1425.0, 1275.0]
+    assert record["median"] == {
+        "fits_s": {"parent": 10.5, "change": 8.25},
+        "fits_cal": {"parent": 1575.0, "change": 1237.5}}
+    assert record["runs_agree"] is True and record["identical"] == 1
+    runs[side][run]["fits"] = {"t0:M1": _corpus_fit(g2=1.0 + 1e-15)}
+    assert bench_pairs.face_corpus_record(fits, 1, runs=runs)[
+        "runs_agree"] is False
 
 
 def test_face_corpus_record_lists_what_moved():

@@ -98,7 +98,29 @@ TABLE_FIXTURE = {
     "bone-density": "bone_table",
     "spo-y1": "opinion_one_table",
     "spo-y1y2": "opinion_two_table",
+    "smoking-zero-count": "smoking_zero_count_table",
 }
+# a built-in with a zero count: smoking M1 certifies a 6-cell face in 106
+# map applications of its full stratum's first count set to 0
+ZERO_COUNT_CASES = [("smoking-zero-count", "M1")]
+
+
+def _zero_counts(table, both_missing=False):
+    """A two-variable table with its first fully classified count set to 0
+    and, when both_missing, its count with both variables missing too."""
+    full, *rest, last = table.strata
+    counts = full.counts.copy()
+    counts[0, 0] = 0
+    if both_missing:
+        last = Stratum(last.observed, np.zeros_like(last.counts))
+    return IncompleteTable(
+        table.schema, (Stratum(full.observed, counts), *rest, last)
+    )
+
+
+@pytest.fixture(scope="module")
+def smoking_zero_count_table(smoking_table):
+    return _zero_counts(smoking_table)
 
 
 @st.composite
@@ -618,16 +640,18 @@ class TestObservationMapOracle:
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
-CROSS_KINDS = ("positive", "empty-margin", "zero-collapse")
+CROSS_KINDS = ("positive", "zero-count", "empty-margin", "zero-collapse")
 
 
 @st.composite
 def tables_margins_and_cross(draw, kind):
     """A table of one of the three analysis shapes with positive counts,
     the sufficient margins of a catalog model and a strictly positive
-    cross.  kind "empty-margin" empties one margin cell of the cross, and
-    "zero-collapse" empties the cells behind one observed count, so that
-    the E step spreads that count evenly."""
+    cross.  kind "zero-count" sets some observed counts to 0, one of the
+    full stratum's always, and keeps the cross positive; "empty-margin"
+    empties one margin cell of the cross, and "zero-collapse" empties the
+    cells behind one observed count, so that the E step spreads that
+    count evenly."""
     n_vars = draw(st.sampled_from([2, 3]))
     names = ("a", "b", "c")[:n_vars]
     levels = [draw(st.integers(2, 4)) for _ in names]
@@ -638,13 +662,20 @@ def tables_margins_and_cross(draw, kind):
     axes_list = _margin_axes(schema, generating_class(model))
     dims = full_cross_dims(schema)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    strata = tuple(
-        Stratum(
-            schema.observed_for(pat),
-            rng.integers(1, 30, size=[schema.levels(v) for v in
-                                      schema.observed_for(pat)]),
-        )
+    counts = [
+        rng.integers(1, 30, size=[schema.levels(v) for v in
+                                  schema.observed_for(pat)])
         for pat in schema.patterns()
+    ]
+    if kind == "zero-count":
+        # the stratum with every missing variable unrecorded stays
+        # positive, so the table is never empty
+        for c in counts[:-1]:
+            c[rng.random(c.shape) < 0.3] = 0
+        counts[0][tuple(draw(st.integers(0, d - 1)) for d in levels)] = 0
+    strata = tuple(
+        Stratum(schema.observed_for(pat), c)
+        for pat, c in zip(schema.patterns(), counts)
     )
     mu = rng.uniform(0.05, 20.0, size=dims)
     if kind == "empty-margin":
@@ -665,14 +696,22 @@ def tables_margins_and_cross(draw, kind):
 
 def _iterates(mu):
     """The cross as an iterate built shaped, as a fit's start is, and as
-    one built flat with its shape, as the map builds each next one."""
-    return _Iterate(mu), _Iterate(mu.reshape(-1), mu.shape)
+    one built flat with its shape, as the map builds each next one; and,
+    when it has no zero cell, as one flagged positive, which takes the
+    unguarded paths."""
+    yield _Iterate(mu)
+    yield _Iterate(mu.reshape(-1), mu.shape)
+    if np.all(mu > 0):
+        yield _Iterate(mu.reshape(-1), mu.shape, True)
 
 
 def _check_cross_kind(table, axes_list, mu, kind):
     """The cross really takes the path its kind names."""
     if kind == "positive":
         assert np.all(mu > 0)
+    elif kind == "zero-count":
+        assert np.all(mu > 0)
+        assert np.any(observed_counts(table) == 0)
     elif kind == "empty-margin":
         assert any(np.any(_oracle_margin(mu, a) == 0) for a in axes_list)
     else:
@@ -726,8 +765,10 @@ class TestEcmMapOracle:
             got = _EcmMap(table, axes)(it).mu
             assert np.array_equal(got, _oracle_ipf(mu, z, axes))
 
-    # a strictly positive cross takes the unguarded divisions, an emptied
-    # margin cell the guarded sweep, a zero collapse the even spread
+    # a strictly positive cross takes the unguarded divisions, on a table
+    # with zero counts too, an emptied margin cell the guarded sweep, a
+    # zero collapse the even spread; an output is flagged exactly when its
+    # input is and it has no zero cell
     @pytest.mark.parametrize("kind", CROSS_KINDS)
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -738,15 +779,17 @@ class TestEcmMapOracle:
         twice = scale_counts(table, 2)
         want = _oracle_ipf(mu, _oracle_e_step(mu, twice), axes_list)
         for it in _iterates(mu):
-            got = _EcmMap(table, axes_list)(it).mu
-            assert np.array_equal(got, _oracle_ipf(mu, z, axes_list))
+            got = _EcmMap(table, axes_list)(it)
+            assert np.array_equal(got.mu, _oracle_ipf(mu, z, axes_list))
+            assert got.positive == (it.positive and np.all(got.flat > 0))
             # an iterate another map has read gets this map's own margins
             assert np.array_equal(_EcmMap(twice, axes_list)(it).mu, want)
             # with no margins to fit the map leaves the cross as it is
             assert np.array_equal(_EcmMap(table, ())(it).mu, mu)
 
     @pytest.mark.parametrize(
-        "name,model_id", ALL_CASES, ids=[f"{n}-{m}" for n, m in ALL_CASES]
+        "name,model_id", ALL_CASES + ZERO_COUNT_CASES,
+        ids=[f"{n}-{m}" for n, m in ALL_CASES + ZERO_COUNT_CASES],
     )
     def test_a_positive_flag_keeps_the_bits(
         self, request, name, model_id, monkeypatch
@@ -800,59 +843,46 @@ class TestEcmMapOracle:
             first = _oracle_ipf(mu, z, axes[:1])
             assert np.any(_oracle_margin(first, axes[1]) == 0)
             ecm = _EcmMap(table, axes)
-            assert ecm._unguarded
             got = ecm(_Iterate(mu.copy(), positive=True))
             assert not got.positive
             assert np.array_equal(got.mu, _oracle_ipf(mu, z, axes))
             assert np.array_equal(got.mu, ecm(_Iterate(mu.copy())).mu)
 
-    def test_a_zero_count_keeps_the_guarded_sweep(
-        self, smoking_table, monkeypatch
+    @pytest.mark.parametrize(
+        "both_missing,sums,flagged", [(False, 6, True), (True, 9, False)],
+        ids=["zero-count", "zero-target"],
+    )
+    def test_a_zero_count_sweeps_unguarded_until_a_target_is_zero(
+        self, smoking_table, monkeypatch, both_missing, sums, flagged
     ):
-        # with a zero observed count the E step can empty a margin, so the
-        # map never sweeps unguarded: a zero-free iterate costs one bincount
-        # per margin for its E step and one for the guarded sweep, never a
-        # second sweep, and no map output of a fit is flagged positive
-        schema = smoking_table.schema
-        full, *rest = smoking_table.strata
-        counts = full.counts.copy()
-        counts[0, 0] = 0
-        table = IncompleteTable(
-            schema, (Stratum(full.observed, counts), *rest)
-        )
-        model = get_model(schema, "M4")
-        axes = _margin_axes(schema, generating_class(model))
+        # a zero-free iterate sweeps unguarded on a table with a zero count
+        # too: one bincount per margin for its E step and one for the
+        # sweep.  With the both-missing count 0 as well, the margin cell of
+        # the R x R term that every model holds has target 0, so the
+        # unguarded result has a zero cell and is swept again with the
+        # guards: a third bincount per margin, and the output is unflagged
+        table = _zero_counts(smoking_table, both_missing)
+        schema = table.schema
+        axes = _margin_axes(schema, generating_class(get_model(schema, "M4")))
         ecm = _EcmMap(table, axes)
-        assert not ecm._unguarded
         dims = full_cross_dims(schema)
         mu = np.full(dims, table.N / math.prod(dims))
         groups = [group for group, _ in ecm._groups]
-        sums = []
+        seen = []
         bincount = np.bincount
 
         def counted(index, *args, **kwargs):
             if any(index is group for group in groups):
-                sums.append(None)
+                seen.append(None)
             return bincount(index, *args, **kwargs)
 
         monkeypatch.setattr(np, "bincount", counted)
         got = ecm(_Iterate(mu, positive=True))
         monkeypatch.undo()
-        assert len(sums) == 2 * len(groups)
-        assert not got.positive
+        assert len(groups) == 3 and len(seen) == sums
+        assert got.positive is flagged
         want = _oracle_ipf(mu, _oracle_e_step(mu, table), axes)
         assert np.array_equal(got.mu, want)
-        outputs = []
-        call = _EcmMap.__call__
-
-        def recorded(ecm, it):
-            out = call(ecm, it)
-            outputs.append(out.positive)
-            return out
-
-        monkeypatch.setattr(_EcmMap, "__call__", recorded)
-        fit = fit_em(model, table)
-        assert len(outputs) == fit.evaluations and not any(outputs)
 
 
 class TestMarginResidualOracle:
@@ -1300,12 +1330,15 @@ class TestLiveCellFaceSolve:
                 full = _Iterate(face.cross(it.flat), ecm._shape)
                 assert ecm.loglik(full) == -math.inf
 
+    @pytest.mark.parametrize(
+        "name", ["bone-density", "smoking-zero-count"]
+    )
     def test_face_iterates_are_flagged_and_sweep_unguarded(
-        self, bone_table, monkeypatch
+        self, request, name, monkeypatch
     ):
-        # on a face whose counts are all positive, every map application of
-        # the face phase is on a flagged iterate of the restricted map and
-        # takes the unguarded sweep
+        # every map application of the face phase is on a flagged iterate
+        # of the restricted map and takes the unguarded sweep, on a table
+        # with a zero count too
         applications = []
         call = _EcmMap.__call__
 
@@ -1316,7 +1349,7 @@ class TestLiveCellFaceSolve:
             return out
 
         monkeypatch.setattr(_EcmMap, "__call__", recorded)
-        fit = fit_em("M1", bone_table)
+        fit = fit_em("M1", request.getfixturevalue(TABLE_FIXTURE[name]))
         assert fit.face_cells > 0
         assert applications and all(
             flags == (True, True) for flags in applications

@@ -40,21 +40,24 @@ each side's median; its identical flag says whether all eight verdicts
 have the same sha256 of json.dumps(verdict.as_dict()).  The record also
 holds src_lines, the lines of src/misstab/*.py in each checkout as wc -l
 counts them, so a change that removes code shows its size next to its
-runs.  --face-corpus fits every catalog model with fit_em's defaults, in
-each checkout once, to each corpus of FACE_CORPORA (FACE_CORPUS_SCRIPT):
-150 random tables with both variables missing, recorded as face_corpus,
-and 120 random tables of three shapes in turn, recorded as
-face_corpus_shapes.  Each entry records how the change's fits differ from the parent's: the fits
-identical bit for bit (G2, iterations, evaluations, face cells and mu_hat
-bytes), the faces lost and gained, the G2 rises and drops beyond
+runs.  --face-corpus fits every catalog model with fit_em's defaults to
+each corpus of FACE_CORPORA (FACE_CORPUS_SCRIPT), four times in each
+checkout in the order ALTERNATION: 150 random tables with both variables
+missing, recorded as face_corpus, and 120 random tables of three shapes
+in turn, recorded as face_corpus_shapes.  Each entry records how the
+change's fits differ from the parent's in each side's first run: the
+fits identical bit for bit (G2, iterations, evaluations, face cells and
+mu_hat bytes), the faces lost and gained, the G2 rises and drops beyond
 FACE_CORPUS_G2_TOL, the fits whose evaluations rose and fell, and each
-side's total evaluations (face_corpus_record), with the time each
-side's fits took together, once a side, in seconds (fits_s) and in
-kernels of the checkout's bench/calibration.small_arrays, run between
-the tables (fits_cal, each table's fits in the kernels around them).
-One run a side resolves no small change, so the time is a figure to
-record, not to claim a gain by.  The record is
-rewritten after every pair, so an interrupted run keeps what it measured.
+side's total evaluations (face_corpus_record).  It also holds the time
+each run's fits took together, in seconds (fits_s) and in kernels of the
+checkout's bench/calibration.small_arrays, run between the tables
+(fits_cal, each table's fits in the kernels around them), each side's
+median of both, and runs_agree, whether every run of a side fitted the
+same bits as its first.  The corpora bound no workload and the pair rule
+does not apply to four runs a side, so their time is a figure to record,
+not to claim a gain by.  The record is rewritten after every pair, so an
+interrupted run keeps what it measured.
 """
 
 from __future__ import annotations
@@ -411,16 +414,18 @@ def assess_record(runs: dict, levels: int) -> dict:
 
 
 def face_corpus_record(fits: dict, tables: int,
-                       corpus: str = "face_corpus", times=None) -> dict:
+                       corpus: str = "face_corpus", runs=None) -> dict:
     """The entry of one --face-corpus corpus (a key of FACE_CORPORA) in the
-    record, from each side's fits (side -> the corpus script's fits) and,
-    when given, each side's times (side -> the script's CORPUS_TIMES): which
+    record, from each side's fits (side -> the corpus script's fits): which
     fits are identical in every field recorded (a float read back from JSON
     equals only its own bits), which lost or gained a certified face, whose
     G2 rose or dropped beyond FACE_CORPUS_G2_TOL, and whose evaluations
     rose or fell, each list of fits in corpus order with its count, and
     each side's total evaluations.  The totals alone would hide a change
-    that moves work from some fits to others."""
+    that moves work from some fits to others.  When given every run of
+    each side (side -> list of the script's outputs), it holds each run's
+    CORPUS_TIMES, each side's median of them and whether every run of a
+    side has the fits given for it."""
     parent, change = (fits[side] for side in SIDES)
     same = [m for m in parent if parent[m] == change[m]]
     moved = {
@@ -452,17 +457,22 @@ def face_corpus_record(fits: dict, tables: int,
         "moved": moved,
         "work": work,
     }
-    if times is not None:
-        record.update({key: {side: times[side][key] for side in SIDES}
+    if runs is not None:
+        record.update({key: {side: [run[key] for run in runs[side]]
+                             for side in SIDES}
                        for key in CORPUS_TIMES})
+        record["median"] = _medians(runs, CORPUS_TIMES)
+        record["runs_agree"] = all(run["fits"] == fits[side]
+                                   for side in SIDES for run in runs[side])
     return record
 
 
-def _alternate(checkouts: dict, script: str, levels: int) -> dict:
-    """A script's output in each checkout, run in the order ALTERNATION."""
+def _alternate(checkouts: dict, script: str, *args) -> dict:
+    """A script's output in each checkout, run with args in the order
+    ALTERNATION."""
     runs = {side: [] for side in SIDES}
     for side in ALTERNATION:
-        runs[side].append(_script(checkouts[side], script, levels))
+        runs[side].append(_script(checkouts[side], script, *args))
     return runs
 
 
@@ -557,12 +567,10 @@ def main(argv=None) -> int:
         save()
     if args.face_corpus:
         for corpus, (tables, drawn, _) in FACE_CORPORA.items():
-            runs = {side: _script(checkouts[side], FACE_CORPUS_SCRIPT,
-                                  tables, *drawn)
-                    for side in SIDES}
+            runs = _alternate(checkouts, FACE_CORPUS_SCRIPT, tables, *drawn)
             doc[corpus] = face_corpus_record(
-                {side: runs[side]["fits"] for side in SIDES}, tables, corpus,
-                runs)
+                {side: runs[side][0]["fits"] for side in SIDES}, tables,
+                corpus, runs)
             save()
     return 0
 
