@@ -383,8 +383,8 @@ def test_face_corpus_record_holds_every_runs_times_and_medians(side, run):
     # fake outputs of four runs a side: the times and their medians are
     # each side's own, and runs_agree fails when any later run of a side
     # fits other bits than its first
-    times = {"parent": (9.0, 12.0, 10.0, 11.0), "change": (8.0, 7.0, 9.5,
-                                                           8.5)}
+    times = {"parent": (9.0, 12.0, 10.0, 11.0),
+             "change": (8.0, 7.0, 9.5, 8.5)}
     runs = {s: [{"fits": {"t0:M1": _corpus_fit()}, "fits_s": t,
                  "fits_cal": 150.0 * t} for t in times[s]]
             for s in bench_pairs.SIDES}
