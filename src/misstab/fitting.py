@@ -28,25 +28,26 @@ directly on crosses carried flat (an all-positive test is
 np.minimum.reduce(x, initial=inf) > 0, a sum is np.add.reduce): on a
 cross of a few dozen cells a call costs numpy's dispatch, not
 arithmetic, and the method forms, (x > 0).all() or x.sum(), add a
-Python-level wrapper to each call for the same bits.  An iterate known
-to have no zero cell (flagged positive) skips the zero guards: its E
-step and log-likelihood test nothing, and its sweep runs unguarded and
-the result is tested once; a result that fails (a margin cell of the E
-step under zero counts, or underflow) is swept again with the guards,
-so every fit keeps its bits.  When the maximum lies on the boundary,
-the cells that keep decaying are fixed at zero, with
-the rest of each margin cell whose live cells all fall with them, and the
-fit is finished on that face of the model by accelerated ECM (fit_em,
-_decay_zeros, _solve_face).  The face solve runs on the map restricted
-to the face's live cells (_EcmMap.restrict), so its iterates hold no
-zero cell and each is flagged positive.  The
-decay test, the face test (_is_face, against the same group indices),
-the certification and the result read the full cross.  Fit quality is
-the deviance of the observed strata against the collapsed fitted
-expectations, with tail probabilities from the chi-square survival
-function in closed form for integer df: a finite Poisson sum for even
-df, erfc plus a finite sum for odd df, its terms formed by their ratio
-(chi_square_sf, standard library only).  The E step, the
+Python-level wrapper to each call for the same bits.  The map never
+reads a zero cell: when a map application leaves an exact zero, in the
+EM phase, the face solve or a probe of its certification alike, the fit
+goes on with the map restricted to the live cells (_EcmMap.restrict,
+_step), whose collapses and margins have the full cross's bits.  So the
+E step and the log-likelihood test nothing, and the sweep runs
+unguarded and its result is tested once; a result that fails (a margin
+cell of the E step under zero counts, or underflow) is swept again with
+the guards, and the next step runs on its live cells.  When the maximum
+lies on the boundary, the cells that keep decaying are fixed at zero,
+with the rest of each margin cell whose live cells all fall with them,
+and the fit is finished on that face of the model by accelerated ECM on
+its live cells (fit_em, _decay_zeros, _solve_face).  The decay test,
+the face test (_is_face, against the same group indices), the
+certification's checkpoints and the result read the full cross.  Fit
+quality is the deviance of the observed strata against the collapsed
+fitted expectations, with tail probabilities from the chi-square
+survival function in closed form for integer df: a finite Poisson sum
+for even df, erfc plus a finite sum for odd df, its terms formed by
+their ratio (chi_square_sf, standard library only).  The E step, the
 deviance and the fitted strata all collapse the cross through the
 schema's one observation map (models.observation_map), the map by a
 bincount over its index.
@@ -255,19 +256,17 @@ class _Iterate:
     read-only and holds as flat, the cells raveled in C order, with the
     cross's shape: either a shaped cross mu, or a raveled one and its
     shape.  The shaped view mu is made only when it is read.  positive
-    says that every cell is known to be > 0 (none NaN) and so every
-    positive count has a cell of the map: a fit's start and a probe of the
-    face certification are tested once when they are made, a map
-    application passes on what its own output test found, and a SQUAREM
-    jump is tested when the iterates it extrapolates are flagged.  The
-    flag says what the cross holds, with one exception: a face start made
-    by restrict is not flagged when a positive count lost its live cells.
-    It carries what the map reads from the cross, each computed once, when
-    it is first needed: c, the collapse onto the observed cells (for the
-    log-likelihood and the E step), and targets, the sufficient margins of
-    the E step (for the sweep and the margin residual).  Since the cross
-    cannot change, neither can go stale; owner names the map they were
-    computed for, and another map computes its own."""
+    says that the cross is known to have no zero cell (and no NaN): a
+    fit's start and restrict's iterates have none, and a map application
+    passes on what its own output test found.  A fit hands the map only
+    flagged iterates: after an unflagged output it goes on with the map
+    restricted to the live cells (_step).  It carries what the map reads from the cross, each
+    computed once, when it is first needed: c, the collapse onto the
+    observed cells (for the log-likelihood and the E step), and targets,
+    the sufficient margins of the E step (for the sweep and the margin
+    residual).  Since the cross cannot change, neither can go stale; owner
+    names the map they were computed for, and another map computes its
+    own."""
 
     __slots__ = ("flat", "shape", "positive", "owner", "c", "targets")
 
@@ -294,11 +293,10 @@ class _EcmMap:
     rescales the fit to each sufficient margin (sum_axes_list) in turn.
 
     It is built once per fit and holds what no iteration changes: the
-    observation index and the even spread of a count whose collapsed fit
-    is zero (both the observation map's), the observed counts as float64
-    gathered onto the cross, the positive counts with their index, and
-    the cached group index of each sufficient margin (_margin_group).  A
-    margin is summed by bincount over its group index, and the collapse
+    observation index (the observation map's), the observed counts as
+    float64 gathered onto the cross, the positive counts with their index,
+    and the cached group index of each sufficient margin (_margin_group).
+    A margin is summed by bincount over its group index, and the collapse
     onto the observed cells by bincount over the observation index: each
     adds a cell's members one at a time in C order, as the observation
     map's collapse does.
@@ -306,31 +304,29 @@ class _EcmMap:
     It maps an _Iterate to the next one, and keeps each iterate's collapse
     and E-step margins on the iterate, computed the first time it reads
     that iterate, so an EM iteration collapses the cross once for both its
-    log-likelihood and the next map application.  A division whose
-    divisor has no zero (or NaN) cell skips the guard that a zero needs.
-    On an iterate flagged positive the collapse is a sum of positive
-    cells, so the E step and the log-likelihood test nothing, and the
-    sweep runs without its per-margin guards and its result is tested
-    once.  A margin cell of the E step under zero counts alone scales its
-    cells to 0, and a zero or NaN divisor at a margin cell that holds a
-    cell of the map leaves a NaN, so a result that passes divided by no
-    zero, has the guarded sweep's bits and is flagged positive, and one
-    that fails is swept again with the guards.  The unguarded sweep runs
-    with numpy's divide and invalid warnings off: its zero divisor is an
-    expected way to fail, not an error.
+    log-likelihood and the next map application.  It reads no zero cell:
+    a fit hands it flagged iterates only, and once one holds an exact zero
+    goes on with the map restricted to the live cells (restrict).  So
+    every collapse it divides by is a sum of positive cells, and the E
+    step and the log-likelihood test nothing.  The sweep runs unguarded,
+    with numpy's divide and invalid warnings off, and its result is tested
+    once: a margin cell of the E step under zero counts alone scales its
+    cells to 0, and a margin cell that an earlier margin emptied (or
+    underflow) leaves a zero or NaN divisor, so a result that passes
+    divided by no zero and is flagged positive, and one that fails is
+    swept again with the guards and is not flagged.
 
-    A face solve runs on the map restricted to the live cells of the face
-    (restrict), whose iterates hold no zero cell and so are flagged
-    positive, unless a zeroing left a positive count no live cell; cross
-    puts the cells of such an iterate back on the full cross.
+    A restricted map is starved when a positive count has no live cell:
+    its log-likelihood is -inf, and its E step spreads that count nowhere.
+    cross puts a restricted iterate's cells back on the full cross.
     """
 
     # copy.copy (restrict) of an instance with a __dict__ would materialize
     # the original's dict, and CPython's specialized attribute reads miss
     # on such instances; slots keep every map's reads on the fast path
     __slots__ = (
-        "table", "_idx", "_cells", "_y_cross", "_spread", "_positive",
-        "_y_positive", "_shape", "_groups", "_live",
+        "table", "_idx", "_cells", "_y_cross", "_positive", "_y_positive",
+        "_shape", "_groups", "_live", "starved",
     )
 
     def __init__(self, table: IncompleteTable, sum_axes_list):
@@ -340,7 +336,6 @@ class _EcmMap:
         self._idx = omap.obs_index
         self._cells = y.size
         self._y_cross = y[self._idx]
-        self._spread = omap.spread
         # the positive counts' index, or a slice when every count is positive
         positive = np.flatnonzero(y > 0)
         self._positive = slice(None) if positive.size == y.size else positive
@@ -348,30 +343,32 @@ class _EcmMap:
         self._shape = full_cross_dims(table.schema)
         self._groups = _margin_groups(self._shape, sum_axes_list)
         self._live = None  # the cells of the cross it covers: all of them
+        self.starved = False
 
     def restrict(self, flat):
-        """This map on the live (positive) cells of flat, a raveled cross of
-        its table, and flat at those cells as an iterate of it.
+        """This map on the live (positive) cells of flat, a raveled iterate
+        of it, and flat at those cells as an iterate of it; the map itself
+        and flat when every cell is live.
 
         The restricted map holds the observation index, the counts gathered
-        onto the cross, the even spread and each margin's group index at
-        the live cells, in C order, and each bincount over them keeps this
-        map's size, so every collapse and margin has the bits this map
-        finds on a cross that is zero at the other cells.  The iterate is
-        flagged positive when every positive count keeps a live cell; one
-        that a zeroing starved is not, and its log-likelihood is -inf."""
+        onto the cross and each margin's group index at the live cells, in
+        C order, and each bincount over them keeps this map's size, so every
+        collapse and margin has the bits this map finds on a cross that is
+        zero at the other cells.  It is starved when a positive count keeps
+        no live cell."""
         live = np.flatnonzero(flat > 0)
+        if live.size == flat.size:
+            return self, _Iterate(flat, positive=True)
         face = copy.copy(self)
-        face._live = live
+        face._live = live if self._live is None else self._live[live]
         face._idx = self._idx[live]
         face._y_cross = self._y_cross[live]
-        face._spread = self._spread[live]
         face._groups = tuple(
             (group[live], size) for group, size in self._groups
         )
         kept = np.bincount(face._idx, None, self._cells)[self._positive]
-        positive = bool(np.logical_and.reduce(kept))
-        return face, _Iterate(flat[live], positive=positive)
+        face.starved = not np.logical_and.reduce(kept)
+        return face, _Iterate(flat[live], positive=True)
 
     def cross(self, flat):
         """A raveled cross of the map's cells on the full raveled cross of
@@ -390,16 +387,7 @@ class _EcmMap:
         return it.c
 
     def _spread_counts(self, it):
-        c = self._collapse(it)
-        cross = c[self._idx]
-        if it.positive or np.minimum.reduce(c, initial=math.inf) > 0:
-            return self._y_cross * (it.flat / cross)
-        # a count whose collapsed fit is zero is spread evenly over its cells
-        positive = cross > 0
-        share = np.where(
-            positive, it.flat / np.where(positive, cross, 1.0), self._spread
-        )
-        return self._y_cross * share
+        return self._y_cross * (it.flat / self._collapse(it)[self._idx])
 
     def targets(self, it):
         """The sufficient margins of the E step of an iterate."""
@@ -416,11 +404,11 @@ class _EcmMap:
         return _deviance(self._y_positive, self._collapse(it)[self._positive])
 
     def loglik(self, it) -> float:
-        """Observed-data log-likelihood; -inf when the fit gives a positive
-        count zero expectation."""
-        c = self._collapse(it)[self._positive]
-        if not (it.positive or np.minimum.reduce(c, initial=math.inf) > 0):
+        """Observed-data log-likelihood; -inf on a starved map, which gives
+        a positive count zero expectation."""
+        if self.starved:
             return float("-inf")
+        c = self._collapse(it)[self._positive]
         logs = float(np.add.reduce(self._y_positive * np.log(c)))
         # summed over the full cross: numpy adds in pairs by position, so
         # a sum of the live cells alone can differ in the last bit
@@ -428,18 +416,17 @@ class _EcmMap:
 
     def __call__(self, it):
         targets = self.targets(it)
-        if it.positive:
-            flat = it.flat
-            # a zero target (a margin cell under zero counts) or a margin
-            # cell emptied by it or by underflow leaves a zero or NaN that
-            # sends the sweep to the guarded loop below; a margin cell
-            # with no cell of a restricted map is never read
-            with np.errstate(divide="ignore", invalid="ignore"):
-                for (group, size), target in zip(self._groups, targets):
-                    cur = np.bincount(group, flat, size)
-                    flat = flat * (target / cur)[group]
-            if np.minimum.reduce(flat, initial=math.inf) > 0:
-                return _Iterate(flat, it.shape, True)
+        flat = it.flat
+        # a zero target (a margin cell under zero counts) or a margin cell
+        # emptied by it or by underflow leaves a zero or NaN that sends the
+        # sweep to the guarded loop below; a margin cell with no cell of a
+        # restricted map is never read
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for (group, size), target in zip(self._groups, targets):
+                cur = np.bincount(group, flat, size)
+                flat = flat * (target / cur)[group]
+        if np.minimum.reduce(flat, initial=math.inf) > 0:
+            return _Iterate(flat, it.shape, True)
         flat = it.flat
         for (group, size), target in zip(self._groups, targets):
             # a margin cell with no mass holds only zero cells, and they
@@ -449,6 +436,14 @@ class _EcmMap:
                 cur = np.where(cur > 0, cur, 1.0)
             flat = flat * (target / cur)[group]
         return _Iterate(flat, it.shape)
+
+
+def _step(ecm, it):
+    """One application of the map ecm to it, and the map the fit goes on
+    with: ecm itself, or ecm restricted to the live cells of an output
+    that holds an exact zero."""
+    it = ecm(it)
+    return (ecm, it) if it.positive else ecm.restrict(it.flat)
 
 
 @dataclass(frozen=True, eq=False)
@@ -804,50 +799,49 @@ def _decay_zeros(marks, mu, half, ecm):
 
 
 def _squarem_step(it, ll, step_max, ecm):
-    """One SQUAREM cycle (Varadhan & Roland 2008, step SqS3) of the ECM map,
-    extrapolated in log space over the live cells: every cell when the
-    map's iterates are flagged positive, as on a face's live cells.
+    """One SQUAREM cycle (Varadhan & Roland 2008, step SqS3) of the ECM map
+    ecm, extrapolated in log space over its cells.
 
-    Returns the next _Iterate, its log-likelihood, the next step bound and
-    the map evaluations spent.  The step length is capped at step_max; the
-    cap grows by SQUAREM_STEP_FACTOR when a capped step is kept and shrinks
-    by it when a step is refused.  The extrapolated point, after one more
-    ECM step, is kept only if its log-likelihood is at least ll, that of
-    the last accepted iterate; otherwise the plain double step is kept,
-    which ECM never makes worse.
+    Returns the map the fit goes on with, the next _Iterate, its
+    log-likelihood, the next step bound and the map evaluations spent.  A
+    cycle whose plain step gains a zero ends with that step, and the fit
+    goes on with the map restricted to the live cells (_step).  The step
+    length is capped at step_max; the cap grows by SQUAREM_STEP_FACTOR
+    when a capped step is kept and shrinks by it when a step is refused.
+    The extrapolated point, after one more ECM step, is kept only if it
+    has no zero cell and its log-likelihood is at least ll, that of the
+    last accepted iterate; otherwise the plain double step is kept, which
+    ECM never makes worse.  A point that underflows to a zero cell is
+    refused before the map would read it.
     """
-    it1 = ecm(it)
-    it2 = ecm(it1)
-    # the map flags its output only when its input is flagged, so when it2
-    # is, every cell of all three iterates is live
-    positive = it2.positive
-    live = slice(None) if positive else it2.flat > 0
-    x0, x1, x2 = (np.log(i.flat[live]) for i in (it, it1, it2))
+    face, it1 = _step(ecm, it)
+    if face is not ecm:
+        return face, it1, face.loglik(it1), step_max, 1
+    face, it2 = _step(ecm, it1)
+    if face is not ecm:
+        return face, it2, face.loglik(it2), step_max, 2
+    x0, x1, x2 = (np.log(i.flat) for i in (it, it1, it2))
     r = x1 - x0
     v = x2 - x1 - r
     # the Euclidean norm as numpy.linalg.norm computes it
     v_norm = math.sqrt(v @ v)
     if v_norm == 0:
-        return it2, ecm.loglik(it2), step_max, 2
+        return ecm, it2, ecm.loglik(it2), step_max, 2
     alpha = max(min(-math.sqrt(r @ r) / v_norm, -1.0), -step_max)
-    # a long extrapolation can overflow or underflow cells; such a jump
-    # fails the guard below
+    spent = 2
+    # a long extrapolation can overflow or underflow cells; an overflowed
+    # jump fails the log-likelihood test
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         step = np.exp(x0 - 2.0 * alpha * r + alpha * alpha * v)
-        if positive:
-            jump = step
-            positive = np.minimum.reduce(step, initial=math.inf) > 0
-        else:
-            jump = np.zeros(it.flat.size)
-            jump[live] = step
-        jump = ecm(_Iterate(jump, it.shape, positive))
-        ll_jump = ecm.loglik(jump)
-    if np.logical_and.reduce(np.isfinite(jump.flat)) and ll_jump >= ll:
-        if alpha == -step_max:
-            step_max *= SQUAREM_STEP_FACTOR
-        return jump, ll_jump, step_max, 3
+        if np.minimum.reduce(step, initial=math.inf) > 0:
+            jump = ecm(_Iterate(step, it.shape, True))
+            spent = 3
+            if jump.positive and (ll_jump := ecm.loglik(jump)) >= ll:
+                if alpha == -step_max:
+                    step_max *= SQUAREM_STEP_FACTOR
+                return ecm, jump, ll_jump, step_max, spent
     step_max = max(step_max / SQUAREM_STEP_FACTOR, 1.0)
-    return it2, ecm.loglik(it2), step_max, 3
+    return ecm, it2, ecm.loglik(it2), step_max, spent
 
 
 def _is_face(zero, groups) -> bool:
@@ -867,58 +861,57 @@ def _is_face(zero, groups) -> bool:
     return bool(np.array_equal(covered, zero))
 
 
-def _zeros_stay_down(it, before, ecm) -> bool:
-    """Whether the likelihood lets the zero cells of the iterate it stay at
-    zero.
+def _zeros_stay_down(mu, before, ecm) -> bool:
+    """Whether the likelihood lets the zero cells of the raveled fit mu of
+    ecm's table stay at zero.
 
     Each zero cell is reopened at REOPEN_SHARE of its value in before, the
-    raveled fit before any cell was zeroed, and DECAY_WINDOW ECM steps run:
-    over both halves of the window the difference of log iterates (a
-    direction in the model's span) must be negative on every reopened cell.
+    raveled fit before any cell was zeroed, and DECAY_WINDOW ECM steps run
+    on the probe's live cells (_step): over both halves of the window the
+    difference of log iterates (a direction in the model's span) must be
+    negative on every reopened cell.
     """
-    mu = it.flat
     reopened = (mu == 0) & (before > 0)
     probe = np.where(reopened, REOPEN_SHARE * before, mu)
-    positive = np.minimum.reduce(probe, initial=math.inf) > 0
-    probe = _Iterate(probe, it.shape, positive)
-    marks = _checkpoint([], probe.flat)
+    marks = _checkpoint([], probe)
+    em, it = ecm.restrict(probe)
     for step in range(1, DECAY_WINDOW + 1):
-        probe = ecm(probe)
+        em, it = _step(em, it)
         if step % DECAY_HALF == 0:
-            marks = _checkpoint(marks, probe.flat)
+            marks = _checkpoint(marks, em.cross(it.flat))
     a, b, c = (m[reopened] for m in marks)
     return bool(np.logical_and.reduce((b < a) & (c < b)))
 
 
 @dataclass(frozen=True)
 class _FaceSolve:
+    ecm: _EcmMap
     it: _Iterate
     trace: tuple
     evaluations: int
     certified: bool
 
 
-def _solve_face(it, zero, floor, ecm, budget):
+def _solve_face(before, zero, floor, ecm, budget):
     """Finish an EM fit on the face where the cells of zero are zero.
 
-    The cells of zero, a mask over the flat cells of the iterate it, are
-    fixed at zero as structural zeros and SQUAREM-accelerated ECM runs on
-    the map restricted to the live cells (_EcmMap.restrict), whose
-    iterates are all positive.  Cells that in turn pass the decay test,
-    checked on the full cross on a clock of its own every
-    FACE_CHECK_CYCLES cycles, are zeroed too, with the rest of their
+    The cells of zero, a mask over the raveled fit before, are fixed at
+    zero as structural zeros and SQUAREM-accelerated ECM runs on the map
+    restricted to the live cells (_EcmMap.restrict), restricted again
+    whenever a cycle gains a zero (_squarem_step).  Cells that in turn
+    pass the decay test, checked on the full cross on a clock of its own
+    every FACE_CHECK_CYCLES cycles, are zeroed too, with the rest of their
     margin cells (_decay_zeros), and the map is restricted again, so a
     face is emptied in one stage, not one per decay window.  The solve
     ends when the sufficient margins match to FACE_RESIDUAL.  The result,
-    the last iterate on the full cross, counts when its log-likelihood is
-    at least floor, that of the last iterate before zeroing (so its G2 is
-    no larger), its zeros form a face over the map's group indices
-    (_is_face) and the likelihood keeps them down (_zeros_stay_down).
-    trace holds the accepted log-likelihoods, at most budget of them:
-    those of the cycles that reach the last accepted one, starting from
-    floor, so that it extends the caller's trace monotonically.
+    the last map and its iterate, counts when its log-likelihood is at
+    least floor, that of the last iterate before zeroing (so its G2 is no
+    larger), its zeros form a face over the map's group indices (_is_face)
+    and the likelihood keeps them down (_zeros_stay_down).  trace holds the
+    accepted log-likelihoods, at most budget of them: those of the cycles
+    that reach the last accepted one, starting from floor, so that it
+    extends the caller's trace monotonically.
     """
-    before = it.flat
     mu = np.where(zero, 0.0, before)
     face, it = ecm.restrict(mu)
     ll = face.loglik(it)
@@ -932,18 +925,18 @@ def _solve_face(it, zero, floor, ecm, budget):
         and len(trace) < budget
         and evaluations < FACE_MAX_EVALUATIONS
     ):
-        it, ll, step_max, spent = _squarem_step(it, ll, step_max, face)
+        face, it, ll, step_max, spent = _squarem_step(it, ll, step_max, face)
         evaluations += spent
         cycles += 1
         if ll >= (trace[-1] if trace else floor):
             trace.append(ll)
         if _margin_residual(it, face) < FACE_RESIDUAL:
-            it = _Iterate(face.cross(it.flat), ecm._shape)
-            certified = ll >= floor and _is_face(it.flat == 0, ecm._groups)
+            mu = face.cross(it.flat)
+            certified = ll >= floor and _is_face(mu == 0, ecm._groups)
             if certified:
                 evaluations += DECAY_WINDOW
-                certified = _zeros_stay_down(it, before, ecm)
-            return _FaceSolve(it, tuple(trace), evaluations, certified)
+                certified = _zeros_stay_down(mu, before, ecm)
+            return _FaceSolve(face, it, tuple(trace), evaluations, certified)
         if cycles % FACE_CHECK_CYCLES == 0:
             mu = face.cross(it.flat)
             marks = _checkpoint(marks, mu)
@@ -953,8 +946,7 @@ def _solve_face(it, zero, floor, ecm, budget):
                 face, it = ecm.restrict(mu)
                 ll = face.loglik(it)
                 marks = _checkpoint([], mu)
-    it = _Iterate(face.cross(it.flat), ecm._shape)
-    return _FaceSolve(it, tuple(trace), evaluations, False)
+    return _FaceSolve(face, it, tuple(trace), evaluations, False)
 
 
 def fit_em(
@@ -970,9 +962,12 @@ def fit_em(
     The E step spreads each supplemental count over the cells it collapses
     in proportion to the current fit; the M step is one sweep of iterative
     proportional fitting to the model's sufficient margins, so every
-    iteration applies the ECM map once (_EcmMap).  Iteration stops
-    when the relative change of the observed-data log-likelihood drops
-    below tol.  Cells that keep decaying are fixed at zero, each with the
+    iteration applies the ECM map once (_EcmMap).  The start has no zero
+    cell, and once an iterate holds an exact zero (a margin cell of the E
+    step under zero counts alone) the iterations run on the map
+    restricted to its live cells (_step).  Iteration stops when the
+    relative change of the observed-data log-likelihood drops below tol.
+    Cells that keep decaying are fixed at zero, each with the
     rest of its margin cells when those fall too (_decay_zeros), and the fit
     is finished on that face of the model (see _solve_face), which yields
     the limit of the likelihood whatever tol is.  A refused face attempt
@@ -1011,8 +1006,9 @@ def fit_em(
             "draws nothing"
         )
     ecm = _EcmMap(table, _schedule(schema, model).sum_axes)
-    positive = np.minimum.reduce(mu, axis=None, initial=math.inf) > 0
-    it = _Iterate(mu, positive=positive)
+    # em is the map of the live cells, which the fit goes on with once an
+    # iterate holds an exact zero (_step)
+    em, it = ecm, _Iterate(mu, positive=True)
     trace = []
     prev = None
     converged = False
@@ -1023,9 +1019,9 @@ def fit_em(
     # which a fit that converges sooner never reaches
     marks, origin = [], it.flat
     while len(trace) < max_iter:
-        it = ecm(it)
+        em, it = _step(em, it)
         evaluations += 1
-        ll = ecm.loglik(it)
+        ll = em.loglik(it)
         trace.append(ll)
         if prev is not None and math.isfinite(ll):
             if abs(ll - prev) <= tol * (abs(prev) + 1.0):
@@ -1034,31 +1030,33 @@ def fit_em(
         prev = ll
         if len(trace) % DECAY_HALF or attempts == FACE_ATTEMPTS:
             continue
-        marks = _checkpoint(marks or _checkpoint([], origin), it.flat)
-        decay = _decay_zeros(marks, it.flat, DECAY_HALF, ecm)
+        mu = em.cross(it.flat)
+        marks = _checkpoint(marks or _checkpoint([], origin), mu)
+        decay = _decay_zeros(marks, mu, DECAY_HALF, ecm)
         if decay is None:
             continue
         attempts += 1
         budget = max_iter - len(trace)
         flagged, zero = decay
-        face = _solve_face(it, zero, ll, ecm, budget)
+        face = _solve_face(mu, zero, ll, ecm, budget)
         evaluations += face.evaluations
         if not face.certified and (zero != flagged).any():
             # completion can take a cell the face keeps live
-            face = _solve_face(it, flagged, ll, ecm, budget)
+            face = _solve_face(mu, flagged, ll, ecm, budget)
             evaluations += face.evaluations
         if face.certified:
-            zeroed = (face.it.flat == 0) & (it.flat > 0)
+            em, it = face.ecm, face.it
+            zeroed = (em.cross(it.flat) == 0) & (mu > 0)
             face_cells = int(np.count_nonzero(zeroed))
-            it = face.it
             trace.extend(face.trace)
             converged = True
             break
         # a refused face leaves no trace: EM goes on from where it was
-        marks, origin = [], it.flat
+        marks, origin = [], mu
     return _finalize(
-        model, table, it.mu, METHOD_EM, converged, trace, ecm.deviance(it),
-        evaluations=evaluations, face_cells=face_cells,
+        model, table, em.cross(it.flat).reshape(dims), METHOD_EM, converged,
+        trace, em.deviance(it), evaluations=evaluations,
+        face_cells=face_cells,
     )
 
 

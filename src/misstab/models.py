@@ -116,16 +116,15 @@ class ObservationMap:
     concatenated in schema.patterns() order; offsets[k]:offsets[k + 1]
     holds pattern k, whose counts have extents shapes[k].  obs_index gives,
     for each cell of the complete cross (raveled in C order), the observed
-    cell it is summed into.  spread gives, for each cell of the cross, one
-    over the number of cells summed into its observed cell: the share of a
-    count the E step spreads evenly over its cells when their fit is zero.
+    cell it is summed into.  It holds no even share of a count whose cells
+    all have zero fit: the E step of a fit reads the live cells alone
+    (fitting._EcmMap.restrict), so such a count is spread nowhere.
     """
 
     patterns: tuple
     offsets: tuple
     shapes: tuple
     obs_index: np.ndarray
-    spread: np.ndarray
 
     def collapse(self, mu) -> np.ndarray:
         """Expectations of the observed cells, flat."""
@@ -158,12 +157,9 @@ def observation_map(schema: TableSchema) -> ObservationMap:
         observed = schema.observed_for(pat)
         shapes.append(tuple(schema.levels(v) for v in observed))
     obs_index = obs_index.ravel()
-    cells_per_obs = np.bincount(obs_index, minlength=offsets[-1])
-    spread = 1.0 / cells_per_obs[obs_index]
-    for arr in (obs_index, spread):
-        arr.flags.writeable = False
+    obs_index.flags.writeable = False
     return ObservationMap(
-        schema.patterns(), tuple(offsets), tuple(shapes), obs_index, spread
+        schema.patterns(), tuple(offsets), tuple(shapes), obs_index
     )
 
 

@@ -278,13 +278,15 @@ def test_face_corpus_script_fits_every_catalog_model_of_each_table():
         _PATH.parents[1], bench_pairs.FACE_CORPUS_SCRIPT, 3,
         *bench_pairs.FACE_CORPORA["face_corpus"][1])["fits"]
     assert list(fits)[:2] == ["t0:M1", "t0:M2"] and len(fits) == 27
-    assert all(set(fit) == {"G2", "face_cells", *bench_pairs.FIT_FIELDS}
+    assert all(set(fit) == {"G2", "face_cells", "converged",
+                            *bench_pairs.FIT_FIELDS}
                for fit in fits.values())
     record = bench_pairs.face_corpus_record(
         {"parent": fits, "change": fits}, 3)
     assert record["corpus"].startswith("3 tables,")
     assert (record["fits"], record["identical"]) == (27, 27)
-    assert [record[key] for key in record["moved"]] == [0, 0, 0, 0]
+    assert record["identical_but_evaluations"] == 27
+    assert [record[key] for key in record["moved"]] == [0, 0, 0, 0, 0]
     total = sum(fit["evaluations"] for fit in fits.values())
     assert record["evaluations"] == {"parent": total, "change": total}
 
@@ -372,9 +374,10 @@ def test_face_corpus_script_times_its_fits_in_kernels():
             "face_corpus_shapes"))
 
 
-def _corpus_fit(g2=1.0, face_cells=0, evaluations=10):
+def _corpus_fit(g2=1.0, face_cells=0, evaluations=10, converged=True):
     return {"G2": g2, "iterations": 5, "evaluations": evaluations,
-            "face_cells": face_cells, "mu_hat_sha256": "ab"}
+            "face_cells": face_cells, "converged": converged,
+            "mu_hat_sha256": "ab"}
 
 
 @pytest.mark.parametrize("side,run", [(s, r) for s in bench_pairs.SIDES
@@ -412,16 +415,21 @@ def test_face_corpus_record_lists_what_moved():
               "t1:M1": _corpus_fit(g2=1.0 + 2e-6),
               # within the tolerance, but not the same bits
               "t1:M2": _corpus_fit(g2=1.0 + 1e-9),
-              "t1:M3": _corpus_fit()}
+              "t1:M3": _corpus_fit(),
+              # the same in every field but converged
+              "t1:M4": _corpus_fit(converged=False)}
+    parent["t1:M4"] = _corpus_fit()
     record = bench_pairs.face_corpus_record(
         {"parent": parent, "change": change}, 2)
-    assert (record["fits"], record["identical"]) == (5, 1)
+    assert (record["fits"], record["identical"]) == (6, 1)
+    assert record["identical_but_evaluations"] == 1
     assert record["moved"] == {"faces_lost": ["t0:M1"],
                                "faces_gained": ["t0:M2"],
                                "g2_rises": ["t1:M1"],
-                               "g2_drops": ["t0:M2"]}
-    assert [record[key] for key in record["moved"]] == [1, 1, 1, 1]
-    assert record["evaluations"] == {"parent": 50, "change": 44}
+                               "g2_drops": ["t0:M2"],
+                               "converged_changed": ["t1:M4"]}
+    assert [record[key] for key in record["moved"]] == [1, 1, 1, 1, 1]
+    assert record["evaluations"] == {"parent": 60, "change": 54}
     assert record["work"] == {"evaluations_rose": [],
                               "evaluations_fell": ["t0:M2"]}
 
@@ -443,3 +451,6 @@ def test_face_corpus_record_lists_fits_whose_work_moved():
                               "evaluations_fell": ["t0:M1"]}
     assert (record["evaluations_rose"], record["evaluations_fell"]) == (2, 1)
     assert record["identical"] == 1
+    # every fit keeps its other fields
+    assert record["identical_but_evaluations"] == 4
+    assert record["converged_changed"] == 0

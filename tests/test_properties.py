@@ -48,10 +48,12 @@ from misstab import (
 )
 import misstab.fitting
 from misstab.fitting import (
+    DECAY_HALF,
     DECAY_WINDOW,
     FACE_CHECK_CYCLES,
     FACE_MAX_EVALUATIONS,
     FACE_RESIDUAL,
+    REOPEN_SHARE,
     SQUAREM_STEP_FACTOR,
     FitResult,
     _EcmMap,
@@ -66,7 +68,6 @@ from misstab.fitting import (
     _margin_groups,
     _margin_residual,
     _recover_lambda,
-    _zeros_stay_down,
 )
 from misstab.models import (
     _effects_coding,
@@ -504,7 +505,8 @@ def _oracle_slice(schema, pattern):
 
 def _oracle_collapse(mu, schema, pattern):
     axes = tuple(schema.index(v) for v in pattern)
-    return np.asarray(mu[_oracle_slice(schema, pattern)].sum(axis=axes))
+    block = mu[_oracle_slice(schema, pattern)]
+    return np.squeeze(_oracle_margin(block, axes), axis=axes)
 
 
 def _oracle_margin(x, axes):
@@ -561,17 +563,20 @@ def _oracle_margin_residual(mu, table, sum_axes_list):
 
 
 def _oracle_loglik_and_g2(mu, table):
-    ll = -float(mu.sum())
-    g2 = 0.0
-    for st_ in table.strata:
-        c = _oracle_collapse(mu, table.schema, table.pattern_of(st_))
-        y = st_.counts
-        mask = y > 0
-        if not np.all(c[mask] > 0):
-            return float("-inf"), float("inf")
-        ll += float((y[mask] * np.log(c[mask])).sum())
-        g2 += 2.0 * float((y[mask] * np.log(y[mask] / c[mask])).sum())
-    return ll, max(g2, 0.0)
+    """The log-likelihood and G2 of mu.  The terms of the positive counts
+    are concatenated stratum by stratum and summed once, as the ECM map
+    and the deviance sum them, so that each agrees to the bit."""
+    y = np.concatenate([np.ravel(st_.counts) for st_ in table.strata])
+    c = np.concatenate([
+        np.ravel(_oracle_collapse(mu, table.schema, table.pattern_of(st_)))
+        for st_ in table.strata
+    ])
+    mask = y > 0
+    y, c = y[mask].astype(float), c[mask]
+    if not np.all(c > 0):
+        return float("-inf"), float("inf")
+    ll = -float(np.add.reduce(mu.ravel())) + float(np.add.reduce(y * np.log(c)))
+    return ll, max(2.0 * float(np.add.reduce(y * np.log(y / c))), 0.0)
 
 
 @st.composite
@@ -626,13 +631,16 @@ class TestObservationMapOracle:
             np.testing.assert_allclose(
                 strata[pat], want, rtol=1e-12, atol=1e-12
             )
-        ecm = _EcmMap(table, ())
-        it = _Iterate(mu)
+        # the E step reads the live cells alone, so a count behind an
+        # all-zero block is spread nowhere, and the map that drops it is
+        # starved, its log-likelihood -inf
+        ecm, it = _EcmMap(table, ()).restrict(mu.reshape(-1))
         np.testing.assert_allclose(
-            ecm.e_step(it), _oracle_e_step(mu, table),
-            rtol=1e-12, atol=1e-12,
+            ecm.cross(ecm.e_step(it)).reshape(mu.shape),
+            _oracle_e_step(mu, _fed(table, mu)), rtol=1e-12, atol=1e-12,
         )
         ll, g2 = _oracle_loglik_and_g2(mu, table)
+        assert ecm.starved is math.isinf(ll)
         for got, want in ((ecm.loglik(it), ll), (_g2_from_mu(mu, table), g2)):
             if math.isinf(want):
                 assert got == want
@@ -694,15 +702,33 @@ def tables_margins_and_cross(draw, kind):
     return IncompleteTable(schema, strata), axes_list, mu
 
 
-def _iterates(mu):
-    """The cross as an iterate built shaped, as a fit's start is, and as
-    one built flat with its shape, as the map builds each next one; and,
-    when it has no zero cell, as one flagged positive, which takes the
-    unguarded paths."""
-    yield _Iterate(mu)
-    yield _Iterate(mu.reshape(-1), mu.shape)
+def _fed(table, mu):
+    """The table with every count whose cells are all zero in the cross mu
+    set to 0: the counts that a map restricted to mu's live cells spreads,
+    where the oracle E step spreads the others evenly."""
+    strata = []
+    for st_ in table.strata:
+        c = _oracle_collapse(mu, table.schema, table.pattern_of(st_))
+        strata.append(Stratum(st_.observed, np.where(c > 0, st_.counts, 0)))
+    return IncompleteTable(table.schema, tuple(strata))
+
+
+def _live_iterates(table, axes_list, mu):
+    """The map of a table on the live cells of the cross mu, with mu there
+    as an iterate (restrict), as a fit reads a cross that holds zeros; and,
+    when mu has no zero cell, the full map with mu as an iterate built
+    shaped, as a fit's start is, and built flat with its shape, as the map
+    builds each next one."""
+    yield _EcmMap(table, axes_list).restrict(mu.reshape(-1))
     if np.all(mu > 0):
-        yield _Iterate(mu.reshape(-1), mu.shape, True)
+        for it in (_Iterate(mu, positive=True),
+                   _Iterate(mu.reshape(-1), mu.shape, True)):
+            yield _EcmMap(table, axes_list), it
+
+
+def _full(ecm, it):
+    """An iterate of the map ecm as a shaped cross of its table."""
+    return ecm.cross(it.flat).reshape(ecm._shape)
 
 
 def _check_cross_kind(table, axes_list, mu, kind):
@@ -733,24 +759,31 @@ class TestEcmMapOracle:
         table = request.getfixturevalue(TABLE_FIXTURE[name])
         fit = fit_em(model_id, table)
         axes = _margin_axes(table.schema, generating_class(fit.model))
-        ecm = _EcmMap(table, axes)
         dims = full_cross_dims(table.schema)
         start = np.full(dims, table.N / float(np.prod(dims)))
-        states = list(_iterates(start))
+        states = list(_live_iterates(table, axes, start))
         for _ in range(50):
-            states.append(ecm(states[-1]))
-        states.extend(_iterates(fit.mu_hat))
-        for it in states:
-            z = _oracle_e_step(it.mu, table)
-            assert np.array_equal(ecm.e_step(it), z)
-            assert np.array_equal(ecm(it).mu, _oracle_ipf(it.mu, z, axes))
+            ecm, it = states[-1]
+            states.append((ecm, ecm(it)))
+        # a face fit's zero cells are read through the map on its live cells
+        states.extend(_live_iterates(table, axes, fit.mu_hat))
+        for ecm, it in states:
+            mu = _full(ecm, it)
+            z = _oracle_e_step(mu, table)
+            assert np.array_equal(ecm.cross(ecm.e_step(it).ravel()),
+                                  z.ravel())
+            assert np.array_equal(_full(ecm, ecm(it)),
+                                  _oracle_ipf(mu, z, axes))
 
     @pytest.mark.parametrize(
         "name,model_id", ALL_CASES, ids=[f"{n}-{m}" for n, m in ALL_CASES]
     )
     def test_mass_on_an_empty_margin_cell(self, request, name, model_id):
-        # with the all-missing block zeroed, the E step spreads its count
-        # evenly there, onto margin cells where mu has no mass
+        # with the all-missing block zeroed, the oracle E step spreads its
+        # count evenly there, onto margin cells where mu has no mass.  The
+        # map on the live cells has no cell for that count: it is starved,
+        # its log-likelihood is -inf, and it spreads the count nowhere, so
+        # its sweep has the oracle's bits on the table without the count
         table = request.getfixturevalue(TABLE_FIXTURE[name])
         schema = table.schema
         axes = _margin_axes(schema, generating_class(get_model(schema, model_id)))
@@ -761,31 +794,44 @@ class TestEcmMapOracle:
         assert any(
             np.any((mu.sum(axis=a) == 0) & (z.sum(axis=a) > 0)) for a in axes
         )
-        for it in _iterates(mu):
-            got = _EcmMap(table, axes)(it).mu
-            assert np.array_equal(got, _oracle_ipf(mu, z, axes))
+        fed = _fed(table, mu)
+        last = fed.strata[-1].counts
+        assert not np.any(last) and np.any(table.strata[-1].counts)
+        (ecm, it), = _live_iterates(table, axes, mu)
+        assert ecm.starved and ecm.loglik(it) == -math.inf
+        want = _oracle_ipf(mu, _oracle_e_step(mu, fed), axes)
+        assert np.array_equal(_full(ecm, ecm(it)), want)
 
     # a strictly positive cross takes the unguarded divisions, on a table
-    # with zero counts too, an emptied margin cell the guarded sweep, a
-    # zero collapse the even spread; an output is flagged exactly when its
-    # input is and it has no zero cell
+    # with zero counts too; a cross with an emptied margin cell or a zero
+    # collapse is read on its live cells, where a count with no live cell
+    # starves the map and is spread nowhere; an output is flagged exactly
+    # when it has no zero cell
     @pytest.mark.parametrize("kind", CROSS_KINDS)
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_every_path_matches_the_oracle(self, kind, data):
         table, axes_list, mu = data.draw(tables_margins_and_cross(kind))
         _check_cross_kind(table, axes_list, mu, kind)
-        z = _oracle_e_step(mu, table)
+        fed = _fed(table, mu)
+        dropped = not np.array_equal(observed_counts(fed),
+                                     observed_counts(table))
+        z = _oracle_e_step(mu, fed)
         twice = scale_counts(table, 2)
-        want = _oracle_ipf(mu, _oracle_e_step(mu, twice), axes_list)
-        for it in _iterates(mu):
-            got = _EcmMap(table, axes_list)(it)
-            assert np.array_equal(got.mu, _oracle_ipf(mu, z, axes_list))
-            assert got.positive == (it.positive and np.all(got.flat > 0))
+        want = _oracle_ipf(mu, _oracle_e_step(mu, scale_counts(fed, 2)),
+                           axes_list)
+        for ecm, it in _live_iterates(table, axes_list, mu):
+            assert ecm.starved is dropped
+            got = ecm(it)
+            assert np.array_equal(_full(ecm, got),
+                                  _oracle_ipf(mu, z, axes_list))
+            assert got.positive == np.all(got.flat > 0)
             # an iterate another map has read gets this map's own margins
-            assert np.array_equal(_EcmMap(twice, axes_list)(it).mu, want)
+            other, _ = _EcmMap(twice, axes_list).restrict(mu.reshape(-1))
+            assert np.array_equal(_full(other, other(it)), want)
             # with no margins to fit the map leaves the cross as it is
-            assert np.array_equal(_EcmMap(table, ())(it).mu, mu)
+            still, _ = _EcmMap(table, ()).restrict(mu.reshape(-1))
+            assert np.array_equal(_full(still, still(it)), mu)
 
     @pytest.mark.parametrize(
         "name,model_id", ALL_CASES + ZERO_COUNT_CASES,
@@ -794,33 +840,33 @@ class TestEcmMapOracle:
     def test_a_positive_flag_keeps_the_bits(
         self, request, name, model_id, monkeypatch
     ):
-        # every zero-free iterate a fit maps, in the EM phase, the face
-        # solve and the probes of its certification, maps to the same bits
-        # and has the same log-likelihood whether it is flagged positive
-        # (no guard, unguarded sweep) or not (every guard)
+        # every iterate a fit maps, in the EM phase, the face solve and the
+        # probes of its certification, is flagged and has no zero cell, and
+        # the map gives it the full-cross oracle's log-likelihood and next
+        # iterate, flagged exactly when that has no zero cell
         table = request.getfixturevalue(TABLE_FIXTURE[name])
+        schema = table.schema
+        axes = _margin_axes(schema, generating_class(get_model(schema, model_id)))
         seen = []
         call = _EcmMap.__call__
 
         def recorded(ecm, it):
-            seen.append((ecm, it.flat, it.shape))
-            return call(ecm, it)
+            out = call(ecm, it)
+            seen.append((ecm, it, out))
+            return out
 
         monkeypatch.setattr(_EcmMap, "__call__", recorded)
         fit_em(model_id, table)
         monkeypatch.undo()
-        positive = 0
-        for ecm, flat, shape in seen:
-            if not np.all(flat > 0):
-                continue
-            positive += 1
-            flagged, plain = (_Iterate(flat, shape, p) for p in (True, False))
-            assert ecm.loglik(flagged) == ecm.loglik(plain)
-            fast, slow = ecm(flagged), ecm(plain)
-            assert fast.flat.tobytes() == slow.flat.tobytes()
-            assert fast.positive == np.all(fast.flat > 0)
-            assert not slow.positive
-        assert positive > 0
+        assert seen
+        for ecm, it, out in seen:
+            assert it.positive and np.all(it.flat > 0)
+            mu = _full(ecm, it)
+            ll = ecm.loglik(it)
+            assert ll == _oracle_loglik_and_g2(mu, table)[0]
+            want = _oracle_ipf(mu, _oracle_e_step(mu, table), axes)
+            assert _full(ecm, out).tobytes() == want.tobytes()
+            assert out.positive == np.all(out.flat > 0)
 
     def test_a_sweep_that_empties_a_margin_cell_falls_back(
         self, smoking_table
@@ -892,9 +938,9 @@ class TestMarginResidualOracle:
     def test_residual_is_the_largest_margin_gap(self, kind, data):
         table, axes_list, mu = data.draw(tables_margins_and_cross(kind))
         _check_cross_kind(table, axes_list, mu, kind)
-        want = _oracle_margin_residual(mu, table, axes_list)
-        for it in _iterates(mu):
-            assert _margin_residual(it, _EcmMap(table, axes_list)) == want
+        want = _oracle_margin_residual(mu, _fed(table, mu), axes_list)
+        for ecm, it in _live_iterates(table, axes_list, mu):
+            assert _margin_residual(it, ecm) == want
 
 
 # Floats at the edges of what the ECM loop's reductions can meet: NaN,
@@ -1112,105 +1158,146 @@ class TestFaceOracle:
             assert fit.G2 >= plain - 1e-6
 
 
-# The face solve on the full cross: every iterate holds the zero cells, so
-# none is flagged positive and each map application takes the guarded
-# sweep, and each SQUAREM cycle extrapolates over a mask of the live cells
-# and scatters its jump back onto the cross.  The solve on the live cells
+# The face solve on the full cross, with the slice-and-sum E step, sweep,
+# log-likelihood and margin residual above: every iterate holds the zero
+# cells, each SQUAREM cycle extrapolates over a mask of the live cells and
+# scatters its jump back onto the cross, and a cycle whose plain step
+# zeroes a live cell ends with that step.  The solve on the live cells
 # alone (_solve_face) must reproduce it bit for bit.
 
-def _oracle_squarem_step(it, ll, step_max, ecm):
-    it1 = ecm(it)
-    it2 = ecm(it1)
-    live = it2.flat > 0
-    x0, x1, x2 = (np.log(i.flat[live]) for i in (it, it1, it2))
+def _oracle_squarem_step(mu, ll, step_max, step, loglik):
+    live = mu > 0
+    mu1 = step(mu)
+    if np.any(live & (mu1 == 0)):
+        return mu1, loglik(mu1), step_max, 1
+    mu2 = step(mu1)
+    if np.any(live & (mu2 == 0)):
+        return mu2, loglik(mu2), step_max, 2
+    x0, x1, x2 = (np.log(m[live]) for m in (mu, mu1, mu2))
     r = x1 - x0
     v = x2 - x1 - r
     v_norm = math.sqrt(v @ v)
     if v_norm == 0:
-        return it2, ecm.loglik(it2), step_max, 2
+        return mu2, loglik(mu2), step_max, 2
     alpha = max(min(-math.sqrt(r @ r) / v_norm, -1.0), -step_max)
-    jump = np.zeros(it.flat.size)
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+    spent = 2
+    with np.errstate(all="ignore"):
+        jump = np.zeros_like(mu)
         jump[live] = np.exp(x0 - 2.0 * alpha * r + alpha * alpha * v)
-        jump = ecm(_Iterate(jump, it.shape))
-        ll_jump = ecm.loglik(jump)
-    if np.logical_and.reduce(np.isfinite(jump.flat)) and ll_jump >= ll:
-        if alpha == -step_max:
-            step_max *= SQUAREM_STEP_FACTOR
-        return jump, ll_jump, step_max, 3
+        if np.all(jump[live] > 0):
+            jump = step(jump)
+            spent = 3
+            ll_jump = loglik(jump)
+            if np.all(jump[live] > 0) and ll_jump >= ll:
+                if alpha == -step_max:
+                    step_max *= SQUAREM_STEP_FACTOR
+                return jump, ll_jump, step_max, 3
     step_max = max(step_max / SQUAREM_STEP_FACTOR, 1.0)
-    return it2, ecm.loglik(it2), step_max, 3
+    return mu2, loglik(mu2), step_max, spent
 
 
-def _oracle_solve_face(it, zero, floor, ecm, budget):
-    before = it.flat
-    it = _Iterate(np.where(zero, 0.0, before), it.shape)
-    ll = ecm.loglik(it)
+def _oracle_zeros_stay_down(mu, before, step):
+    reopened = (mu == 0) & (before > 0)
+    probe = np.where(reopened, REOPEN_SHARE * before, mu)
+    marks = _checkpoint([], probe)
+    for k in range(1, DECAY_WINDOW + 1):
+        probe = step(probe)
+        if k % DECAY_HALF == 0:
+            marks = _checkpoint(marks, probe)
+    a, b, c = (m[reopened] for m in marks)
+    return bool(np.all((b < a) & (c < b)))
+
+
+def _oracle_solve_face(before, zero, floor, ecm, budget, axes):
+    """The face solve on the full cross, with the arguments of _solve_face
+    and the sufficient margins' axes, as a _FaceSolve on the full map."""
+    table = ecm.table
+    shape = ecm._shape
+
+    def step(mu):
+        return _oracle_ipf(mu, _oracle_e_step(mu, table), axes)
+
+    def loglik(mu):
+        return _oracle_loglik_and_g2(mu, table)[0]
+
+    def solved(mu, certified):
+        return _FaceSolve(ecm, _Iterate(mu.ravel()), tuple(trace),
+                          evaluations, certified)
+
+    mu = np.where(zero, 0.0, before).reshape(shape)
+    ll = loglik(mu)
     trace = []
     evaluations = 0
     cycles = 0
     step_max = 1.0
-    marks = _checkpoint([], it.flat)
+    marks = _checkpoint([], mu.ravel())
     while (
         math.isfinite(ll)
         and len(trace) < budget
         and evaluations < FACE_MAX_EVALUATIONS
     ):
-        it, ll, step_max, spent = _oracle_squarem_step(it, ll, step_max, ecm)
+        mu, ll, step_max, spent = _oracle_squarem_step(
+            mu, ll, step_max, step, loglik)
         evaluations += spent
         cycles += 1
         if ll >= (trace[-1] if trace else floor):
             trace.append(ll)
-        if _margin_residual(it, ecm) < FACE_RESIDUAL:
-            certified = ll >= floor and _is_face(it.flat == 0, ecm._groups)
+        if _oracle_margin_residual(mu, table, axes) < FACE_RESIDUAL:
+            certified = ll >= floor and _is_face(mu.ravel() == 0, ecm._groups)
             if certified:
                 evaluations += DECAY_WINDOW
-                certified = _zeros_stay_down(it, before, ecm)
-            return _FaceSolve(it, tuple(trace), evaluations, certified)
+                certified = _oracle_zeros_stay_down(
+                    mu, before.reshape(shape), step)
+            return solved(mu, certified)
         if cycles % FACE_CHECK_CYCLES == 0:
-            mu = it.flat
-            marks = _checkpoint(marks, mu)
-            decay = _decay_zeros(marks, mu, FACE_CHECK_CYCLES, ecm)
+            marks = _checkpoint(marks, mu.ravel())
+            decay = _decay_zeros(marks, mu.ravel(), FACE_CHECK_CYCLES, ecm)
             if decay is not None:
-                it = _Iterate(np.where(decay[1], 0.0, mu), it.shape)
-                ll = ecm.loglik(it)
-                marks = _checkpoint([], it.flat)
-    return _FaceSolve(it, tuple(trace), evaluations, False)
+                mu = np.where(decay[1].reshape(shape), 0.0, mu)
+                ll = loglik(mu)
+                marks = _checkpoint([], mu.ravel())
+    return solved(mu, False)
 
 
 def _same_face_solve(got, want):
     assert got.trace == want.trace
     assert got.evaluations == want.evaluations
     assert got.certified is want.certified
-    assert got.it.shape == want.it.shape
-    assert got.it.flat.tobytes() == want.it.flat.tobytes()
+    assert (got.ecm.cross(got.it.flat).tobytes()
+            == want.ecm.cross(want.it.flat).tobytes())
 
 
 def _fit_against_the_oracle(model, table, monkeypatch):
     """Fit with the solve on the live cells, comparing each of its face
     solves with the full-cross oracle on the same arguments, then fit again
     with the oracle in its place: both fits must have the same bits.
-    Returns the fit, each solve's start and every restriction it made."""
+    Returns the fit, each solve's start and every restriction it made, as
+    the map restricted, the cross it read and the map and iterate made."""
+    if not isinstance(model, NonresponseModel):
+        model = get_model(table.schema, model)
+    axes = _margin_axes(table.schema, generating_class(model))
     solve_face = misstab.fitting._solve_face
     restrict = _EcmMap.restrict
     starts, restrictions = [], []
 
-    def compared(it, zero, floor, ecm, budget):
-        got = solve_face(it, zero, floor, ecm, budget)
-        want = _oracle_solve_face(it, zero, floor, ecm, budget)
-        _same_face_solve(got, want)
-        starts.append(np.where(zero, 0.0, it.flat))
+    def oracle(before, zero, floor, ecm, budget):
+        return _oracle_solve_face(before, zero, floor, ecm, budget, axes)
+
+    def compared(before, zero, floor, ecm, budget):
+        got = solve_face(before, zero, floor, ecm, budget)
+        _same_face_solve(got, oracle(before, zero, floor, ecm, budget))
+        starts.append(np.where(zero, 0.0, before))
         return got
 
     def recorded(ecm, flat):
         face, it = restrict(ecm, flat)
-        restrictions.append((ecm, face, it))
+        restrictions.append((ecm, flat, face, it))
         return face, it
 
     monkeypatch.setattr(misstab.fitting, "_solve_face", compared)
     monkeypatch.setattr(_EcmMap, "restrict", recorded)
     fit = fit_em(model, table)
-    monkeypatch.setattr(misstab.fitting, "_solve_face", _oracle_solve_face)
+    monkeypatch.setattr(misstab.fitting, "_solve_face", oracle)
     want = fit_em(model, table)
     monkeypatch.undo()
     assert fit.loglik_trace == want.loglik_trace
@@ -1221,17 +1308,23 @@ def _fit_against_the_oracle(model, table, monkeypatch):
     return fit, starts, restrictions
 
 
-def _check_restriction(ecm, face, it):
-    """A restriction covers the positive cells of the cross it was made
-    from, and its iterate is flagged positive exactly when every positive
-    count keeps one of them; a starved one's log-likelihood is -inf."""
-    assert np.all(it.flat > 0)
+def _check_restriction(ecm, flat, face, it):
+    """A restriction holds the positive cells of the cross it was made
+    from as a flagged iterate, and its map is starved exactly when a
+    positive count keeps none of them, with a log-likelihood of -inf, as
+    the full cross's; it is the map itself when every cell is live."""
+    full = ecm.cross(flat)
+    assert it.positive and np.all(it.flat > 0)
+    assert np.array_equal(face.cross(it.flat), np.where(full > 0, full, 0.0))
+    assert (face is ecm) is bool(np.all(flat > 0))
     y = observed_counts(ecm.table).ravel()
     kept = np.bincount(face._idx, minlength=y.size)
     fed = bool(np.all(kept[y > 0] > 0))
-    assert it.positive is fed
+    assert face.starved is not fed
     if not fed:
         assert face.loglik(it) == -math.inf
+        mu = _full(face, it)
+        assert _oracle_loglik_and_g2(mu, ecm.table)[0] == -math.inf
     return fed
 
 
@@ -1296,8 +1389,8 @@ class TestLiveCellFaceSolve:
             _, _, restrictions = _fit_against_the_oracle(
                 model, table, monkeypatch
             )
-        for ecm, face, it in restrictions:
-            _check_restriction(ecm, face, it)
+        for restriction in restrictions:
+            _check_restriction(*restriction)
 
     @pytest.mark.parametrize(
         "name,model_id", ALL_CASES, ids=[f"{n}-{m}" for n, m in ALL_CASES]
@@ -1309,26 +1402,25 @@ class TestLiveCellFaceSolve:
         _fit_against_the_oracle(model_id, table, monkeypatch)
 
     @pytest.mark.parametrize(
-        "case,starts",
-        [(STARVED_AT_HANDOFF, 1), (STARVED_ON_THE_FACE_CLOCK, 5)],
+        "case,made,starved",
+        [(STARVED_AT_HANDOFF, 1, 1), (STARVED_ON_THE_FACE_CLOCK, 5, 2)],
         ids=["hand-off", "face-clock"],
     )
     def test_a_starved_count_keeps_a_log_likelihood_of_minus_inf(
-        self, case, starts, monkeypatch
+        self, case, made, starved, monkeypatch
     ):
         # the zeroing leaves a positive count no live cell: the restricted
-        # iterate is not flagged, so its log-likelihood tests the collapse
-        # and is -inf, as the full cross's is, and the solve stops there
+        # map is starved, so its log-likelihood is -inf, as the full
+        # cross's is, and the solve stops there.  Each starved map is made
+        # from the full map, at a face start or a face-clock zeroing
         model_id, table = case
         _, _, restrictions = _fit_against_the_oracle(
             model_id, table, monkeypatch
         )
         fed = [_check_restriction(*r) for r in restrictions]
-        assert len(fed) == starts and not all(fed)
-        for ecm, face, it in restrictions:
-            if not it.positive:
-                full = _Iterate(face.cross(it.flat), ecm._shape)
-                assert ecm.loglik(full) == -math.inf
+        assert (len(fed), fed.count(False)) == (made, starved)
+        for (ecm, _, _, _), kept in zip(restrictions, fed):
+            assert kept or ecm._live is None
 
     @pytest.mark.parametrize(
         "name", ["bone-density", "smoking-zero-count"]
@@ -1354,6 +1446,96 @@ class TestLiveCellFaceSolve:
         assert applications and all(
             flags == (True, True) for flags in applications
         )
+
+
+def _zero_reads(model, table, monkeypatch, **stopping):
+    """fit_em of a model, with each E step, sweep, log-likelihood and
+    margin residual it takes recorded: the fit, how many it took and how
+    many of them read an iterate with a zero cell."""
+    reads = []
+
+    def watched(read, swap=False):
+        def reading(*args):
+            it = args[1] if not swap else args[0]
+            reads.append(bool(np.all(it.flat > 0)))
+            return read(*args)
+        return reading
+
+    for name in ("_spread_counts", "__call__", "loglik"):
+        monkeypatch.setattr(_EcmMap, name, watched(getattr(_EcmMap, name)))
+    monkeypatch.setattr(misstab.fitting, "_margin_residual", watched(
+        misstab.fitting._margin_residual, swap=True))
+    fit = fit_em(model, table, **stopping)
+    monkeypatch.undo()
+    return fit, len(reads), reads.count(False)
+
+
+ZERO_TARGET = ("M1", _zero_counts(builtin_dataset("smoking-birthweight"),
+                                  both_missing=True))
+
+
+class TestTheMapReadsNoZeroCell:
+    # when an iterate holds an exact zero the fit goes on with the map
+    # restricted to its live cells, in the EM phase, the face solve and
+    # the probes of its certification alike, so no E step, sweep,
+    # log-likelihood or margin residual reads a zero cell
+    @pytest.mark.parametrize(
+        "case", [ZERO_TARGET, STARVED_AT_HANDOFF, STARVED_ON_THE_FACE_CLOCK],
+        ids=["zero-target", "starved-at-hand-off", "starved-on-the-clock"],
+    )
+    def test_no_fit_phase_reads_a_zero_cell(self, case, monkeypatch):
+        model_id, table = case
+        fit, reads, zero_reads = _zero_reads(model_id, table, monkeypatch)
+        assert reads > fit.evaluations and zero_reads == 0
+
+    def test_a_zero_target_restricts_the_em_phase(self, monkeypatch):
+        # both-missing count 0: the first sweep zeroes the cells of the
+        # margin cell under it, and EM goes on with the map on the rest
+        made = []
+        restrict = _EcmMap.restrict
+
+        def recorded(ecm, flat):
+            face, it = restrict(ecm, flat)
+            made.append(face)
+            return face, it
+
+        model_id, table = ZERO_TARGET
+        monkeypatch.setattr(_EcmMap, "restrict", recorded)
+        fit_em(model_id, table, max_iter=1)
+        monkeypatch.undo()
+        assert len(made) == 1 and made[0]._live is not None
+        assert not made[0].starved
+
+    @settings(max_examples=30, deadline=None)
+    @given(sparse_analysis_fits())
+    def test_random_fits_read_no_zero_cell(self, case):
+        model, table = case
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            fit, reads, zero_reads = _zero_reads(model, table, monkeypatch)
+        assert reads > fit.evaluations and zero_reads == 0
+
+    # the EM phase alone, before any decay test: a full-cross loop of the
+    # slice-and-sum E step and sweep from the uniform start, with their
+    # even spread and guards, gives every log-likelihood, the result and
+    # its G2 bit for bit
+    @settings(max_examples=40, deadline=None)
+    @given(sparse_analysis_fits())
+    @example((get_model(ZERO_TARGET[1].schema, ZERO_TARGET[0]),
+              ZERO_TARGET[1]))
+    def test_em_phase_matches_the_full_cross_loop(self, case):
+        model, table = case
+        fit = fit_em(model, table, max_iter=DECAY_HALF - 1)
+        assert fit.evaluations == fit.iterations
+        axes = _margin_axes(table.schema, generating_class(model))
+        dims = full_cross_dims(table.schema)
+        mu = np.full(dims, table.N / float(np.prod(dims)))
+        trace = []
+        for _ in range(fit.iterations):
+            mu = _oracle_ipf(mu, _oracle_e_step(mu, table), axes)
+            trace.append(_oracle_loglik_and_g2(mu, table)[0])
+        assert fit.loglik_trace == tuple(trace)
+        assert fit.mu_hat.tobytes() == mu.tobytes()
+        assert fit.G2 == _oracle_loglik_and_g2(mu, table)[1]
 
 
 def _oracle_lambda(model, schema, mu):

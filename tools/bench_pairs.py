@@ -46,10 +46,12 @@ checkout in the order ALTERNATION: 150 random tables with both variables
 missing, recorded as face_corpus, and 120 random tables of three shapes
 in turn, recorded as face_corpus_shapes.  Each entry records how the
 change's fits differ from the parent's in each side's first run: the
-fits identical bit for bit (G2, iterations, evaluations, face cells and
-mu_hat bytes), the faces lost and gained, the G2 rises and drops beyond
-FACE_CORPUS_G2_TOL, the fits whose evaluations rose and fell, and each
-side's total evaluations (face_corpus_record).  It also holds the time
+fits identical bit for bit (G2, iterations, evaluations, face cells,
+converged flag and mu_hat bytes) and those identical in all but
+evaluations, the faces lost and gained, the G2 rises and drops beyond
+FACE_CORPUS_G2_TOL, the fits whose converged flag changed, the fits whose
+evaluations rose and fell, and each side's total evaluations
+(face_corpus_record).  It also holds the time
 each run's fits took together, in seconds (fits_s) and in kernels of the
 checkout's bench/calibration.small_arrays, run between the tables
 (fits_cal, each table's fits in the kernels around them), each side's
@@ -180,6 +182,7 @@ for t in range(tables):
         fits[f"t{t}:{model.id}"] = {
             "G2": f.G2, "iterations": f.iterations,
             "evaluations": f.evaluations, "face_cells": f.face_cells,
+            "converged": f.converged,
             "mu_hat_sha256": hashlib.sha256(f.mu_hat.tobytes()).hexdigest()}
     after = kernel_seconds(small_arrays)
     seconds += took
@@ -416,11 +419,12 @@ def assess_record(runs: dict, levels: int) -> dict:
 def face_corpus_record(fits: dict, tables: int,
                        corpus: str = "face_corpus", runs=None) -> dict:
     """The entry of one --face-corpus corpus (a key of FACE_CORPORA) in the
-    record, from each side's fits (side -> the corpus script's fits): which
-    fits are identical in every field recorded (a float read back from JSON
-    equals only its own bits), which lost or gained a certified face, whose
-    G2 rose or dropped beyond FACE_CORPUS_G2_TOL, and whose evaluations
-    rose or fell, each list of fits in corpus order with its count, and
+    record, from each side's fits (side -> the corpus script's fits): how
+    many fits are identical in every field recorded (a float read back from
+    JSON equals only its own bits), and in every field but evaluations;
+    which lost or gained a certified face, whose G2 rose or dropped beyond
+    FACE_CORPUS_G2_TOL, whose converged flag changed, and whose evaluations
+    rose or fell, each list of fits in corpus order with its count; and
     each side's total evaluations.  The totals alone would hide a change
     that moves work from some fits to others.  When given every run of
     each side (side -> list of the script's outputs), it holds each run's
@@ -428,6 +432,10 @@ def face_corpus_record(fits: dict, tables: int,
     side has the fits given for it."""
     parent, change = (fits[side] for side in SIDES)
     same = [m for m in parent if parent[m] == change[m]]
+    same_but_evaluations = [
+        m for m in parent
+        if {**parent[m], "evaluations": 0} == {**change[m], "evaluations": 0}
+    ]
     moved = {
         "faces_lost": [m for m in parent if parent[m]["face_cells"]
                        and not change[m]["face_cells"]],
@@ -437,6 +445,8 @@ def face_corpus_record(fits: dict, tables: int,
                      > parent[m]["G2"] + FACE_CORPUS_G2_TOL],
         "g2_drops": [m for m in parent if change[m]["G2"]
                      < parent[m]["G2"] - FACE_CORPUS_G2_TOL],
+        "converged_changed": [m for m in parent if change[m]["converged"]
+                              != parent[m]["converged"]],
     }
     work = {
         "evaluations_rose": [m for m in parent if change[m]["evaluations"]
@@ -450,6 +460,7 @@ def face_corpus_record(fits: dict, tables: int,
                   "catalog model by fit_em at its defaults",
         "fits": len(parent),
         "identical": len(same),
+        "identical_but_evaluations": len(same_but_evaluations),
         **{key: len(labels) for key, labels in (moved | work).items()},
         "evaluations": {side: sum(f["evaluations"]
                                   for f in fits[side].values())
