@@ -575,8 +575,9 @@ def _oracle_loglik_and_g2(mu, table):
     y, c = y[mask].astype(float), c[mask]
     if not np.all(c > 0):
         return float("-inf"), float("inf")
-    ll = -float(np.add.reduce(mu.ravel())) + float(np.add.reduce(y * np.log(c)))
-    return ll, max(2.0 * float(np.add.reduce(y * np.log(y / c))), 0.0)
+    logs = float(np.add.reduce(y * np.log(c)))
+    g2 = 2.0 * float(np.add.reduce(y * np.log(y / c)))
+    return -float(np.add.reduce(mu.ravel())) + logs, max(g2, 0.0)
 
 
 @st.composite
@@ -1376,6 +1377,20 @@ STARVED_ON_THE_FACE_CLOCK = ("D6:Y1=MAR(Y2),Y2=NMAR", _table(
      [[20, 2, 24], [19, 3, 1], [1, 6, 3]], [13, 36, 16]],
 ))
 
+# a plain step of a refused face attempt of the first fit zeroes the live
+# cells of a margin cell under zero counts; an extrapolated jump of the
+# second fit's face solve underflows to a zero cell
+ZERO_ON_A_PLAIN_STEP = ("D3:Y1=MAR(Y2),Y2=MAR(Y1)", _table(
+    (3, 3, 2), ("a", "b"),
+    [[[[24, 2], [4, 7], [3, 39]], [[23, 1], [36, 26], [4, 2]],
+      [[1, 2], [1, 0], [0, 32]]],
+     [[3, 3], [0, 2], [7, 2]], [[5, 6], [0, 23], [4, 5]], [0, 3]],
+))
+ZERO_ON_A_JUMP = ("C1", _table(
+    (2, 2, 2), ("a",),
+    [[[[0, 18], [8, 0]], [[9, 17], [9, 6]]], [[0, 30], [0, 20]]],
+))
+
 
 class TestLiveCellFaceSolve:
     # the face solve runs on the map restricted to the live cells, and must
@@ -1423,6 +1438,33 @@ class TestLiveCellFaceSolve:
             assert kept or ecm._live is None
 
     @pytest.mark.parametrize(
+        "case,ends,face_cells,evaluations",
+        [(ZERO_ON_A_PLAIN_STEP, [1], 4, 208), (ZERO_ON_A_JUMP, [], 4, 130)],
+        ids=["plain-step", "jump"],
+    )
+    def test_a_cycle_ends_where_it_would_read_a_zero_cell(
+        self, case, ends, face_cells, evaluations, monkeypatch
+    ):
+        # a cycle whose plain step gains a zero ends with that step, one
+        # map application in, and the solve goes on with the map on the
+        # cells left; a jump that underflows to a zero cell is refused
+        # before the map reads it.  The full-cross oracle ends each cycle
+        # where this solve does
+        ended = []
+        squarem_step = misstab.fitting._squarem_step
+
+        def recorded(it, ll, step_max, ecm):
+            out = squarem_step(it, ll, step_max, ecm)
+            if out[0] is not ecm:
+                ended.append(out[-1])
+            return out
+
+        monkeypatch.setattr(misstab.fitting, "_squarem_step", recorded)
+        fit, _, _ = _fit_against_the_oracle(*case, monkeypatch)
+        assert ended == ends
+        assert (fit.face_cells, fit.evaluations) == (face_cells, evaluations)
+
+    @pytest.mark.parametrize(
         "name", ["bone-density", "smoking-zero-count"]
     )
     def test_face_iterates_are_flagged_and_sweep_unguarded(
@@ -1454,17 +1496,17 @@ def _zero_reads(model, table, monkeypatch, **stopping):
     many of them read an iterate with a zero cell."""
     reads = []
 
-    def watched(read, swap=False):
+    def watched(read, at):
+        # the iterate is argument at of read
         def reading(*args):
-            it = args[1] if not swap else args[0]
-            reads.append(bool(np.all(it.flat > 0)))
+            reads.append(bool(np.all(args[at].flat > 0)))
             return read(*args)
         return reading
 
     for name in ("_spread_counts", "__call__", "loglik"):
-        monkeypatch.setattr(_EcmMap, name, watched(getattr(_EcmMap, name)))
+        monkeypatch.setattr(_EcmMap, name, watched(getattr(_EcmMap, name), 1))
     monkeypatch.setattr(misstab.fitting, "_margin_residual", watched(
-        misstab.fitting._margin_residual, swap=True))
+        misstab.fitting._margin_residual, 0))
     fit = fit_em(model, table, **stopping)
     monkeypatch.undo()
     return fit, len(reads), reads.count(False)
@@ -1480,8 +1522,10 @@ class TestTheMapReadsNoZeroCell:
     # the probes of its certification alike, so no E step, sweep,
     # log-likelihood or margin residual reads a zero cell
     @pytest.mark.parametrize(
-        "case", [ZERO_TARGET, STARVED_AT_HANDOFF, STARVED_ON_THE_FACE_CLOCK],
-        ids=["zero-target", "starved-at-hand-off", "starved-on-the-clock"],
+        "case", [ZERO_TARGET, STARVED_AT_HANDOFF, STARVED_ON_THE_FACE_CLOCK,
+                 ZERO_ON_A_PLAIN_STEP, ZERO_ON_A_JUMP],
+        ids=["zero-target", "starved-at-hand-off", "starved-on-the-clock",
+             "zero-on-a-plain-step", "zero-on-a-jump"],
     )
     def test_no_fit_phase_reads_a_zero_cell(self, case, monkeypatch):
         model_id, table = case
