@@ -1490,7 +1490,7 @@ class TestLiveCellFaceSolve:
         )
 
 
-def _zero_reads(model, table, monkeypatch, **stopping):
+def _zero_reads(model, table, monkeypatch):
     """fit_em of a model, with each E step, sweep, log-likelihood and
     margin residual it takes recorded: the fit, how many it took and how
     many of them read an iterate with a zero cell."""
@@ -1507,7 +1507,7 @@ def _zero_reads(model, table, monkeypatch, **stopping):
         monkeypatch.setattr(_EcmMap, name, watched(getattr(_EcmMap, name), 1))
     monkeypatch.setattr(misstab.fitting, "_margin_residual", watched(
         misstab.fitting._margin_residual, 0))
-    fit = fit_em(model, table, **stopping)
+    fit = fit_em(model, table)
     monkeypatch.undo()
     return fit, len(reads), reads.count(False)
 
