@@ -252,38 +252,29 @@ def _margin_groups(shape, sum_axes_list) -> tuple:
 
 
 class _Iterate:
-    """One point of the ECM path.  It takes over the cross, which it makes
-    read-only and holds as flat, the cells raveled in C order, with the
-    cross's shape: either a shaped cross mu, or a raveled one and its
-    shape.  The shaped view mu is made only when it is read.  positive
-    says that the cross is known to have no zero cell (and no NaN): a
-    fit's start and restrict's iterates have none, and a map application
-    passes on what its own output test found.  A fit hands the map only
-    flagged iterates: after an unflagged output it goes on with the map
-    restricted to the live cells (_step).  It carries what the map reads from the cross, each
-    computed once, when it is first needed: c, the collapse onto the
-    observed cells (for the log-likelihood and the E step), and targets,
-    the sufficient margins of the E step (for the sweep and the margin
-    residual).  Since the cross cannot change, neither can go stale; owner
-    names the map they were computed for, and another map computes its
-    own."""
+    """One point of the ECM path.  It takes over the raveled cross, the
+    cells in C order, which it makes read-only and holds as flat.
+    positive says that the cross is known to have no zero cell (and no
+    NaN): a fit's start and restrict's iterates have none, and a map
+    application passes on what its own output test found.  A fit hands
+    the map only flagged iterates: after an unflagged output it goes on
+    with the map restricted to the live cells (_step).  It carries what
+    the map reads from the cross, each computed once, when it is first
+    needed: c, the collapse onto the observed cells (for the
+    log-likelihood and the E step), and targets, the sufficient margins of
+    the E step (for the sweep and the margin residual).  Since the cross
+    cannot change, neither can go stale; owner names the map they were
+    computed for, and another map computes its own."""
 
-    __slots__ = ("flat", "shape", "positive", "owner", "c", "targets")
+    __slots__ = ("flat", "positive", "owner", "c", "targets")
 
-    def __init__(self, mu, shape=None, positive=False):
-        mu.setflags(write=False)
-        if shape is None:
-            shape, mu = mu.shape, mu.reshape(-1)
-        self.flat = mu
-        self.shape = shape
+    def __init__(self, flat, positive=False):
+        flat.setflags(write=False)
+        self.flat = flat
         self.positive = positive
         self.owner = None
         self.c = None
         self.targets = None
-
-    @property
-    def mu(self):
-        return self.flat.reshape(self.shape)
 
 
 class _EcmMap:
@@ -396,9 +387,6 @@ class _EcmMap:
             it.targets = [np.bincount(g, z, size) for g, size in self._groups]
         return it.targets
 
-    def e_step(self, it):
-        return self._spread_counts(it).reshape(it.shape)
-
     def deviance(self, it) -> float:
         """G2 of an iterate, from the collapse it carries."""
         return _deviance(self._y_positive, self._collapse(it)[self._positive])
@@ -414,28 +402,48 @@ class _EcmMap:
         # a sum of the live cells alone can differ in the last bit
         return -float(np.add.reduce(self.cross(it.flat))) + logs
 
-    def __call__(self, it):
-        targets = self.targets(it)
+    def kernel(self, it, steps=1):
+        """The flagged iterate that steps applications of the map make of
+        the flagged iterate it, or None when the result holds a zero or
+        NaN cell.
+
+        The one unguarded sweep loop of the fit: the map's arrays are bound
+        once, one error state covers every E step and sweep, and the output
+        is tested once, at the end.  The first E step is the one it carries
+        (targets).  A zero or NaN cell stays zero or NaN through every later
+        step, so the end test sees a failure of any step; the caller then
+        replays the call step by step (_steps)."""
+        idx, cells, y, groups = self._idx, self._cells, self._y_cross, self._groups
         flat = it.flat
         # a zero target (a margin cell under zero counts) or a margin cell
-        # emptied by it or by underflow leaves a zero or NaN that sends the
-        # sweep to the guarded loop below; a margin cell with no cell of a
-        # restricted map is never read
+        # emptied by it or by underflow leaves a zero or NaN; a margin cell
+        # with no cell of a restricted map is never read
         with np.errstate(divide="ignore", invalid="ignore"):
-            for (group, size), target in zip(self._groups, targets):
-                cur = np.bincount(group, flat, size)
-                flat = flat * (target / cur)[group]
+            targets = self.targets(it)
+            for step in range(steps):
+                if step:
+                    z = y * (flat / np.bincount(idx, flat, cells)[idx])
+                    targets = [np.bincount(g, z, size) for g, size in groups]
+                for (group, size), target in zip(groups, targets):
+                    cur = np.bincount(group, flat, size)
+                    flat = flat * (target / cur)[group]
         if np.minimum.reduce(flat, initial=math.inf) > 0:
-            return _Iterate(flat, it.shape, True)
+            return _Iterate(flat, True)
+        return None
+
+    def __call__(self, it):
+        out = self.kernel(it)
+        if out is not None:
+            return out
         flat = it.flat
-        for (group, size), target in zip(self._groups, targets):
+        for (group, size), target in zip(self._groups, self.targets(it)):
             # a margin cell with no mass holds only zero cells, and they
             # stay zero whatever ratio scales them
             cur = np.bincount(group, flat, size)
             if not np.minimum.reduce(cur, initial=math.inf) > 0:
                 cur = np.where(cur > 0, cur, 1.0)
             flat = flat * (target / cur)[group]
-        return _Iterate(flat, it.shape)
+        return _Iterate(flat)
 
 
 def _step(ecm, it):
@@ -444,6 +452,19 @@ def _step(ecm, it):
     that holds an exact zero."""
     it = ecm(it)
     return (ecm, it) if it.positive else ecm.restrict(it.flat)
+
+
+def _steps(ecm, it, steps):
+    """steps applications of the map ecm to it in one kernel call, and the
+    map the fit goes on with.  A call whose output fails its test is
+    replayed from its start one step at a time (_step), so the fit
+    restricts to the live cells after the very step that left a zero."""
+    out = ecm.kernel(it, steps)
+    if out is not None:
+        return ecm, out
+    for _ in range(steps):
+        ecm, it = _step(ecm, it)
+    return ecm, it
 
 
 @dataclass(frozen=True, eq=False)
@@ -803,13 +824,15 @@ def _squarem_step(it, ll, step_max, ecm):
     ecm, extrapolated in log space over its cells.
 
     Returns the map the fit goes on with, the next _Iterate, its
-    log-likelihood, the next step bound and the map evaluations spent.  A
-    cycle whose plain step gains a zero ends with that step, and the fit
-    goes on with the map restricted to the live cells (_step).  The step
-    length is capped at step_max; the cap grows by SQUAREM_STEP_FACTOR
-    when a capped step is kept and shrinks by it when a step is refused.
-    The extrapolated point, after one more ECM step, is kept only if it
-    has no zero cell and its log-likelihood is at least ll, that of the
+    log-likelihood, the next step bound and the map evaluations spent.  Its
+    two plain steps and the ECM step from its jump are single calls of the
+    map's kernel (_EcmMap.kernel).  A cycle whose plain step gains a zero
+    ends with that step, and the fit goes on with the map restricted to the
+    live cells (_step).  The step length is capped at step_max; the cap
+    grows by SQUAREM_STEP_FACTOR when a capped step is kept and shrinks by
+    it when a step is refused.  The extrapolated point, after one more ECM
+    step, is kept only if that step passes the kernel's output test (no
+    zero or NaN cell) and its log-likelihood is at least ll, that of the
     last accepted iterate; otherwise the plain double step is kept, which
     ECM never makes worse.  A point that underflows to a zero cell is
     refused before the map would read it.
@@ -829,17 +852,18 @@ def _squarem_step(it, ll, step_max, ecm):
         return ecm, it2, ecm.loglik(it2), step_max, 2
     alpha = max(min(-math.sqrt(r @ r) / v_norm, -1.0), -step_max)
     spent = 2
-    # a long extrapolation can overflow or underflow cells; an overflowed
-    # jump fails the log-likelihood test
+    jump = None
+    # a long extrapolation can overflow or underflow cells, and the sweep
+    # of an overflowed cell leaves NaN, which fails the kernel's test
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         step = np.exp(x0 - 2.0 * alpha * r + alpha * alpha * v)
         if np.minimum.reduce(step, initial=math.inf) > 0:
-            jump = ecm(_Iterate(step, it.shape, True))
+            jump = ecm.kernel(_Iterate(step, True))
             spent = 3
-            if jump.positive and (ll_jump := ecm.loglik(jump)) >= ll:
-                if alpha == -step_max:
-                    step_max *= SQUAREM_STEP_FACTOR
-                return ecm, jump, ll_jump, step_max, spent
+    if jump is not None and (ll_jump := ecm.loglik(jump)) >= ll:
+        if alpha == -step_max:
+            step_max *= SQUAREM_STEP_FACTOR
+        return ecm, jump, ll_jump, step_max, spent
     step_max = max(step_max / SQUAREM_STEP_FACTOR, 1.0)
     return ecm, it2, ecm.loglik(it2), step_max, spent
 
@@ -875,10 +899,9 @@ def _zeros_stay_down(mu, before, ecm) -> bool:
     probe = np.where(reopened, REOPEN_SHARE * before, mu)
     marks = _checkpoint([], probe)
     em, it = ecm.restrict(probe)
-    for step in range(1, DECAY_WINDOW + 1):
-        em, it = _step(em, it)
-        if step % DECAY_HALF == 0:
-            marks = _checkpoint(marks, em.cross(it.flat))
+    for _ in range(DECAY_WINDOW // DECAY_HALF):
+        em, it = _steps(em, it, DECAY_HALF)
+        marks = _checkpoint(marks, em.cross(it.flat))
     a, b, c = (m[reopened] for m in marks)
     return bool(np.logical_and.reduce((b < a) & (c < b)))
 
@@ -1008,7 +1031,7 @@ def fit_em(
     ecm = _EcmMap(table, _schedule(schema, model).sum_axes)
     # em is the map of the live cells, which the fit goes on with once an
     # iterate holds an exact zero (_step)
-    em, it = ecm, _Iterate(mu, positive=True)
+    em, it = ecm, _Iterate(mu.reshape(-1), True)
     trace = []
     prev = None
     converged = False

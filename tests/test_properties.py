@@ -68,6 +68,8 @@ from misstab.fitting import (
     _margin_groups,
     _margin_residual,
     _recover_lambda,
+    _step,
+    _steps,
 )
 from misstab.models import (
     _effects_coding,
@@ -270,7 +272,8 @@ class TestStationarity:
                 fit = fit_em(fit.model, table, tol=1e-15, max_iter=100000)
             mu = fit.mu_hat
             axes_list = _margin_axes(table.schema, generating_class(fit.model))
-            z = _EcmMap(table, axes_list).e_step(_Iterate(mu))
+            ecm = _EcmMap(table, axes_list)
+            z = ecm._spread_counts(_Iterate(mu.ravel())).reshape(mu.shape)
             for axes in axes_list:
                 have = mu.sum(axis=axes)
                 want = z.sum(axis=axes)
@@ -304,10 +307,11 @@ class TestClosedFormAgreement:
         model = closed.model
         dims = full_cross_dims(schema)
         ecm = _EcmMap(table, _margin_axes(schema, generating_class(model)))
-        it = _Iterate(np.full(dims, table.N / float(np.prod(dims))))
+        it = _Iterate(np.full(dims, table.N / float(np.prod(dims))).ravel())
         for _ in range(depth):
             it = ecm(it)
-        rel = np.abs(it.mu - closed.mu_hat) / np.maximum(closed.mu_hat, 1e-12)
+        mu = it.flat.reshape(dims)
+        rel = np.abs(mu - closed.mu_hat) / np.maximum(closed.mu_hat, 1e-12)
         assert rel.max() <= 1e-6, (name, model_id, rel.max())
 
 
@@ -637,7 +641,7 @@ class TestObservationMapOracle:
         # starved, its log-likelihood -inf
         ecm, it = _EcmMap(table, ()).restrict(mu.reshape(-1))
         np.testing.assert_allclose(
-            ecm.cross(ecm.e_step(it)).reshape(mu.shape),
+            ecm.cross(ecm._spread_counts(it)).reshape(mu.shape),
             _oracle_e_step(mu, _fed(table, mu)), rtol=1e-12, atol=1e-12,
         )
         ll, g2 = _oracle_loglik_and_g2(mu, table)
@@ -717,14 +721,11 @@ def _fed(table, mu):
 def _live_iterates(table, axes_list, mu):
     """The map of a table on the live cells of the cross mu, with mu there
     as an iterate (restrict), as a fit reads a cross that holds zeros; and,
-    when mu has no zero cell, the full map with mu as an iterate built
-    shaped, as a fit's start is, and built flat with its shape, as the map
-    builds each next one."""
+    when mu has no zero cell, the full map with mu raveled as a flagged
+    iterate, as a fit's start and each next one the map builds are."""
     yield _EcmMap(table, axes_list).restrict(mu.reshape(-1))
     if np.all(mu > 0):
-        for it in (_Iterate(mu, positive=True),
-                   _Iterate(mu.reshape(-1), mu.shape, True)):
-            yield _EcmMap(table, axes_list), it
+        yield _EcmMap(table, axes_list), _Iterate(mu.ravel(), True)
 
 
 def _full(ecm, it):
@@ -771,7 +772,7 @@ class TestEcmMapOracle:
         for ecm, it in states:
             mu = _full(ecm, it)
             z = _oracle_e_step(mu, table)
-            assert np.array_equal(ecm.cross(ecm.e_step(it).ravel()),
+            assert np.array_equal(ecm.cross(ecm._spread_counts(it)),
                                   z.ravel())
             assert np.array_equal(_full(ecm, ecm(it)),
                                   _oracle_ipf(mu, z, axes))
@@ -843,31 +844,40 @@ class TestEcmMapOracle:
     ):
         # every iterate a fit maps, in the EM phase, the face solve and the
         # probes of its certification, is flagged and has no zero cell, and
-        # the map gives it the full-cross oracle's log-likelihood and next
-        # iterate, flagged exactly when that has no zero cell
+        # the map gives it the full-cross oracle's log-likelihood; the
+        # kernel gives it the oracle's iterate after its steps, flagged,
+        # exactly when that has no zero cell, and None otherwise
         table = request.getfixturevalue(TABLE_FIXTURE[name])
         schema = table.schema
         axes = _margin_axes(schema, generating_class(get_model(schema, model_id)))
         seen = []
-        call = _EcmMap.__call__
+        kernel = _EcmMap.kernel
 
-        def recorded(ecm, it):
-            out = call(ecm, it)
-            seen.append((ecm, it, out))
+        def recorded(ecm, it, steps=1):
+            out = kernel(ecm, it, steps)
+            seen.append((ecm, it, steps, out))
             return out
 
-        monkeypatch.setattr(_EcmMap, "__call__", recorded)
-        fit_em(model_id, table)
+        monkeypatch.setattr(_EcmMap, "kernel", recorded)
+        fit = fit_em(model_id, table)
         monkeypatch.undo()
         assert seen
-        for ecm, it, out in seen:
+        # a certified face ran its probe as two kernel calls of a half each
+        halves = sum(steps == DECAY_HALF for _, _, steps, _ in seen)
+        assert halves >= (2 if fit.face_cells else 0)
+        for ecm, it, steps, out in seen:
             assert it.positive and np.all(it.flat > 0)
             mu = _full(ecm, it)
             ll = ecm.loglik(it)
             assert ll == _oracle_loglik_and_g2(mu, table)[0]
-            want = _oracle_ipf(mu, _oracle_e_step(mu, table), axes)
-            assert _full(ecm, out).tobytes() == want.tobytes()
-            assert out.positive == np.all(out.flat > 0)
+            want = mu
+            for _ in range(steps):
+                want = _oracle_ipf(want, _oracle_e_step(want, table), axes)
+            live = ecm.cross(np.ones(it.flat.size)).reshape(mu.shape) > 0
+            assert (out is not None) == bool(np.all(want[live] > 0))
+            if out is not None:
+                assert _full(ecm, out).tobytes() == want.tobytes()
+                assert out.positive and np.all(out.flat > 0)
 
     def test_a_sweep_that_empties_a_margin_cell_falls_back(
         self, smoking_table
@@ -890,10 +900,11 @@ class TestEcmMapOracle:
             first = _oracle_ipf(mu, z, axes[:1])
             assert np.any(_oracle_margin(first, axes[1]) == 0)
             ecm = _EcmMap(table, axes)
-            got = ecm(_Iterate(mu.copy(), positive=True))
+            got = ecm(_Iterate(mu.ravel(), True))
             assert not got.positive
-            assert np.array_equal(got.mu, _oracle_ipf(mu, z, axes))
-            assert np.array_equal(got.mu, ecm(_Iterate(mu.copy())).mu)
+            want = _oracle_ipf(mu, z, axes)
+            assert np.array_equal(got.flat.reshape(dims), want)
+            assert np.array_equal(got.flat, ecm(_Iterate(mu.ravel())).flat)
 
     @pytest.mark.parametrize(
         "both_missing,sums,flagged", [(False, 6, True), (True, 9, False)],
@@ -924,12 +935,12 @@ class TestEcmMapOracle:
             return bincount(index, *args, **kwargs)
 
         monkeypatch.setattr(np, "bincount", counted)
-        got = ecm(_Iterate(mu, positive=True))
+        got = ecm(_Iterate(mu.ravel(), True))
         monkeypatch.undo()
         assert len(groups) == 3 and len(seen) == sums
         assert got.positive is flagged
         want = _oracle_ipf(mu, _oracle_e_step(mu, table), axes)
-        assert np.array_equal(got.mu, want)
+        assert np.array_equal(got.flat.reshape(dims), want)
 
 
 class TestMarginResidualOracle:
@@ -1470,19 +1481,21 @@ class TestLiveCellFaceSolve:
     def test_face_iterates_are_flagged_and_sweep_unguarded(
         self, request, name, monkeypatch
     ):
-        # every map application of the face phase is on a flagged iterate
-        # of the restricted map and takes the unguarded sweep, on a table
-        # with a zero count too
+        # every map application of the face phase (plain steps, jumps and
+        # probe steps, all kernel calls) is on a flagged iterate of the
+        # restricted map and passes the unguarded sweep's output test, on
+        # a table with a zero count too
         applications = []
-        call = _EcmMap.__call__
+        kernel = _EcmMap.kernel
 
-        def recorded(ecm, it):
-            out = call(ecm, it)
+        def recorded(ecm, it, steps=1):
+            out = kernel(ecm, it, steps)
             if ecm._live is not None:
-                applications.append((it.positive, out.positive))
+                applications.append(
+                    (it.positive, out is not None and out.positive))
             return out
 
-        monkeypatch.setattr(_EcmMap, "__call__", recorded)
+        monkeypatch.setattr(_EcmMap, "kernel", recorded)
         fit = fit_em("M1", request.getfixturevalue(TABLE_FIXTURE[name]))
         assert fit.face_cells > 0
         assert applications and all(
@@ -1503,7 +1516,7 @@ def _zero_reads(model, table, monkeypatch):
             return read(*args)
         return reading
 
-    for name in ("_spread_counts", "__call__", "loglik"):
+    for name in ("_spread_counts", "__call__", "kernel", "loglik"):
         monkeypatch.setattr(_EcmMap, name, watched(getattr(_EcmMap, name), 1))
     monkeypatch.setattr(misstab.fitting, "_margin_residual", watched(
         misstab.fitting._margin_residual, 0))
@@ -1580,6 +1593,127 @@ class TestTheMapReadsNoZeroCell:
         assert fit.loglik_trace == tuple(trace)
         assert fit.mu_hat.tobytes() == mu.tobytes()
         assert fit.G2 == _oracle_loglik_and_g2(mu, table)[1]
+
+
+# the kernel's property: one call of k steps is k calls of _step.  From
+# the uniform start on the zero-target table with this raveled cell (one
+# that decays fast) set to MIDDLE_ZERO_SHARE, M1's first step zeroes the
+# cells under the zero target and its MIDDLE_ZERO_STEP-th underflows the
+# cell to an exact zero, inside one probe half
+MIDDLE_ZERO_CELL = 2
+MIDDLE_ZERO_SHARE = 1e-305
+MIDDLE_ZERO_STEP = 13
+
+
+def _stepped(ecm, it, steps):
+    """steps calls of _step, and the steps after which the fit restricted."""
+    restricted = []
+    for step in range(1, steps + 1):
+        face, it = _step(ecm, it)
+        if face is not ecm:
+            restricted.append(step)
+        ecm = face
+    return ecm, it, restricted
+
+
+def _check_kernel_steps(ecm, flat, steps):
+    """One _steps call of steps from the flagged iterate flat of ecm gives
+    the map, its restriction, starved and the iterate of steps calls of
+    _step, bit for bit; returns whether its kernel call replayed and the
+    steps after which it restricted."""
+    replayed = ecm.kernel(_Iterate(flat.copy(), True), steps) is None
+    got_map, got = _steps(ecm, _Iterate(flat.copy(), True), steps)
+    want_map, want, restricted = _stepped(
+        ecm, _Iterate(flat.copy(), True), steps)
+    assert (got_map is ecm) is (want_map is ecm)
+    if want_map._live is None:
+        assert got_map._live is None
+    else:
+        assert np.array_equal(got_map._live, want_map._live)
+    assert got_map.starved is want_map.starved
+    assert got.flat.tobytes() == want.flat.tobytes()
+    assert got.positive is want.positive
+    assert replayed is bool(restricted)
+    return replayed, restricted
+
+
+@st.composite
+def kernel_starts(draw):
+    """The map of a catalog model on a random sparse table of one of the
+    three analysis shapes (sparse_analysis_fits), a strictly positive
+    raveled cross of it, some of whose cells are tiny enough for a later
+    step to underflow them, and a step count up to a probe half."""
+    model, table = draw(sparse_analysis_fits())
+    ecm = _EcmMap(table, _margin_axes(table.schema, generating_class(model)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = math.prod(full_cross_dims(table.schema))
+    flat = table.N / size * rng.uniform(0.5, 2.0, size)
+    tiny = rng.random(size) < draw(st.sampled_from([0.0, 0.1, 0.3]))
+    flat[tiny] = 10.0 ** -rng.uniform(280.0, 300.0, int(tiny.sum()))
+    return ecm, flat, draw(st.integers(1, DECAY_HALF))
+
+
+class TestKernel:
+    # the kernel applies the map steps times under one error state and
+    # tests its output once; a call that fails is replayed one step at a
+    # time, so the fit restricts after the very step that left a zero
+    @settings(max_examples=150, deadline=None)
+    @given(kernel_starts())
+    def test_kernel_steps_are_single_steps(self, case):
+        _check_kernel_steps(*case)
+
+    def _middle_zero(self):
+        model_id, table = ZERO_TARGET
+        schema = table.schema
+        model = get_model(schema, model_id)
+        ecm = _EcmMap(table, _margin_axes(schema, generating_class(model)))
+        dims = full_cross_dims(schema)
+        flat = np.full(math.prod(dims), table.N / math.prod(dims))
+        flat[MIDDLE_ZERO_CELL] = MIDDLE_ZERO_SHARE
+        return ecm, flat
+
+    def test_a_zero_in_a_middle_step_is_replayed(self):
+        ecm, flat = self._middle_zero()
+        replayed, restricted = _check_kernel_steps(ecm, flat, DECAY_HALF)
+        assert replayed and restricted == [1, MIDDLE_ZERO_STEP]
+        # the zero stays zero through the steps after it: the call fails
+        # from that step on, and not before
+        for steps in (MIDDLE_ZERO_STEP - 1, MIDDLE_ZERO_STEP, DECAY_HALF):
+            face, it = _steps(ecm, _Iterate(flat.copy(), True), 1)
+            out = face.kernel(it, steps - 1)
+            assert (out is None) is (steps >= MIDDLE_ZERO_STEP)
+
+    # the kernel's error state is numpy's again after every call: after a
+    # boundary fit, a replayed probe half and an exception in the kernel,
+    # both under numpy's defaults and under a state of the caller's own
+    CALLER_STATE = dict(divide="raise", over="warn", under="ignore",
+                        invalid="raise")
+
+    @pytest.mark.parametrize("state", [{}, CALLER_STATE],
+                             ids=["default", "caller"])
+    def test_the_error_state_is_restored(self, bone_table, state,
+                                         monkeypatch):
+        with np.errstate(**state):
+            before = np.geterr()
+            fit = fit_em("M1", bone_table)
+            assert fit.face_cells > 0 and np.geterr() == before
+            ecm, flat = self._middle_zero()
+            face, _ = _steps(ecm, _Iterate(flat.copy(), True), DECAY_HALF)
+            assert face is not ecm and np.geterr() == before
+            calls = []
+            bincount = np.bincount
+
+            def failing(*args):
+                calls.append(None)
+                if len(calls) > 20:
+                    raise MemoryError("no room for a margin")
+                return bincount(*args)
+
+            monkeypatch.setattr(np, "bincount", failing)
+            with pytest.raises(MemoryError):
+                ecm.kernel(_Iterate(flat.copy(), True), DECAY_HALF)
+            monkeypatch.undo()
+            assert np.geterr() == before
 
 
 def _oracle_lambda(model, schema, mu):
