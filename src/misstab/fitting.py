@@ -28,15 +28,22 @@ directly on crosses carried flat (an all-positive test is
 np.minimum.reduce(x, initial=inf) > 0, a sum is np.add.reduce): on a
 cross of a few dozen cells a call costs numpy's dispatch, not
 arithmetic, and the method forms, (x > 0).all() or x.sum(), add a
-Python-level wrapper to each call for the same bits.  The map never
-reads a zero cell: when a map application leaves an exact zero, in the
-EM phase, the face solve or a probe of its certification alike, the fit
-goes on with the map restricted to the live cells (_EcmMap.restrict,
-_step), whose collapses and margins have the full cross's bits.  So the
-E step and the log-likelihood test nothing, and the sweep runs
-unguarded and its result is tested once; a result that fails (a margin
-cell of the E step under zero counts, or underflow) is swept again with
-the guards, and the next step runs on its live cells.  When the maximum
+Python-level wrapper to each call for the same bits.  Every unguarded
+step runs in the map's one multi-step kernel (_EcmMap.kernel): an EM
+iteration and each of a SQUAREM cycle's plain steps and jump step are
+one-step calls, and each half of a certification probe is one call of
+its steps.  The kernel binds the map's arrays once, runs every E step and
+sweep of the call under one error state and tests its output once, at
+the end: a zero or NaN cell (a margin cell of the E step under zero
+counts, or underflow) stays zero or NaN through every later step, so the
+end test sees a failure of any step.  A call that fails is replayed from
+its start one step at a time (_steps, _step), and a single step that
+fails is swept again with the guards.  So no kept step reads a zero
+cell: when a step leaves an exact zero, in the EM phase, the face solve
+or a probe of its certification alike, the fit goes on with the map
+restricted to the live cells (_EcmMap.restrict), whose collapses and
+margins have the full cross's bits, and the E step and the
+log-likelihood test nothing.  When the maximum
 lies on the boundary, the cells that keep decaying are fixed at zero,
 with the rest of each margin cell whose live cells all fall with them,
 and the fit is finished on that face of the model by accelerated ECM on
@@ -295,17 +302,21 @@ class _EcmMap:
     It maps an _Iterate to the next one, and keeps each iterate's collapse
     and E-step margins on the iterate, computed the first time it reads
     that iterate, so an EM iteration collapses the cross once for both its
-    log-likelihood and the next map application.  It reads no zero cell:
-    a fit hands it flagged iterates only, and once one holds an exact zero
-    goes on with the map restricted to the live cells (restrict).  So
-    every collapse it divides by is a sum of positive cells, and the E
-    step and the log-likelihood test nothing.  The sweep runs unguarded,
-    with numpy's divide and invalid warnings off, and its result is tested
-    once: a margin cell of the E step under zero counts alone scales its
-    cells to 0, and a margin cell that an earlier margin emptied (or
-    underflow) leaves a zero or NaN divisor, so a result that passes
-    divided by no zero and is flagged positive, and one that fails is
-    swept again with the guards and is not flagged.
+    log-likelihood and the next map application.  It reads no zero cell
+    in a step the fit keeps: a fit hands it flagged iterates only, and
+    once one holds an exact zero goes on with the map restricted to the
+    live cells (restrict).  So every collapse it divides by is a sum of
+    positive cells, and the E step and the log-likelihood test nothing.
+    Every unguarded step runs in kernel, which applies the map a given
+    number of times under one error state (numpy's divide and invalid
+    warnings off) and tests the result once, at the end: a margin cell of
+    the E step under zero counts alone scales its cells to 0, and a margin
+    cell that an earlier margin emptied (or underflow) leaves a zero or
+    NaN divisor, and either stays zero or NaN through the later steps.  So
+    a result that passes divided by no zero and is flagged positive; a
+    kernel call that fails is replayed step by step (_steps), and a single
+    application (__call__) that fails is swept again with the guards and
+    is not flagged.
 
     A restricted map is starved when a positive count has no live cell:
     its log-likelihood is -inf, and its E step spreads that count nowhere.
@@ -409,11 +420,14 @@ class _EcmMap:
 
         The one unguarded sweep loop of the fit: the map's arrays are bound
         once, one error state covers every E step and sweep, and the output
-        is tested once, at the end.  The first E step is the one it carries
-        (targets).  A zero or NaN cell stays zero or NaN through every later
-        step, so the end test sees a failure of any step; the caller then
-        replays the call step by step (_steps)."""
-        idx, cells, y, groups = self._idx, self._cells, self._y_cross, self._groups
+        is tested once, at the end.  The first step reads the E-step
+        margins that it carries, computed onto it if it has none (targets).
+        A zero or NaN cell stays zero or NaN through every later step, so
+        the end test sees a failure of any step; the caller then replays
+        the call step by step (_steps)."""
+        idx, cells, y, groups = (
+            self._idx, self._cells, self._y_cross, self._groups
+        )
         flat = it.flat
         # a zero target (a margin cell under zero counts) or a margin cell
         # emptied by it or by underflow leaves a zero or NaN; a margin cell
@@ -891,7 +905,10 @@ def _zeros_stay_down(mu, before, ecm) -> bool:
 
     Each zero cell is reopened at REOPEN_SHARE of its value in before, the
     raveled fit before any cell was zeroed, and DECAY_WINDOW ECM steps run
-    on the probe's live cells (_step): over both halves of the window the
+    on the probe's live cells, each half of the window one call of the
+    map's kernel (_steps).  A half whose output fails the kernel's end
+    test is replayed step by step and restricted to the live cells after
+    the step that left a zero.  Over both halves of the window the
     difference of log iterates (a direction in the model's span) must be
     negative on every reopened cell.
     """
@@ -985,21 +1002,27 @@ def fit_em(
     The E step spreads each supplemental count over the cells it collapses
     in proportion to the current fit; the M step is one sweep of iterative
     proportional fitting to the model's sufficient margins, so every
-    iteration applies the ECM map once (_EcmMap).  The start has no zero
-    cell, and once an iterate holds an exact zero (a margin cell of the E
-    step under zero counts alone) the iterations run on the map
-    restricted to its live cells (_step).  Iteration stops when the
-    relative change of the observed-data log-likelihood drops below tol.
-    Cells that keep decaying are fixed at zero, each with the
-    rest of its margin cells when those fall too (_decay_zeros), and the fit
-    is finished on that face of the model (see _solve_face), which yields
-    the limit of the likelihood whatever tol is.  A refused face attempt
-    whose zero set completion enlarged at this hand-off is solved once
-    more from the flagged cells alone, so a cell that completion took but
-    the face keeps live can stay live; each attempt counts the map
-    evaluations of both solves.  init="perturbed" (with a seed) jitters
-    the start multiplicatively to probe for multiple modes; a seed with
-    the uniform start, which draws nothing, is an error.
+    iteration applies the ECM map once, as a one-step call of the map's
+    kernel (_EcmMap.kernel) with its output tested at the end of the call.
+    The log-likelihood collapses each iterate once, and the next kernel
+    call's E step reads that collapse.  The start has no zero cell, and
+    when a step's output fails the test (a margin cell of the E step under
+    zero counts alone leaves an exact zero) the step is swept again with
+    the guards and the iterations run on the map restricted to its live
+    cells (_step).  Iteration stops when the relative change of the
+    observed-data log-likelihood drops below tol.  Cells that keep decaying
+    are fixed at zero, each with the rest of its margin cells when those
+    fall too (_decay_zeros), and the fit is finished on that face of the
+    model (see _solve_face), whose certification probe runs each half of
+    its window as one kernel call, replayed step by step when its output
+    fails the test (_zeros_stay_down); that yields the limit of the
+    likelihood whatever tol is.  A refused face attempt whose zero set
+    completion enlarged at this hand-off is solved once more from the
+    flagged cells alone, so a cell that completion took but the face keeps
+    live can stay live; each attempt counts the map evaluations of both
+    solves.  init="perturbed" (with a seed) jitters the start
+    multiplicatively to probe for multiple modes; a seed with the uniform
+    start, which draws nothing, is an error.
     """
     schema = table.schema
     if not schema.is_analysis_shape:

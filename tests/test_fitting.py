@@ -570,7 +570,8 @@ class TestEm:
         dims = full_cross_dims(bone_table.schema)
         axes = _margin_axes(bone_table.schema, generating_class(fit.model))
         ecm = _EcmMap(bone_table, axes)
-        it = _Iterate(np.full(dims, bone_table.N / float(np.prod(dims))).ravel())
+        start = np.full(dims, bone_table.N / float(np.prod(dims)))
+        it = _Iterate(start.ravel())
         for _ in range(fit.iterations):
             it = ecm(it)
         assert np.array_equal(it.flat.reshape(dims), fit.mu_hat)
