@@ -1679,7 +1679,7 @@ class TestKernel:
         # the zero stays zero through the steps after it: the call fails
         # from that step on, and not before
         for steps in (MIDDLE_ZERO_STEP - 1, MIDDLE_ZERO_STEP, DECAY_HALF):
-            face, it = _steps(ecm, _Iterate(flat.copy(), True), 1)
+            face, it = _step(ecm, _Iterate(flat.copy(), True))
             out = face.kernel(it, steps - 1)
             assert (out is None) is (steps >= MIDDLE_ZERO_STEP)
 
