@@ -1683,9 +1683,9 @@ class TestKernel:
             out = face.kernel(it, steps - 1)
             assert (out is None) is (steps >= MIDDLE_ZERO_STEP)
 
-    # the kernel's error state is numpy's again after every call: after a
+    # the kernel leaves the caller's error state as it found it: after a
     # boundary fit, a replayed probe half and an exception in the kernel,
-    # both under numpy's defaults and under a state of the caller's own
+    # under numpy's defaults and under a state of the caller's own
     CALLER_STATE = dict(divide="raise", over="warn", under="ignore",
                         invalid="raise")
 
