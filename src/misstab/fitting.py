@@ -1,63 +1,28 @@
 """Maximum likelihood fitting of non-response models.
 
 Every model is fitted to the full cross of substantive variables by
-recording indicators.  Where an explicit solution exists and stays strictly
-positive it is used directly; otherwise an expectation-maximization loop
-distributes each supplemental count over the cells it collapses, then
-rescales the working table to the model's sufficient margins by one sweep
-of iterative proportional fitting: every iteration is one application of
-the ECM map (_EcmMap).  The map is built once per fit and holds, besides
-the observation index, the group index of each sufficient margin: each
-margin of the E step and of the sweep is a bincount over its group index,
-which adds the cells in C order as the observation map's collapse does.
-The group indices depend on the cross's shape alone, so each is built
-once per shape and margin, read-only, and cached (_margin_group): a refit
-and another model with the same margin read the same one.  What the fit
-reads from the model's terms alone, the margins' axes, the parameter
-count, df and perfect-fit flag, and the plan of the effect recovery, is a
-schedule built once per schema and model (_schedule) that holds no
-array.  The effects (lambda_hat) are recovered from the same group
-indices: each generator's mean of log mu is a bincount over its index,
-EM and closed-form fits alike, and each term's effect is its mean less
-the effects of its proper subterms, formed in order of term size.  The
-map takes and returns iterates (_Iterate): the read-only cross with its
-collapse and its E-step margins, computed once and shared by the
-log-likelihood, the margin residual, the next map application and, for
-the final iterate, the deviance.  The loop calls ufunc reductions
-directly on crosses carried flat (an all-positive test is
-np.minimum.reduce(x, initial=inf) > 0, a sum is np.add.reduce): on a
-cross of a few dozen cells a call costs numpy's dispatch, not
-arithmetic, and the method forms, (x > 0).all() or x.sum(), add a
-Python-level wrapper to each call for the same bits.  Every unguarded
-step runs in the map's one multi-step kernel (_EcmMap.kernel): an EM
-iteration and each of a SQUAREM cycle's plain steps and jump step are
-one-step calls, and each half of a certification probe is one call of
-its steps.  The kernel binds the map's arrays once, runs every E step and
-sweep of the call under one error state and tests its output once, at
-the end: a zero or NaN cell (a margin cell of the E step under zero
-counts, or underflow) stays zero or NaN through every later step, so the
-end test sees a failure of any step.  A call that fails is replayed from
-its start one step at a time (_steps, _step), and a single step that
-fails is swept again with the guards.  So no kept step reads a zero
-cell: when a step leaves an exact zero, in the EM phase, the face solve
-or a probe of its certification alike, the fit goes on with the map
-restricted to the live cells (_EcmMap.restrict), whose collapses and
-margins have the full cross's bits, and the E step and the
-log-likelihood test nothing.  When the maximum
-lies on the boundary, the cells that keep decaying are fixed at zero,
-with the rest of each margin cell whose live cells all fall with them,
-and the fit is finished on that face of the model by accelerated ECM on
-its live cells (fit_em, _decay_zeros, _solve_face).  The decay test,
-the face test (_is_face, against the same group indices), the
-certification's checkpoints and the result read the full cross.  Fit
-quality is the deviance of the observed strata against the collapsed
-fitted expectations, with tail probabilities from the chi-square
-survival function in closed form for integer df: a finite Poisson sum
-for even df, erfc plus a finite sum for odd df, its terms formed by
-their ratio (chi_square_sf, standard library only).  The E step, the
-deviance and the fitted strata all collapse the cross through the
-schema's one observation map (models.observation_map), the map by a
-bincount over its index.
+recording indicators, by its explicit solution where one exists and stays
+strictly positive (fit_closed_form), otherwise by EM (fit_em).  Every EM
+iteration is one application of the ECM map (_EcmMap): an E step that
+spreads each observed count over the cells it collapses, then one
+proportional-fitting sweep over the model's sufficient margins.  Each
+collapse and margin is a bincount over an index built once per schema or
+cross shape (models.observation_map, _margin_group), adding the cells in C
+order, so a map restricted to live cells keeps the full cross's bits.  Every
+unguarded step runs in one kernel (_EcmMap.kernel) that tests its output
+once, at the end of the call.  The EM phase makes one call per stretch up
+to the next decay checkpoint; the call returns each iteration's
+log-likelihood and ends where the relative stop fires (_em_steps).  A call
+whose output holds a zero or NaN cell is replayed one step at a time
+(_step), and the fit goes on with the map restricted to the live cells
+(_EcmMap.restrict), so no kept step reads a zero cell and every fit has the
+bits of a step-by-step loop.  When the maximum lies on the boundary, the
+cells that keep decaying are fixed at zero with the rest of the margin
+cells they empty (_decay_zeros) and the fit is finished on that face
+(_solve_face), certified when its zeros form a face (_is_face) that the
+likelihood keeps down (_zeros_stay_down).  Fit quality is the deviance of
+the observed strata against the collapsed fit, with the chi-square tail in
+closed form (chi_square_sf).
 """
 
 from __future__ import annotations
@@ -259,19 +224,16 @@ def _margin_groups(shape, sum_axes_list) -> tuple:
 
 
 class _Iterate:
-    """One point of the ECM path.  It takes over the raveled cross, the
-    cells in C order, which it makes read-only and holds as flat.
-    positive says that the cross is known to have no zero cell (and no
-    NaN): a fit's start and restrict's iterates have none, and a map
-    application passes on what its own output test found.  A fit hands
-    the map only flagged iterates: after an unflagged output it goes on
-    with the map restricted to the live cells (_step).  It carries what
-    the map reads from the cross, each computed once, when it is first
-    needed: c, the collapse onto the observed cells (for the
-    log-likelihood and the E step), and targets, the sufficient margins of
-    the E step (for the sweep and the margin residual).  Since the cross
-    cannot change, neither can go stale; owner names the map they were
-    computed for, and another map computes its own."""
+    """One point of the ECM path: the raveled cross (flat), cells in C
+    order, made read-only.  positive says the cross is known to have no
+    zero or NaN cell: a fit's start and restrict's iterates have none, and
+    a map application passes on what its output test found; a fit hands
+    the map only flagged iterates (_step).  It carries what the map reads
+    from the cross, each computed once: c, the collapse onto the observed
+    cells (for the log-likelihood and the E step), and targets, the
+    sufficient margins of the E step (for the sweep and the margin
+    residual).  The cross cannot change, so neither goes stale; owner names
+    the map they were computed for, and another map computes its own."""
 
     __slots__ = ("flat", "positive", "owner", "c", "targets")
 
@@ -300,23 +262,13 @@ class _EcmMap:
     map's collapse does.
 
     It maps an _Iterate to the next one, and keeps each iterate's collapse
-    and E-step margins on the iterate, computed the first time it reads
-    that iterate, so an EM iteration collapses the cross once for both its
-    log-likelihood and the next map application.  It reads no zero cell
-    in a step the fit keeps: a fit hands it flagged iterates only, and
-    once one holds an exact zero goes on with the map restricted to the
-    live cells (restrict).  So every collapse it divides by is a sum of
-    positive cells, and the E step and the log-likelihood test nothing.
-    Every unguarded step runs in kernel, which applies the map a given
-    number of times under one error state (numpy's divide and invalid
-    warnings off) and tests the result once, at the end: a margin cell of
-    the E step under zero counts alone scales its cells to 0, and a margin
-    cell that an earlier margin emptied (or underflow) leaves a zero or
-    NaN divisor, and either stays zero or NaN through the later steps.  So
-    a result that passes divided by no zero and is flagged positive; a
-    kernel call that fails is replayed step by step (_steps), and a single
-    application (__call__) that fails is swept again with the guards and
-    is not flagged.
+    and E-step margins on the iterate, computed once, so an EM iteration
+    collapses the cross once for its log-likelihood and the next E step.
+    A fit hands it flagged iterates only and, once an output holds an exact
+    zero, goes on with the map restricted to the live cells (restrict), so
+    every collapse it divides by is a sum of positive cells.  Every
+    unguarded step runs in kernel; a single application (__call__) whose
+    kernel output fails is swept again with the guards and is not flagged.
 
     A restricted map is starved when a positive count has no live cell:
     its log-likelihood is -inf, and its E step spreads that count nowhere.
@@ -413,37 +365,63 @@ class _EcmMap:
         # a sum of the live cells alone can differ in the last bit
         return -float(np.add.reduce(self.cross(it.flat))) + logs
 
-    def kernel(self, it, steps=1):
+    def kernel(self, it, steps=1, prev=None, tol=None):
         """The flagged iterate that steps applications of the map make of
-        the flagged iterate it, or None when the result holds a zero or
-        NaN cell.
+        the flagged iterate it, or None when the result holds a zero or NaN
+        cell.  Given tol, the steps are EM iterations: it returns that
+        iterate (or None), each step's log-likelihood and whether the
+        relative stop fired (_converged; prev is the log-likelihood before
+        the first step), and the call ends at the step where it fires.
 
         The one unguarded sweep loop of the fit: the map's arrays are bound
-        once, one error state covers every E step and sweep, and the output
-        is tested once, at the end.  The first step reads the E-step
-        margins that it carries, computed onto it if it has none (targets).
-        A zero or NaN cell stays zero or NaN through every later step, so
-        the end test sees a failure of any step; the caller then replays
-        the call step by step (_steps)."""
+        once, one error state (divide and invalid off) covers every step,
+        and the output is tested once, at the end.  A zero target (a margin
+        cell under zero counts), an emptied margin cell or underflow leaves
+        a zero or NaN that stays through every later step, so the end test
+        sees a failure of any step and the caller replays the call step by
+        step (_steps, _em_steps).  A log-likelihood reads the collapse the
+        next E step divides by, summed as loglik sums it; in a call that
+        passes, that collapse is positive at every count a fed map keeps,
+        and a starved map's log-likelihood is -inf, as loglik's is.  Given
+        tol, the iterate returned carries its collapse."""
         idx, cells, y, groups = (
             self._idx, self._cells, self._y_cross, self._groups
         )
+        cross, positive, y_positive = (
+            self.cross, self._positive, self._y_positive
+        )
         flat = it.flat
-        # a zero target (a margin cell under zero counts) or a margin cell
-        # emptied by it or by underflow leaves a zero or NaN; a margin cell
-        # with no cell of a restricted map is never read
+        lls = []
+        stopped = False
+        # a margin cell with no cell of a restricted map is never read
         with np.errstate(divide="ignore", invalid="ignore"):
             targets = self.targets(it)
             for step in range(steps):
                 if step:
-                    z = y * (flat / np.bincount(idx, flat, cells)[idx])
+                    z = y * (flat / c[idx])
                     targets = [np.bincount(g, z, size) for g, size in groups]
                 for (group, size), target in zip(groups, targets):
                     cur = np.bincount(group, flat, size)
                     flat = flat * (target / cur)[group]
+                if tol is None and step + 1 == steps:
+                    break
+                # the collapse that the next E step divides by
+                c = np.bincount(idx, flat, cells)
+                if tol is None:
+                    continue
+                logs = float(np.add.reduce(y_positive * np.log(c[positive])))
+                ll = -float(np.add.reduce(cross(flat))) + logs
+                lls.append(ll)
+                stopped = _converged(prev, ll, tol)
+                if stopped:
+                    break
+                prev = ll
+        out = None
         if np.minimum.reduce(flat, initial=math.inf) > 0:
-            return _Iterate(flat, True)
-        return None
+            out = _Iterate(flat, True)
+            if tol is not None:
+                out.owner, out.c = self, c
+        return out if tol is None else (out, lls, stopped)
 
     def __call__(self, it):
         out = self.kernel(it)
@@ -479,6 +457,40 @@ def _steps(ecm, it, steps):
     for _ in range(steps):
         ecm, it = _step(ecm, it)
     return ecm, it
+
+
+def _converged(prev, ll, tol) -> bool:
+    """The relative stop: a finite log-likelihood ll that changed from the
+    one before it, prev (None for the first), by at most tol * (|prev| +
+    1)."""
+    return (
+        prev is not None
+        and math.isfinite(ll)
+        and abs(ll - prev) <= tol * (abs(prev) + 1.0)
+    )
+
+
+def _em_steps(ecm, it, steps, trace, tol):
+    """Up to steps EM iterations of the map ecm from it in one kernel call,
+    which ends at the iteration where the relative stop fires, each
+    log-likelihood appended to trace; the map the fit goes on with, the
+    last iterate and whether the stop fired.  A call whose output fails its
+    test is replayed from its start one step at a time (_step), with the
+    stop checked after every step, so the trace, the restrictions and the
+    result are those of a step-by-step loop."""
+    prev = trace[-1] if trace else None
+    out, lls, stopped = ecm.kernel(it, steps, prev, tol)
+    if out is not None:
+        trace.extend(lls)
+        return ecm, out, stopped
+    for _ in range(steps):
+        ecm, it = _step(ecm, it)
+        ll = ecm.loglik(it)
+        trace.append(ll)
+        if _converged(prev, ll, tol):
+            return ecm, it, True
+        prev = ll
+    return ecm, it, False
 
 
 @dataclass(frozen=True, eq=False)
@@ -999,30 +1011,21 @@ def fit_em(
 ) -> FitResult:
     """Expectation-maximization fit from a deterministic uniform start.
 
-    The E step spreads each supplemental count over the cells it collapses
-    in proportion to the current fit; the M step is one sweep of iterative
-    proportional fitting to the model's sufficient margins, so every
-    iteration applies the ECM map once, as a one-step call of the map's
-    kernel (_EcmMap.kernel) with its output tested at the end of the call.
-    The log-likelihood collapses each iterate once, and the next kernel
-    call's E step reads that collapse.  The start has no zero cell, and
-    when a step's output fails the test (a margin cell of the E step under
-    zero counts alone leaves an exact zero) the step is swept again with
-    the guards and the iterations run on the map restricted to its live
-    cells (_step).  Iteration stops when the relative change of the
-    observed-data log-likelihood drops below tol.  Cells that keep decaying
-    are fixed at zero, each with the rest of its margin cells when those
-    fall too (_decay_zeros), and the fit is finished on that face of the
-    model (see _solve_face), whose certification probe runs each half of
-    its window as one kernel call, replayed step by step when its output
-    fails the test (_zeros_stay_down); that yields the limit of the
-    likelihood whatever tol is.  A refused face attempt whose zero set
-    completion enlarged at this hand-off is solved once more from the
-    flagged cells alone, so a cell that completion took but the face keeps
-    live can stay live; each attempt counts the map evaluations of both
-    solves.  init="perturbed" (with a seed) jitters the start
-    multiplicatively to probe for multiple modes; a seed with the uniform
-    start, which draws nothing, is an error.
+    Every iteration applies the ECM map once.  The EM phase makes one
+    kernel call (_EcmMap.kernel) per stretch up to the next DECAY_HALF
+    checkpoint or max_iter; the call returns each iteration's
+    log-likelihood and ends at the iteration where its relative change
+    first drops to tol.  A call whose output fails its test is replayed
+    step by step with the stop checked after every step (_em_steps), so
+    the trace, the stop, the restrictions to live cells and the result
+    are those of a step-by-step loop.  At each checkpoint, cells that keep
+    decaying are fixed at zero (_decay_zeros) and the fit is finished on
+    that face (_solve_face), which yields the limit of the likelihood
+    whatever tol is.  A refused attempt whose zero set completion enlarged
+    is solved once more from the flagged cells alone; each attempt counts
+    the map evaluations of both solves.  init="perturbed" (with a seed)
+    jitters the start multiplicatively to probe for multiple modes; a seed
+    with the uniform start, which draws nothing, is an error.
     """
     schema = table.schema
     if not schema.is_analysis_shape:
@@ -1056,8 +1059,6 @@ def fit_em(
     # iterate holds an exact zero (_step)
     em, it = ecm, _Iterate(mu.reshape(-1), True)
     trace = []
-    prev = None
-    converged = False
     evaluations = 0
     face_cells = 0
     attempts = 0
@@ -1065,15 +1066,12 @@ def fit_em(
     # which a fit that converges sooner never reaches
     marks, origin = [], it.flat
     while len(trace) < max_iter:
-        em, it = _step(em, it)
-        evaluations += 1
-        ll = em.loglik(it)
-        trace.append(ll)
-        if prev is not None and math.isfinite(ll):
-            if abs(ll - prev) <= tol * (abs(prev) + 1.0):
-                converged = True
-                break
-        prev = ll
+        done = len(trace)
+        steps = min(DECAY_HALF - done % DECAY_HALF, max_iter - done)
+        em, it, converged = _em_steps(em, it, steps, trace, tol)
+        evaluations += len(trace) - done
+        if converged:
+            break
         if len(trace) % DECAY_HALF or attempts == FACE_ATTEMPTS:
             continue
         mu = em.cross(it.flat)
@@ -1084,11 +1082,11 @@ def fit_em(
         attempts += 1
         budget = max_iter - len(trace)
         flagged, zero = decay
-        face = _solve_face(mu, zero, ll, ecm, budget)
+        face = _solve_face(mu, zero, trace[-1], ecm, budget)
         evaluations += face.evaluations
         if not face.certified and (zero != flagged).any():
             # completion can take a cell the face keeps live
-            face = _solve_face(mu, flagged, ll, ecm, budget)
+            face = _solve_face(mu, flagged, trace[-1], ecm, budget)
             evaluations += face.evaluations
         if face.certified:
             em, it = face.ecm, face.it

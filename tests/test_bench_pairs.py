@@ -94,6 +94,27 @@ def test_summary_keeps_each_operations_median_per_side():
     )
 
 
+def test_summary_counts_setup_runs_per_poll_step():
+    # subprocess.run sees a child's exit only at a poll, so setup_s reads
+    # one of a few values about 50 ms apart, and a median can jump a step
+    parent = [0.1664, 0.1685, 0.2179, 0.2670, 0.2689]
+    change = [0.2169, 0.2172, 0.2181, 0.2234, 0.1667]
+    assert bench_pairs.poll_steps(parent) == {
+        "0.163": 2, "0.213": 1, "0.263": 2}
+    assert bench_pairs.poll_steps([0.1149, 0.3201]) == {
+        "0.113": 1, "0.313": 1}
+    summary = bench_pairs.summarise(_pairs(parent, change, "setup_s"),
+                                    {"setup_s": True})
+    assert summary["setup_s"]["parent"]["poll_steps"] == {
+        "0.163": 2, "0.213": 1, "0.263": 2}
+    assert summary["setup_s"]["change"]["poll_steps"] == {
+        "0.163": 1, "0.213": 4}
+    assert summary["setup_s"]["change"]["median"] == 0.2172
+    # other metrics have no poll steps
+    assert "poll_steps" not in bench_pairs.summarise(
+        _pairs(PARENT, PARENT), {"run_cal": True})["run_cal"]["parent"]
+
+
 def test_order_alternates_by_seed():
     assert bench_pairs._order(0) == ("parent", "change")
     assert bench_pairs._order(1) == ("change", "parent")

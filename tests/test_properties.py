@@ -845,34 +845,41 @@ class TestEcmMapOracle:
         # every iterate a fit maps, in the EM phase, the face solve and the
         # probes of its certification, is flagged and has no zero cell, and
         # the map gives it the full-cross oracle's log-likelihood; the
-        # kernel gives it the oracle's iterate after its steps, flagged,
-        # exactly when that has no zero cell, and None otherwise
+        # kernel gives it the oracle's iterate after the steps its call ran,
+        # flagged, exactly when that has no zero cell, and None otherwise,
+        # and an EM call that passes the oracle's log-likelihood of each step
         table = request.getfixturevalue(TABLE_FIXTURE[name])
         schema = table.schema
         axes = _margin_axes(schema, generating_class(get_model(schema, model_id)))
         seen = []
         kernel = _EcmMap.kernel
 
-        def recorded(ecm, it, steps=1):
-            out = kernel(ecm, it, steps)
-            seen.append((ecm, it, steps, out))
-            return out
+        def recorded(ecm, it, steps=1, prev=None, tol=None):
+            got = kernel(ecm, it, steps, prev, tol)
+            out, lls = (got, None) if tol is None else got[:2]
+            ran = steps if lls is None else len(lls)
+            seen.append((ecm, it, ran, out, lls))
+            return got
 
         monkeypatch.setattr(_EcmMap, "kernel", recorded)
         fit = fit_em(model_id, table)
         monkeypatch.undo()
         assert seen
         # a certified face ran its probe as two kernel calls of a half each
-        halves = sum(steps == DECAY_HALF for _, _, steps, _ in seen)
+        halves = sum(
+            steps == DECAY_HALF and lls is None for _, _, steps, _, lls in seen
+        )
         assert halves >= (2 if fit.face_cells else 0)
-        for ecm, it, steps, out in seen:
+        for ecm, it, steps, out, lls in seen:
             assert it.positive and np.all(it.flat > 0)
             mu = _full(ecm, it)
             ll = ecm.loglik(it)
             assert ll == _oracle_loglik_and_g2(mu, table)[0]
             want = mu
-            for _ in range(steps):
+            for step in range(steps):
                 want = _oracle_ipf(want, _oracle_e_step(want, table), axes)
+                if lls is not None and out is not None:
+                    assert lls[step] == _oracle_loglik_and_g2(want, table)[0]
             live = ecm.cross(np.ones(it.flat.size)).reshape(mu.shape) > 0
             assert (out is not None) == bool(np.all(want[live] > 0))
             if out is not None:
@@ -1488,12 +1495,13 @@ class TestLiveCellFaceSolve:
         applications = []
         kernel = _EcmMap.kernel
 
-        def recorded(ecm, it, steps=1):
-            out = kernel(ecm, it, steps)
+        def recorded(ecm, it, steps=1, prev=None, tol=None):
+            got = kernel(ecm, it, steps, prev, tol)
+            out = got if tol is None else got[0]
             if ecm._live is not None:
                 applications.append(
                     (it.positive, out is not None and out.positive))
-            return out
+            return got
 
         monkeypatch.setattr(_EcmMap, "kernel", recorded)
         fit = fit_em("M1", request.getfixturevalue(TABLE_FIXTURE[name]))
@@ -1506,7 +1514,9 @@ class TestLiveCellFaceSolve:
 def _zero_reads(model, table, monkeypatch):
     """fit_em of a model, with each E step, sweep, log-likelihood and
     margin residual it takes recorded: the fit, how many it took and how
-    many of them read an iterate with a zero cell."""
+    many of them read an iterate with a zero cell.  A kernel call counts
+    one read of the iterate it starts from per step it ran, and one more
+    per log-likelihood it returned."""
     reads = []
 
     def watched(read, at):
@@ -1516,8 +1526,17 @@ def _zero_reads(model, table, monkeypatch):
             return read(*args)
         return reading
 
-    for name in ("_spread_counts", "__call__", "kernel", "loglik"):
+    kernel = _EcmMap.kernel
+
+    def kernel_reading(ecm, it, steps=1, prev=None, tol=None):
+        got = kernel(ecm, it, steps, prev, tol)
+        ran = steps if tol is None else 2 * len(got[1])
+        reads.extend([bool(np.all(it.flat > 0))] * ran)
+        return got
+
+    for name in ("_spread_counts", "__call__", "loglik"):
         monkeypatch.setattr(_EcmMap, name, watched(getattr(_EcmMap, name), 1))
+    monkeypatch.setattr(_EcmMap, "kernel", kernel_reading)
     monkeypatch.setattr(misstab.fitting, "_margin_residual", watched(
         misstab.fitting._margin_residual, 0))
     fit = fit_em(model, table)

@@ -8,7 +8,9 @@ each side and the number of pairs the change won.  Each run also keeps
 its operations' median times in kernels (op_kernels, from the op_kernels
 lists of bench/run.py's summary line), and the summary gives each side's
 median of them per operation, so a claim shows which operations moved.
-A claim names one
+For setup_s the summary also counts each side's runs per poll step of
+subprocess's wait (poll_steps), so a record shows when a setup_s gap is
+one step.  A claim names one
 workload and metric; it is met when the change wins at least nine pairs in
 ten, its median beats the parent's by more than the parent's
 interquartile range, every check of every run passes and no more of the
@@ -84,6 +86,12 @@ CLAIM_SHARE = 0.9  # of the pairs the change must win
 # with a fit_all_8cubed or assess_20cubed entry ran them
 FIT_ALL_LEVELS = 8
 ASSESS_LEVELS = 20
+# bench/run.py times setup_s around subprocess.run(..., timeout=120), whose
+# wait polls the child after sleeps of 1, 2, 4, 8, 16 and 32 ms, then every
+# 50 ms, so it sees the child's exit only at a poll: setup_s moves in steps
+# of POLL_STEP_S from POLL_FIRST_S on
+POLL_FIRST_S = 0.063
+POLL_STEP_S = 0.05
 
 # Runs in a checkout with its src/ and bench/ on the path; prints one JSON
 # object with the time and every fit of fit_all on the synthetic table.
@@ -266,6 +274,17 @@ def _stats(values: list) -> dict:
             "n": len(values)}
 
 
+def poll_steps(values: list) -> dict:
+    """How many setup_s values fall in each poll step, keyed by the poll at
+    or before them in s to the ms (POLL_FIRST_S plus whole POLL_STEP_S)."""
+    steps = {}
+    for value in sorted(values):
+        k = math.floor((value - POLL_FIRST_S) / POLL_STEP_S)
+        key = f"{POLL_FIRST_S + k * POLL_STEP_S:.3f}"
+        steps[key] = steps.get(key, 0) + 1
+    return steps
+
+
 def _better(change: float, parent: float, lower: bool) -> bool:
     return change < parent if lower else change > parent
 
@@ -279,9 +298,9 @@ def op_medians(summary_line: dict) -> dict:
 
 def summarise(pairs: list, metrics: dict) -> dict:
     """Per end-to-end metric: both sides' median and quartiles, the pairs
-    the change won and the relative change of the median; per operation,
-    when the runs keep op_kernels, each side's median of its runs'
-    medians."""
+    the change won and the relative change of the median, and for setup_s
+    each side's runs per poll step (poll_steps); per operation, when the
+    runs keep op_kernels, each side's median of its runs' medians."""
     out = {}
     for name, lower in metrics.items():
         values = {side: [p[side]["metrics"][name]["value"] for p in pairs]
@@ -295,6 +314,9 @@ def summarise(pairs: list, metrics: dict) -> dict:
             "change_better_pairs": f"{won}/{len(pairs)}",
             "median_change": change["median"] / parent["median"] - 1.0,
         }
+        if name == "setup_s":
+            for side in SIDES:
+                out[name][side]["poll_steps"] = poll_steps(values[side])
     if "op_kernels" in pairs[0]["parent"]:
         out["op_kernels"] = {
             op: {side: statistics.median([p[side]["op_kernels"][op]
