@@ -50,6 +50,7 @@ import misstab.fitting
 from misstab.fitting import (
     DECAY_HALF,
     DECAY_WINDOW,
+    FACE_ATTEMPTS,
     FACE_CHECK_CYCLES,
     FACE_MAX_EVALUATIONS,
     FACE_RESIDUAL,
@@ -1734,6 +1735,185 @@ class TestKernel:
             monkeypatch.undo()
             assert np.geterr() == before
 
+
+def _stepwise_fit_em(model, table, tol, max_iter):
+    """fit_em from the uniform start with its EM phase one step at a time:
+    _step, loglik and the relative stop after every iteration, the decay
+    test and face solve at every DECAY_HALF-th.  Returns the fitted cross,
+    the trace, the evaluations and whether the fit converged."""
+    schema = table.schema
+    ecm = _EcmMap(table, _margin_axes(schema, generating_class(model)))
+    dims = full_cross_dims(schema)
+    start = np.full(dims, table.N / float(np.prod(dims)))
+    em, it = ecm, _Iterate(start.reshape(-1), True)
+    trace, prev, converged, evaluations, attempts = [], None, False, 0, 0
+    marks, origin = [], it.flat
+    while len(trace) < max_iter:
+        em, it = _step(em, it)
+        evaluations += 1
+        ll = em.loglik(it)
+        trace.append(ll)
+        if prev is not None and math.isfinite(ll):
+            if abs(ll - prev) <= tol * (abs(prev) + 1.0):
+                converged = True
+                break
+        prev = ll
+        if len(trace) % DECAY_HALF or attempts == FACE_ATTEMPTS:
+            continue
+        mu = em.cross(it.flat)
+        marks = _checkpoint(marks or _checkpoint([], origin), mu)
+        decay = _decay_zeros(marks, mu, DECAY_HALF, ecm)
+        if decay is None:
+            continue
+        attempts += 1
+        flagged, zero = decay
+        face = misstab.fitting._solve_face(
+            mu, zero, ll, ecm, max_iter - len(trace))
+        evaluations += face.evaluations
+        if not face.certified and (zero != flagged).any():
+            face = misstab.fitting._solve_face(
+                mu, flagged, ll, ecm, max_iter - len(trace))
+            evaluations += face.evaluations
+        if face.certified:
+            em, it = face.ecm, face.it
+            trace.extend(face.trace)
+            converged = True
+            break
+        marks, origin = [], mu
+    return em.cross(it.flat).reshape(dims), tuple(trace), evaluations, converged
+
+
+# at these tolerances the stop fires inside a kernel call, within 51
+# iterations, on about a third of the draws, and max_iter ends a call
+# before, at and after each of the first two checkpoints
+EM_PHASE_TOLS = (1e-3, 1e-4, 1e-5, 1e-6, 1e-8)
+EM_PHASE_MAX_ITERS = (1, 24, 25, 26, 49, 50, 51)
+
+
+class TestChunkedEmPhase:
+    # the EM phase runs one kernel call per stretch up to the next decay
+    # checkpoint, which returns each step's log-likelihood and ends where
+    # the relative stop fires; a call that fails its output test is
+    # replayed step by step.  It must give the bits of the step-by-step
+    # loop: the trace, the stop, the checkpoints and the result
+    @settings(max_examples=150, deadline=None)
+    @given(sparse_analysis_fits(), st.sampled_from(EM_PHASE_TOLS),
+           st.sampled_from(EM_PHASE_MAX_ITERS))
+    @example((get_model(ZERO_TARGET[1].schema, ZERO_TARGET[0]),
+              ZERO_TARGET[1]), 1e-4, 26)
+    @example((get_model(ZERO_TARGET[1].schema, ZERO_TARGET[0]),
+              ZERO_TARGET[1]), 1e-8, 51)
+    def test_chunked_em_phase_is_the_stepwise_loop(self, case, tol, max_iter):
+        model, table = case
+        fit = fit_em(model, table, tol=tol, max_iter=max_iter)
+        mu, trace, evaluations, converged = _stepwise_fit_em(
+            model, table, tol, max_iter)
+        assert fit.loglik_trace == trace
+        assert fit.mu_hat.tobytes() == mu.tobytes()
+        assert fit.iterations == len(trace)
+        assert fit.evaluations == evaluations
+        assert fit.converged is converged
+
+    def test_a_call_that_fails_replays_and_stops_inside(self, monkeypatch):
+        # both-missing count 0: the first EM call's first sweep zeroes the
+        # cells under a zero target, so the call fails its output test, is
+        # replayed step by step on the live cells, and the stop fires
+        # inside the replayed stretch
+        model_id, table = ZERO_TARGET
+        calls = []
+        kernel = _EcmMap.kernel
+
+        def recorded(ecm, it, steps=1, prev=None, tol=None):
+            got = kernel(ecm, it, steps, prev, tol)
+            if tol is not None:
+                calls.append((steps, got[0] is None, len(got[1]), got[2]))
+            return got
+
+        monkeypatch.setattr(_EcmMap, "kernel", recorded)
+        fit = fit_em(model_id, table, tol=1e-4, max_iter=DECAY_HALF)
+        monkeypatch.undo()
+        assert len(calls) == 1 and calls[0][:2] == (DECAY_HALF, True)
+        assert fit.converged and 1 < fit.iterations < DECAY_HALF
+        want = _stepwise_fit_em(get_model(table.schema, model_id), table,
+                                1e-4, DECAY_HALF)
+        assert fit.loglik_trace == want[1]
+        assert fit.mu_hat.tobytes() == want[0].tobytes()
+
+
+def _synthetic_table(seed, levels):
+    """The levels^3 table with the first two variables missing, every
+    observed cell Poisson with mean 50, that the fit-large benchmark draws
+    (bench/workloads.synthetic_table)."""
+    rng = np.random.default_rng(seed)
+    schema = TableSchema(
+        (("y1", levels), ("y2", levels), ("y3", levels)), ("y1", "y2"))
+    return IncompleteTable(schema, tuple(
+        Stratum(schema.observed_for(p), rng.poisson(
+            50, size=(levels,) * len(schema.observed_for(p))))
+        for p in schema.patterns()
+    ))
+
+
+# interior fits whose EM phase converges inside a stretch: bone-density M4
+# and the catalog without NMAR of the fit-large benchmark's smoke table
+SMOKE_TABLE = _synthetic_table(0, 4)
+MID_STRETCH_FITS = [("bone-density", "M4", builtin_dataset("bone-density"))] + [
+    ("synthetic-4", model.id, SMOKE_TABLE)
+    for model in enumerate_models(SMOKE_TABLE.schema)
+    if all(m.kind != MECH_NMAR for _, m in model.mechanisms)
+]
+
+
+class TestTheKernelStopsAtTheStop:
+    # a kernel call ends at the step where the relative stop fires: it
+    # runs no step past it, neither on to the checkpoint nor to replay.
+    # A step sums every margin twice, for its E step and its sweep, so the
+    # steps a call runs are counted on the first margin's group index
+    @pytest.mark.parametrize(
+        "name,model_id,table", MID_STRETCH_FITS,
+        ids=[f"{n}-{m}" for n, m, _ in MID_STRETCH_FITS],
+    )
+    def test_kernel_steps_sum_to_the_evaluations(
+        self, name, model_id, table, monkeypatch
+    ):
+        calls = []
+        kernel = _EcmMap.kernel
+        bincount = np.bincount
+
+        def recorded(ecm, it, steps=1, prev=None, tol=None):
+            first = ecm._groups[0][0]
+            sums = []
+
+            def counted(index, *args):
+                if index is first:
+                    sums.append(None)
+                return bincount(index, *args)
+
+            np.bincount = counted
+            try:
+                got = kernel(ecm, it, steps, prev, tol)
+            finally:
+                np.bincount = bincount
+            calls.append((steps, len(sums) / 2, tol, got))
+            return got
+
+        monkeypatch.setattr(_EcmMap, "kernel", recorded)
+        fit = fit_em(model_id, table)
+        monkeypatch.undo()
+        assert fit.converged and fit.face_cells == 0 and fit.method == "em"
+        assert fit.iterations % DECAY_HALF
+        # every call is an EM call that passed, and ran a step per
+        # log-likelihood it returned
+        for _, ran, tol, got in calls:
+            assert tol is not None and got[0] is not None
+            assert ran == len(got[1])
+        assert sum(ran for _, ran, _, _ in calls) == fit.evaluations
+        assert fit.evaluations == fit.iterations
+        # every call but the last ran its whole stretch; the last ended
+        # inside its stretch, at the stop
+        assert all(ran == steps for steps, ran, _, _ in calls[:-1])
+        steps, ran, _, (_, _, stopped) = calls[-1]
+        assert stopped and ran < steps
 
 def _oracle_lambda(model, schema, mu):
     if np.any(mu <= 0):
