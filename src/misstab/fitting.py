@@ -12,9 +12,10 @@ order, so a map restricted to live cells keeps the full cross's bits.  Every
 unguarded step runs in one kernel (_EcmMap.kernel) that tests its output
 once, at the end of the call.  The EM phase makes one call per stretch up
 to the next decay checkpoint; the call returns each iteration's
-log-likelihood and ends where the relative stop fires (_em_steps).  A call
-whose output holds a zero or NaN cell is replayed one step at a time
-(_step), and the fit goes on with the map restricted to the live cells
+log-likelihood and ends where the relative stop fires (_em_steps); a
+face solve makes one per SQUAREM cycle (_squarem_step).  A call whose
+output holds a zero or NaN cell is replayed one step at a time (_step),
+and the fit goes on with the map restricted to the live cells
 (_EcmMap.restrict), so no kept step reads a zero cell and every fit has the
 bits of a step-by-step loop.  When the maximum lies on the boundary, the
 cells that keep decaying are fixed at zero with the rest of the margin
@@ -233,9 +234,10 @@ class _Iterate:
     cells (for the log-likelihood and the E step), and targets, the
     sufficient margins of the E step (for the sweep and the margin
     residual).  The cross cannot change, so neither goes stale; owner names
-    the map they were computed for, and another map computes its own."""
+    the map they were computed for, and another map computes its own.  log
+    is the log of the cross when a SQUAREM cycle has it (_squarem_step)."""
 
-    __slots__ = ("flat", "positive", "owner", "c", "targets")
+    __slots__ = ("flat", "positive", "owner", "c", "targets", "log")
 
     def __init__(self, flat, positive=False):
         flat.setflags(write=False)
@@ -244,6 +246,7 @@ class _Iterate:
         self.owner = None
         self.c = None
         self.targets = None
+        self.log = None
 
 
 class _EcmMap:
@@ -280,7 +283,7 @@ class _EcmMap:
     # on such instances; slots keep every map's reads on the fast path
     __slots__ = (
         "table", "_idx", "_cells", "_y_cross", "_positive", "_y_positive",
-        "_shape", "_groups", "_live", "starved",
+        "_shape", "_groups", "_live", "starved", "_stack",
     )
 
     def __init__(self, table: IncompleteTable, sum_axes_list):
@@ -298,6 +301,7 @@ class _EcmMap:
         self._groups = _margin_groups(self._shape, sum_axes_list)
         self._live = None  # the cells of the cross it covers: all of them
         self.starved = False
+        self._stack = None  # _margin_residual's index: built at its first call
 
     def restrict(self, flat):
         """This map on the live (positive) cells of flat, a raveled iterate
@@ -320,6 +324,7 @@ class _EcmMap:
         face._groups = tuple(
             (group[live], size) for group, size in self._groups
         )
+        face._stack = None
         kept = np.bincount(face._idx, None, self._cells)[self._positive]
         face.starved = not np.logical_and.reduce(kept)
         return face, _Iterate(flat[live], positive=True)
@@ -365,48 +370,73 @@ class _EcmMap:
         # a sum of the live cells alone can differ in the last bit
         return -float(np.add.reduce(self.cross(it.flat))) + logs
 
-    def kernel(self, it, steps=1, prev=None, tol=None):
+    def kernel(self, it, steps=1, prev=None, tol=None, step_max=None):
         """The flagged iterate that steps applications of the map make of
         the flagged iterate it, or None when the result holds a zero or NaN
         cell.  Given tol, the steps are EM iterations: it returns that
         iterate (or None), each step's log-likelihood and whether the
         relative stop fired (_converged; prev is the log-likelihood before
         the first step), and the call ends at the step where it fires.
+        Given step_max, it returns what a SQUAREM cycle from it, of
+        log-likelihood prev, returns after the map (_squarem_step), or None
+        when the cycle's plain double step holds a zero or NaN cell.
 
         The one unguarded sweep loop of the fit: the map's arrays are bound
-        once, one error state (divide and invalid off) covers every step,
-        and the output is tested once, at the end.  A zero target (a margin
-        cell under zero counts), an emptied margin cell or underflow leaves
-        a zero or NaN that stays through every later step, so the end test
-        sees a failure of any step and the caller replays the call step by
-        step (_steps, _em_steps).  A log-likelihood reads the collapse the
-        next E step divides by, summed as loglik sums it; in a call that
-        passes, that collapse is positive at every count a fed map keeps,
-        and a starved map's log-likelihood is -inf, as loglik's is.  Given
-        tol, the iterate returned carries its collapse."""
+        once, one error state (divide and invalid off; over- and underflow
+        too for a cycle's jump and its step) covers every step, and the
+        output is tested once, at the end (a cycle's double step too).  A
+        zero target (a margin cell under zero counts), an emptied margin
+        cell or underflow leaves a zero or NaN that stays through every
+        later step, so the end test sees a failure of any step and the
+        caller replays the call step by step (_steps, _em_steps,
+        _squarem_step).  A log-likelihood reads the collapse the next E
+        step divides by, summed as loglik sums it; in a call that passes,
+        that collapse is positive at every count a fed map keeps, and a
+        starved map's log-likelihood is -inf, as loglik's is.  The iterate
+        of an EM call or a cycle carries its collapse."""
         idx, cells, y, groups = (
             self._idx, self._cells, self._y_cross, self._groups
         )
         cross, positive, y_positive = (
             self.cross, self._positive, self._y_positive
         )
+        cycle = step_max is not None
         flat = it.flat
         lls = []
         stopped = False
         # a margin cell with no cell of a restricted map is never read
         with np.errstate(divide="ignore", invalid="ignore"):
             targets = self.targets(it)
-            for step in range(steps):
+            for step in range(3 if cycle else steps):
                 if step:
                     z = y * (flat / c[idx])
                     targets = [np.bincount(g, z, size) for g, size in groups]
                 for (group, size), target in zip(groups, targets):
                     cur = np.bincount(group, flat, size)
                     flat = flat * (target / cur)[group]
-                if tol is None and step + 1 == steps:
+                if step + 1 == steps and tol is None and not cycle:
                     break
-                # the collapse that the next E step divides by
-                c = np.bincount(idx, flat, cells)
+                if cycle and step == 1:
+                    if not np.minimum.reduce(flat, initial=math.inf) > 0:
+                        return None
+                    flat2, x1, x2 = flat, np.log(last), np.log(flat)
+                    x0 = np.log(it.flat) if it.log is None else it.log
+                    r = x1 - x0
+                    v = x2 - x1 - r
+                    # the Euclidean norm as numpy.linalg.norm computes it
+                    if not (v_norm := math.sqrt(v @ v)):
+                        break
+                    alpha = max(min(-math.sqrt(r @ r) / v_norm, -1.0),
+                                -step_max)
+                    # a long jump can over- or underflow; leaving the with
+                    # block restores the caller's state
+                    np.seterr(over="ignore", under="ignore")
+                    flat = np.exp(x0 - 2.0 * alpha * r + alpha * alpha * v)
+                    if not np.minimum.reduce(flat, initial=math.inf) > 0:
+                        break
+                # the collapse that the next E step divides by, and the start
+                # of that step, which a cycle's extrapolation reads
+                c, last = np.bincount(idx, flat, cells), flat
                 if tol is None:
                     continue
                 logs = float(np.add.reduce(y_positive * np.log(c[positive])))
@@ -417,11 +447,21 @@ class _EcmMap:
                     break
                 prev = ll
         out = None
-        if np.minimum.reduce(flat, initial=math.inf) > 0:
+        if (step == 2 or not cycle) and np.minimum.reduce(
+                flat, initial=math.inf) > 0:
             out = _Iterate(flat, True)
-            if tol is not None:
+            if tol is not None or cycle:
                 out.owner, out.c = self, c
-        return out if tol is None else (out, lls, stopped)
+        if not cycle:
+            return out if tol is None else (out, lls, stopped)
+        if out is not None and (ll := self.loglik(out)) >= prev:
+            step_max *= SQUAREM_STEP_FACTOR if alpha == -step_max else 1.0
+        else:
+            if v_norm:
+                step_max = max(step_max / SQUAREM_STEP_FACTOR, 1.0)
+            out = _Iterate(flat2, True)
+            out.log, ll = x2, self.loglik(out)
+        return out, ll, step_max, step + 1, _margin_residual(out, self)
 
     def __call__(self, it):
         out = self.kernel(it)
@@ -774,15 +814,19 @@ BOUNDARY_SMALL_CELL = "small-cell"
 
 def _margin_residual(it, ecm) -> float:
     """Largest relative gap between the sufficient margins of an iterate
-    and those of its E step, each summed over the map's group index; zero
-    at a fixed point of EM, NaN when any gap is NaN.  The margins are
-    concatenated, so the gap and its maximum are one call each.  The
-    E-step margins stay on the iterate for the map application that
-    follows."""
-    target = np.concatenate(ecm.targets(it))
-    cur = np.concatenate(
-        [np.bincount(group, it.flat, size) for group, size in ecm._groups]
-    )
+    and those of its E step (zero at a fixed point of EM, NaN when any gap
+    is NaN), each one bincount over the map's group indices end to end,
+    which adds each margin cell's members in the order its own index does.
+    The E-step margins stay on the iterate for the next sweep."""
+    groups = ecm._groups
+    if ecm._stack is None:
+        ends = list(itertools.accumulate(size for _, size in groups))
+        ecm._stack = ends, np.tile(np.arange(it.flat.size), len(ends)), (
+            np.concatenate([g + end - n for (g, n), end in zip(groups, ends)]))
+    ends, source, index = ecm._stack
+    target = np.bincount(index, ecm._spread_counts(it)[source], ends[-1])
+    it.targets = [target[end - n:end] for (_, n), end in zip(groups, ends)]
+    cur = np.bincount(index, it.flat[source], ends[-1])
     gap = np.abs(target - cur) / np.maximum(target, 1e-300)
     return float(np.maximum.reduce(gap))
 
@@ -846,52 +890,27 @@ def _decay_zeros(marks, mu, half, ecm):
 
 
 def _squarem_step(it, ll, step_max, ecm):
-    """One SQUAREM cycle (Varadhan & Roland 2008, step SqS3) of the ECM map
-    ecm, extrapolated in log space over its cells.
-
-    Returns the map the fit goes on with, the next _Iterate, its
-    log-likelihood, the next step bound and the map evaluations spent.  Its
-    two plain steps and the ECM step from its jump are single calls of the
-    map's kernel (_EcmMap.kernel).  A cycle whose plain step gains a zero
-    ends with that step, and the fit goes on with the map restricted to the
-    live cells (_step).  The step length is capped at step_max; the cap
-    grows by SQUAREM_STEP_FACTOR when a capped step is kept and shrinks by
-    it when a step is refused.  The extrapolated point, after one more ECM
-    step, is kept only if that step passes the kernel's output test (no
-    zero or NaN cell) and its log-likelihood is at least ll, that of the
-    last accepted iterate; otherwise the plain double step is kept, which
-    ECM never makes worse.  A point that underflows to a zero cell is
-    refused before the map would read it.
-    """
-    face, it1 = _step(ecm, it)
-    if face is not ecm:
-        return face, it1, face.loglik(it1), step_max, 1
-    face, it2 = _step(ecm, it1)
-    if face is not ecm:
-        return face, it2, face.loglik(it2), step_max, 2
-    x0, x1, x2 = (np.log(i.flat) for i in (it, it1, it2))
-    r = x1 - x0
-    v = x2 - x1 - r
-    # the Euclidean norm as numpy.linalg.norm computes it
-    v_norm = math.sqrt(v @ v)
-    if v_norm == 0:
-        return ecm, it2, ecm.loglik(it2), step_max, 2
-    alpha = max(min(-math.sqrt(r @ r) / v_norm, -1.0), -step_max)
-    spent = 2
-    jump = None
-    # a long extrapolation can overflow or underflow cells, and the sweep
-    # of an overflowed cell leaves NaN, which fails the kernel's test
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        step = np.exp(x0 - 2.0 * alpha * r + alpha * alpha * v)
-        if np.minimum.reduce(step, initial=math.inf) > 0:
-            jump = ecm.kernel(_Iterate(step, True))
-            spent = 3
-    if jump is not None and (ll_jump := ecm.loglik(jump)) >= ll:
-        if alpha == -step_max:
-            step_max *= SQUAREM_STEP_FACTOR
-        return ecm, jump, ll_jump, step_max, spent
-    step_max = max(step_max / SQUAREM_STEP_FACTOR, 1.0)
-    return ecm, it2, ecm.loglik(it2), step_max, spent
+    """One SQUAREM cycle (Varadhan & Roland 2008, step SqS3) of the map ecm
+    from it, of log-likelihood ll, in one kernel call: two plain steps, then
+    the ECM step from a jump extrapolated in log space and capped at
+    step_max, kept if it passes the output test and reaches ll, else the
+    plain double step, which ECM never makes worse.  The cap grows by
+    SQUAREM_STEP_FACTOR when a capped jump is kept and shrinks by it when
+    one is refused.  Returns the map the fit goes on with, the iterate
+    kept, its log-likelihood, the cap, the evaluations spent and the
+    margin residual.  A call whose double step fails is replayed by _step:
+    a plain step fails only where it leaves a zero or NaN cell, which the
+    guarded step leaves at zero, so the cycle ends there, on the map
+    restricted to the live cells."""
+    got = ecm.kernel(it, prev=ll, step_max=step_max)
+    if got is not None:
+        return (ecm, *got)
+    for spent in (1, 2):
+        face, it = _step(ecm, it)
+        if face is not ecm:
+            break
+    return face, it, face.loglik(it), step_max, spent, _margin_residual(
+        it, face)
 
 
 def _is_face(zero, groups) -> bool:
@@ -949,12 +968,12 @@ def _solve_face(before, zero, floor, ecm, budget):
 
     The cells of zero, a mask over the raveled fit before, are fixed at
     zero as structural zeros and SQUAREM-accelerated ECM runs on the map
-    restricted to the live cells (_EcmMap.restrict), restricted again
-    whenever a cycle gains a zero (_squarem_step).  Cells that in turn
-    pass the decay test, checked on the full cross on a clock of its own
-    every FACE_CHECK_CYCLES cycles, are zeroed too, with the rest of their
-    margin cells (_decay_zeros), and the map is restricted again, so a
-    face is emptied in one stage, not one per decay window.  The solve
+    restricted to the live cells (_EcmMap.restrict), one kernel call per
+    cycle (_squarem_step), restricted again whenever a cycle gains a zero.
+    Cells that in turn pass the decay test, checked on the full cross on a
+    clock of its own every FACE_CHECK_CYCLES cycles, are zeroed too, with
+    the rest of their margin cells (_decay_zeros), and the map is
+    restricted again, so a face is emptied in one stage.  The solve
     ends when the sufficient margins match to FACE_RESIDUAL.  The result,
     the last map and its iterate, counts when its log-likelihood is at
     least floor, that of the last iterate before zeroing (so its G2 is no
@@ -977,12 +996,13 @@ def _solve_face(before, zero, floor, ecm, budget):
         and len(trace) < budget
         and evaluations < FACE_MAX_EVALUATIONS
     ):
-        face, it, ll, step_max, spent = _squarem_step(it, ll, step_max, face)
+        face, it, ll, step_max, spent, residual = _squarem_step(
+            it, ll, step_max, face)
         evaluations += spent
         cycles += 1
         if ll >= (trace[-1] if trace else floor):
             trace.append(ll)
-        if _margin_residual(it, face) < FACE_RESIDUAL:
+        if residual < FACE_RESIDUAL:
             mu = face.cross(it.flat)
             certified = ll >= floor and _is_face(mu == 0, ecm._groups)
             if certified:

@@ -294,14 +294,16 @@ def test_fit_all_and_assess_are_flags_at_the_recorded_levels(
         bench_pairs.main([*argv, "--fit-all", "8"])
 
 
+CORPUS_FIELDS = {"G2", "face_cells", "converged", "loglik_trace_sha256",
+                 *bench_pairs.FIT_FIELDS}
+
+
 def test_face_corpus_script_fits_every_catalog_model_of_each_table():
     fits = bench_pairs._script(
         _PATH.parents[1], bench_pairs.FACE_CORPUS_SCRIPT, 3,
         *bench_pairs.FACE_CORPORA["face_corpus"][1])["fits"]
     assert list(fits)[:2] == ["t0:M1", "t0:M2"] and len(fits) == 27
-    assert all(set(fit) == {"G2", "face_cells", "converged",
-                            *bench_pairs.FIT_FIELDS}
-               for fit in fits.values())
+    assert all(set(fit) == CORPUS_FIELDS for fit in fits.values())
     record = bench_pairs.face_corpus_record(
         {"parent": fits, "change": fits}, 3)
     assert record["corpus"].startswith("3 tables,")
@@ -336,7 +338,9 @@ def test_face_corpus_flag_records_each_corpus_under_its_key(
     def script(checkout, script, *args):
         calls.append((checkout.name, script, *args))
         slow = checkout.name == "parent"
-        return {"fits": {"t0:M1": _corpus_fit(evaluations=args[0])},
+        # a corpus's fits evaluate its table count, the identity set's 7
+        evaluations = 7 if script is bench_pairs.IDENTITY_SCRIPT else args[0]
+        return {"fits": {"t0:M1": _corpus_fit(evaluations=evaluations)},
                 "fits_s": 9.0 + slow, "fits_cal": 1500.0 + slow}
 
     monkeypatch.setattr(bench_pairs, "_script", script)
@@ -352,10 +356,14 @@ def test_face_corpus_flag_records_each_corpus_under_its_key(
             "--change", str(tmp_path / "change"), "--out", str(out)]
     assert bench_pairs.main([*argv, "--face-corpus"]) == 0
     drawn = bench_pairs.FACE_CORPUS_SCRIPT
-    # each corpus runs four times a side, alternating
+    # each corpus runs four times a side, alternating, and then the
+    # built-in identity set
     assert calls == [
         (side, drawn, *args)
         for args in ((150, 7, 1, 1.0, 20.0), (120, 11, 3, 0.7, 15.0))
+        for side in bench_pairs.ALTERNATION
+    ] + [
+        (side, bench_pairs.IDENTITY_SCRIPT, *bench_pairs.IDENTITY_DATASETS)
         for side in bench_pairs.ALTERNATION
     ]
     doc = json.loads(out.read_text())
@@ -366,7 +374,12 @@ def test_face_corpus_flag_records_each_corpus_under_its_key(
     assert doc["face_corpus_shapes"]["corpus"].startswith("120 tables,")
     assert doc["face_corpus_shapes"]["evaluations"] == {
         "parent": 120, "change": 120}
-    for corpus in bench_pairs.FACE_CORPORA:
+    assert doc["builtin_identity"]["corpus"].startswith(
+        "the built-in tables smoking-birthweight, bone-density, spo-y1, "
+        "spo-y1y2;")
+    assert doc["builtin_identity"]["evaluations"] == {
+        "parent": 7, "change": 7}
+    for corpus in (*bench_pairs.FACE_CORPORA, "builtin_identity"):
         assert doc[corpus]["fits_s"] == {"parent": [10.0] * 4,
                                          "change": [9.0] * 4}
         assert doc[corpus]["fits_cal"] == {"parent": [1501.0] * 4,
@@ -395,10 +408,50 @@ def test_face_corpus_script_times_its_fits_in_kernels():
             "face_corpus_shapes"))
 
 
-def _corpus_fit(g2=1.0, face_cells=0, evaluations=10, converged=True):
+def _corpus_fit(g2=1.0, face_cells=0, evaluations=10, converged=True,
+                trace="cd"):
     return {"G2": g2, "iterations": 5, "evaluations": evaluations,
             "face_cells": face_cells, "converged": converged,
-            "mu_hat_sha256": "ab"}
+            "mu_hat_sha256": "ab", "loglik_trace_sha256": trace}
+
+
+def test_identity_script_fits_every_builtin_catalog_model_four_ways():
+    # the four built-ins of an analysis shape have 9, 9, 4 and 16 catalog
+    # models, each fitted by fit_model and three ways by fit_em
+    got = bench_pairs._script(
+        _PATH.parents[1], bench_pairs.IDENTITY_SCRIPT,
+        *bench_pairs.IDENTITY_DATASETS)
+    fits = got["fits"]
+    assert len(fits) == 4 * (9 + 9 + 4 + 16)
+    assert list(fits)[:4] == [
+        f"smoking-birthweight:M1:{way}" for way in (
+            "fit_model", "fit_em", "fit_em(max_iter=60)",
+            "fit_em(tol=1e-14)")]
+    assert all(set(fit) == CORPUS_FIELDS for fit in fits.values())
+    # M5 has an explicit solution, which fit_em does not take
+    assert fits["smoking-birthweight:M5:fit_model"]["evaluations"] == 0
+    assert fits["smoking-birthweight:M5:fit_em"]["evaluations"] > 0
+    assert fits["smoking-birthweight:M1:fit_em(max_iter=60)"][
+        "iterations"] <= 60
+    assert all(got[key] > 0 for key in bench_pairs.CORPUS_TIMES)
+    record = bench_pairs.identity_record(
+        {"parent": fits, "change": fits}, {"parent": [got],
+                                           "change": [got]})
+    assert (record["fits"], record["identical"]) == (152, 152)
+    assert record["runs_agree"] is True
+
+
+def test_a_trace_that_moves_under_the_same_fit_is_not_identical():
+    # a face solve appends to the trace: a change to its values with the
+    # same mu_hat bits is seen
+    parent = {"t0:M1": _corpus_fit(), "t0:M2": _corpus_fit()}
+    change = {"t0:M1": _corpus_fit(trace="ef"), "t0:M2": _corpus_fit()}
+    for record in (
+        bench_pairs.face_corpus_record(
+            {"parent": parent, "change": change}, 1),
+        bench_pairs.identity_record({"parent": parent, "change": change}),
+    ):
+        assert record["identical"] == record["identical_but_evaluations"] == 1
 
 
 @pytest.mark.parametrize("side,run", [(s, r) for s in bench_pairs.SIDES

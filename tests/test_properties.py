@@ -848,15 +848,22 @@ class TestEcmMapOracle:
         # the map gives it the full-cross oracle's log-likelihood; the
         # kernel gives it the oracle's iterate after the steps its call ran,
         # flagged, exactly when that has no zero cell, and None otherwise,
-        # and an EM call that passes the oracle's log-likelihood of each step
+        # and an EM call that passes the oracle's log-likelihood of each
+        # step.  A SQUAREM cycle's call gives the full-cross oracle cycle's
+        # iterate, log-likelihood, step bound, steps spent and margin
+        # residual, and None exactly when that cycle ends on a zero cell
         table = request.getfixturevalue(TABLE_FIXTURE[name])
         schema = table.schema
         axes = _margin_axes(schema, generating_class(get_model(schema, model_id)))
         seen = []
+        cycles = []
         kernel = _EcmMap.kernel
 
-        def recorded(ecm, it, steps=1, prev=None, tol=None):
-            got = kernel(ecm, it, steps, prev, tol)
+        def recorded(ecm, it, steps=1, prev=None, tol=None, step_max=None):
+            got = kernel(ecm, it, steps, prev, tol, step_max)
+            if step_max is not None:
+                cycles.append((ecm, it, prev, step_max, got))
+                return got
             out, lls = (got, None) if tol is None else got[:2]
             ran = steps if lls is None else len(lls)
             seen.append((ecm, it, ran, out, lls))
@@ -871,6 +878,27 @@ class TestEcmMapOracle:
             steps == DECAY_HALF and lls is None for _, _, steps, _, lls in seen
         )
         assert halves >= (2 if fit.face_cells else 0)
+        assert cycles or not fit.face_cells
+
+        def step(mu):
+            return _oracle_ipf(mu, _oracle_e_step(mu, table), axes)
+
+        def loglik(mu):
+            return _oracle_loglik_and_g2(mu, table)[0]
+
+        for ecm, it, ll, step_max, got in cycles:
+            assert it.positive and np.all(it.flat > 0)
+            mu = _full(ecm, it)
+            assert ecm.loglik(it) == loglik(mu)
+            want, *rest = _oracle_squarem_step(mu, ll, step_max, step, loglik)
+            live = mu > 0
+            assert (got is None) is bool(np.any(want[live] == 0))
+            if got is not None:
+                out, *values, residual = got
+                assert _full(ecm, out).tobytes() == want.tobytes()
+                assert out.positive and np.all(out.flat > 0)
+                assert values == rest
+                assert residual == _oracle_margin_residual(want, table, axes)
         for ecm, it, steps, out, lls in seen:
             assert it.positive and np.all(it.flat > 0)
             mu = _full(ecm, it)
@@ -961,6 +989,12 @@ class TestMarginResidualOracle:
         want = _oracle_margin_residual(mu, _fed(table, mu), axes_list)
         for ecm, it in _live_iterates(table, axes_list, mu):
             assert _margin_residual(it, ecm) == want
+            # the E-step margins it leaves on the iterate, summed with the
+            # margins end to end, have the bits of each margin's own sum
+            targets = ecm.targets(_Iterate(it.flat, True))
+            assert it.owner is ecm and len(it.targets) == len(targets)
+            assert all(a.tobytes() == b.tobytes()
+                       for a, b in zip(it.targets, targets))
 
 
 # Floats at the edges of what the ECM loop's reductions can meet: NaN,
@@ -1475,7 +1509,7 @@ class TestLiveCellFaceSolve:
         def recorded(it, ll, step_max, ecm):
             out = squarem_step(it, ll, step_max, ecm)
             if out[0] is not ecm:
-                ended.append(out[-1])
+                ended.append(out[4])
             return out
 
         monkeypatch.setattr(misstab.fitting, "_squarem_step", recorded)
@@ -1490,15 +1524,21 @@ class TestLiveCellFaceSolve:
         self, request, name, monkeypatch
     ):
         # every map application of the face phase (plain steps, jumps and
-        # probe steps, all kernel calls) is on a flagged iterate of the
+        # probe steps, all in kernel calls) is on a flagged iterate of the
         # restricted map and passes the unguarded sweep's output test, on
-        # a table with a zero count too
+        # a table with a zero count too.  The applications inside a SQUAREM
+        # cycle's call are those of the step-by-step cycle on its start,
+        # each a one-step kernel call
         applications = []
+        cycles = []
         kernel = _EcmMap.kernel
 
-        def recorded(ecm, it, steps=1, prev=None, tol=None):
-            got = kernel(ecm, it, steps, prev, tol)
+        def recorded(ecm, it, steps=1, prev=None, tol=None, step_max=None):
+            got = kernel(ecm, it, steps, prev, tol, step_max)
             out = got if tol is None else got[0]
+            if step_max is not None:
+                cycles.append((ecm, it, prev, step_max))
+                out = got and got[0]
             if ecm._live is not None:
                 applications.append(
                     (it.positive, out is not None and out.positive))
@@ -1506,8 +1546,12 @@ class TestLiveCellFaceSolve:
 
         monkeypatch.setattr(_EcmMap, "kernel", recorded)
         fit = fit_em("M1", request.getfixturevalue(TABLE_FIXTURE[name]))
-        assert fit.face_cells > 0
-        assert applications and all(
+        for ecm, it, ll, step_max in cycles:
+            _stepwise_cycle(_Iterate(it.flat, True), ll, step_max, ecm)
+        monkeypatch.undo()
+        assert fit.face_cells > 0 and cycles
+        assert all(ecm._live is not None for ecm, *_ in cycles)
+        assert len(applications) > 2 * len(cycles) and all(
             flags == (True, True) for flags in applications
         )
 
@@ -1516,8 +1560,10 @@ def _zero_reads(model, table, monkeypatch):
     """fit_em of a model, with each E step, sweep, log-likelihood and
     margin residual it takes recorded: the fit, how many it took and how
     many of them read an iterate with a zero cell.  A kernel call counts
-    one read of the iterate it starts from per step it ran, and one more
-    per log-likelihood it returned."""
+    one read of the iterate it starts from per step it ran, and an EM
+    call one more per log-likelihood it returned; a SQUAREM cycle's call
+    reads the log-likelihood and margin residual of what it keeps through
+    loglik and _margin_residual, which count their own."""
     reads = []
 
     def watched(read, at):
@@ -1529,9 +1575,13 @@ def _zero_reads(model, table, monkeypatch):
 
     kernel = _EcmMap.kernel
 
-    def kernel_reading(ecm, it, steps=1, prev=None, tol=None):
-        got = kernel(ecm, it, steps, prev, tol)
-        ran = steps if tol is None else 2 * len(got[1])
+    def kernel_reading(ecm, it, steps=1, prev=None, tol=None, step_max=None):
+        got = kernel(ecm, it, steps, prev, tol, step_max)
+        if step_max is not None:
+            # a call that fails ran both plain steps
+            ran = 2 if got is None else got[3]
+        else:
+            ran = steps if tol is None else 2 * len(got[1])
         reads.extend([bool(np.all(it.flat > 0))] * ran)
         return got
 
@@ -1840,6 +1890,170 @@ class TestChunkedEmPhase:
         assert fit.mu_hat.tobytes() == want[0].tobytes()
 
 
+def _stepwise_cycle(it, ll, step_max, ecm):
+    """One SQUAREM cycle as the face solve ran it before a cycle was one
+    kernel call: each plain step and the jump's step one map application
+    (_step and the one-step kernel), then the margin residual of the
+    iterate kept, over the E-step margins and its own concatenated.
+    Returns what _squarem_step returns (the map, the iterate, its
+    log-likelihood, the step bound, the steps spent and the residual) and
+    the log of the plain double step when the cycle kept it on the same
+    map, which the fused cycle leaves on the iterate."""
+
+    def residual(it, ecm):
+        target = np.concatenate(ecm.targets(it))
+        cur = np.concatenate(
+            [np.bincount(group, it.flat, size) for group, size in ecm._groups]
+        )
+        gap = np.abs(target - cur) / np.maximum(target, 1e-300)
+        return float(np.maximum.reduce(gap))
+
+    def kept(ecm, it, step_max, spent, x2=None):
+        ll = ecm.loglik(it)
+        return ecm, it, ll, step_max, spent, residual(it, ecm), x2
+
+    face, it1 = _step(ecm, it)
+    if face is not ecm:
+        return kept(face, it1, step_max, 1)
+    face, it2 = _step(ecm, it1)
+    if face is not ecm:
+        return kept(face, it2, step_max, 2)
+    x0, x1, x2 = (np.log(i.flat) for i in (it, it1, it2))
+    r = x1 - x0
+    v = x2 - x1 - r
+    v_norm = math.sqrt(v @ v)
+    if v_norm == 0:
+        return kept(ecm, it2, step_max, 2, x2)
+    alpha = max(min(-math.sqrt(r @ r) / v_norm, -1.0), -step_max)
+    spent = 2
+    jump = None
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        step = np.exp(x0 - 2.0 * alpha * r + alpha * alpha * v)
+        if np.minimum.reduce(step, initial=math.inf) > 0:
+            jump = ecm.kernel(_Iterate(step, True))
+            spent = 3
+    if jump is not None and ecm.loglik(jump) >= ll:
+        if alpha == -step_max:
+            step_max *= SQUAREM_STEP_FACTOR
+        return kept(ecm, jump, step_max, spent)
+    step_max = max(step_max / SQUAREM_STEP_FACTOR, 1.0)
+    return kept(ecm, it2, step_max, spent, x2)
+
+
+def _same_float(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def _same_cycle(got, want, ecm):
+    """A fused cycle's result has the bits of the step-by-step one: the map
+    it goes on with (ecm itself or the same restriction), the iterate and
+    its flag, the log-likelihood, step bound, steps spent, residual (NaN
+    included) and the log the iterate carries to the next cycle."""
+    face, it, ll, step_max, spent, residual = got
+    assert (face is ecm) is (want[0] is ecm)
+    if face is not ecm:
+        assert np.array_equal(face._live, want[0]._live)
+        assert face.starved is want[0].starved
+    assert it.flat.tobytes() == want[1].flat.tobytes()
+    assert it.positive is want[1].positive
+    assert _same_float(ll, want[2])
+    assert (step_max, spent) == want[3:5]
+    assert _same_float(residual, want[5])
+    assert (it.log is None) is (want[6] is None)
+    if it.log is not None:
+        assert it.log.tobytes() == want[6].tobytes()
+
+
+def _fused_cycles(model, table, monkeypatch, **kwargs):
+    """fit_em of a model with every SQUAREM cycle of its face solves
+    compared with the step-by-step cycle on the same start; returns the
+    fit and how many cycles it ran, replayed, started from a carried log
+    and ended on a restriction."""
+    squarem_step = misstab.fitting._squarem_step
+    kernel = _EcmMap.kernel
+    counts = {"cycles": 0, "replayed": 0, "carried": 0, "restricted": 0}
+
+    def compared(it, ll, step_max, ecm):
+        if it.log is not None:
+            counts["carried"] += 1
+            assert it.log.tobytes() == np.log(it.flat).tobytes()
+        want = _stepwise_cycle(_Iterate(it.flat, True), ll, step_max, ecm)
+        failed = kernel(ecm, _Iterate(it.flat, True), prev=ll,
+                        step_max=step_max) is None
+        got = squarem_step(it, ll, step_max, ecm)
+        _same_cycle(got, want, ecm)
+        counts["cycles"] += 1
+        counts["replayed"] += failed
+        counts["restricted"] += got[0] is not ecm
+        assert failed is (got[0] is not ecm)
+        return got
+
+    monkeypatch.setattr(misstab.fitting, "_squarem_step", compared)
+    fit = fit_em(model, table, **kwargs)
+    monkeypatch.undo()
+    return fit, counts
+
+
+class TestFusedCycle:
+    # a SQUAREM cycle of the face solve is one kernel call that returns
+    # the iterate kept, its log-likelihood and its margin residual; a call
+    # whose plain step leaves a zero cell is replayed step by step.  It
+    # must give the bits of the step-by-step cycle
+    @settings(max_examples=40, deadline=None)
+    @given(sparse_analysis_fits())
+    @example((get_model(ZERO_ON_A_PLAIN_STEP[1].schema, ZERO_ON_A_PLAIN_STEP[0]),
+              ZERO_ON_A_PLAIN_STEP[1]))
+    @example((get_model(ZERO_ON_A_JUMP[1].schema, ZERO_ON_A_JUMP[0]),
+              ZERO_ON_A_JUMP[1]))
+    def test_fused_cycle_is_the_stepwise_cycle(self, case):
+        model, table = case
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            _fused_cycles(model, table, monkeypatch, max_iter=400)
+
+    @pytest.mark.parametrize(
+        "case,replayed", [(ZERO_ON_A_PLAIN_STEP, 1), (ZERO_ON_A_JUMP, 0)],
+        ids=["plain-step", "jump"],
+    )
+    def test_the_examples_take_their_paths(self, case, replayed,
+                                           monkeypatch):
+        # the first example's cycle replays a plain step that left a zero;
+        # the second refuses a jump that underflowed, with no replay
+        _, counts = _fused_cycles(*case, monkeypatch)
+        assert counts["replayed"] == counts["restricted"] == replayed
+        assert counts["cycles"] > 10 and counts["carried"] > 0
+
+    def test_a_zero_on_the_second_plain_step_ends_the_cycle_there(self):
+        # the start of TestKernel's middle zero, one restricting step and
+        # then steps up to two before the one that underflows a cell: the
+        # cycle's call fails, and its replay restricts after the second
+        # plain step
+        ecm, flat = TestKernel()._middle_zero()
+        face, it = _step(ecm, _Iterate(flat.copy(), True))
+        it = face.kernel(it, MIDDLE_ZERO_STEP - 3)
+        ll = face.loglik(it)
+        assert face.kernel(it, prev=ll, step_max=1.0) is None
+        want = _stepwise_cycle(_Iterate(it.flat, True), ll, 1.0, face)
+        got = misstab.fitting._squarem_step(it, ll, 1.0, face)
+        _same_cycle(got, want, face)
+        assert got[0] is not face and got[4] == 2
+
+    # from random starts, some cells tiny enough for a plain step or a
+    # jump to underflow, at step bounds up to 4**5, with the jump's
+    # log-likelihood bar at that of the start, below every jump and above
+    # every one, and the start's log carried in or not
+    @settings(max_examples=150, deadline=None)
+    @given(kernel_starts(), st.sampled_from([1.0, 4.0, 64.0, 1024.0]),
+           st.sampled_from([0.0, -math.inf, math.inf]), st.booleans())
+    def test_cycles_from_random_starts(self, start, step_max, bar, carry):
+        ecm, flat, _ = start
+        ll = ecm.loglik(_Iterate(flat.copy(), True)) + bar
+        it = _Iterate(flat.copy(), True)
+        it.log = np.log(flat) if carry else None
+        want = _stepwise_cycle(_Iterate(flat.copy(), True), ll, step_max, ecm)
+        got = misstab.fitting._squarem_step(it, ll, step_max, ecm)
+        _same_cycle(got, want, ecm)
+
+
 def _synthetic_table(seed, levels):
     """The levels^3 table with the first two variables missing, every
     observed cell Poisson with mean 50, that the fit-large benchmark draws
@@ -1914,6 +2128,49 @@ class TestTheKernelStopsAtTheStop:
         assert all(ran == steps for steps, ran, _, _ in calls[:-1])
         steps, ran, _, (_, _, stopped) = calls[-1]
         assert stopped and ran < steps
+
+    def test_boundary_fits_spend_their_applications_by_phase(
+        self, bone_table, smoking_table, monkeypatch
+    ):
+        # the eight boundary fits of the two two-variable tables (those of
+        # the fit-boundary benchmark) run every map application inside a
+        # kernel call that passes: EM calls, one call per SQUAREM cycle of
+        # the face solve and the probe's halves.  Each fit's applications
+        # sum to its evaluations, and the pass's split over the phases
+        calls = []
+        kernel = _EcmMap.kernel
+
+        def recorded(ecm, it, steps=1, prev=None, tol=None, step_max=None):
+            got = kernel(ecm, it, steps, prev, tol, step_max)
+            if tol is not None:
+                calls.append(("em", len(got[1]), got[0] is not None))
+            elif step_max is not None:
+                calls.append(("face", got and got[3], got is not None))
+            else:
+                calls.append(("probe", steps, got is not None))
+            return got
+
+        monkeypatch.setattr(_EcmMap, "kernel", recorded)
+        spent = {"em": 0, "face": 0, "probe": 0}
+        fits = cycles = 0
+        for table in (bone_table, smoking_table):
+            for model in enumerate_models(table.schema):
+                calls.clear()
+                fit = fit_model(model, table)
+                if not fit.face_cells:
+                    continue
+                fits += 1
+                assert all(passed for _, _, passed in calls)
+                assert all(steps == DECAY_HALF
+                           for phase, steps, _ in calls if phase == "probe")
+                assert sum(n for _, n, _ in calls) == fit.evaluations
+                for phase, n, _ in calls:
+                    spent[phase] += n
+                cycles += sum(phase == "face" for phase, _, _ in calls)
+        monkeypatch.undo()
+        assert fits == 8 and cycles == 105
+        assert spent == {"em": 425, "face": 315, "probe": 400}
+
 
 def _oracle_lambda(model, schema, mu):
     if np.any(mu <= 0):

@@ -46,10 +46,14 @@ runs.  --face-corpus fits every catalog model with fit_em's defaults to
 each corpus of FACE_CORPORA (FACE_CORPUS_SCRIPT), four times in each
 checkout in the order ALTERNATION: 150 random tables with both variables
 missing, recorded as face_corpus, and 120 random tables of three shapes
-in turn, recorded as face_corpus_shapes.  Each entry records how the
-change's fits differ from the parent's in each side's first run: the
-fits identical bit for bit (G2, iterations, evaluations, face cells,
-converged flag and mu_hat bytes) and those identical in all but
+in turn, recorded as face_corpus_shapes.  It then fits the built-in
+identity set the same way (IDENTITY_SCRIPT), recorded as
+builtin_identity: every catalog model of each built-in table of an
+analysis shape by fit_model, and by fit_em at its defaults, at
+max_iter=60 and at tol=1e-14.  Each entry records how the change's fits
+differ from the parent's in each side's first run: the fits identical
+bit for bit (G2, iterations, evaluations, face cells, converged flag,
+mu_hat bytes and loglik_trace bytes) and those identical in all but
 evaluations, the faces lost and gained, the G2 rises and drops beyond
 FACE_CORPUS_G2_TOL, the fits whose converged flag changed, the fits whose
 evaluations rose and fell, and each side's total evaluations
@@ -151,12 +155,24 @@ ASSESS_TIMES = ("first_s", "first_cal", "repeat_s", "repeat_cal")
 # missing, then a x b x c with a and b missing (2-3 levels each); each
 # stratum, in schema.patterns() order, is Poisson with means drawn from
 # gamma(k, theta), and a table with no count at all is drawn again.
-FACE_CORPUS_SCRIPT = """
+# The fields each fit of FACE_CORPUS_SCRIPT and IDENTITY_SCRIPT records:
+# the loglik_trace digest catches a face solve that appends other values
+# to the trace while mu_hat keeps its bits.
+FIT_RECORD = """
 import hashlib, json, sys, time
 import numpy as np
+from calibration import kernel_seconds, small_arrays
+def record(f):
+    return {"G2": f.G2, "iterations": f.iterations,
+            "evaluations": f.evaluations, "face_cells": f.face_cells,
+            "converged": f.converged,
+            "mu_hat_sha256": hashlib.sha256(f.mu_hat.tobytes()).hexdigest(),
+            "loglik_trace_sha256": hashlib.sha256(
+                np.asarray(f.loglik_trace, dtype=float).tobytes()).hexdigest()}
+"""
+FACE_CORPUS_SCRIPT = FIT_RECORD + """
 from misstab import IncompleteTable, Stratum, TableSchema
 from misstab import enumerate_models, fit_em
-from calibration import kernel_seconds, small_arrays
 tables, seed, shapes = map(int, sys.argv[1:4])
 k, theta = map(float, sys.argv[4:6])
 rng = np.random.default_rng(seed)
@@ -187,17 +203,43 @@ for t in range(tables):
         start = time.perf_counter()
         f = fit_em(model, table)
         took += time.perf_counter() - start
-        fits[f"t{t}:{model.id}"] = {
-            "G2": f.G2, "iterations": f.iterations,
-            "evaluations": f.evaluations, "face_cells": f.face_cells,
-            "converged": f.converged,
-            "mu_hat_sha256": hashlib.sha256(f.mu_hat.tobytes()).hexdigest()}
+        fits[f"t{t}:{model.id}"] = record(f)
     after = kernel_seconds(small_arrays)
     seconds += took
     kernels += 2.0 * took / (before + after)
     before = after
 print(json.dumps({"fits": fits, "fits_s": seconds, "fits_cal": kernels}))
 """
+# Runs like FACE_CORPUS_SCRIPT on the built-in tables named in argv: every
+# catalog model of each by fit_model and by fit_em at its defaults, at
+# max_iter=60 and at tol=1e-14, timed as the corpus script times a table.
+IDENTITY_SCRIPT = FIT_RECORD + """
+from misstab import builtin_dataset, enumerate_models, fit_em, fit_model
+FITS = {"fit_model": fit_model, "fit_em": fit_em,
+        "fit_em(max_iter=60)": lambda m, t: fit_em(m, t, max_iter=60),
+        "fit_em(tol=1e-14)": lambda m, t: fit_em(m, t, tol=1e-14)}
+fits = {}
+small_arrays()
+before = kernel_seconds(small_arrays)
+seconds = kernels = 0.0
+for name in sys.argv[1:]:
+    table = builtin_dataset(name)
+    took = 0.0
+    for model in enumerate_models(table.schema):
+        for label, fit in FITS.items():
+            start = time.perf_counter()
+            f = fit(model, table)
+            took += time.perf_counter() - start
+            fits[f"{name}:{model.id}:{label}"] = record(f)
+    after = kernel_seconds(small_arrays)
+    seconds += took
+    kernels += 2.0 * took / (before + after)
+    before = after
+print(json.dumps({"fits": fits, "fits_s": seconds, "fits_cal": kernels}))
+"""
+# the built-in tables IDENTITY_SCRIPT fits: every one of an analysis shape
+IDENTITY_DATASETS = ("smoking-birthweight", "bone-density", "spo-y1",
+                     "spo-y1y2")
 CORPUS_TIMES = ("fits_s", "fits_cal")
 # each corpus --face-corpus fits, by its key in the record: its table
 # count, the script's seed, shapes, k and theta, and what its tables are
@@ -441,17 +483,40 @@ def assess_record(runs: dict, levels: int) -> dict:
 def face_corpus_record(fits: dict, tables: int,
                        corpus: str = "face_corpus", runs=None) -> dict:
     """The entry of one --face-corpus corpus (a key of FACE_CORPORA) in the
-    record, from each side's fits (side -> the corpus script's fits): how
-    many fits are identical in every field recorded (a float read back from
-    JSON equals only its own bits), and in every field but evaluations;
-    which lost or gained a certified face, whose G2 rose or dropped beyond
+    record, from each side's fits (side -> the corpus script's fits), as
+    fits_record compares them."""
+    _, (seed, *_), drawn = FACE_CORPORA[corpus]
+    return {
+        "corpus": f"{tables} tables, {drawn}, default_rng({seed}); every "
+                  "catalog model by fit_em at its defaults",
+        **fits_record(fits, runs),
+    }
+
+
+def identity_record(fits: dict, runs=None) -> dict:
+    """The --face-corpus entry of the built-in identity set
+    (IDENTITY_SCRIPT on IDENTITY_DATASETS), from each side's fits, as
+    fits_record compares them."""
+    return {
+        "corpus": f"the built-in tables {', '.join(IDENTITY_DATASETS)}; "
+                  "every catalog model by fit_model, and by fit_em at its "
+                  "defaults, at max_iter=60 and at tol=1e-14",
+        **fits_record(fits, runs),
+    }
+
+
+def fits_record(fits: dict, runs=None) -> dict:
+    """How each side's fits (side -> a script's fits) differ: how many fits
+    are identical in every field recorded (a float read back from JSON
+    equals only its own bits), and in every field but evaluations; which
+    lost or gained a certified face, whose G2 rose or dropped beyond
     FACE_CORPUS_G2_TOL, whose converged flag changed, and whose evaluations
-    rose or fell, each list of fits in corpus order with its count; and
-    each side's total evaluations.  The totals alone would hide a change
-    that moves work from some fits to others.  When given every run of
-    each side (side -> list of the script's outputs), it holds each run's
-    CORPUS_TIMES, each side's median of them and whether every run of a
-    side has the fits given for it."""
+    rose or fell, each list of fits in the script's order with its count;
+    and each side's total evaluations.  The totals alone would hide a
+    change that moves work from some fits to others.  When given every run
+    of each side (side -> list of the script's outputs), it holds each
+    run's CORPUS_TIMES, each side's median of them and whether every run
+    of a side has the fits given for it."""
     parent, change = (fits[side] for side in SIDES)
     same = [m for m in parent if parent[m] == change[m]]
     same_but_evaluations = [
@@ -476,10 +541,7 @@ def face_corpus_record(fits: dict, tables: int,
         "evaluations_fell": [m for m in parent if change[m]["evaluations"]
                              < parent[m]["evaluations"]],
     }
-    _, (seed, *_), drawn = FACE_CORPORA[corpus]
     record = {
-        "corpus": f"{tables} tables, {drawn}, default_rng({seed}); every "
-                  "catalog model by fit_em at its defaults",
         "fits": len(parent),
         "identical": len(same),
         "identical_but_evaluations": len(same_but_evaluations),
@@ -605,6 +667,10 @@ def main(argv=None) -> int:
                 {side: runs[side][0]["fits"] for side in SIDES}, tables,
                 corpus, runs)
             save()
+        runs = _alternate(checkouts, IDENTITY_SCRIPT, *IDENTITY_DATASETS)
+        doc["builtin_identity"] = identity_record(
+            {side: runs[side][0]["fits"] for side in SIDES}, runs)
+        save()
     return 0
 
 
