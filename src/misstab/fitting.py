@@ -954,8 +954,7 @@ def _zeros_stay_down(mu, before, ecm) -> bool:
     return bool(np.logical_and.reduce((b < a) & (c < b)))
 
 
-@dataclass(frozen=True)
-class _FaceSolve:
+class _FaceSolve(NamedTuple):
     ecm: _EcmMap
     it: _Iterate
     trace: tuple

@@ -2001,10 +2001,8 @@ class TestFusedCycle:
     # must give the bits of the step-by-step cycle
     @settings(max_examples=40, deadline=None)
     @given(sparse_analysis_fits())
-    @example((get_model(ZERO_ON_A_PLAIN_STEP[1].schema, ZERO_ON_A_PLAIN_STEP[0]),
-              ZERO_ON_A_PLAIN_STEP[1]))
-    @example((get_model(ZERO_ON_A_JUMP[1].schema, ZERO_ON_A_JUMP[0]),
-              ZERO_ON_A_JUMP[1]))
+    @example(ZERO_ON_A_PLAIN_STEP)
+    @example(ZERO_ON_A_JUMP)
     def test_fused_cycle_is_the_stepwise_cycle(self, case):
         model, table = case
         with pytest.MonkeyPatch.context() as monkeypatch:
