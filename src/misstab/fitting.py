@@ -909,8 +909,8 @@ def _squarem_step(it, ll, step_max, ecm):
         face, it = _step(ecm, it)
         if face is not ecm:
             break
-    return face, it, face.loglik(it), step_max, spent, _margin_residual(
-        it, face)
+    return (face, it, face.loglik(it), step_max, spent,
+            _margin_residual(it, face))
 
 
 def _is_face(zero, groups) -> bool:
