@@ -447,7 +447,7 @@ class _EcmMap:
                     break
                 prev = ll
         out = None
-        if (step == 2 or not cycle) and np.minimum.reduce(
+        if (not cycle or step == 2) and np.minimum.reduce(
                 flat, initial=math.inf) > 0:
             out = _Iterate(flat, True)
             if tol is not None or cycle:
